@@ -3,9 +3,10 @@
 The Bruhat graph has an edge u -> w whenever w = ut for a reflection t and
 l(u) < l(w); Bruhat order is the reachability order of this graph.  Single
 comparisons use the classical lifting recursion (strip the smallest right
-descent of the top element), memoized on element-id pairs.  Whole-group
-scans use per-element bitmasks of lower cones, filled by one dynamic
-programming pass over the same recursion.
+descent of the top element), memoized on element-id pairs, until the
+per-element bitmasks of lower cones are built; whole-group scans build
+those masks in one pass over the group, and every later comparison is one
+bit test.
 
 Interval statistics:
 
@@ -65,30 +66,34 @@ class IntervalData:
 
 def _smallest_right_descent(ctx: GroupContext) -> list[int]:
     """Smallest-index right descent per element (-1 for the identity)."""
-    srd = ctx.cache.get("srd")
-    if srd is None:
-        srd = [ds[0] if (ds := right_descents(w)) else -1 for w in ctx.elements]
-        ctx.cache["srd"] = srd
-    return srd
+    t = ctx.tables
+    if t.srd is None:
+        t.srd = [ds[0] if (ds := right_descents(w)) else -1 for w in ctx.elements]
+    return t.srd
 
 
 def _lengths(ctx: GroupContext) -> list[int]:
-    lengths = ctx.cache.get("lengths")
-    if lengths is None:
-        lengths = [g.length for g in ctx.elements]
-        ctx.cache["lengths"] = lengths
-    return lengths
+    t = ctx.tables
+    if t.lengths is None:
+        t.lengths = [g.length for g in ctx.elements]
+    return t.lengths
 
 
 def bruhat_le(u: GroupElement, w: GroupElement) -> bool:
     """Whether u <= w in Bruhat order (lifting-property recursion, memoized)."""
     if u.ctx is not w.ctx:
         raise ValueError("context mismatch: elements from different groups")
-    ctx = u.ctx
-    masks = ctx.cache.get("le_masks")
+    return _le(u.ctx, u.index, w.index)
+
+
+def _le(ctx: GroupContext, ui: int, wi: int) -> bool:
+    """bruhat_le on ids: one mask test once le_masks is built, else the
+    memoized recursion, which one-shot queries on large groups need since
+    building the masks costs far more than a few comparisons."""
+    masks = ctx.tables.le
     if masks is not None:
-        return bool(masks[w.index] >> u.index & 1)
-    memo: dict[tuple[int, int], bool] = ctx.cache.setdefault("le_memo", {})
+        return bool(masks[wi] >> ui & 1)
+    memo = ctx.tables.le_memo
     srd = _smallest_right_descent(ctx)
     rmult = ctx.rmult
     lengths = _lengths(ctx)
@@ -107,56 +112,47 @@ def bruhat_le(u: GroupElement, w: GroupElement) -> bool:
             memo[key] = res
         return res
 
-    return rec(u.index, w.index)
+    return rec(ui, wi)
 
 
 def le_masks(ctx: GroupContext) -> list[int]:
     """Bitmask per element id: bit u of le_masks[w] set iff u <= w.
 
-    Filled in one pass over elements by increasing length using the same
-    lifting recursion as bruhat_le, so whole-group scans need no per-pair
-    recursion.
+    Filled by increasing id (hence length) with the lifting property: for
+    a right descent s of w, lower(w) = lower(ws) | lower(ws)*s (Bjorner and
+    Brenti, Combinatorics of Coxeter Groups, section 2.2).
     """
-    masks = ctx.cache.get("le_masks")
-    if masks is not None:
-        return masks
-    srd = _smallest_right_descent(ctx)
-    rmult = ctx.rmult
-    lengths = _lengths(ctx)
-    n = ctx.order
-    masks = [0] * n
-    masks[0] = 1
-    for wi in range(1, n):
-        s = srd[wi]
-        below = masks[rmult[wi][s]]
-        m = 0
-        for ui in range(n):
-            if lengths[ui] > lengths[wi]:
-                continue
-            us = rmult[ui][s]
-            probe = us if lengths[us] < lengths[ui] else ui
-            if below >> probe & 1:
-                m |= 1 << ui
-        masks[wi] = m
-    ctx.cache["le_masks"] = masks
-    return masks
+    t = ctx.tables
+    if t.le is None:
+        srd = _smallest_right_descent(ctx)
+        rmult = ctx.rmult
+        masks = [0] * ctx.order
+        masks[0] = 1
+        for wi in range(1, ctx.order):
+            s = srd[wi]
+            below = masks[rmult[wi][s]]
+            m = below
+            for xi in iter_bits(below):
+                m |= 1 << rmult[xi][s]
+            masks[wi] = m
+        t.le = masks
+    return t.le
 
 
 def ge_masks(ctx: GroupContext) -> list[int]:
     """Bitmask per element id: bit w of ge_masks[u] set iff u <= w."""
-    up = ctx.cache.get("ge_masks")
-    if up is None:
+    t = ctx.tables
+    if t.ge is None:
         lower = le_masks(ctx)
-        n = ctx.order
-        up = [0] * n
-        for wi in range(n):
+        up = [0] * ctx.order
+        for wi in range(ctx.order):
             m = lower[wi]
             while m:
                 lsb = m & -m
                 up[lsb.bit_length() - 1] |= 1 << wi
                 m ^= lsb
-        ctx.cache["ge_masks"] = up
-    return up
+        t.ge = up
+    return t.ge
 
 
 def iter_bits(mask: int):
@@ -176,8 +172,8 @@ def comparable_pairs(ctx: GroupContext):
 
 
 def _adjacency(ctx: GroupContext) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    adj = ctx.cache.get("adjacency")
-    if adj is None:
+    tables = ctx.tables
+    if tables.adjacency is None:
         up: list[list[int]] = [[] for _ in range(ctx.order)]
         down: list[list[int]] = [[] for _ in range(ctx.order)]
         for u in ctx.elements:
@@ -186,12 +182,11 @@ def _adjacency(ctx: GroupContext) -> tuple[list[tuple[int, ...]], list[tuple[int
                 if v.length > u.length:
                     up[u.index].append(v.index)
                     down[v.index].append(u.index)
-        adj = (
+        tables.adjacency = (
             [tuple(sorted(xs)) for xs in up],
             [tuple(sorted(xs)) for xs in down],
         )
-        ctx.cache["adjacency"] = adj
-    return adj
+    return tables.adjacency
 
 
 def up_adjacency(ctx: GroupContext) -> list[tuple[int, ...]]:
@@ -211,8 +206,7 @@ def abs_len_table(w: GroupElement) -> dict[int, int]:
     needed; reachability doubles as an independent comparability witness.
     """
     ctx = w.ctx
-    tables: dict[int, dict[int, int]] = ctx.cache.setdefault("abs_len", {})
-    table = tables.get(w.index)
+    table = ctx.tables.abs_len.get(w.index)
     if table is None:
         down = down_adjacency(ctx)
         table = {w.index: 0}
@@ -227,7 +221,7 @@ def abs_len_table(w: GroupElement) -> dict[int, int]:
                         table[vi] = d
                         nxt.append(vi)
             frontier = nxt
-        tables[w.index] = table
+        ctx.tables.abs_len[w.index] = table
     return table
 
 

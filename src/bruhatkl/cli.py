@@ -65,14 +65,14 @@ CLASSIFY_GUARD = 1152  # refuse groups this large unless --big is passed
 
 def _load_group(args) -> GroupContext:
     ctx = build_group(parse_group_spec(args.group), args.max_order)
-    if args.cache and os.path.exists(args.cache):
-        load_tables(ctx, args.cache)
+    if args.cache_path and os.path.exists(args.cache_path):
+        load_tables(ctx, args.cache_path)
     return ctx
 
 
 def _save_cache(ctx: GroupContext, args) -> None:
-    if args.cache:
-        save_tables(ctx, args.cache)
+    if args.cache_path:
+        save_tables(ctx, args.cache_path)
 
 
 def _parse_reduced(ctx: GroupContext, text: str, flag: str) -> GroupElement:
@@ -266,7 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_ORDER_GUARD,
             help="order guard for group construction (default %(default)s)",
         )
-        p.add_argument("--cache", help="JSONL polynomial cache to load/update")
+        p.add_argument(
+            "--cache", dest="cache_path", help="JSONL polynomial cache to load/update"
+        )
         p.add_argument("--format", choices=fmt, default=fmt[0])
         if words:
             p.add_argument("--u", default="e", help="bottom element word, e.g. '1 2 1'")

@@ -8,7 +8,8 @@ otherwise (row convention cartan[i][j] = 2(a_i, a_j)/(a_i, a_i)).  All
 arithmetic is on small integer matrices; nothing is ever approximated.
 
 Elements are enumerated breadth-first by length and interned with stable
-integer ids, so pair-keyed memo tables elsewhere can key on id pairs.
+integer ids, so the lazily filled tables in ``GroupContext.tables`` key on
+ids and id pairs.
 
 Group spec strings are parsed case-insensitively: "A3", "b2", "G2", "F4".
 Elements are read and printed as whitespace-separated reduced words over
@@ -23,13 +24,14 @@ Elements are read and printed as whitespace-separated reduced words over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
 __all__ = [
     "CoxeterDatum",
     "GroupContext",
     "GroupElement",
+    "Tables",
     "parse_group_spec",
     "build_group",
     "multiply",
@@ -216,11 +218,46 @@ class GroupElement:
         return f"<{self.ctx.name}: {word_of(self)}>"
 
 
+Pair = tuple[int, int]
+Coeffs = tuple[int, ...]
+ByTop = dict[int, dict[int, int]]  # top id -> {bottom id: value}
+
+
+@dataclass(repr=False, eq=False)
+class Tables:
+    """Lazily filled tables of one group, keyed by element ids.
+
+    Each field is filled by exactly one function, named in its comment;
+    ``None`` marks a whole-group table not built yet.  The R, Rt and KL
+    tables hold comparable pairs only (incomparable probes are answered by
+    the order test, not stored), and ``klr.load_tables`` may add validated
+    entries to them.  Tables can hold hundreds of thousands of entries, so
+    they compare by identity and have no field-by-field repr.
+    """
+
+    lengths: list[int] | None = None  # bruhat._lengths
+    srd: list[int] | None = None  # bruhat._smallest_right_descent
+    le_memo: dict[Pair, bool] = field(default_factory=dict)  # bruhat._le
+    le: list[int] | None = None  # bruhat.le_masks
+    ge: list[int] | None = None  # bruhat.ge_masks
+    adjacency: tuple[list, list] | None = None  # bruhat._adjacency: (up, down)
+    abs_len: ByTop = field(default_factory=dict)  # bruhat.abs_len_table
+    defects: ByTop = field(default_factory=dict)  # theorems._defects
+    pairs: list[Pair] | None = None  # theorems._pairs
+    R: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "R"
+    Rt: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "Rt"
+    KL: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._kl
+    sum_r: dict[Pair, Coeffs] = field(default_factory=dict)  # klr.sum_r_over
+    r_shifted: dict[Pair, Coeffs] = field(default_factory=dict)  # theorems._r_shifted
+
+
 class GroupContext:
     """A fully enumerated finite Weyl group.
 
-    Immutable after construction; the private ``cache`` dict is used by
-    other modules for memo tables keyed on element-id pairs.
+    The group data is fixed once ``build_group`` returns.  The only later
+    mutation is lazy, single-threaded filling of ``tables`` (and of the
+    word memo behind ``word_of``), and loading of a validated on-disk cache
+    into ``tables`` (``klr.load_tables``).
     """
 
     def __init__(self, datum: CoxeterDatum):
@@ -235,12 +272,11 @@ class GroupContext:
         self.pos_roots: list[Vector] = []
         self.reflections: list[GroupElement] = []
         self.reflection_ids: frozenset[int] = frozenset()
-        self.refl_root_index: dict[int, int] = {}
         self.rmult: list[tuple[int, ...]] = []
         self.inv: list[int] = []
         self._index: dict[Matrix, int] = {}
         self._words: dict[int, str] = {}
-        self.cache: dict[str, object] = {}
+        self.tables = Tables()
 
     # populated by build_group
     @property
@@ -363,11 +399,7 @@ def build_group(
             else:
                 root_to_matrix[img] = conj
                 queue.append(img)
-    refl_ids = []
-    for ri, beta in enumerate(roots):
-        t_id = ctx._index[root_to_matrix[beta]]
-        refl_ids.append(t_id)
-        ctx.refl_root_index[t_id] = ri
+    refl_ids = [ctx._index[root_to_matrix[beta]] for beta in roots]
     ctx.reflections = [ctx.elements[i] for i in refl_ids]
     ctx.reflection_ids = frozenset(refl_ids)
     if len(ctx.reflection_ids) != len(roots):

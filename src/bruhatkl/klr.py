@@ -2,9 +2,9 @@
 plus the derived machinery: f/h-vectors, interval R-sums, rational
 smoothness, and strict edges.
 
-All three families satisfy a recursion that strips the smallest right
-descent s of the top element w (fixed deterministically so memo tables
-fill in a reproducible order):
+R and Rt satisfy one recursion that strips the smallest right descent s
+of the top element w (fixed deterministically so the tables fill in a
+reproducible order), and differ only in its step polynomials:
 
     R_uw  = R_{us,ws}           if us < u, else  q R_{us,ws} + (q-1) R_{u,ws}
     Rt_uw = Rt_{us,ws}          if us < u, else  Rt_{us,ws} + q Rt_{u,ws}
@@ -19,9 +19,11 @@ coefficient j of P_uw to equal the coefficient of q^(D-j) in F for all
 j <= (D-1)//2, which turns the characterization into an algorithm: fill
 P_{., w} by descending length of the lower index, read the top half of F,
 then substitute back into the full equation and fail loudly if it does not
-hold exactly.  Tables live on the owning GroupContext and are keyed by
-element-id pairs; coefficients are Python integers throughout, so nothing
-can overflow.
+hold exactly.  The tables are the ``R``, ``Rt`` and ``KL`` fields of the
+owning context's ``ctx.tables``, keyed by element-id pairs and holding
+comparable pairs only; they are filled lazily by ``_r`` and ``_kl`` (one
+thread at a time) or by ``load_tables``, and nothing else mutates them.
+Coefficients are Python integers throughout, so nothing can overflow.
 
 The optional on-disk cache is newline-delimited JSON, one record per table
 entry; the loader re-validates the structural invariants of every record
@@ -31,6 +33,7 @@ before trusting it.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -42,12 +45,18 @@ from bruhatkl.bruhat import (
     neighborhood,
     up_adjacency,
 )
-from bruhatkl.bruhat import _lengths, _smallest_right_descent
-from bruhatkl.coxeter import GroupContext, GroupElement, parse_element, word_of
-from bruhatkl.polynomial import Basis, IntPoly, from_shifted, to_shifted
+from bruhatkl.bruhat import _le, _lengths, _smallest_right_descent
+from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, parse_element, word_of
+from bruhatkl.polynomial import (
+    Basis,
+    IntPoly,
+    _addmul_into,
+    _divide_by_q_minus_one,
+    from_shifted,
+    to_shifted,
+)
 
 __all__ = [
-    "PolyTable",
     "FHDecomposition",
     "r_poly",
     "rtilde_poly",
@@ -60,25 +69,11 @@ __all__ = [
     "strict_edges",
     "strict_path_to_smooth",
     "fill_tables",
-    "poly_table",
     "save_tables",
     "load_tables",
 ]
 
-Coeffs = tuple[int, ...]
-
 KINDS = ("R", "Rt", "KL")
-
-
-# -- tuple-level helpers (hot path: avoid IntPoly object churn) ---------
-
-
-def _addmul_into(acc: list[int], a: Coeffs, b: Coeffs) -> None:
-    """acc += a * b (power-basis convolution)."""
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                acc[i + j] += ai * bj
 
 
 def _trim(cs: list[int]) -> Coeffs:
@@ -87,64 +82,33 @@ def _trim(cs: list[int]) -> Coeffs:
     return tuple(cs)
 
 
-def _table(ctx: GroupContext, kind: str) -> dict[tuple[int, int], Coeffs]:
-    return ctx.cache.setdefault(f"poly_{kind}", {})
+# (top, side) step polynomials of the R/Rt recursion when us > u:
+# T_uw = top * T_{us,ws} + side * T_{u,ws}
+_STEPS = {"R": ((0, 1), (-1, 1)), "Rt": ((1,), (0, 1))}
 
 
-def _r(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
-    table = _table(ctx, "R")
+def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
+    """R_uw (kind "R") or Rt_uw (kind "Rt"); () when u is not below w."""
+    table = getattr(ctx.tables, kind)
     key = (ui, wi)
     res = table.get(key)
     if res is not None:
         return res
     if ui == wi:
         res = (1,)
-    elif not bruhat_le(ctx.elements[ui], ctx.elements[wi]):
-        res = ()
+    elif not _le(ctx, ui, wi):
+        return ()
     else:
         lengths = _lengths(ctx)
         s = _smallest_right_descent(ctx)[wi]
         usi, wsi = ctx.rmult[ui][s], ctx.rmult[wi][s]
         if lengths[usi] < lengths[ui]:
-            res = _r(ctx, usi, wsi)
+            res = _r(ctx, usi, wsi, kind)
         else:
-            top = _r(ctx, usi, wsi)
-            side = _r(ctx, ui, wsi)
+            top, side = _STEPS[kind]
             out = [0] * (lengths[wi] - lengths[ui] + 1)
-            for i, c in enumerate(top):  # q * R(us, ws)
-                out[i + 1] += c
-            for i, c in enumerate(side):  # (q-1) * R(u, ws)
-                out[i] -= c
-                out[i + 1] += c
-            res = _trim(out)
-    table[key] = res
-    return res
-
-
-def _rt(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
-    table = _table(ctx, "Rt")
-    key = (ui, wi)
-    res = table.get(key)
-    if res is not None:
-        return res
-    if ui == wi:
-        res = (1,)
-    elif not bruhat_le(ctx.elements[ui], ctx.elements[wi]):
-        res = ()
-    else:
-        lengths = _lengths(ctx)
-        s = _smallest_right_descent(ctx)[wi]
-        usi, wsi = ctx.rmult[ui][s], ctx.rmult[wi][s]
-        if lengths[usi] < lengths[ui]:
-            res = _rt(ctx, usi, wsi)
-        else:
-            top = _rt(ctx, usi, wsi)
-            side = _rt(ctx, ui, wsi)
-            out = [0] * (lengths[wi] - lengths[ui] + 1)
-            for i, c in enumerate(top):
-                out[i] += c
-            for i, c in enumerate(side):  # q * Rt(u, ws)
-                out[i + 1] += c
+            _addmul_into(out, top, _r(ctx, usi, wsi, kind))
+            _addmul_into(out, side, _r(ctx, ui, wsi, kind))
             res = _trim(out)
     table[key] = res
     return res
@@ -159,15 +123,16 @@ def _between(ctx: GroupContext, ui: int, wi: int) -> Iterator[int]:
 
 
 def _kl(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
-    table = _table(ctx, "KL")
+    """P_uw; () when u is not below w."""
+    table = ctx.tables.KL
     key = (ui, wi)
     res = table.get(key)
     if res is not None:
         return res
     if ui == wi:
         res = (1,)
-    elif not bruhat_le(ctx.elements[ui], ctx.elements[wi]):
-        res = ()
+    elif not _le(ctx, ui, wi):
+        return ()
     else:
         lengths = _lengths(ctx)
         D = lengths[wi] - lengths[ui]
@@ -194,14 +159,8 @@ def _kl(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
 
 
 def _kl1(ctx: GroupContext, ui: int, wi: int) -> int:
-    """P_uw evaluated at 1, cached (drives strict-edge machinery)."""
-    cache: dict[tuple[int, int], int] = ctx.cache.setdefault("kl_at_one", {})
-    key = (ui, wi)
-    val = cache.get(key)
-    if val is None:
-        val = sum(_kl(ctx, ui, wi))
-        cache[key] = val
-    return val
+    """P_uw evaluated at 1 (drives strict-edge machinery)."""
+    return sum(_kl(ctx, ui, wi))
 
 
 # -- public operations ---------------------------------------------------
@@ -216,7 +175,7 @@ def r_poly(u: GroupElement, w: GroupElement) -> IntPoly:
 def rtilde_poly(u: GroupElement, w: GroupElement) -> IntPoly:
     """Rtilde-polynomial of the pair: nonnegative coefficients, monic."""
     _same_ctx(u, w)
-    return IntPoly(_rt(u.ctx, u.index, w.index), Basis.Q)
+    return IntPoly(_r(u.ctx, u.index, w.index, "Rt"), Basis.Q)
 
 
 def kl_poly(u: GroupElement, w: GroupElement) -> IntPoly:
@@ -254,7 +213,7 @@ def check_r_rtilde_link(u: GroupElement, w: GroupElement) -> bool:
         raise ValueError("check_r_rtilde_link requires u < w")
     a = absolute_length(u, w)
     ell = w.length - u.length
-    rt = _rt(ctx, u.index, w.index)
+    rt = _r(ctx, u.index, w.index, "Rt")
     for n, c in enumerate(rt):
         expected_support = a <= n <= ell and (ell - n) % 2 == 0
         if expected_support and c <= 0:
@@ -303,18 +262,12 @@ def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
     ell = w.length - u.length
     rc = _r(ctx, u.index, w.index)
     # peel off (q-1) factors by exact synthetic division
-    a = 0
-    cur = list(rc)
-    while True:
-        quot = [0] * (len(cur) - 1)
-        acc = 0
-        for k in range(len(cur) - 1, 0, -1):
-            acc += cur[k]
-            quot[k - 1] = acc
-        if acc + cur[0] != 0:
+    a, cur = 0, list(rc)
+    while cur:
+        quot, rem = _divide_by_q_minus_one(cur)
+        if rem:
             break
-        cur = quot
-        a += 1
+        a, cur = a + 1, quot
     if a != absolute_length(u, w):
         raise RuntimeError(
             f"(q-1)-multiplicity {a} of R differs from absolute length for "
@@ -353,16 +306,15 @@ def sum_r_over(x: GroupElement, w: GroupElement) -> IntPoly:
         raise ValueError(
             f"elements {word_of(x)!r} and {word_of(w)!r} are incomparable"
         )
-    cache: dict[tuple[int, int], Coeffs] = ctx.cache.setdefault("sum_r", {})
     key = (x.index, w.index)
-    res = cache.get(key)
+    res = ctx.tables.sum_r.get(key)
     if res is None:
         acc = [0] * (w.length - x.length + 1)
         for vi in _between(ctx, x.index, w.index):
             for i, c in enumerate(_r(ctx, x.index, vi)):
                 acc[i] += c
         res = _trim(acc)
-        cache[key] = res
+        ctx.tables.sum_r[key] = res
     return IntPoly(res, Basis.Q)
 
 
@@ -430,14 +382,6 @@ def strict_path_to_smooth(u: GroupElement, w: GroupElement) -> list[GroupElement
 # -- whole-group tables and the on-disk cache ----------------------------
 
 
-@dataclass
-class PolyTable:
-    """One polynomial family over a whole group, keyed by element-id pairs."""
-
-    kind: str
-    entries: dict[tuple[int, int], IntPoly]
-
-
 def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
     """Compute every comparable pair's entry for the requested kinds.
 
@@ -452,59 +396,55 @@ def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
             raise ValueError(f"unknown table kind {kind!r}")
     for wi in range(ctx.order):
         below = list(iter_bits(masks[wi]))
-        if "R" in kinds:
-            for ui in below:
-                _r(ctx, ui, wi)
-        if "Rt" in kinds:
-            for ui in below:
-                _rt(ctx, ui, wi)
+        for kind in ("R", "Rt"):
+            if kind in kinds:
+                for ui in below:
+                    _r(ctx, ui, wi, kind)
         if "KL" in kinds:
             for ui in sorted(below, key=lambda i: -lengths[i]):
                 _kl(ctx, ui, wi)
-
-
-def poly_table(ctx: GroupContext, kind: str) -> PolyTable:
-    """Materialize one filled table with IntPoly values."""
-    fill_tables(ctx, (kind,))
-    raw = _table(ctx, kind)
-    return PolyTable(
-        kind=kind,
-        entries={key: IntPoly(cs, Basis.Q) for key, cs in sorted(raw.items())},
-    )
 
 
 def save_tables(ctx: GroupContext, path, kinds: tuple[str, ...] = KINDS) -> int:
     """Write the currently memoized entries as newline-delimited JSON.
 
     Dumps whatever has been computed so far (call fill_tables first for
-    complete tables); returns the record count.
+    complete tables); returns the record count.  The records go to a
+    temporary file next to the target, which then replaces the target, so
+    a write that fails partway leaves the previous file as it was.
     """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8")
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for kind in kinds:
-            raw = _table(ctx, kind)
-            for (ui, wi), cs in sorted(raw.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-                if not cs:
-                    continue  # incomparable probes carry no information
-                rec = {
-                    "kind": kind,
-                    "group": ctx.name,
-                    "u": word_of(ctx.elements[ui]),
-                    "w": word_of(ctx.elements[wi]),
-                    "coeffs": list(cs),
-                }
-                fh.write(json.dumps(rec) + "\n")
-                n += 1
+    try:
+        with fh:
+            for kind in kinds:
+                table = getattr(ctx.tables, kind)
+                for ui, wi in sorted(table, key=lambda key: (key[1], key[0])):
+                    rec = {
+                        "kind": kind,
+                        "group": ctx.name,
+                        "u": word_of(ctx.elements[ui]),
+                        "w": word_of(ctx.elements[wi]),
+                        "coeffs": list(table[ui, wi]),
+                    }
+                    fh.write(json.dumps(rec) + "\n")
+                    n += 1
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return n
 
 
 def load_tables(ctx: GroupContext, path) -> int:
     """Load and validate cache records; returns the number accepted.
 
-    Every record must belong to this group, name a comparable pair, and
-    satisfy the structural invariants of its kind (monic of degree l(u,w)
-    for R and Rt, degree bound plus constant term 1 for KL, 1 on the
-    diagonal).  Any violation raises ValueError and nothing is kept.
+    Every record must belong to this group, name a comparable pair by the
+    canonical words ``word_of`` prints, and satisfy the structural
+    invariants of its kind (monic of degree l(u,w) for R and Rt, degree
+    bound plus constant term 1 for KL, 1 on the diagonal).  Any violation
+    raises ValueError and nothing is kept.
     """
     staged: dict[str, dict[tuple[int, int], Coeffs]] = {k: {} for k in KINDS}
     with open(path, "r", encoding="utf-8") as fh:
@@ -526,10 +466,18 @@ def load_tables(ctx: GroupContext, path) -> int:
                 )
             if kind not in KINDS:
                 raise ValueError(f"{path}:{lineno}: unknown kind {kind!r}")
-            if not all(isinstance(c, int) for c in coeffs):
+            if not all(type(c) is int for c in coeffs):  # JSON true is not 1
                 raise ValueError(f"{path}:{lineno}: non-integer coefficients")
+            if not (isinstance(u_word, str) and isinstance(w_word, str)):
+                raise ValueError(f"{path}:{lineno}: words must be strings")
             u = parse_element(ctx, u_word)
             w = parse_element(ctx, w_word)
+            for g, word in ((u, u_word), (w, w_word)):
+                if word_of(g) != word:
+                    raise ValueError(
+                        f"{path}:{lineno}: word {word!r} is not canonical "
+                        f"(expected {word_of(g)!r})"
+                    )
             if not bruhat_le(u, w):
                 raise ValueError(f"{path}:{lineno}: pair is not comparable")
             ell = w.length - u.length
@@ -552,6 +500,6 @@ def load_tables(ctx: GroupContext, path) -> int:
             staged[kind][(u.index, w.index)] = coeffs
     n = 0
     for kind, entries in staged.items():
-        _table(ctx, kind).update(entries)
+        getattr(ctx.tables, kind).update(entries)
         n += len(entries)
     return n

@@ -33,8 +33,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "Basis",
     "IntPoly",
-    "add",
-    "mul",
     "to_shifted",
     "from_shifted",
     "derivative_at_one",
@@ -76,6 +74,14 @@ def _divide_by_q_minus_one(cs: Sequence[int]) -> tuple[list[int], int]:
         acc += cs[k]
         quot[k - 1] = acc
     return quot, acc + cs[0]
+
+
+def _addmul_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """acc += a * b: convolution of two coefficient sequences into acc."""
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                acc[i + j] += ai * bj
 
 
 class IntPoly:
@@ -183,14 +189,8 @@ class IntPoly:
         if not a or not b:
             return IntPoly.zero(self.basis)
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
+        _addmul_into(out, a, b)
         return IntPoly(out, self.basis)
-
-    def scaled(self, c: int) -> "IntPoly":
-        return IntPoly(tuple(c * x for x in self.coeffs), self.basis)
 
     # -- calculus at q = 1 ---------------------------------------------
 
@@ -236,16 +236,6 @@ class IntPoly:
 
 
 # -- module-level operations ------------------------------------------
-
-
-def add(p: IntPoly, r: IntPoly) -> IntPoly:
-    """Coefficientwise sum; both arguments must share a basis."""
-    return p + r
-
-
-def mul(p: IntPoly, r: IntPoly) -> IntPoly:
-    """Convolution product; both arguments must share a basis."""
-    return p * r
 
 
 def to_shifted(p: IntPoly) -> IntPoly:

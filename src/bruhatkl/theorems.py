@@ -33,13 +33,18 @@ from bruhatkl.klr import (
     _kl,
     _kl1,
     _r,
-    _rt,
     check_r_rtilde_link,
     fh_vectors,
     strict_path_to_smooth,
     sum_r_over,
 )
-from bruhatkl.polynomial import Basis, IntPoly, to_shifted
+from bruhatkl.polynomial import (
+    Basis,
+    IntPoly,
+    _addmul_into,
+    _divide_by_q_minus_one,
+    to_shifted,
+)
 
 __all__ = [
     "CheckReport",
@@ -86,21 +91,19 @@ def _pair_word(ctx: GroupContext, ui: int, wi: int) -> str:
 
 def _pairs(ctx: GroupContext) -> list[tuple[int, int]]:
     """All comparable id pairs (u, w), w-major order, cached."""
-    pairs = ctx.cache.get("pair_list")
-    if pairs is None:
+    t = ctx.tables
+    if t.pairs is None:
         lower = le_masks(ctx)
-        pairs = [(ui, wi) for wi in range(ctx.order) for ui in iter_bits(lower[wi])]
-        ctx.cache["pair_list"] = pairs
-    return pairs
+        t.pairs = [(ui, wi) for wi in range(ctx.order) for ui in iter_bits(lower[wi])]
+    return t.pairs
 
 
 def _r_shifted(ctx: GroupContext, ui: int, wi: int) -> tuple[int, ...]:
-    cache = ctx.cache.setdefault("r_shifted", {})
     key = (ui, wi)
-    res = cache.get(key)
+    res = ctx.tables.r_shifted.get(key)
     if res is None:
         res = to_shifted(IntPoly(_r(ctx, ui, wi), Basis.Q)).coeffs
-        cache[key] = res
+        ctx.tables.r_shifted[key] = res
     return res
 
 
@@ -134,7 +137,7 @@ def _check_r_basics(ctx: GroupContext) -> CheckReport:
     for ui, wi in _pairs(ctx):
         n += 1
         rc = _r(ctx, ui, wi)
-        rtc = _rt(ctx, ui, wi)
+        rtc = _r(ctx, ui, wi, "Rt")
         if ui == wi:
             if rc != (1,) or rtc != (1,):
                 wit.add(f"{_pair_word(ctx, ui, wi)}: diagonal entry not 1")
@@ -177,15 +180,12 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
     n = 0
     for ui, wi in _pairs(ctx):
         n += 1
-        acc = [0] * (lengths[wi] - lengths[ui] + 1)
+        even = [0] * (lengths[wi] - lengths[ui] + 1)
+        odd = list(even)
         for vi in iter_bits(lower[wi] & upper[ui]):
-            sign = -1 if (lengths[vi] - lengths[ui]) % 2 else 1
-            a = _r(ctx, ui, vi)
-            b = _r(ctx, vi, wi)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        acc[i + j] += sign * ai * bj
+            acc = odd if (lengths[vi] - lengths[ui]) % 2 else even
+            _addmul_into(acc, _r(ctx, ui, vi), _r(ctx, vi, wi))
+        acc = [e - o for e, o in zip(even, odd)]
         expected = 1 if ui == wi else 0
         if acc[0] != expected or any(acc[1:]):
             wit.add(f"{_pair_word(ctx, ui, wi)}: alternating sum {acc}")
@@ -253,18 +253,12 @@ def _check_divisibility_order(ctx: GroupContext) -> CheckReport:
         if ui == wi:
             continue
         n += 1
-        cur = list(_r(ctx, ui, wi))
-        mult = 0
-        while True:
-            quot = [0] * (len(cur) - 1)
-            acc = 0
-            for k in range(len(cur) - 1, 0, -1):
-                acc += cur[k]
-                quot[k - 1] = acc
-            if acc + cur[0] != 0:
+        mult, cur = 0, list(_r(ctx, ui, wi))
+        while cur:
+            quot, rem = _divide_by_q_minus_one(cur)
+            if rem:
                 break
-            cur = quot
-            mult += 1
+            mult, cur = mult + 1, quot
         a = _abs(ctx, ui, wi)
         if mult != a:
             wit.add(f"{_pair_word(ctx, ui, wi)}: multiplicity {mult}, a = {a}")
@@ -373,8 +367,7 @@ def _check_brenti_scan(ctx: GroupContext) -> CheckReport:
 
 def _defects(ctx: GroupContext, wi: int) -> dict[int, int]:
     """Defect of every x <= w under w, one adjacency sweep per top element."""
-    cache: dict[int, dict[int, int]] = ctx.cache.setdefault("defects", {})
-    table = cache.get(wi)
+    table = ctx.tables.defects.get(wi)
     if table is None:
         lower = le_masks(ctx)
         up = up_adjacency(ctx)
@@ -384,7 +377,7 @@ def _defects(ctx: GroupContext, wi: int) -> dict[int, int]:
         for xi in iter_bits(wm):
             nb = sum(1 for vi in up[xi] if wm >> vi & 1)
             table[xi] = nb - (lengths[wi] - lengths[xi])
-        cache[wi] = table
+        ctx.tables.defects[wi] = table
     return table
 
 
@@ -495,7 +488,7 @@ def _check_le1_le2_le3(ctx: GroupContext) -> CheckReport:
                     f"{_pair_word(ctx, ui, wi)}: (q-1)^2 does not divide "
                     f"R - q^{m}(q-1)"
                 )
-            if _rt(ctx, ui, wi)[1] != 1:
+            if _r(ctx, ui, wi, "Rt")[1] != 1:
                 wit.add(f"{_pair_word(ctx, ui, wi)}: linear Rt coeff != 1")
             if second != ell - 1:
                 wit.add(
@@ -543,12 +536,7 @@ def _check_kl_basics(ctx: GroupContext) -> CheckReport:
             continue
         acc = [0] * (D + 1)
         for vi in iter_bits(lower[wi] & upper[ui]):
-            a = _r(ctx, ui, vi)
-            b = _kl(ctx, vi, wi)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        acc[i + j] += ai * bj
+            _addmul_into(acc, _r(ctx, ui, vi), _kl(ctx, vi, wi))
         lhs = [0] * (D + 1)
         for j, c in enumerate(pc):
             lhs[D - j] = c
@@ -803,6 +791,8 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     if selection == "all":
         names = CHECK_NAMES
     else:
+        if isinstance(selection, str):
+            selection = (selection,)
         unknown = [s for s in selection if s not in _REGISTRY]
         if unknown:
             raise ValueError(

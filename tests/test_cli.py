@@ -179,6 +179,19 @@ def test_corrupt_cache_exits_2(tmp_path, capsys):
     assert code == 2 and "monic" in err
 
 
+def test_non_canonical_cache_word_exits_2(tmp_path, capsys):
+    # "1 1" multiplies to e but is not the word e is printed as; read as e,
+    # this record would be served as P = 5*q + 1
+    cache = tmp_path / "noncanonical.jsonl"
+    cache.write_text(
+        '{"kind":"KL","group":"A3","u":"1 1","w":"2 1 3 2","coeffs":[1,5]}\n'
+    )
+    code, out, err = run(
+        capsys, "table", "--group", "A3", "--w", "2 1 3 2", "--cache", str(cache)
+    )
+    assert code == 2 and out == "" and "not canonical" in err
+
+
 def test_poisoned_r_cache_hits_internal_invariant(tmp_path, capsys):
     # monic of the right degree, so the loader accepts it; the KL
     # computation's substitution check then fails its postcondition

@@ -1,6 +1,8 @@
 """Tests for group construction, element arithmetic, and word I/O."""
 
 import doctest
+import importlib
+import pkgutil
 from collections import Counter
 
 import pytest
@@ -33,6 +35,20 @@ def test_package_doctest():
 
     failures, _ = doctest.testmod(bruhatkl)
     assert failures == 0
+
+
+def test_every_exported_name_resolves():
+    import bruhatkl
+
+    modules = [bruhatkl] + [
+        importlib.import_module(f"bruhatkl.{m.name}")
+        for m in pkgutil.iter_modules(bruhatkl.__path__)
+    ]
+    exporting = [mod for mod in modules if hasattr(mod, "__all__")]
+    assert len(exporting) == 6  # every module but the cli
+    for mod in exporting:
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert missing == [], (mod.__name__, missing)
 
 
 @pytest.mark.parametrize(

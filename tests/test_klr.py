@@ -25,7 +25,6 @@ from bruhatkl.klr import (  # noqa: E402
     kl_at_one,
     kl_poly,
     load_tables,
-    poly_table,
     r_poly,
     rtilde_poly,
     save_tables,
@@ -123,8 +122,7 @@ def test_kl_matches_oracle_a3_b2():
     for spec in ("A3", "B2"):
         ctx = build_group(parse_group_spec(spec))  # fresh context
         fill_tables(ctx, ("KL",))
-        main = {k: v for k, v in ctx.cache["poly_KL"].items() if v}
-        assert main == oracle_kl_table(ctx)
+        assert ctx.tables.KL == oracle_kl_table(ctx)
 
 
 def test_fh_vectors():
@@ -217,13 +215,21 @@ def test_b2_c2_identical_tables_by_word():
 
 
 def test_poly_table_invariants():
-    ctx = ctx_for("B2")
-    table = poly_table(ctx, "R")
-    assert table.kind == "R"
-    for (ui, wi), p in table.entries.items():
+    ctx = build_group(parse_group_spec("B2"))
+    s1, s2 = ctx.simples
+    assert r_poly(s1, s2).is_zero and rtilde_poly(s1, s2).is_zero
+    assert kl_poly(s1, s2).is_zero  # incomparable probes leave no entry
+    fill_tables(ctx)
+    pairs = set(comparable_pairs(ctx))
+    for table in (ctx.tables.R, ctx.tables.Rt, ctx.tables.KL):
+        assert set(table) == pairs
+        assert all(table.values())
+    for ui, wi in pairs:
+        p = r_poly(ctx.elements[ui], ctx.elements[wi])
+        assert p.coeffs == ctx.tables.R[ui, wi]
         if ui == wi:
             assert p == IntPoly([1])
-        elif not p.is_zero:
+        else:
             assert p.degree == ctx.elements[wi].length - ctx.elements[ui].length
 
 
@@ -235,12 +241,28 @@ def test_cache_save_load_round_trip(tmp_path):
     assert n > 0
     fresh = build_group(parse_group_spec("B2"))
     assert load_tables(fresh, path) == n
-    fill_tables(ctx)
     for kind in ("R", "Rt", "KL"):
-        key = f"poly_{kind}"
-        lhs = {k: v for k, v in ctx.cache[key].items() if v}
-        rhs = {k: v for k, v in fresh.cache[key].items() if v}
-        assert lhs == rhs
+        assert getattr(ctx.tables, kind) == getattr(fresh.tables, kind)
+
+
+def test_cache_save_is_atomic(tmp_path, monkeypatch):
+    ctx = build_group(parse_group_spec("B2"))
+    path = tmp_path / "b2.jsonl"
+    path.write_text("previous contents\n")
+    fill_tables(ctx)
+    calls = []
+
+    def failing_word_of(g):
+        calls.append(g)
+        if len(calls) > 10:
+            raise OSError("disk full")
+        return word_of(g)
+
+    monkeypatch.setattr("bruhatkl.klr.word_of", failing_word_of)
+    with pytest.raises(OSError):
+        save_tables(ctx, path)
+    assert path.read_text() == "previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["b2.jsonl"]
 
 
 def test_cache_load_rejects_bad_records(tmp_path):
@@ -258,6 +280,15 @@ def test_cache_load_rejects_bad_records(tmp_path):
     bad.write_text('{"kind":"R","group":"B2","u":"1","w":"2","coeffs":[1]}\n')
     with pytest.raises(ValueError):
         load_tables(ctx, bad)  # incomparable pair
+    bad.write_text('{"kind":"KL","group":"B2","u":"2 2","w":"1 2 1","coeffs":[1]}\n')
+    with pytest.raises(ValueError, match="not canonical"):
+        load_tables(ctx, bad)  # "2 2" is e, which prints as "e"
+    bad.write_text('{"kind":"KL","group":"B2","u":5,"w":"1 2 1","coeffs":[1]}\n')
+    with pytest.raises(ValueError, match="strings"):
+        load_tables(ctx, bad)
+    bad.write_text('{"kind":"KL","group":"B2","u":"e","w":"1 2 1","coeffs":[true]}\n')
+    with pytest.raises(ValueError, match="non-integer"):
+        load_tables(ctx, bad)
     bad.write_text("not json\n")
     with pytest.raises(ValueError):
         load_tables(ctx, bad)

@@ -9,13 +9,11 @@ import bruhatkl.polynomial
 from bruhatkl.polynomial import (
     Basis,
     IntPoly,
-    add,
     coeff_dominated,
     derivative_at_one,
     eval_int,
     from_shifted,
     is_palindromic,
-    mul,
     to_shifted,
 )
 
@@ -47,28 +45,28 @@ def test_normalization_and_zero():
 
 def test_add_examples():
     q_minus_1 = P(-1, 1)
-    assert add(q_minus_1, q_minus_1) == P(-2, 2)
+    assert q_minus_1 + q_minus_1 == P(-2, 2)
     p = P(5, -3, 7)
-    assert add(p, IntPoly.zero()) == p
+    assert p + IntPoly.zero() == p
     # (q^2 - q + 1) + (q - 1) = q^2
-    assert add(P(1, -1, 1), q_minus_1) == P(0, 0, 1)
+    assert P(1, -1, 1) + q_minus_1 == P(0, 0, 1)
 
 
 def test_add_basis_mismatch():
     with pytest.raises(ValueError):
-        add(P(1), S(1))
+        P(1) + S(1)
     with pytest.raises(ValueError):
-        mul(P(1), S(1))
+        P(1) * S(1)
 
 
 def test_mul_examples():
     # (q-1)*(q^2-q+1) = q^3 - 2*q^2 + 2*q - 1
-    assert mul(P(-1, 1), P(1, -1, 1)) == Q_CUBE
+    assert P(-1, 1) * P(1, -1, 1) == Q_CUBE
     p = P(4, 0, -2, 9)
-    assert mul(p, IntPoly.const(1)) == p
+    assert p * IntPoly.const(1) == p
     # (q-1)^3 = q^3 - 3*q^2 + 3*q - 1
     qm1 = P(-1, 1)
-    assert mul(mul(qm1, qm1), qm1) == P(-1, 3, -3, 1)
+    assert qm1 * qm1 * qm1 == P(-1, 3, -3, 1)
     assert IntPoly.q_minus_one_power(3) == P(-1, 3, -3, 1)
 
 

@@ -44,6 +44,10 @@ def test_run_suite_selection_and_errors():
     ctx = ctx_for("A2")
     reports = run_suite(ctx, ["deodhar", "r_basics"])
     assert [r.check_name for r in reports] == ["r_basics", "deodhar"]  # registry order
+    # a string is one check name, not a sequence of one-letter names
+    assert [r.check_name for r in run_suite(ctx, "deodhar")] == ["deodhar"]
+    with pytest.raises(ValueError, match="'bogus'"):
+        run_suite(ctx, "bogus")
     with pytest.raises(ValueError):
         run_suite(ctx, ["bogus"])
     with pytest.raises(ValueError):
@@ -120,8 +124,8 @@ def test_summary_table_format():
 def test_sabotaged_kl_entry_fails_kl_basics():
     ctx = build_group(parse_group_spec("A3"))  # fresh, private to this test
     assert run_check("kl_basics", ctx).passed
-    key = next(k for k, v in ctx.cache["poly_KL"].items() if v == (1, 1))
-    ctx.cache["poly_KL"][key] = (1, 2)
+    key = next(k for k, v in ctx.tables.KL.items() if v == (1, 1))
+    ctx.tables.KL[key] = (1, 2)
     report = run_check("kl_basics", ctx)
     assert not report.passed
     assert report.witnesses and report.stats["violations_total"] >= 1
@@ -131,9 +135,9 @@ def test_sabotaged_r_entries_fail_with_witness_cap():
     ctx = build_group(parse_group_spec("A3"))
     assert run_check("r_basics", ctx).passed
     poisoned = 0
-    for (ui, wi), v in sorted(ctx.cache["poly_R"].items()):
+    for (ui, wi), v in sorted(ctx.tables.R.items()):
         if ui != wi and len(v) >= 2:
-            ctx.cache["poly_R"][(ui, wi)] = v[:-1] + (2,)  # no longer monic
+            ctx.tables.R[ui, wi] = v[:-1] + (2,)  # no longer monic
             poisoned += 1
             if poisoned == 25:
                 break
