@@ -1,12 +1,11 @@
 """Bruhat order, Bruhat graphs, and the interval statistics built on them.
 
 The Bruhat graph has an edge u -> w whenever w = ut for a reflection t and
-l(u) < l(w); Bruhat order is the reachability order of this graph.  Single
-comparisons use the classical lifting recursion (strip the smallest right
-descent of the top element), memoized on element-id pairs, until the
-per-element bitmasks of lower cones are built; whole-group scans build
-those masks in one pass over the group, and every later comparison is one
-bit test.
+l(u) < l(w); Bruhat order is the reachability order of this graph.  The
+order has one representation: per-element bitmasks of lower cones, built
+on demand with the lifting property along one descent chain, so a single
+comparison builds at most l(w) + 1 masks and every comparison is one bit
+test.  Whole-group scans complete the masks in one pass over the group.
 
 Interval statistics:
 
@@ -26,7 +25,6 @@ from bruhatkl.coxeter import (
     GroupContext,
     GroupElement,
     _mat_mul,
-    right_descents,
     word_of,
 )
 
@@ -64,78 +62,51 @@ class IntervalData:
     defect: int
 
 
-def _smallest_right_descent(ctx: GroupContext) -> list[int]:
-    """Smallest-index right descent per element (-1 for the identity)."""
-    t = ctx.tables
-    if t.srd is None:
-        t.srd = [ds[0] if (ds := right_descents(w)) else -1 for w in ctx.elements]
-    return t.srd
-
-
-def _lengths(ctx: GroupContext) -> list[int]:
-    t = ctx.tables
-    if t.lengths is None:
-        t.lengths = [g.length for g in ctx.elements]
-    return t.lengths
-
-
 def bruhat_le(u: GroupElement, w: GroupElement) -> bool:
-    """Whether u <= w in Bruhat order (lifting-property recursion, memoized)."""
+    """Whether u <= w in Bruhat order."""
     if u.ctx is not w.ctx:
         raise ValueError("context mismatch: elements from different groups")
     return _le(u.ctx, u.index, w.index)
 
 
 def _le(ctx: GroupContext, ui: int, wi: int) -> bool:
-    """bruhat_le on ids: one mask test once le_masks is built, else the
-    memoized recursion, which one-shot queries on large groups need since
-    building the masks costs far more than a few comparisons."""
+    """bruhat_le on ids."""
+    return bool(_lower(ctx, wi) >> ui & 1)
+
+
+def _lower(ctx: GroupContext, wi: int) -> int:
+    """Bitmask of the lower cone of w: bit u set iff u <= w.
+
+    Built on first use by the lifting property: for the smallest right
+    descent s of w, lower(w) = lower(ws) | lower(ws)*s (Bjorner and Brenti,
+    Combinatorics of Coxeter Groups, section 2.2), building lower(ws) the
+    same way if it is missing.
+    """
     masks = ctx.tables.le
-    if masks is not None:
-        return bool(masks[wi] >> ui & 1)
-    memo = ctx.tables.le_memo
-    srd = _smallest_right_descent(ctx)
-    rmult = ctx.rmult
-    lengths = _lengths(ctx)
-
-    def rec(ui: int, wi: int) -> bool:
-        if ui == 0 or ui == wi:
-            return True
-        if lengths[ui] >= lengths[wi]:
-            return False
-        key = (ui, wi)
-        res = memo.get(key)
-        if res is None:
-            s = srd[wi]
-            us = rmult[ui][s]
-            res = rec(us if lengths[us] < lengths[ui] else ui, rmult[wi][s])
-            memo[key] = res
-        return res
-
-    return rec(ui, wi)
+    if masks is None:
+        masks = ctx.tables.le = [1] + [0] * (ctx.order - 1)
+    m = masks[wi]
+    if not m:
+        rmult = ctx.rmult
+        s = ctx.srd[wi]
+        m = below = _lower(ctx, rmult[wi][s])
+        for xi in iter_bits(below):
+            m |= 1 << rmult[xi][s]
+        masks[wi] = m
+    return m
 
 
 def le_masks(ctx: GroupContext) -> list[int]:
     """Bitmask per element id: bit u of le_masks[w] set iff u <= w.
 
-    Filled by increasing id (hence length) with the lifting property: for
-    a right descent s of w, lower(w) = lower(ws) | lower(ws)*s (Bjorner and
-    Brenti, Combinatorics of Coxeter Groups, section 2.2).
+    Builds the masks not built yet by increasing id (hence length), so
+    each one needs only masks already built; later calls return at once.
     """
     t = ctx.tables
-    if t.le is None:
-        srd = _smallest_right_descent(ctx)
-        rmult = ctx.rmult
-        masks = [0] * ctx.order
-        masks[0] = 1
-        for wi in range(1, ctx.order):
-            s = srd[wi]
-            below = masks[rmult[wi][s]]
-            m = below
-            for xi in iter_bits(below):
-                m |= 1 << rmult[xi][s]
-            masks[wi] = m
-        t.le = masks
+    if not t.le_complete:
+        for wi in range(ctx.order):
+            _lower(ctx, wi)
+        t.le_complete = True
     return t.le
 
 
@@ -238,14 +209,13 @@ def absolute_length(u: GroupElement, w: GroupElement) -> int:
 
 
 def neighborhood(u: GroupElement, w: GroupElement) -> list[GroupElement]:
-    """All v with u -> v and v <= w, sorted by (length, id)."""
+    """All v with u -> v and v <= w, sorted by (length, id): adjacency
+    rows are sorted by id, and ids grow with length."""
+    if u.ctx is not w.ctx:
+        raise ValueError("context mismatch: elements from different groups")
     ctx = u.ctx
-    up = up_adjacency(ctx)
-    out = [
-        ctx.elements[vi] for vi in up[u.index] if bruhat_le(ctx.elements[vi], w)
-    ]
-    out.sort(key=lambda g: (g.length, g.index))
-    return out
+    lower = _lower(ctx, w.index)
+    return [ctx.elements[vi] for vi in up_adjacency(ctx)[u.index] if lower >> vi & 1]
 
 
 def defect(u: GroupElement, w: GroupElement) -> int:
@@ -286,23 +256,26 @@ def bruhat_edges(
 def interval(u: GroupElement, w: GroupElement) -> IntervalData:
     """The full interval [u, w] with graph, absolute length, and defect.
 
-    Membership is computed by filtering the enumerated group with a length
-    window and two memoized order comparisons per candidate.
+    Members, in id order, are found by a breadth-first walk from u over
+    Bruhat-graph edges that stays inside the lower cone of w: v >= u means
+    a directed path from u to v exists, and when v <= w every vertex on it
+    lies in [u, w], so the walk reaches exactly the interval.
     """
-    if u.ctx is not w.ctx:
-        raise ValueError("context mismatch: elements from different groups")
     if not bruhat_le(u, w):
         raise ValueError(
             f"empty interval: {word_of(u)!r} and {word_of(w)!r} are incomparable"
         )
     ctx = u.ctx
-    members = [
-        v
-        for v in ctx.elements
-        if u.length <= v.length <= w.length
-        and bruhat_le(u, v)
-        and bruhat_le(v, w)
-    ]
+    up = up_adjacency(ctx)
+    lower = _lower(ctx, w.index)
+    seen = {u.index}
+    queue = [u.index]
+    for xi in queue:  # grows while iterated: a breadth-first walk
+        for vi in up[xi]:
+            if vi not in seen and lower >> vi & 1:
+                seen.add(vi)
+                queue.append(vi)
+    members = [ctx.elements[vi] for vi in sorted(seen)]
     nbhd = neighborhood(u, w)
     return IntervalData(
         bottom=u,

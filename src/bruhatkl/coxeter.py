@@ -228,17 +228,19 @@ class Tables:
     """Lazily filled tables of one group, keyed by element ids.
 
     Each field is filled by exactly one function, named in its comment;
-    ``None`` marks a whole-group table not built yet.  The R, Rt and KL
-    tables hold comparable pairs only (incomparable probes are answered by
-    the order test, not stored), and ``klr.load_tables`` may add validated
-    entries to them.  Tables can hold hundreds of thousands of entries, so
-    they compare by identity and have no field-by-field repr.
+    ``None`` marks a whole-group table not built yet.  Lengths and
+    descents are group data (``GroupContext.lengths``, ``.srd``).  The
+    lower-cone masks ``le`` may be partly built, 0 marking a mask not
+    built yet (every cone contains e, so no built mask is 0).
+    The R, Rt and KL tables hold comparable pairs only (incomparable
+    probes are answered by the order test, not stored), and
+    ``klr.load_tables`` may add validated entries to them.  Tables can hold
+    hundreds of thousands of entries, so they compare by identity and have
+    no field-by-field repr.
     """
 
-    lengths: list[int] | None = None  # bruhat._lengths
-    srd: list[int] | None = None  # bruhat._smallest_right_descent
-    le_memo: dict[Pair, bool] = field(default_factory=dict)  # bruhat._le
-    le: list[int] | None = None  # bruhat.le_masks
+    le: list[int] | None = None  # bruhat._lower; 0 = not built yet
+    le_complete: bool = False  # bruhat.le_masks: every entry of le built
     ge: list[int] | None = None  # bruhat.ge_masks
     adjacency: tuple[list, list] | None = None  # bruhat._adjacency: (up, down)
     abs_len: ByTop = field(default_factory=dict)  # bruhat.abs_len_table
@@ -254,10 +256,11 @@ class Tables:
 class GroupContext:
     """A fully enumerated finite Weyl group.
 
-    The group data is fixed once ``build_group`` returns.  The only later
-    mutation is lazy, single-threaded filling of ``tables`` (and of the
-    word memo behind ``word_of``), and loading of a validated on-disk cache
-    into ``tables`` (``klr.load_tables``).
+    The group data, lengths and descents (``lengths``, ``srd``) included,
+    is fixed once ``build_group`` returns.  The only later mutation is
+    lazy, single-threaded filling of ``tables`` (and of the word memo
+    behind ``word_of``), and loading of a validated on-disk cache into
+    ``tables`` (``klr.load_tables``).
     """
 
     def __init__(self, datum: CoxeterDatum):
@@ -273,6 +276,8 @@ class GroupContext:
         self.reflections: list[GroupElement] = []
         self.reflection_ids: frozenset[int] = frozenset()
         self.rmult: list[tuple[int, ...]] = []
+        self.lengths: list[int] = []  # l(w) by id
+        self.srd: list[int] = []  # smallest right descent by id, -1 for e
         self.inv: list[int] = []
         self._index: dict[Matrix, int] = {}
         self._words: dict[int, str] = {}
@@ -356,6 +361,11 @@ def build_group(
     ctx.rmult = [
         tuple(ctx._index[_mat_rmul_simple(w.matrix, s, cartan)] for s in range(n))
         for w in ctx.elements
+    ]
+    ctx.lengths = [w.length for w in ctx.elements]
+    ctx.srd = [
+        next((s for s, x in enumerate(row) if ctx.lengths[x] < ell), -1)
+        for row, ell in zip(ctx.rmult, ctx.lengths)
     ]
 
     # positive-root closure, simple roots first, discovery order after

@@ -45,13 +45,13 @@ from bruhatkl.bruhat import (
     neighborhood,
     up_adjacency,
 )
-from bruhatkl.bruhat import _le, _lengths, _smallest_right_descent
+from bruhatkl.bruhat import _le
 from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, parse_element, word_of
 from bruhatkl.polynomial import (
     Basis,
     IntPoly,
     _addmul_into,
-    _divide_by_q_minus_one,
+    _q_minus_one_valuation,
     from_shifted,
     to_shifted,
 )
@@ -99,8 +99,8 @@ def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
     elif not _le(ctx, ui, wi):
         return ()
     else:
-        lengths = _lengths(ctx)
-        s = _smallest_right_descent(ctx)[wi]
+        lengths = ctx.lengths
+        s = ctx.srd[wi]
         usi, wsi = ctx.rmult[ui][s], ctx.rmult[wi][s]
         if lengths[usi] < lengths[ui]:
             res = _r(ctx, usi, wsi, kind)
@@ -134,7 +134,7 @@ def _kl(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
     elif not _le(ctx, ui, wi):
         return ()
     else:
-        lengths = _lengths(ctx)
+        lengths = ctx.lengths
         D = lengths[wi] - lengths[ui]
         F = [0] * (D + 1)
         for vi in _between(ctx, ui, wi):
@@ -261,13 +261,7 @@ def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
         raise ValueError("fh_vectors requires u < w")
     ell = w.length - u.length
     rc = _r(ctx, u.index, w.index)
-    # peel off (q-1) factors by exact synthetic division
-    a, cur = 0, list(rc)
-    while cur:
-        quot, rem = _divide_by_q_minus_one(cur)
-        if rem:
-            break
-        a, cur = a + 1, quot
+    a, cur = _q_minus_one_valuation(rc)
     if a != absolute_length(u, w):
         raise RuntimeError(
             f"(q-1)-multiplicity {a} of R differs from absolute length for "
@@ -328,7 +322,7 @@ def is_rationally_smooth(u: GroupElement, w: GroupElement) -> bool:
         )
     masks = le_masks(ctx)
     up = up_adjacency(ctx)
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     wm = masks[w.index]
     for xi in _between(ctx, u.index, w.index):
         if xi == w.index:
@@ -390,7 +384,7 @@ def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
     element, which is the order the functional equation resolves in.
     """
     masks = le_masks(ctx)
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown table kind {kind!r}")
@@ -405,7 +399,7 @@ def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
                 _kl(ctx, ui, wi)
 
 
-def save_tables(ctx: GroupContext, path, kinds: tuple[str, ...] = KINDS) -> int:
+def save_tables(ctx: GroupContext, path) -> int:
     """Write the currently memoized entries as newline-delimited JSON.
 
     Dumps whatever has been computed so far (call fill_tables first for
@@ -418,7 +412,7 @@ def save_tables(ctx: GroupContext, path, kinds: tuple[str, ...] = KINDS) -> int:
     n = 0
     try:
         with fh:
-            for kind in kinds:
+            for kind in KINDS:
                 table = getattr(ctx.tables, kind)
                 for ui, wi in sorted(table, key=lambda key: (key[1], key[0])):
                     rec = {
@@ -443,10 +437,12 @@ def load_tables(ctx: GroupContext, path) -> int:
     Every record must belong to this group, name a comparable pair by the
     canonical words ``word_of`` prints, and satisfy the structural
     invariants of its kind (monic of degree l(u,w) for R and Rt, degree
-    bound plus constant term 1 for KL, 1 on the diagonal).  Any violation
-    raises ValueError and nothing is kept.
+    bound plus constant term 1 for KL, 1 on the diagonal), and no two
+    records may share a kind and a pair.  Any violation raises ValueError
+    and nothing is kept.
     """
     staged: dict[str, dict[tuple[int, int], Coeffs]] = {k: {} for k in KINDS}
+    line_of: dict[tuple[str, int, int], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -497,6 +493,12 @@ def load_tables(ctx: GroupContext, path) -> int:
                     raise ValueError(
                         f"{path}:{lineno}: KL degree exceeds ({ell}-1)/2"
                     )
+            first = line_of.setdefault((kind, u.index, w.index), lineno)
+            if first != lineno:
+                raise ValueError(
+                    f"{path}:{lineno}: second {kind} record for "
+                    f"({u_word!r}, {w_word!r}); the first is on line {first}"
+                )
             staged[kind][(u.index, w.index)] = coeffs
     n = 0
     for kind, entries in staged.items():

@@ -76,6 +76,19 @@ def _divide_by_q_minus_one(cs: Sequence[int]) -> tuple[list[int], int]:
     return quot, acc + cs[0]
 
 
+def _q_minus_one_valuation(cs: Sequence[int]) -> tuple[int, list[int]]:
+    """Multiplicity of (q-1) as a factor, by repeated synthetic division,
+    and the quotient by that power of (q-1).  The zero polynomial gives
+    (0, [])."""
+    mult, cur = 0, list(cs)
+    while cur:
+        quot, rem = _divide_by_q_minus_one(cur)
+        if rem:
+            break
+        mult, cur = mult + 1, quot
+    return mult, cur
+
+
 def _addmul_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
     """acc += a * b: convolution of two coefficient sequences into acc."""
     for i, ai in enumerate(a):

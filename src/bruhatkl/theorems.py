@@ -27,7 +27,6 @@ from bruhatkl.bruhat import (
     le_masks,
     up_adjacency,
 )
-from bruhatkl.bruhat import _lengths
 from bruhatkl.coxeter import GroupContext, word_of
 from bruhatkl.klr import (
     _kl,
@@ -42,7 +41,7 @@ from bruhatkl.polynomial import (
     Basis,
     IntPoly,
     _addmul_into,
-    _divide_by_q_minus_one,
+    _q_minus_one_valuation,
     to_shifted,
 )
 
@@ -132,7 +131,7 @@ def _check_r_basics(ctx: GroupContext) -> CheckReport:
     R(1) = 0 off the diagonal, Rt nonnegative, and R rebuilt from Rt
     through the absolute-length closed form."""
     wit = _Witnesses()
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     n = 0
     for ui, wi in _pairs(ctx):
         n += 1
@@ -176,7 +175,7 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lower = le_masks(ctx)
     upper = ge_masks(ctx)
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     n = 0
     for ui, wi in _pairs(ctx):
         n += 1
@@ -195,7 +194,7 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
 def _check_r_functional_equation(ctx: GroupContext) -> CheckReport:
     """Reversing R's coefficients equals R up to the sign (-1)^l(u,w)."""
     wit = _Witnesses()
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     n = 0
     for ui, wi in _pairs(ctx):
         n += 1
@@ -227,7 +226,7 @@ def _check_shifted_nonneg(ctx: GroupContext) -> CheckReport:
     """(q-1)-coefficients of R vanish below a(u,w) and are positive
     from a(u,w) through l(u,w)."""
     wit = _Witnesses()
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     n = 0
     for ui, wi in _pairs(ctx):
         if ui == wi:
@@ -253,12 +252,7 @@ def _check_divisibility_order(ctx: GroupContext) -> CheckReport:
         if ui == wi:
             continue
         n += 1
-        mult, cur = 0, list(_r(ctx, ui, wi))
-        while cur:
-            quot, rem = _divide_by_q_minus_one(cur)
-            if rem:
-                break
-            mult, cur = mult + 1, quot
+        mult, _ = _q_minus_one_valuation(_r(ctx, ui, wi))
         a = _abs(ctx, ui, wi)
         if mult != a:
             wit.add(f"{_pair_word(ctx, ui, wi)}: multiplicity {mult}, a = {a}")
@@ -289,7 +283,7 @@ def _check_fh_structure(ctx: GroupContext) -> CheckReport:
 def _check_boolean_criterion(ctx: GroupContext) -> CheckReport:
     """R equals (q-1)^l(u,w) exactly when a(u,w) = l(u,w)."""
     wit = _Witnesses()
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     powers: dict[int, tuple[int, ...]] = {}
     n = 0
     a_lt_ell = 0
@@ -314,7 +308,7 @@ def _check_boolean_criterion(ctx: GroupContext) -> CheckReport:
 def _check_binomial_bounds(ctx: GroupContext) -> CheckReport:
     """(q-1)^l <= R <= q^l coefficientwise in the shifted basis."""
     wit = _Witnesses()
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     n = 0
     for ui, wi in _pairs(ctx):
         if ui == wi:
@@ -339,7 +333,7 @@ def _check_brenti_scan(ctx: GroupContext) -> CheckReport:
     The bound is an open conjecture, so violations are reported in the
     stats (max excess and how many pairs exceed 0), never as failures.
     """
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     n = 0
     max_excess = None
     excess_pairs = 0
@@ -371,7 +365,7 @@ def _defects(ctx: GroupContext, wi: int) -> dict[int, int]:
     if table is None:
         lower = le_masks(ctx)
         up = up_adjacency(ctx)
-        lengths = _lengths(ctx)
+        lengths = ctx.lengths
         wm = lower[wi]
         table = {}
         for xi in iter_bits(wm):
@@ -404,7 +398,7 @@ def _biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckRepor
     P_uw differs from 1, with singularity read off the KL table.
     """
     wit = _Witnesses()
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     lower = le_masks(ctx)
     exc_masks = [0] * ctx.order
     for wi in range(ctx.order):
@@ -460,7 +454,7 @@ def _check_le1_le2_le3(ctx: GroupContext) -> CheckReport:
     R''(1) = l(u,w) - 1; for a(u,w) = 2, R''(1) counts the length-2
     directed paths from u to w."""
     wit = _Witnesses()
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     up = up_adjacency(ctx)
     down_sets = [set(xs) for xs in down_adjacency(ctx)]
     n = 0
@@ -519,7 +513,7 @@ def _check_kl_basics(ctx: GroupContext) -> CheckReport:
     (l(u,w)-1)/2, 1 on the diagonal, and the defining functional equation
     verified by full substitution."""
     wit = _Witnesses()
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     lower = le_masks(ctx)
     upper = ge_masks(ctx)
     n = 0
@@ -614,7 +608,7 @@ def _check_lemma_lm(ctx: GroupContext) -> CheckReport:
     """l(u,w) P_uw(1) - 2 P'_uw(1) equals the sum of P_vw(1) over the
     bottom neighborhood of [u, w]."""
     wit = _Witnesses()
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     lower = le_masks(ctx)
     up = up_adjacency(ctx)
     n = 0
@@ -709,7 +703,7 @@ def _check_smoothness_equivalence(ctx: GroupContext) -> CheckReport:
     equal to q^l at every lower vertex, zero defect at every lower vertex,
     and KL triviality."""
     wit = _Witnesses()
-    lengths = _lengths(ctx)
+    lengths = ctx.lengths
     lower = le_masks(ctx)
     upper = ge_masks(ctx)
     bad_sum = [0] * ctx.order

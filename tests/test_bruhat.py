@@ -49,35 +49,64 @@ def test_bruhat_le_basics():
     assert not bruhat_le(multiply(s2, s1), s1)
 
 
-def test_bruhat_le_matches_subword_oracle():
-    # independent oracle: u <= w iff some subword of a fixed reduced word
-    # for w multiplies to u
+def subword_oracle(ctx, w):
+    """Ids u with u <= w, independently of the masks: u <= w iff some
+    subword of a fixed reduced word for w multiplies to u."""
     from itertools import combinations
 
+    letters = [] if w.length == 0 else word_of(w).split()
+    return {
+        parse_element(ctx, " ".join(letters[p] for p in positions)).index
+        for r in range(len(letters) + 1)
+        for positions in combinations(range(len(letters)), r)
+    }
+
+
+def test_bruhat_le_matches_subword_oracle():
     ctx = ctx_for("A3")
     for w in ctx.elements:
-        letters = [] if w.length == 0 else word_of(w).split()
-        reachable = set()
-        for r in range(len(letters) + 1):
-            for positions in combinations(range(len(letters)), r):
-                reachable.add(
-                    parse_element(ctx, " ".join(letters[p] for p in positions)).index
-                )
+        reachable = subword_oracle(ctx, w)
         for u in ctx.elements:
             assert bruhat_le(u, w) == (u.index in reachable)
 
 
 def test_le_masks_agree_with_recursion():
-    for spec in ("A3", "B2", "G2"):
-        ctx = build_group(parse_group_spec(spec))  # fresh: no mask cache
-        expected = {
-            (u.index, w.index): bruhat_le(u, w)
-            for u in ctx.elements
-            for w in ctx.elements
-        }
+    # one-shot comparisons on a fresh context build masks on demand, top
+    # elements first; the completed table must agree with them and with
+    # the subword oracle
+    for spec in ("A3", "B3", "G2"):
+        ctx = build_group(parse_group_spec(spec))  # fresh: no masks
+        oracle = {w.index: subword_oracle(ctx, w) for w in ctx.elements}
+        for w in reversed(ctx.elements):
+            for u in ctx.elements:
+                assert bruhat_le(u, w) == (u.index in oracle[w.index])
+        assert not ctx.tables.le_complete
         masks = le_masks(ctx)
-        for (ui, wi), ok in expected.items():
-            assert bool(masks[wi] >> ui & 1) == ok
+        assert masks is le_masks(ctx)
+        for wi, below in oracle.items():
+            assert masks[wi] == sum(1 << ui for ui in below)
+
+
+def test_one_shot_queries_build_one_descent_chain():
+    for query in (bruhat_le, interval):
+        ctx = build_group(parse_group_spec("A5"))  # fresh: no masks
+        u, w = parse_element(ctx, "2 3"), ctx.longest_element()
+        query(u, w)
+        built = sum(1 for m in ctx.tables.le if m)
+        assert 1 < built <= w.length + 1
+        assert all(le_masks(ctx))
+
+
+def test_interval_members_match_masks():
+    for spec in ("A3", "B3"):
+        ctx = ctx_for(spec)
+        masks = le_masks(ctx)
+        for ui, wi in comparable_pairs(ctx):
+            data = interval(ctx.elements[ui], ctx.elements[wi])
+            between = [vi for vi in range(ctx.order) if masks[vi] >> ui & 1]
+            assert [g.index for g in data.members] == [
+                vi for vi in between if masks[wi] >> vi & 1
+            ]
 
 
 def test_inverse_symmetry():

@@ -177,6 +177,13 @@ def test_corrupt_cache_exits_2(tmp_path, capsys):
     cache.write_text('{"kind":"R","group":"A2","u":"e","w":"1","coeffs":[1,5]}\n')
     code, _, err = run(capsys, "verify", "--group", "A2", "--cache", str(cache))
     assert code == 2 and "monic" in err
+    # a second record for one pair used to win silently: P = 3*q + 1, exit 0
+    record = '{"kind":"KL","group":"A3","u":"e","w":"2 1 3 2","coeffs":[1,1]}\n'
+    cache.write_text(record + record.replace("[1,1]", "[1,3]"))
+    code, out, err = run(
+        capsys, "table", "--group", "A3", "--w", "2 1 3 2", "--cache", str(cache)
+    )
+    assert code == 2 and out == "" and "second KL record" in err
 
 
 def test_non_canonical_cache_word_exits_2(tmp_path, capsys):

@@ -117,6 +117,9 @@ def test_descents():
     assert right_descents(ctx.longest_element()) == [0, 1]
     assert right_descents(s1) == [0]
     assert left_descents(s1) == [0]
+    for spec in ("A3", "B3", "G2"):
+        ctx = ctx_for(spec)
+        assert ctx.srd == [min(right_descents(w), default=-1) for w in ctx.elements]
 
 
 def test_reflection_between():
@@ -189,6 +192,10 @@ def test_length_invariants():
             counts[npos - k] for k in range(npos + 1)
         ]
         assert sum(1 for w in ctx.elements if w.length == npos) == 1
+        # ids are assigned by length: adjacency rows sorted by id are in
+        # (length, id) order, and le_masks fills in id order
+        assert ctx.lengths == [w.length for w in ctx.elements]
+        assert ctx.lengths == sorted(ctx.lengths)
 
 
 def test_length_equals_root_inversions():

@@ -289,6 +289,10 @@ def test_cache_load_rejects_bad_records(tmp_path):
     bad.write_text('{"kind":"KL","group":"B2","u":"e","w":"1 2 1","coeffs":[true]}\n')
     with pytest.raises(ValueError, match="non-integer"):
         load_tables(ctx, bad)
+    record = '{"kind":"KL","group":"B2","u":"e","w":"1 2 1","coeffs":[1]}\n'
+    bad.write_text(record + "\n" + record)
+    with pytest.raises(ValueError, match=r"bad.jsonl:3: second KL record .* line 1"):
+        load_tables(ctx, bad)
     bad.write_text("not json\n")
     with pytest.raises(ValueError):
         load_tables(ctx, bad)
