@@ -227,6 +227,21 @@ def defect(u: GroupElement, w: GroupElement) -> int:
     return len(neighborhood(u, w)) - (w.length - u.length)
 
 
+def _defects(ctx: GroupContext, wi: int) -> dict[int, int]:
+    """Defect of every x <= w under w, one adjacency sweep per top element."""
+    table = ctx.tables.defects.get(wi)
+    if table is None:
+        up = up_adjacency(ctx)
+        lengths = ctx.lengths
+        wm = _lower(ctx, wi)
+        table = {}
+        for xi in iter_bits(wm):
+            nb = sum(1 for vi in up[xi] if wm >> vi & 1)
+            table[xi] = nb - (lengths[wi] - lengths[xi])
+        ctx.tables.defects[wi] = table
+    return table
+
+
 def m_count(u: GroupElement, w: GroupElement) -> int:
     """Number of length-2 directed paths u -> v -> w (requires a(u, w) = 2)."""
     if absolute_length(u, w) != 2:

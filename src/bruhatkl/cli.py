@@ -12,14 +12,13 @@ Subcommands:
 
 Exit status: 0 on success, 1 if a verification check fails, 2 on usage
 errors (bad group spec, malformed or non-reduced element word,
-incomparable pair, unknown check name).
+incomparable pair, unknown check name, empty check or kind selection).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from bruhatkl.bruhat import (
@@ -44,10 +43,8 @@ from bruhatkl.klr import (
     fill_tables,
     kl_at_one,
     kl_poly,
-    load_tables,
     r_poly,
     rtilde_poly,
-    save_tables,
     strict_edges,
     strict_path_to_smooth,
 )
@@ -64,15 +61,7 @@ CLASSIFY_GUARD = 1152  # refuse groups this large unless --big is passed
 
 
 def _load_group(args) -> GroupContext:
-    ctx = build_group(parse_group_spec(args.group), args.max_order)
-    if args.cache_path and os.path.exists(args.cache_path):
-        load_tables(ctx, args.cache_path)
-    return ctx
-
-
-def _save_cache(ctx: GroupContext, args) -> None:
-    if args.cache_path:
-        save_tables(ctx, args.cache_path)
+    return build_group(parse_group_spec(args.group), args.max_order)
 
 
 def _parse_reduced(ctx: GroupContext, text: str, flag: str) -> GroupElement:
@@ -137,12 +126,13 @@ def cmd_table(args) -> int:
         if fh is not None:
             print(f"f = {fh.f}")
             print(f"h = {fh.h}")
-    _save_cache(ctx, args)
     return 0
 
 
 def _parse_kinds(text: str) -> set[str]:
     kinds = {k.strip().lower() for k in text.split(",") if k.strip()}
+    if not kinds:
+        raise ValueError("no table kinds selected; expected a csv of r,rt,kl")
     bad = kinds - {"r", "rt", "kl"}
     if bad:
         raise ValueError(f"unknown table kinds {sorted(bad)!r}; expected r,rt,kl")
@@ -165,7 +155,6 @@ def cmd_verify(args) -> int:
                       f"{r.stats['violations_total']} violations")
                 for wtn in r.witnesses:
                     print(f"  {wtn}")
-    _save_cache(ctx, args)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -224,7 +213,6 @@ def cmd_classify(args) -> int:
                 f"df = {row['df']}, strict_edges = {row['strict_edges']}, "
                 f"path_end = {row['path_end']}"
             )
-    _save_cache(ctx, args)
     return 0
 
 
@@ -244,7 +232,6 @@ def cmd_scan_brenti(args) -> int:
             print(f"NOTABLE: {pairs} pairs exceed the binomial bound")
         else:
             print("no pair exceeds the binomial bound")
-    _save_cache(ctx, args)
     return 0
 
 
@@ -265,9 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_ORDER_GUARD,
             help="order guard for group construction (default %(default)s)",
-        )
-        p.add_argument(
-            "--cache", dest="cache_path", help="JSONL polynomial cache to load/update"
         )
         p.add_argument("--format", choices=fmt, default=fmt[0])
         if words:
@@ -311,8 +295,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # a computed table failed its own postcondition (e.g. a poisoned
-        # cache entry): report as a verification failure, not a usage error
+        # a computed table failed its own postcondition: report as a
+        # verification failure, not a usage error
         print(f"internal invariant error: {exc}", file=sys.stderr)
         return 1
 

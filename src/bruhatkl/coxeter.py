@@ -233,8 +233,7 @@ class Tables:
     lower-cone masks ``le`` may be partly built, 0 marking a mask not
     built yet (every cone contains e, so no built mask is 0).
     The R, Rt and KL tables hold comparable pairs only (incomparable
-    probes are answered by the order test, not stored), and
-    ``klr.load_tables`` may add validated entries to them.  Tables can hold
+    probes are answered by the order test, not stored).  Tables can hold
     hundreds of thousands of entries, so they compare by identity and have
     no field-by-field repr.
     """
@@ -244,7 +243,7 @@ class Tables:
     ge: list[int] | None = None  # bruhat.ge_masks
     adjacency: tuple[list, list] | None = None  # bruhat._adjacency: (up, down)
     abs_len: ByTop = field(default_factory=dict)  # bruhat.abs_len_table
-    defects: ByTop = field(default_factory=dict)  # theorems._defects
+    defects: ByTop = field(default_factory=dict)  # bruhat._defects
     pairs: list[Pair] | None = None  # theorems._pairs
     R: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "R"
     Rt: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "Rt"
@@ -259,8 +258,7 @@ class GroupContext:
     The group data, lengths and descents (``lengths``, ``srd``) included,
     is fixed once ``build_group`` returns.  The only later mutation is
     lazy, single-threaded filling of ``tables`` (and of the word memo
-    behind ``word_of``), and loading of a validated on-disk cache into
-    ``tables`` (``klr.load_tables``).
+    behind ``word_of``).
     """
 
     def __init__(self, datum: CoxeterDatum):

@@ -22,18 +22,12 @@ then substitute back into the full equation and fail loudly if it does not
 hold exactly.  The tables are the ``R``, ``Rt`` and ``KL`` fields of the
 owning context's ``ctx.tables``, keyed by element-id pairs and holding
 comparable pairs only; they are filled lazily by ``_r`` and ``_kl`` (one
-thread at a time) or by ``load_tables``, and nothing else mutates them.
-Coefficients are Python integers throughout, so nothing can overflow.
-
-The optional on-disk cache is newline-delimited JSON, one record per table
-entry; the loader re-validates the structural invariants of every record
-before trusting it.
+thread at a time), and nothing else mutates them.  Coefficients are Python
+integers throughout, so nothing can overflow.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,10 +37,9 @@ from bruhatkl.bruhat import (
     iter_bits,
     le_masks,
     neighborhood,
-    up_adjacency,
 )
-from bruhatkl.bruhat import _le
-from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, parse_element, word_of
+from bruhatkl.bruhat import _defects, _le
+from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, word_of
 from bruhatkl.polynomial import (
     Basis,
     IntPoly,
@@ -69,8 +62,6 @@ __all__ = [
     "strict_edges",
     "strict_path_to_smooth",
     "fill_tables",
-    "save_tables",
-    "load_tables",
 ]
 
 KINDS = ("R", "Rt", "KL")
@@ -320,17 +311,10 @@ def is_rationally_smooth(u: GroupElement, w: GroupElement) -> bool:
         raise ValueError(
             f"elements {word_of(u)!r} and {word_of(w)!r} are incomparable"
         )
-    masks = le_masks(ctx)
-    up = up_adjacency(ctx)
-    lengths = ctx.lengths
-    wm = masks[w.index]
-    for xi in _between(ctx, u.index, w.index):
-        if xi == w.index:
-            continue
-        nbhd_size = sum(1 for vi in up[xi] if wm >> vi & 1)
-        if nbhd_size != lengths[w.index] - lengths[xi]:
-            return False
-    return True
+    row = _defects(ctx, w.index)
+    return all(
+        row[xi] == 0 for xi in _between(ctx, u.index, w.index) if xi != w.index
+    )
 
 
 def strict_edges(u: GroupElement, w: GroupElement) -> list[GroupElement]:
@@ -373,7 +357,7 @@ def strict_path_to_smooth(u: GroupElement, w: GroupElement) -> list[GroupElement
     return path
 
 
-# -- whole-group tables and the on-disk cache ----------------------------
+# -- whole-group tables --------------------------------------------------
 
 
 def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
@@ -397,111 +381,3 @@ def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
         if "KL" in kinds:
             for ui in sorted(below, key=lambda i: -lengths[i]):
                 _kl(ctx, ui, wi)
-
-
-def save_tables(ctx: GroupContext, path) -> int:
-    """Write the currently memoized entries as newline-delimited JSON.
-
-    Dumps whatever has been computed so far (call fill_tables first for
-    complete tables); returns the record count.  The records go to a
-    temporary file next to the target, which then replaces the target, so
-    a write that fails partway leaves the previous file as it was.
-    """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
-    n = 0
-    try:
-        with fh:
-            for kind in KINDS:
-                table = getattr(ctx.tables, kind)
-                for ui, wi in sorted(table, key=lambda key: (key[1], key[0])):
-                    rec = {
-                        "kind": kind,
-                        "group": ctx.name,
-                        "u": word_of(ctx.elements[ui]),
-                        "w": word_of(ctx.elements[wi]),
-                        "coeffs": list(table[ui, wi]),
-                    }
-                    fh.write(json.dumps(rec) + "\n")
-                    n += 1
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return n
-
-
-def load_tables(ctx: GroupContext, path) -> int:
-    """Load and validate cache records; returns the number accepted.
-
-    Every record must belong to this group, name a comparable pair by the
-    canonical words ``word_of`` prints, and satisfy the structural
-    invariants of its kind (monic of degree l(u,w) for R and Rt, degree
-    bound plus constant term 1 for KL, 1 on the diagonal), and no two
-    records may share a kind and a pair.  Any violation raises ValueError
-    and nothing is kept.
-    """
-    staged: dict[str, dict[tuple[int, int], Coeffs]] = {k: {} for k in KINDS}
-    line_of: dict[tuple[str, int, int], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                kind = rec["kind"]
-                group = rec["group"]
-                u_word, w_word = rec["u"], rec["w"]
-                coeffs = tuple(rec["coeffs"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed cache record ({exc})")
-            if group != ctx.name:
-                raise ValueError(
-                    f"{path}:{lineno}: record for group {group!r}, expected {ctx.name!r}"
-                )
-            if kind not in KINDS:
-                raise ValueError(f"{path}:{lineno}: unknown kind {kind!r}")
-            if not all(type(c) is int for c in coeffs):  # JSON true is not 1
-                raise ValueError(f"{path}:{lineno}: non-integer coefficients")
-            if not (isinstance(u_word, str) and isinstance(w_word, str)):
-                raise ValueError(f"{path}:{lineno}: words must be strings")
-            u = parse_element(ctx, u_word)
-            w = parse_element(ctx, w_word)
-            for g, word in ((u, u_word), (w, w_word)):
-                if word_of(g) != word:
-                    raise ValueError(
-                        f"{path}:{lineno}: word {word!r} is not canonical "
-                        f"(expected {word_of(g)!r})"
-                    )
-            if not bruhat_le(u, w):
-                raise ValueError(f"{path}:{lineno}: pair is not comparable")
-            ell = w.length - u.length
-            if u == w and coeffs != (1,):
-                raise ValueError(f"{path}:{lineno}: diagonal entry must be 1")
-            if kind in ("R", "Rt") and u != w:
-                if len(coeffs) != ell + 1 or coeffs[-1] != 1:
-                    raise ValueError(
-                        f"{path}:{lineno}: {kind} entry must be monic of degree {ell}"
-                    )
-                if kind == "Rt" and any(c < 0 for c in coeffs):
-                    raise ValueError(f"{path}:{lineno}: Rt coefficients must be >= 0")
-            if kind == "KL" and u != w:
-                if not coeffs or coeffs[0] != 1:
-                    raise ValueError(f"{path}:{lineno}: KL constant term must be 1")
-                if len(coeffs) - 1 > (ell - 1) // 2:
-                    raise ValueError(
-                        f"{path}:{lineno}: KL degree exceeds ({ell}-1)/2"
-                    )
-            first = line_of.setdefault((kind, u.index, w.index), lineno)
-            if first != lineno:
-                raise ValueError(
-                    f"{path}:{lineno}: second {kind} record for "
-                    f"({u_word!r}, {w_word!r}); the first is on line {first}"
-                )
-            staged[kind][(u.index, w.index)] = coeffs
-    n = 0
-    for kind, entries in staged.items():
-        getattr(ctx.tables, kind).update(entries)
-        n += len(entries)
-    return n

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from bruhatkl.bruhat import (
+    _defects,
     abs_len_table,
     down_adjacency,
     ge_masks,
@@ -357,22 +358,6 @@ def _check_brenti_scan(ctx: GroupContext) -> CheckReport:
 
 
 # -- Bruhat-graph checks -------------------------------------------------
-
-
-def _defects(ctx: GroupContext, wi: int) -> dict[int, int]:
-    """Defect of every x <= w under w, one adjacency sweep per top element."""
-    table = ctx.tables.defects.get(wi)
-    if table is None:
-        lower = le_masks(ctx)
-        up = up_adjacency(ctx)
-        lengths = ctx.lengths
-        wm = lower[wi]
-        table = {}
-        for xi in iter_bits(wm):
-            nb = sum(1 for vi in up[xi] if wm >> vi & 1)
-            table[xi] = nb - (lengths[wi] - lengths[xi])
-        ctx.tables.defects[wi] = table
-    return table
 
 
 def _check_deodhar(ctx: GroupContext) -> CheckReport:
@@ -787,6 +772,10 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     else:
         if isinstance(selection, str):
             selection = (selection,)
+        if not selection:
+            raise ValueError(
+                f"no checks selected; registered: {', '.join(CHECK_NAMES)}"
+            )
         unknown = [s for s in selection if s not in _REGISTRY]
         if unknown:
             raise ValueError(

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from bruhatkl.cli import main
+from bruhatkl.coxeter import build_group, parse_element
 from bruhatkl.polynomial import IntPoly
 
 
@@ -145,70 +146,50 @@ def test_scan_brenti(capsys):
     assert obj["check"] == "brenti_scan" and obj["stats"]["max_excess"] <= 0
 
 
-def test_cache_flow(tmp_path, capsys):
-    cache = tmp_path / "b2.jsonl"
-    code, _, _ = run(
-        capsys, "verify", "--group", "B2", "--cache", str(cache)
-    )
-    assert code == 0 and cache.exists()
-    n_lines = len(cache.read_text().strip().splitlines())
-    assert n_lines > 0
-    # second run loads the cache and still passes
-    code, _, _ = run(capsys, "verify", "--group", "B2", "--cache", str(cache))
-    assert code == 0
+def _poison(monkeypatch, kind, u, w, coeffs):
+    """Make the CLI build groups whose ``kind`` table holds a wrong entry."""
+
+    def poisoned_build_group(datum, max_order):
+        ctx = build_group(datum, max_order)
+        key = (parse_element(ctx, u).index, parse_element(ctx, w).index)
+        getattr(ctx.tables, kind)[key] = coeffs
+        return ctx
+
+    monkeypatch.setattr("bruhatkl.cli.build_group", poisoned_build_group)
 
 
-def test_poisoned_cache_fails_verification(tmp_path, capsys):
-    # structurally valid but wrong KL entry: loader accepts it, checks catch it
-    cache = tmp_path / "bad.jsonl"
-    cache.write_text(
-        '{"kind":"KL","group":"A2","u":"e","w":"1 2 1","coeffs":[1,7]}\n'
-    )
-    code, out, _ = run(
-        capsys, "verify", "--group", "A2", "--checks", "kl_basics",
-        "--cache", str(cache),
-    )
+def test_poisoned_cache_fails_verification(monkeypatch, capsys):
+    # a structurally valid but wrong KL entry: the checks catch it
+    _poison(monkeypatch, "KL", "e", "1 2 1", (1, 7))
+    code, out, _ = run(capsys, "verify", "--group", "A2", "--checks", "kl_basics")
     assert code == 1
     assert "FAIL" in out and "functional equation" in out
 
 
-def test_corrupt_cache_exits_2(tmp_path, capsys):
-    cache = tmp_path / "corrupt.jsonl"
-    cache.write_text('{"kind":"R","group":"A2","u":"e","w":"1","coeffs":[1,5]}\n')
-    code, _, err = run(capsys, "verify", "--group", "A2", "--cache", str(cache))
-    assert code == 2 and "monic" in err
-    # a second record for one pair used to win silently: P = 3*q + 1, exit 0
-    record = '{"kind":"KL","group":"A3","u":"e","w":"2 1 3 2","coeffs":[1,1]}\n'
-    cache.write_text(record + record.replace("[1,1]", "[1,3]"))
-    code, out, err = run(
-        capsys, "table", "--group", "A3", "--w", "2 1 3 2", "--cache", str(cache)
-    )
-    assert code == 2 and out == "" and "second KL record" in err
-
-
-def test_non_canonical_cache_word_exits_2(tmp_path, capsys):
-    # "1 1" multiplies to e but is not the word e is printed as; read as e,
-    # this record would be served as P = 5*q + 1
-    cache = tmp_path / "noncanonical.jsonl"
-    cache.write_text(
-        '{"kind":"KL","group":"A3","u":"1 1","w":"2 1 3 2","coeffs":[1,5]}\n'
-    )
-    code, out, err = run(
-        capsys, "table", "--group", "A3", "--w", "2 1 3 2", "--cache", str(cache)
-    )
-    assert code == 2 and out == "" and "not canonical" in err
-
-
-def test_poisoned_r_cache_hits_internal_invariant(tmp_path, capsys):
-    # monic of the right degree, so the loader accepts it; the KL
-    # computation's substitution check then fails its postcondition
-    cache = tmp_path / "poison.jsonl"
-    cache.write_text('{"kind":"R","group":"A2","u":"e","w":"1","coeffs":[5,1]}\n')
-    code, _, err = run(capsys, "verify", "--group", "A2", "--cache", str(cache))
+def test_poisoned_r_cache_hits_internal_invariant(monkeypatch, capsys):
+    # monic of the right degree; the KL computation's substitution check
+    # then fails its postcondition
+    _poison(monkeypatch, "R", "e", "1", (5, 1))
+    code, _, err = run(capsys, "verify", "--group", "A2")
     assert code == 1 and "internal invariant error" in err
 
 
-def test_usage_error_from_argparse():
+def test_empty_selections_exit_2(capsys):
+    # zero checks run would print only the header and read as "all passed"
+    code, out, err = run(capsys, "verify", "--group", "A3", "--checks", ",")
+    assert code == 2 and out == "" and "no checks selected" in err
+    code, out, err = run(
+        capsys, "table", "--group", "A3", "--w", "2 1 3 2", "--kinds", ","
+    )
+    assert code == 2 and out == "" and "no table kinds selected" in err
+
+
+def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--group", "A2"])  # missing --w
     assert exc.value.code == 2
+    # the on-disk polynomial cache is gone: every value is computed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--group", "A2", "--cache", "x.jsonl"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err

@@ -24,10 +24,8 @@ from bruhatkl.klr import (  # noqa: E402
     is_rationally_smooth,
     kl_at_one,
     kl_poly,
-    load_tables,
     r_poly,
     rtilde_poly,
-    save_tables,
     strict_edges,
     strict_path_to_smooth,
     sum_r_over,
@@ -232,67 +230,3 @@ def test_poly_table_invariants():
         else:
             assert p.degree == ctx.elements[wi].length - ctx.elements[ui].length
 
-
-def test_cache_save_load_round_trip(tmp_path):
-    ctx = build_group(parse_group_spec("B2"))
-    fill_tables(ctx)
-    path = tmp_path / "b2.jsonl"
-    n = save_tables(ctx, path)
-    assert n > 0
-    fresh = build_group(parse_group_spec("B2"))
-    assert load_tables(fresh, path) == n
-    for kind in ("R", "Rt", "KL"):
-        assert getattr(ctx.tables, kind) == getattr(fresh.tables, kind)
-
-
-def test_cache_save_is_atomic(tmp_path, monkeypatch):
-    ctx = build_group(parse_group_spec("B2"))
-    path = tmp_path / "b2.jsonl"
-    path.write_text("previous contents\n")
-    fill_tables(ctx)
-    calls = []
-
-    def failing_word_of(g):
-        calls.append(g)
-        if len(calls) > 10:
-            raise OSError("disk full")
-        return word_of(g)
-
-    monkeypatch.setattr("bruhatkl.klr.word_of", failing_word_of)
-    with pytest.raises(OSError):
-        save_tables(ctx, path)
-    assert path.read_text() == "previous contents\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["b2.jsonl"]
-
-
-def test_cache_load_rejects_bad_records(tmp_path):
-    ctx = build_group(parse_group_spec("B2"))
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"kind":"R","group":"B2","u":"e","w":"1 2","coeffs":[1,1]}\n')
-    with pytest.raises(ValueError):
-        load_tables(ctx, bad)  # degree-2 pair, not monic of degree 2
-    bad.write_text('{"kind":"KL","group":"B2","u":"e","w":"1 2 1","coeffs":[2,1]}\n')
-    with pytest.raises(ValueError):
-        load_tables(ctx, bad)  # constant term must be 1
-    bad.write_text('{"kind":"R","group":"A2","u":"e","w":"1","coeffs":[-1,1]}\n')
-    with pytest.raises(ValueError):
-        load_tables(ctx, bad)  # wrong group
-    bad.write_text('{"kind":"R","group":"B2","u":"1","w":"2","coeffs":[1]}\n')
-    with pytest.raises(ValueError):
-        load_tables(ctx, bad)  # incomparable pair
-    bad.write_text('{"kind":"KL","group":"B2","u":"2 2","w":"1 2 1","coeffs":[1]}\n')
-    with pytest.raises(ValueError, match="not canonical"):
-        load_tables(ctx, bad)  # "2 2" is e, which prints as "e"
-    bad.write_text('{"kind":"KL","group":"B2","u":5,"w":"1 2 1","coeffs":[1]}\n')
-    with pytest.raises(ValueError, match="strings"):
-        load_tables(ctx, bad)
-    bad.write_text('{"kind":"KL","group":"B2","u":"e","w":"1 2 1","coeffs":[true]}\n')
-    with pytest.raises(ValueError, match="non-integer"):
-        load_tables(ctx, bad)
-    record = '{"kind":"KL","group":"B2","u":"e","w":"1 2 1","coeffs":[1]}\n'
-    bad.write_text(record + "\n" + record)
-    with pytest.raises(ValueError, match=r"bad.jsonl:3: second KL record .* line 1"):
-        load_tables(ctx, bad)
-    bad.write_text("not json\n")
-    with pytest.raises(ValueError):
-        load_tables(ctx, bad)

@@ -50,6 +50,8 @@ def test_run_suite_selection_and_errors():
         run_suite(ctx, "bogus")
     with pytest.raises(ValueError):
         run_suite(ctx, ["bogus"])
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_suite(ctx, [])
     with pytest.raises(ValueError):
         run_check("bogus", ctx)
 
