@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from bruhatkl.coxeter import (
     GroupContext,
     GroupElement,
-    _mat_mul,
+    _check_same_context,
+    _mul,
     word_of,
 )
 
@@ -64,9 +65,16 @@ class IntervalData:
 
 def bruhat_le(u: GroupElement, w: GroupElement) -> bool:
     """Whether u <= w in Bruhat order."""
-    if u.ctx is not w.ctx:
-        raise ValueError("context mismatch: elements from different groups")
+    _check_same_context(u, w)
     return _le(u.ctx, u.index, w.index)
+
+
+def _require_le(u: GroupElement, w: GroupElement) -> None:
+    """Raise ValueError unless u <= w."""
+    if not bruhat_le(u, w):
+        raise ValueError(
+            f"elements {word_of(u)!r} and {word_of(w)!r} are incomparable"
+        )
 
 
 def _le(ctx: GroupContext, ui: int, wi: int) -> bool:
@@ -145,14 +153,15 @@ def comparable_pairs(ctx: GroupContext):
 def _adjacency(ctx: GroupContext) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     tables = ctx.tables
     if tables.adjacency is None:
+        lengths = ctx.lengths
         up: list[list[int]] = [[] for _ in range(ctx.order)]
         down: list[list[int]] = [[] for _ in range(ctx.order)]
-        for u in ctx.elements:
+        for ui in range(ctx.order):
             for t in ctx.reflections:
-                v = ctx.element_by_matrix(_mat_mul(u.matrix, t.matrix))
-                if v.length > u.length:
-                    up[u.index].append(v.index)
-                    down[v.index].append(u.index)
+                vi = _mul(ctx, ui, t.index)
+                if lengths[vi] > lengths[ui]:
+                    up[ui].append(vi)
+                    down[vi].append(ui)
         tables.adjacency = (
             [tuple(sorted(xs)) for xs in up],
             [tuple(sorted(xs)) for xs in down],
@@ -198,8 +207,7 @@ def abs_len_table(w: GroupElement) -> dict[int, int]:
 
 def absolute_length(u: GroupElement, w: GroupElement) -> int:
     """Fewest edges on a directed Bruhat path from u to w."""
-    if u.ctx is not w.ctx:
-        raise ValueError("context mismatch: elements from different groups")
+    _check_same_context(u, w)
     a = abs_len_table(w).get(u.index)
     if a is None:
         raise ValueError(
@@ -211,8 +219,7 @@ def absolute_length(u: GroupElement, w: GroupElement) -> int:
 def neighborhood(u: GroupElement, w: GroupElement) -> list[GroupElement]:
     """All v with u -> v and v <= w, sorted by (length, id): adjacency
     rows are sorted by id, and ids grow with length."""
-    if u.ctx is not w.ctx:
-        raise ValueError("context mismatch: elements from different groups")
+    _check_same_context(u, w)
     ctx = u.ctx
     lower = _lower(ctx, w.index)
     return [ctx.elements[vi] for vi in up_adjacency(ctx)[u.index] if lower >> vi & 1]
@@ -220,10 +227,7 @@ def neighborhood(u: GroupElement, w: GroupElement) -> list[GroupElement]:
 
 def defect(u: GroupElement, w: GroupElement) -> int:
     """Outgoing bottom edges inside [u, w] minus the interval length."""
-    if not bruhat_le(u, w):
-        raise ValueError(
-            f"elements {word_of(u)!r} and {word_of(w)!r} are incomparable"
-        )
+    _require_le(u, w)
     return len(neighborhood(u, w)) - (w.length - u.length)
 
 

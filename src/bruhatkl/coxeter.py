@@ -1,14 +1,14 @@
 """Finite crystallographic Coxeter (Weyl) groups via the geometric
 representation on the root lattice.
 
-Each group element is stored as the integer matrix of its action on
-simple-root coordinates: the simple reflection s_i sends a vector x to the
-vector y with y[i] = x[i] - sum_j cartan[i][j] * x[j] and y[k] = x[k]
-otherwise (row convention cartan[i][j] = 2(a_i, a_j)/(a_i, a_i)).  All
-arithmetic is on small integer matrices; nothing is ever approximated.
-
-Elements are enumerated breadth-first by length and interned with stable
-integer ids, so the lazily filled tables in ``GroupContext.tables`` key on
+The group is built from the integer matrices of its action on simple-root
+coordinates: the simple reflection s_i sends a vector x to the vector y
+with y[i] = x[i] - sum_j cartan[i][j] * x[j] and y[k] = x[k] otherwise
+(row convention cartan[i][j] = 2(a_i, a_j)/(a_i, a_i)); nothing is ever
+approximated.  ``build_group`` enumerates the elements breadth-first by
+length and interns them with stable integer ids.  After that, group
+operations are lookups in id tables (``rmult``, ``inv``, ``lengths``,
+``srd``), and the lazily filled tables in ``GroupContext.tables`` key on
 ids and id pairs.
 
 Group spec strings are parsed case-insensitively: "A3", "b2", "G2", "F4".
@@ -255,29 +255,25 @@ class Tables:
 class GroupContext:
     """A fully enumerated finite Weyl group.
 
-    The group data, lengths and descents (``lengths``, ``srd``) included,
-    is fixed once ``build_group`` returns.  The only later mutation is
-    lazy, single-threaded filling of ``tables`` (and of the word memo
-    behind ``word_of``).
+    ``build_group`` builds it from matrices; afterwards every group
+    operation reads the id tables ``rmult``, ``inv``, ``lengths`` and
+    ``srd``.  The group data is fixed once ``build_group`` returns.  The
+    only later mutation is lazy, single-threaded filling of ``tables``
+    (and of the word memo behind ``word_of``).
     """
 
     def __init__(self, datum: CoxeterDatum):
         self.datum = datum
         self.name = datum.name
         self.rank = datum.rank
-        self.simples_matrices: tuple[Matrix, ...] = tuple(
-            _mat_rmul_simple(_identity(datum.rank), s, datum.cartan)
-            for s in range(datum.rank)
-        )
         self.elements: list[GroupElement] = []
         self.pos_roots: list[Vector] = []
         self.reflections: list[GroupElement] = []
         self.reflection_ids: frozenset[int] = frozenset()
-        self.rmult: list[tuple[int, ...]] = []
+        self.rmult: list[tuple[int, ...]] = []  # id of ws by id of w, s
         self.lengths: list[int] = []  # l(w) by id
         self.srd: list[int] = []  # smallest right descent by id, -1 for e
-        self.inv: list[int] = []
-        self._index: dict[Matrix, int] = {}
+        self.inv: list[int] = []  # id of w^-1 by id
         self._words: dict[int, str] = {}
         self.tables = Tables()
 
@@ -292,10 +288,7 @@ class GroupContext:
 
     @property
     def simples(self) -> list[GroupElement]:
-        return [self.element_by_matrix(m) for m in self.simples_matrices]
-
-    def element_by_matrix(self, m: Matrix) -> GroupElement:
-        return self.elements[self._index[m]]
+        return [self.elements[i] for i in self.rmult[0]]
 
     def longest_element(self) -> GroupElement:
         return max(self.elements, key=lambda g: g.length)
@@ -321,11 +314,12 @@ def build_group(
     ctx = GroupContext(datum)
     n = datum.rank
     cartan = datum.cartan
+    ident = _identity(n)
+    gens = tuple(_mat_rmul_simple(ident, s, cartan) for s in range(n))
 
     # breadth-first element enumeration by length; inverses tracked via
     # inv(w s) = s inv(w), which needs only left multiplication by simples
-    ident = _identity(n)
-    ctx._index[ident] = 0
+    index: dict[Matrix, int] = {ident: 0}
     ctx.elements.append(GroupElement(ctx, 0, ident, 0))
     inv_matrices = [ident]
     frontier = [0]
@@ -338,14 +332,12 @@ def build_group(
                 if not _is_positive_vec(col):
                     continue  # descent: ws already enumerated
                 m = _mat_rmul_simple(w.matrix, s, cartan)
-                if m in ctx._index:
+                if m in index:
                     continue
                 idx = len(ctx.elements)
-                ctx._index[m] = idx
+                index[m] = idx
                 ctx.elements.append(GroupElement(ctx, idx, m, w.length + 1))
-                inv_matrices.append(
-                    _mat_mul(ctx.simples_matrices[s], inv_matrices[wi])
-                )
+                inv_matrices.append(_mat_mul(gens[s], inv_matrices[wi]))
                 next_frontier.append(idx)
         frontier = next_frontier
     if ctx.order != expected_order:
@@ -353,11 +345,11 @@ def build_group(
             f"enumerated {ctx.order} elements of {datum.name}, "
             f"expected {expected_order}"
         )
-    ctx.inv = [ctx._index[m] for m in inv_matrices]
+    ctx.inv = [index[m] for m in inv_matrices]
 
     # right-multiplication table by simple generators
     ctx.rmult = [
-        tuple(ctx._index[_mat_rmul_simple(w.matrix, s, cartan)] for s in range(n))
+        tuple(index[_mat_rmul_simple(w.matrix, s, cartan)] for s in range(n))
         for w in ctx.elements
     ]
     ctx.lengths = [w.length for w in ctx.elements]
@@ -375,7 +367,7 @@ def build_group(
         beta = roots[qi]
         qi += 1
         for s in range(n):
-            img = _apply(ctx.simples_matrices[s], beta)
+            img = _apply(gens[s], beta)
             if _is_positive_vec(img) and img not in seen:
                 seen.add(img)
                 roots.append(img)
@@ -388,15 +380,13 @@ def build_group(
 
     # reflections: close {s_i} under conjugation, tracking the root;
     # the root of s t s is s(root of t), normalized to the positive side
-    root_to_matrix: dict[Vector, Matrix] = {
-        unit(i): ctx.simples_matrices[i] for i in range(n)
-    }
+    root_to_matrix: dict[Vector, Matrix] = {unit(i): gens[i] for i in range(n)}
     queue = list(root_to_matrix)
     while queue:
         beta = queue.pop()
         t = root_to_matrix[beta]
         for s in range(n):
-            sm = ctx.simples_matrices[s]
+            sm = gens[s]
             img = _apply(sm, beta)
             if not _is_positive_vec(img):
                 img = tuple(-c for c in img)
@@ -407,7 +397,7 @@ def build_group(
             else:
                 root_to_matrix[img] = conj
                 queue.append(img)
-    refl_ids = [ctx._index[root_to_matrix[beta]] for beta in roots]
+    refl_ids = [index[root_to_matrix[beta]] for beta in roots]
     ctx.reflections = [ctx.elements[i] for i in refl_ids]
     ctx.reflection_ids = frozenset(refl_ids)
     if len(ctx.reflection_ids) != len(roots):
@@ -420,9 +410,17 @@ def _check_same_context(a: GroupElement, b: GroupElement) -> None:
         raise ValueError("context mismatch: elements from different groups")
 
 
+def _mul(ctx: GroupContext, xi: int, wi: int) -> int:
+    """Id of xw: peel the smallest right descent s off w, xw = (x ws) s."""
+    if not wi:
+        return xi
+    s = ctx.srd[wi]
+    return ctx.rmult[_mul(ctx, xi, ctx.rmult[wi][s])][s]
+
+
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     _check_same_context(a, b)
-    return a.ctx.element_by_matrix(_mat_mul(a.matrix, b.matrix))
+    return a.ctx.elements[_mul(a.ctx, a.index, b.index)]
 
 
 def inverse(a: GroupElement) -> GroupElement:
@@ -430,14 +428,9 @@ def inverse(a: GroupElement) -> GroupElement:
 
 
 def right_descents(w: GroupElement) -> list[int]:
-    """Generators s (0-based) with l(ws) < l(w), i.e. w sends a_s negative."""
-    m = w.matrix
-    n = len(m)
-    return [
-        s
-        for s in range(n)
-        if not _is_positive_vec(tuple(m[k][s] for k in range(n)))
-    ]
+    """Generators s (0-based) with l(ws) < l(w)."""
+    lengths = w.ctx.lengths
+    return [s for s, x in enumerate(w.ctx.rmult[w.index]) if lengths[x] < w.length]
 
 
 def left_descents(w: GroupElement) -> list[int]:
@@ -454,19 +447,21 @@ def reflection_between(u: GroupElement, w: GroupElement) -> GroupElement | None:
 def word_of(w: GroupElement) -> str:
     """Canonical reduced word: lexicographically smallest, as "1 2 1".
 
-    Obtained by repeatedly stripping the smallest left descent; the identity
-    prints as "e".
+    Obtained by repeatedly stripping the smallest left descent s of x,
+    which is the smallest right descent of x^-1, as sx = (x^-1 s)^-1; the
+    identity prints as "e".
     """
     ctx = w.ctx
     cached = ctx._words.get(w.index)
     if cached is not None:
         return cached
+    inv, rmult = ctx.inv, ctx.rmult
     letters = []
-    cur = w
-    while cur.length:
-        s = min(left_descents(cur))
+    xi = w.index
+    while xi:
+        s = ctx.srd[inv[xi]]
         letters.append(str(s + 1))
-        cur = multiply(ctx.elements[ctx.rmult[0][s]], cur)
+        xi = inv[rmult[inv[xi]][s]]
     word = " ".join(letters) if letters else "e"
     ctx._words[w.index] = word
     return word

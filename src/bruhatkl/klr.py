@@ -38,8 +38,9 @@ from bruhatkl.bruhat import (
     le_masks,
     neighborhood,
 )
-from bruhatkl.bruhat import _defects, _le
+from bruhatkl.bruhat import _defects, _le, _lower, _require_le
 from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, word_of
+from bruhatkl.coxeter import _check_same_context
 from bruhatkl.polynomial import (
     Basis,
     IntPoly,
@@ -106,10 +107,14 @@ def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
 
 
 def _between(ctx: GroupContext, ui: int, wi: int) -> Iterator[int]:
-    """Ids of v with u <= v <= w, in increasing id (hence length) order."""
-    masks = le_masks(ctx)
-    for vi in iter_bits(masks[wi]):
-        if masks[vi] >> ui & 1:
+    """Ids of v with u <= v <= w, in increasing id (hence length) order.
+
+    Builds only the masks of elements below w; a built mask is never 0.
+    """
+    lower = _lower(ctx, wi)
+    masks = ctx.tables.le
+    for vi in iter_bits(lower):
+        if (masks[vi] or _lower(ctx, vi)) >> ui & 1:
             yield vi
 
 
@@ -159,31 +164,26 @@ def _kl1(ctx: GroupContext, ui: int, wi: int) -> int:
 
 def r_poly(u: GroupElement, w: GroupElement) -> IntPoly:
     """R-polynomial of the pair: 0 if incomparable, monic of degree l(u,w)."""
-    _same_ctx(u, w)
+    _check_same_context(u, w)
     return IntPoly(_r(u.ctx, u.index, w.index), Basis.Q)
 
 
 def rtilde_poly(u: GroupElement, w: GroupElement) -> IntPoly:
     """Rtilde-polynomial of the pair: nonnegative coefficients, monic."""
-    _same_ctx(u, w)
+    _check_same_context(u, w)
     return IntPoly(_r(u.ctx, u.index, w.index, "Rt"), Basis.Q)
 
 
 def kl_poly(u: GroupElement, w: GroupElement) -> IntPoly:
     """Kazhdan-Lusztig polynomial of the pair."""
-    _same_ctx(u, w)
+    _check_same_context(u, w)
     return IntPoly(_kl(u.ctx, u.index, w.index), Basis.Q)
 
 
 def kl_at_one(u: GroupElement, w: GroupElement) -> int:
     """P_uw(1): positive whenever u <= w, and 1 exactly when smooth."""
-    _same_ctx(u, w)
+    _check_same_context(u, w)
     return _kl1(u.ctx, u.index, w.index)
-
-
-def _same_ctx(u: GroupElement, w: GroupElement) -> None:
-    if u.ctx is not w.ctx:
-        raise ValueError("context mismatch: elements from different groups")
 
 
 def check_r_rtilde_link(u: GroupElement, w: GroupElement) -> bool:
@@ -198,7 +198,6 @@ def check_r_rtilde_link(u: GroupElement, w: GroupElement) -> bool:
     pattern violation raises RuntimeError since it breaks the closed form
     itself, not just the equality.
     """
-    _same_ctx(u, w)
     ctx = u.ctx
     if u == w or not bruhat_le(u, w):
         raise ValueError("check_r_rtilde_link requires u < w")
@@ -246,7 +245,6 @@ class FHDecomposition:
 
 def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
     """Extract and validate the f/h-decomposition of R_uw (requires u < w)."""
-    _same_ctx(u, w)
     ctx = u.ctx
     if u == w or not bruhat_le(u, w):
         raise ValueError("fh_vectors requires u < w")
@@ -285,12 +283,8 @@ def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
 
 def sum_r_over(x: GroupElement, w: GroupElement) -> IntPoly:
     """Sum of R_xv over all v in [x, w]; equals q^l(x,w) iff w is smooth above x."""
-    _same_ctx(x, w)
+    _require_le(x, w)
     ctx = x.ctx
-    if not bruhat_le(x, w):
-        raise ValueError(
-            f"elements {word_of(x)!r} and {word_of(w)!r} are incomparable"
-        )
     key = (x.index, w.index)
     res = ctx.tables.sum_r.get(key)
     if res is None:
@@ -305,12 +299,8 @@ def sum_r_over(x: GroupElement, w: GroupElement) -> IntPoly:
 
 def is_rationally_smooth(u: GroupElement, w: GroupElement) -> bool:
     """Whether every x in [u, w) has defect 0 under w."""
-    _same_ctx(u, w)
+    _require_le(u, w)
     ctx = u.ctx
-    if not bruhat_le(u, w):
-        raise ValueError(
-            f"elements {word_of(u)!r} and {word_of(w)!r} are incomparable"
-        )
     row = _defects(ctx, w.index)
     return all(
         row[xi] == 0 for xi in _between(ctx, u.index, w.index) if xi != w.index
@@ -319,7 +309,7 @@ def is_rationally_smooth(u: GroupElement, w: GroupElement) -> bool:
 
 def strict_edges(u: GroupElement, w: GroupElement) -> list[GroupElement]:
     """Neighbors v of u inside [u, w] with P_uw(1) > P_vw(1)."""
-    _same_ctx(u, w)
+    _require_le(u, w)
     ctx = u.ctx
     base = _kl1(ctx, u.index, w.index)
     return [
@@ -334,7 +324,7 @@ def strict_path_to_smooth(u: GroupElement, w: GroupElement) -> list[GroupElement
     element id.  Requires P_uw(1) > 1; P(1) strictly decreases along the
     path, so it terminates at a vertex with P(1) = 1.
     """
-    _same_ctx(u, w)
+    _require_le(u, w)
     ctx = u.ctx
     if _kl1(ctx, u.index, w.index) <= 1:
         raise ValueError("strict_path_to_smooth requires a singular bottom vertex")

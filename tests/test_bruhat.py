@@ -11,6 +11,7 @@ from bruhatkl.bruhat import (
     bruhat_le,
     comparable_pairs,
     defect,
+    down_adjacency,
     interval,
     interval_to_dot,
     interval_to_json,
@@ -20,6 +21,7 @@ from bruhatkl.bruhat import (
     up_adjacency,
 )
 from bruhatkl.coxeter import (
+    _mat_mul,
     build_group,
     inverse,
     multiply,
@@ -238,6 +240,24 @@ def test_up_adjacency_edge_lengths_odd():
             assert (ctx.elements[vi].length - u.length) % 2 == 1
     # edges out of e are exactly the reflections
     assert sorted(up[0]) == sorted(t.index for t in ctx.reflections)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "G2"])
+def test_adjacency_matches_matrix_products(spec):
+    # reference: u -> ut for every reflection t with l(ut) > l(u), with ut
+    # found by multiplying the geometric-representation matrices
+    ctx = ctx_for(spec)
+    by_matrix = {g.matrix: g for g in ctx.elements}
+    up = [[] for _ in ctx.elements]
+    down = [[] for _ in ctx.elements]
+    for u in ctx.elements:
+        for t in ctx.reflections:
+            v = by_matrix[_mat_mul(u.matrix, t.matrix)]
+            if v.length > u.length:
+                up[u.index].append(v.index)
+                down[v.index].append(u.index)
+    assert up_adjacency(ctx) == [tuple(sorted(xs)) for xs in up]
+    assert down_adjacency(ctx) == [tuple(sorted(xs)) for xs in down]
 
 
 def test_dot_export():

@@ -9,6 +9,9 @@ import pytest
 
 import bruhatkl.coxeter
 from bruhatkl.coxeter import (
+    _apply,
+    _is_positive_vec,
+    _mat_mul,
     build_group,
     inverse,
     left_descents,
@@ -19,6 +22,10 @@ from bruhatkl.coxeter import (
     right_descents,
     word_of,
 )
+
+
+# one group per family: simply laced (A, D) and with two root lengths
+FAMILIES = ("A4", "B3", "C3", "D4", "G2", "F4")
 
 
 def ctx_for(spec, guard=10000):
@@ -104,6 +111,16 @@ def test_multiply_and_inverse():
         assert multiply(t, t) == e
 
 
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+def test_multiply_matches_matrix_product(spec):
+    # reference: the product of the geometric-representation matrices
+    ctx = ctx_for(spec)
+    by_matrix = {g.matrix: g for g in ctx.elements}
+    for a in ctx.elements:
+        for b in ctx.elements:
+            assert multiply(a, b) == by_matrix[_mat_mul(a.matrix, b.matrix)]
+
+
 def test_context_mismatch():
     a2, b2 = ctx_for("A2"), ctx_for("B2")
     with pytest.raises(ValueError):
@@ -120,6 +137,17 @@ def test_descents():
     for spec in ("A3", "B3", "G2"):
         ctx = ctx_for(spec)
         assert ctx.srd == [min(right_descents(w), default=-1) for w in ctx.elements]
+
+
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_right_descents_match_column_signs(spec):
+    # reference: s is a right descent of w iff w sends the simple root a_s
+    # (column s of its matrix) to a negative root
+    ctx = ctx_for(spec)
+    for w in ctx.elements:
+        columns = zip(*w.matrix)
+        negative = [s for s, col in enumerate(columns) if not _is_positive_vec(col)]
+        assert right_descents(w) == negative
 
 
 def test_reflection_between():
@@ -199,13 +227,12 @@ def test_length_invariants():
 
 
 def test_length_equals_root_inversions():
-    from bruhatkl.coxeter import _apply, _is_positive_vec
-
-    ctx = ctx_for("B2")
-    for w in ctx.elements:
-        inversions = sum(
-            1
-            for beta in ctx.pos_roots
-            if not _is_positive_vec(_apply(w.matrix, beta))
-        )
-        assert inversions == w.length
+    for spec in ("B2",) + FAMILIES:
+        ctx = ctx_for(spec)
+        for w in ctx.elements:
+            inversions = sum(
+                1
+                for beta in ctx.pos_roots
+                if not _is_positive_vec(_apply(w.matrix, beta))
+            )
+            assert inversions == w.length

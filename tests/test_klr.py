@@ -187,6 +187,9 @@ def test_strict_edges():
     assert word_of(edges[0]) == "1"
     # the equal-value neighbor s2 is not strict
     assert all(word_of(v) != "2" for v in edges)
+    u, v = parse_element(ctx3, "1"), parse_element(ctx3, "2 3")
+    with pytest.raises(ValueError, match="elements '1' and '2 3' are incomparable"):
+        strict_edges(u, v)
 
 
 def test_strict_path_to_smooth():
@@ -200,6 +203,23 @@ def test_strict_path_to_smooth():
     assert vals == sorted(vals, reverse=True) and len(set(vals)) == len(vals)
     with pytest.raises(ValueError):
         strict_path_to_smooth(w, w)
+    u, v = parse_element(ctx3, "1"), parse_element(ctx3, "2 3")
+    with pytest.raises(ValueError, match="elements '1' and '2 3' are incomparable"):
+        strict_path_to_smooth(u, v)
+
+
+def test_one_shot_kl_poly_builds_masks_below_w_only():
+    # A4, not A5: a whole-group KL fill of A5 takes about 30 s
+    filled = build_group(parse_group_spec("A4"))
+    fill_tables(filled, ("KL",))
+    for uw in (("1", "1 2 1"), ("e", "2 1 3 2"), ("2", "2 1 3 2 4 3")):
+        ctx = build_group(parse_group_spec("A4"))  # fresh: no masks
+        u, w = (parse_element(ctx, x) for x in uw)
+        p = kl_poly(u, w)
+        assert not ctx.tables.le_complete
+        built = [vi for vi, m in enumerate(ctx.tables.le) if m]
+        assert all(ctx.tables.le[w.index] >> vi & 1 for vi in built)
+        assert p.coeffs == filled.tables.KL[u.index, w.index]
 
 
 def test_b2_c2_identical_tables_by_word():
