@@ -232,8 +232,9 @@ class Tables:
     descents are group data (``GroupContext.lengths``, ``.srd``).  The
     lower-cone masks ``le`` may be partly built, 0 marking a mask not
     built yet (every cone contains e, so no built mask is 0).
-    The R, Rt and KL tables hold comparable pairs only (incomparable
-    probes are answered by the order test, not stored).  Tables can hold
+    The R, Rt, KL and staged tables hold comparable pairs only
+    (incomparable probes are answered by the order test, not stored), and
+    KL holds only entries that passed ``klr._certify``.  Tables can hold
     hundreds of thousands of entries, so they compare by identity and have
     no field-by-field repr.
     """
@@ -247,7 +248,13 @@ class Tables:
     pairs: list[Pair] | None = None  # theorems._pairs
     R: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "R"
     Rt: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "Rt"
-    KL: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._kl
+    KL: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._certify
+    # P_xw computed by the KL recursion and not yet checked; klr._certify
+    # moves an entry from here into KL once the functional equation holds
+    staged: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._stage
+    # mu-list by top id w: (x, mu(x, w)) for each x < w with mu(x, w) != 0;
+    # a key w present means the column of w has been staged
+    mu: dict[int, list[tuple[int, int]]] = field(default_factory=dict)  # klr._stage
     sum_r: dict[Pair, Coeffs] = field(default_factory=dict)  # klr.sum_r_over
     r_shifted: dict[Pair, Coeffs] = field(default_factory=dict)  # theorems._r_shifted
 

@@ -13,17 +13,24 @@ KL polynomials are defined by the functional equation
 
     q^l(u,w) P_uw(1/q) = sum over u <= v <= w of R_uv(q) P_vw(q)
 
-together with the degree bound deg P_uw <= (l(u,w)-1)/2.  Writing D for
-l(u,w) and F for the sum restricted to v > u, the degree bound forces
-coefficient j of P_uw to equal the coefficient of q^(D-j) in F for all
-j <= (D-1)//2, which turns the characterization into an algorithm: fill
-P_{., w} by descending length of the lower index, read the top half of F,
-then substitute back into the full equation and fail loudly if it does not
-hold exactly.  The tables are the ``R``, ``Rt`` and ``KL`` fields of the
-owning context's ``ctx.tables``, keyed by element-id pairs and holding
-comparable pairs only; they are filled lazily by ``_r`` and ``_kl`` (one
-thread at a time), and nothing else mutates them.  Coefficients are Python
-integers throughout, so nothing can overflow.
+together with P_ww = 1 and the degree bound deg P_uw <= (l(u,w)-1)/2,
+which determine P_uw uniquely.  They are computed a whole column
+P_{., w} at a time by the Kazhdan-Lusztig recursion (Invent. Math. 53,
+1979, (2.2.c)) over the same s, with v = ws and c = [xs < x]:
+
+    P_xw = q^(1-c) P_{xs,v} + q^c P_{x,v}
+           - sum over z with zs < z of mu(z,v) q^((l(w)-l(z))/2) P_{x,z}
+
+where mu(z,v) is the coefficient of q^((l(z,v)-1)/2) in P_zv.  A column
+goes first into ``tables.staged``; ``tables.KL`` receives an entry only
+after the functional equation has been checked exactly over the whole
+interval [u, w] asked for (see ``_certify``).  So every KL value served
+has passed the check, whatever the recursion computed.  The tables are
+the ``R``, ``Rt``, ``KL``, ``staged`` and ``mu`` fields of the owning
+context's ``ctx.tables``, keyed by element ids and holding comparable
+pairs only; they are filled lazily (one thread at a time), and nothing
+else mutates them.  Coefficients are Python integers throughout, so
+nothing can overflow.
 """
 
 from __future__ import annotations
@@ -118,40 +125,208 @@ def _between(ctx: GroupContext, ui: int, wi: int) -> Iterator[int]:
             yield vi
 
 
+def _stage(ctx: GroupContext, wi: int) -> None:
+    """Stage the KL column of w, and first every column it needs.
+
+    Fills ``tables.staged`` with P_xw for every x <= w, by the recursion in
+    the module docstring, and ``tables.mu`` with the mu-list of w: the
+    pairs (x, mu(x, w)) with mu(x, w) != 0.  Entries of columns already
+    moved into ``tables.KL`` are read from there.  Reads only the masks
+    of elements below w.
+    """
+    t = ctx.tables
+    kl, staged, mu = t.KL, t.staged, t.mu
+    rmult, lengths, srd = ctx.rmult, ctx.lengths, ctx.srd
+    stack = [wi]
+    while stack:
+        w = stack[-1]
+        if w in mu:
+            stack.pop()
+            continue
+        s = srd[w]
+        if s < 0:  # w = e
+            staged[w, w] = (1,)
+            mu[w] = []
+            continue
+        v = rmult[w][s]
+        if v not in mu:
+            stack.append(v)
+            continue
+        terms = [(z, m) for z, m in mu[v] if lengths[rmult[z][s]] < lengths[z]]
+        missing = [z for z, _ in terms if z not in mu]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        lw = lengths[w]
+        lower_v = _lower(ctx, v)
+        below = list(iter_bits(_lower(ctx, w)))
+        col: dict[int, list[int]] = {}  # x with xs < x
+        for x in below:
+            xs = rmult[x][s]
+            if lengths[xs] > lengths[x]:
+                continue
+            out = [0] * ((lw - lengths[x]) // 2 + 1)
+            for i, c in enumerate(kl.get((xs, v)) or staged[xs, v]):
+                out[i] += c
+            if lower_v >> x & 1:
+                for i, c in enumerate(kl.get((x, v)) or staged[x, v], 1):
+                    out[i] += c
+            col[x] = out
+        for z, m in terms:
+            shift = (lw - lengths[z]) // 2
+            for x in iter_bits(_lower(ctx, z)):
+                out = col.get(x)
+                if out is not None:
+                    for i, c in enumerate(kl.get((x, z)) or staged[x, z], shift):
+                        out[i] -= m * c
+        done = {x: _trim(out) for x, out in col.items()}
+        mus = []
+        for x in below:
+            p = done.get(x)
+            if p is None:  # xs > x: P_xw = P_{xs,w}
+                p = done[rmult[x][s]]
+            staged[x, w] = p
+            d = lw - lengths[x] - 1
+            if d % 2 == 0 and len(p) > d // 2 and p[d // 2]:
+                mus.append((x, p[d // 2]))
+        mu[w] = mus
+
+
+class _RAtQ:
+    """R_xy(2^bits) by column y, kept for the length of one fill_tables call.
+
+    Every column above y reuses the values of y; a larger ``bits`` than a
+    column needs is still sound, so the memo is rebuilt only when a column
+    needs more.
+    """
+
+    __slots__ = ("bits", "cols")
+
+    def __init__(self) -> None:
+        self.bits = 0
+        self.cols: dict[int, list[tuple[int, int]]] = {}
+
+
+def _at(cs: Coeffs, bits: int) -> int:
+    """The polynomial cs evaluated at q = 2^bits."""
+    val = 0
+    for c in reversed(cs):
+        val = (val << bits) + c
+    return val
+
+
+def _r_at(ctx: GroupContext, xi: int, yi: int, bits: int) -> int:
+    """R_xy(2^bits), after checking the norm bound the certificate rests on."""
+    r = _r(ctx, xi, yi)
+    if sum(map(abs, r)) > 3 ** (ctx.lengths[yi] - ctx.lengths[xi]):
+        raise RuntimeError(
+            f"R coefficients exceed the KL certificate's headroom for "
+            f"({word_of(ctx.elements[xi])!r}, {word_of(ctx.elements[yi])!r}) "
+            f"in {ctx.name}"
+        )
+    return _at(r, bits)
+
+
+def _certify(ctx: GroupContext, ui: int, wi: int, memo: _RAtQ | None = None) -> None:
+    """Check the staged P_xw, x in [u, w], and move them into ``tables.KL``.
+
+    Stages the column of w first if needed.  Each x in [u, w] not yet in
+    ``tables.KL`` must satisfy P_ww = 1, P_xw(0) = 1, the degree bound, and
+    the functional equation, checked exactly at q = Q = 2^B:
+
+        Q^l(x,w) P_xw(1/Q) = sum over y in [x, w] of R_xy(Q) P_yw(Q)
+
+    Both sides are polynomials in q.  ||R_xy||_1 <= 3^l(x,y), by induction
+    on the steps of ``_STEPS``: 3^(l-2) + 2 * 3^(l-1) <= 3^l (``_r_at``
+    raises if an R entry breaks it).  So every coefficient of either side is
+    at most M = |[u,w]| * 3^l(u,w) * max|P|, the difference at most 2M, and
+    2^(B-1) > 2M makes two sides with equal values at Q equal as
+    polynomials.  The equation and the degree bound on [u, w] determine
+    P_uw, so a checked entry is exact however the column was computed.
+    Raises RuntimeError naming the first failing pair from the top.
+    """
+    t = ctx.tables
+    kl, staged = t.KL, t.staged
+    if wi not in t.mu:
+        _stage(ctx, wi)
+    lengths = ctx.lengths
+    lw = lengths[wi]
+    members = list(_between(ctx, ui, wi))
+    col: dict[int, Coeffs] = {}
+    acc: dict[int, int] = {}  # x not yet in KL -> right-hand side at Q
+    todo = 0
+    for x in members:
+        p = kl.get((x, wi))
+        if p is None:
+            p = staged[x, wi]
+            acc[x] = 0
+            todo |= 1 << x
+        col[x] = p
+    for x in acc:
+        p = col[x]
+        if x == wi:
+            ok = p == (1,)
+        else:
+            ok = p and p[0] == 1 and 2 * len(p) <= lw - lengths[x] + 1
+        if not ok:
+            raise _kl_error(ctx, x, wi)
+    if acc:
+        top = max(abs(c) for p in col.values() for c in p)
+        bits = (2 * len(members) * 3 ** (lw - lengths[ui]) * top).bit_length() + 1
+        if memo is not None:
+            if memo.bits < bits:
+                memo.bits, memo.cols = bits + 16, {}
+            bits = memo.bits
+        masks = t.le
+        # transposed: for each y, add R_xy(Q) P_yw(Q) to every x below it
+        for y in members:
+            lower_y = masks[y] or _lower(ctx, y)
+            below = lower_y & todo
+            if not below:
+                continue
+            if memo is None:
+                pairs = [(x, _r_at(ctx, x, y, bits)) for x in iter_bits(below)]
+            else:
+                pairs = memo.cols.get(y)
+                if pairs is None:
+                    pairs = memo.cols[y] = [
+                        (x, _r_at(ctx, x, y, bits)) for x in iter_bits(lower_y)
+                    ]
+                if below != lower_y:
+                    pairs = [(x, r) for x, r in pairs if below >> x & 1]
+            py = _at(col[y], bits)
+            for x, r in pairs:
+                acc[x] += r * py
+        for x in sorted(acc, reverse=True):
+            p = col[x]
+            if _at(p[::-1], bits) << bits * (lw - lengths[x] - len(p) + 1) != acc[x]:
+                raise _kl_error(ctx, x, wi)
+    for x in members:
+        p = staged.pop((x, wi), None)
+        if x in acc:
+            kl[x, wi] = p
+
+
+def _kl_error(ctx: GroupContext, xi: int, wi: int) -> RuntimeError:
+    return RuntimeError(
+        f"KL functional equation failed for "
+        f"({word_of(ctx.elements[xi])!r}, {word_of(ctx.elements[wi])!r}) "
+        f"in {ctx.name}"
+    )
+
+
 def _kl(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
     """P_uw; () when u is not below w."""
-    table = ctx.tables.KL
-    key = (ui, wi)
-    res = table.get(key)
+    res = ctx.tables.KL.get((ui, wi))
     if res is not None:
         return res
     if ui == wi:
-        res = (1,)
-    elif not _le(ctx, ui, wi):
+        return (1,)
+    if not _le(ctx, ui, wi):
         return ()
-    else:
-        lengths = ctx.lengths
-        D = lengths[wi] - lengths[ui]
-        F = [0] * (D + 1)
-        for vi in _between(ctx, ui, wi):
-            if vi != ui:
-                _addmul_into(F, _r(ctx, ui, vi), _kl(ctx, vi, wi))
-        res = _trim([F[D - j] for j in range((D - 1) // 2 + 1)])
-        # substitute back into the defining equation before trusting it
-        lhs = [0] * (D + 1)
-        for j, c in enumerate(res):
-            lhs[D - j] = c
-        rhs = list(F)
-        for j, c in enumerate(res):
-            rhs[j] += c
-        if lhs != rhs or not res or res[0] != 1:
-            raise RuntimeError(
-                f"KL functional equation failed for "
-                f"({word_of(ctx.elements[ui])!r}, {word_of(ctx.elements[wi])!r}) "
-                f"in {ctx.name}"
-            )
-    table[key] = res
-    return res
+    _certify(ctx, ui, wi)
+    return ctx.tables.KL[ui, wi]
 
 
 def _kl1(ctx: GroupContext, ui: int, wi: int) -> int:
@@ -353,21 +528,19 @@ def strict_path_to_smooth(u: GroupElement, w: GroupElement) -> list[GroupElement
 def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
     """Compute every comparable pair's entry for the requested kinds.
 
-    Pairs are filled by increasing length of the top element; within one
-    top element the KL entries go by descending length of the bottom
-    element, which is the order the functional equation resolves in.
+    Top elements go by increasing id, hence length.  Each KL column is
+    staged by the recursion and certified over its whole lower cone before
+    the next one, with R_xy(2^B) memoized for this call only.
     """
     masks = le_masks(ctx)
-    lengths = ctx.lengths
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown table kind {kind!r}")
+    memo = _RAtQ()
     for wi in range(ctx.order):
-        below = list(iter_bits(masks[wi]))
         for kind in ("R", "Rt"):
             if kind in kinds:
-                for ui in below:
+                for ui in iter_bits(masks[wi]):
                     _r(ctx, ui, wi, kind)
         if "KL" in kinds:
-            for ui in sorted(below, key=lambda i: -lengths[i]):
-                _kl(ctx, ui, wi)
+            _certify(ctx, 0, wi, memo)

@@ -6,7 +6,9 @@ For each pair u <= w the defining functional equation
 
 is turned into a dense linear system in the unknown coefficients of P_uw
 (degree bound (l(u,w)-1)//2) and solved by plain Gaussian elimination over
-Fraction, processing u by descending length for each fixed w.  No
+Fraction, processing u by descending length for each fixed w
+(``oracle_kl_table``: every u <= w; ``oracle_kl_pair``: only the x in one
+interval [u, w], which the equation for P_uw involves).  No
 coefficient read-off shortcut is used anywhere, and the R-polynomials are
 recomputed here from their own recursion rather than taken from the
 library, so agreement with bruhatkl.klr is a genuine two-route check.
@@ -85,6 +87,44 @@ def _gauss_solve_unique(A, b):
     return x
 
 
+def _solve_column(members, wi, masks, lengths, r_table):
+    """P_{x,w} for every x in ``members`` (closed upward inside [., w])."""
+    P: dict[tuple[int, int], tuple[int, ...]] = {}
+    for ui in sorted(members, key=lambda ui: -lengths[ui]):
+        if ui == wi:
+            P[(ui, wi)] = (1,)
+            continue
+        D = lengths[wi] - lengths[ui]
+        m = (D - 1) // 2
+        # right-hand side: sum of R_uv * P_vw over u < v <= w
+        F = [0] * (D + 1)
+        for vi in members:
+            if vi == ui or not masks[vi] >> ui & 1:
+                continue
+            rc = r_table[(ui, vi)]
+            pc = P[(vi, wi)]
+            for i, a in enumerate(rc):
+                if a:
+                    for j, bcf in enumerate(pc):
+                        F[i + j] += a * bcf
+        # unknowns p_0..p_m; equation per power of q in
+        # q^D P(1/q) - P(q) = F(q)
+        A = [
+            [(1 if j == D - k else 0) - (1 if j == k else 0) for j in range(m + 1)]
+            for k in range(D + 1)
+        ]
+        sol = _gauss_solve_unique(A, F)
+        coeffs = []
+        for x in sol:
+            if x.denominator != 1:
+                raise ArithmeticError("non-integer KL coefficient")
+            coeffs.append(int(x))
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        P[(ui, wi)] = tuple(coeffs)
+    return P
+
+
 def oracle_kl_table(ctx: GroupContext) -> dict[tuple[int, int], tuple[int, ...]]:
     """KL coefficients (power basis) for all comparable pairs, by linear solve."""
     r_table = oracle_r_table(ctx)
@@ -92,37 +132,18 @@ def oracle_kl_table(ctx: GroupContext) -> dict[tuple[int, int], tuple[int, ...]]
     lengths = [g.length for g in ctx.elements]
     P: dict[tuple[int, int], tuple[int, ...]] = {}
     for wi in range(ctx.order):
-        members = sorted(iter_bits(masks[wi]), key=lambda ui: -lengths[ui])
-        for ui in members:
-            if ui == wi:
-                P[(ui, wi)] = (1,)
-                continue
-            D = lengths[wi] - lengths[ui]
-            m = (D - 1) // 2
-            # right-hand side: sum of R_uv * P_vw over u < v <= w
-            F = [0] * (D + 1)
-            for vi in members:
-                if vi == ui or not masks[vi] >> ui & 1:
-                    continue
-                rc = r_table[(ui, vi)]
-                pc = P[(vi, wi)]
-                for i, a in enumerate(rc):
-                    if a:
-                        for j, bcf in enumerate(pc):
-                            F[i + j] += a * bcf
-            # unknowns p_0..p_m; equation per power of q in
-            # q^D P(1/q) - P(q) = F(q)
-            A = [
-                [(1 if j == D - k else 0) - (1 if j == k else 0) for j in range(m + 1)]
-                for k in range(D + 1)
-            ]
-            sol = _gauss_solve_unique(A, F)
-            coeffs = []
-            for x in sol:
-                if x.denominator != 1:
-                    raise ArithmeticError("non-integer KL coefficient")
-                coeffs.append(int(x))
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            P[(ui, wi)] = tuple(coeffs)
+        P.update(_solve_column(list(iter_bits(masks[wi])), wi, masks, lengths, r_table))
     return P
+
+
+def oracle_kl_pair(ctx: GroupContext, ui: int, wi: int, r_table=None) -> tuple[int, ...]:
+    """P_uw for one comparable pair, solving only the x in [u, w] of column w.
+
+    ``r_table`` is ``oracle_r_table(ctx)``, computed here when not given.
+    """
+    if r_table is None:
+        r_table = oracle_r_table(ctx)
+    masks = le_masks(ctx)
+    lengths = [g.length for g in ctx.elements]
+    members = [xi for xi in iter_bits(masks[wi]) if masks[xi] >> ui & 1]
+    return _solve_column(members, wi, masks, lengths, r_table)[(ui, wi)]

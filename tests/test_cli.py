@@ -174,6 +174,17 @@ def test_poisoned_r_cache_hits_internal_invariant(monkeypatch, capsys):
     assert code == 1 and "internal invariant error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("table", "--group", "A2", "--u", "e", "--w", "1 2 1"), ("classify", "--group", "A2")],
+)
+def test_poisoned_r_fails_kl_certificate(monkeypatch, capsys, argv):
+    # the KL values these commands print are certified against R first
+    _poison(monkeypatch, "R", "e", "1", (5, 1))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "internal invariant error" in err
+
+
 def test_empty_selections_exit_2(capsys):
     # zero checks run would print only the header and read as "all passed"
     code, out, err = run(capsys, "verify", "--group", "A3", "--checks", ",")

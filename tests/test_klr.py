@@ -17,6 +17,7 @@ from bruhatkl.coxeter import (  # noqa: E402
     parse_group_spec,
     word_of,
 )
+from bruhatkl.klr import _stage  # noqa: E402
 from bruhatkl.klr import (  # noqa: E402
     check_r_rtilde_link,
     fh_vectors,
@@ -209,7 +210,7 @@ def test_strict_path_to_smooth():
 
 
 def test_one_shot_kl_poly_builds_masks_below_w_only():
-    # A4, not A5: a whole-group KL fill of A5 takes about 30 s
+    # A4, not A5: a whole-group KL fill of A5 takes about 3 s
     filled = build_group(parse_group_spec("A4"))
     fill_tables(filled, ("KL",))
     for uw in (("1", "1 2 1"), ("e", "2 1 3 2"), ("2", "2 1 3 2 4 3")):
@@ -220,6 +221,21 @@ def test_one_shot_kl_poly_builds_masks_below_w_only():
         built = [vi for vi, m in enumerate(ctx.tables.le) if m]
         assert all(ctx.tables.le[w.index] >> vi & 1 for vi in built)
         assert p.coeffs == filled.tables.KL[u.index, w.index]
+
+
+def test_corrupt_staged_entry_fails_certificate():
+    ctx = build_group(parse_group_spec("A3"))
+    e, w = ctx.identity, parse_element(ctx, "2 1 3 2")
+    _stage(ctx, w.index)
+    key = (e.index, w.index)
+    assert ctx.tables.staged[key] == (1, 1)
+    # P(0) = 1 and within the degree bound, so only the equation sees it
+    ctx.tables.staged[key] = (1, 2)
+    with pytest.raises(RuntimeError, match=r"\('e', '2 1 3 2'\) in A3"):
+        kl_poly(e, w)
+    assert key not in ctx.tables.KL
+    # [2, w] does not contain e: served, and checked, as before
+    assert kl_poly(parse_element(ctx, "2"), w) == IntPoly([1, 1])
 
 
 def test_b2_c2_identical_tables_by_word():
@@ -238,6 +254,7 @@ def test_poly_table_invariants():
     assert r_poly(s1, s2).is_zero and rtilde_poly(s1, s2).is_zero
     assert kl_poly(s1, s2).is_zero  # incomparable probes leave no entry
     fill_tables(ctx)
+    assert not ctx.tables.staged  # every staged entry was certified and moved
     pairs = set(comparable_pairs(ctx))
     for table in (ctx.tables.R, ctx.tables.Rt, ctx.tables.KL):
         assert set(table) == pairs

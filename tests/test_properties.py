@@ -1,13 +1,18 @@
 """Property tests: random groups of order <= 400, random elements and pairs."""
 
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruhatkl.bruhat import iter_bits, le_masks
 from bruhatkl.coxeter import build_group, parse_element, parse_group_spec, word_of
-from bruhatkl.klr import check_r_rtilde_link, r_poly
+from bruhatkl.klr import check_r_rtilde_link, kl_poly, r_poly
+
+sys.path.insert(0, str(Path(__file__).parent))
+from kl_oracle import oracle_kl_pair, oracle_r_table  # noqa: E402
 
 SPECS = "A1 A2 A3 A4 B2 B3 B4 C2 C3 C4 D2 D3 D4 G2".split()  # orders <= 400
 
@@ -54,3 +59,18 @@ def test_r_rtilde_link_and_r_reversal(pair):
     assert coeffs[::-1] == tuple((-1) ** ell * c for c in coeffs)
     if u != w:
         assert check_r_rtilde_link(u, w)
+
+
+@lru_cache(maxsize=None)
+def oracle_r(spec):
+    return oracle_r_table(group(spec))
+
+
+@PROPERTY_SETTINGS
+@given(comparable_pairs())
+def test_one_shot_kl_poly_matches_oracle(pair):
+    u, w = pair
+    spec = u.ctx.name
+    fresh = build_group(parse_group_spec(spec))  # no staged or certified column
+    p = kl_poly(fresh.elements[u.index], fresh.elements[w.index])
+    assert p.coeffs == oracle_kl_pair(u.ctx, u.index, w.index, oracle_r(spec))
