@@ -1,15 +1,20 @@
-"""Finite crystallographic Coxeter (Weyl) groups via the geometric
-representation on the root lattice.
+"""Finite crystallographic Coxeter (Weyl) groups, enumerated by weight vectors.
 
-The group is built from the integer matrices of its action on simple-root
-coordinates: the simple reflection s_i sends a vector x to the vector y
-with y[i] = x[i] - sum_j cartan[i][j] * x[j] and y[k] = x[k] otherwise
-(row convention cartan[i][j] = 2(a_i, a_j)/(a_i, a_i)); nothing is ever
-approximated.  ``build_group`` enumerates the elements breadth-first by
-length and interns them with stable integer ids.  After that, group
-operations are lookups in id tables (``rmult``, ``inv``, ``lengths``,
-``srd``), and the lazily filled tables in ``GroupContext.tables`` key on
-ids and id pairs.
+The integer Cartan matrix is in the row convention cartan[i][j] =
+2(a_i, a_j)/(a_i, a_i); nothing is ever approximated.  ``build_group``
+identifies each element w by the integer vector lam = w^-1(rho) in
+fundamental-weight coordinates, rho = (1, ..., 1) (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, 4.3): (ws)^-1(rho) = lam - lam[s] * a_s,
+the simple root a_s in weight coordinates being column s of the
+Cartan matrix, and s is a right descent of w iff lam[s] < 0, as
+l(ws) < l(w) iff w(a_s) < 0 (Humphreys, Reflection Groups and Coxeter
+Groups, 5.4).  Roots are in simple-root coordinates, where s_i sets only
+y[i] = x[i] - sum_j cartan[i][j] * x[j].  Elements get stable integer
+ids breadth-first by length; after that, group operations are lookups in
+id tables (``rmult``, ``inv``, ``lengths``, ``srd``), and the lazily
+filled tables in ``GroupContext.tables`` key on ids and id pairs.  The reference
+matrices of the geometric representation live in the tests
+(``tests/reference_matrices.py``), which check the tables against them.
 
 Group spec strings are parsed case-insensitively: "A3", "b2", "G2", "F4".
 Elements are read and printed as whitespace-separated reduced words over
@@ -146,7 +151,8 @@ def parse_group_spec(spec: str) -> CoxeterDatum:
     family, digits = s[0], s[1:]
     if family not in _RANK_RANGES:
         raise ValueError(f"unknown family {family!r} in group spec {spec!r}")
-    if not digits.isdigit():
+    # ASCII 0-9 only: isdigit alone also takes other scripts' digits
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad rank {digits!r} in group spec {spec!r}")
     rank = int(digits)
     lo, hi = _RANK_RANGES[family]
@@ -155,33 +161,6 @@ def parse_group_spec(spec: str) -> CoxeterDatum:
             f"rank {rank} out of supported range [{lo}, {hi}] for family {family}"
         )
     return CoxeterDatum(family, rank, _cartan_matrix(family, rank))
-
-
-# -- matrix helpers ----------------------------------------------------
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in cols) for ra in a
-    )
-
-
-def _mat_rmul_simple(m: Matrix, s: int, cartan: Matrix) -> Matrix:
-    """m times the simple-reflection matrix of generator s."""
-    row_s = cartan[s]
-    return tuple(
-        tuple(row[j] - row_s[j] * row[s] for j in range(len(row))) for row in m
-    )
-
-
-def _apply(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def _is_positive_vec(v: Vector) -> bool:
@@ -193,14 +172,13 @@ def _is_positive_vec(v: Vector) -> bool:
 
 
 class GroupElement:
-    """Interned element of one GroupContext: matrix, cached length, stable id."""
+    """Interned element of one GroupContext: cached length, stable id."""
 
-    __slots__ = ("ctx", "index", "matrix", "length")
+    __slots__ = ("ctx", "index", "length")
 
-    def __init__(self, ctx: "GroupContext", index: int, matrix: Matrix, length: int):
+    def __init__(self, ctx: "GroupContext", index: int, length: int):
         self.ctx = ctx
         self.index = index
-        self.matrix = matrix
         self.length = length
 
     def __eq__(self, other) -> bool:
@@ -262,11 +240,13 @@ class Tables:
 class GroupContext:
     """A fully enumerated finite Weyl group.
 
-    ``build_group`` builds it from matrices; afterwards every group
-    operation reads the id tables ``rmult``, ``inv``, ``lengths`` and
-    ``srd``.  The group data is fixed once ``build_group`` returns.  The
-    only later mutation is lazy, single-threaded filling of ``tables``
-    (and of the word memo behind ``word_of``).
+    ``build_group`` builds it from the weight vectors w^-1(rho), s being a
+    right descent where coordinate s is negative (the reference matrices of
+    the geometric representation are in the tests).  Every operation reads the
+    id tables ``rmult``, ``inv``, ``lengths`` and ``srd``.  The group data
+    is fixed once ``build_group`` returns.  The only later mutation is lazy,
+    single-threaded filling of ``tables`` (and of the word memo behind
+    ``word_of``).
     """
 
     def __init__(self, datum: CoxeterDatum):
@@ -298,7 +278,7 @@ class GroupContext:
         return [self.elements[i] for i in self.rmult[0]]
 
     def longest_element(self) -> GroupElement:
-        return max(self.elements, key=lambda g: g.length)
+        return self.elements[-1]  # build_group checks it is the only one
 
     def __repr__(self) -> str:
         return f"<GroupContext {self.name}, order {self.order}>"
@@ -308,6 +288,12 @@ def build_group(
     datum: CoxeterDatum, max_order_guard: int = DEFAULT_ORDER_GUARD
 ) -> GroupContext:
     """Enumerate the whole group breadth-first and identify reflections.
+
+    One pass over the weight vectors w^-1(rho), ascents in increasing s,
+    fills ``rmult``, ``lengths`` and ``srd`` (s is a right descent of w iff
+    coordinate s is negative); ``inv`` follows each element's parent chain
+    through ``rmult``, and reflection ids come from conjugating ids.  The
+    tests check these tables against the reference matrices.
 
     Raises ValueError if the expected group order exceeds the guard, and
     RuntimeError if any structural count disagrees with the closed forms.
@@ -321,90 +307,99 @@ def build_group(
     ctx = GroupContext(datum)
     n = datum.rank
     cartan = datum.cartan
-    ident = _identity(n)
-    gens = tuple(_mat_rmul_simple(ident, s, cartan) for s in range(n))
+    # nonzero entries of column s: the simple root a_s in weight coordinates
+    roots_in_weights = [
+        [(j, cartan[j][s]) for j in range(n) if cartan[j][s]] for s in range(n)
+    ]
 
-    # breadth-first element enumeration by length; inverses tracked via
-    # inv(w s) = s inv(w), which needs only left multiplication by simples
-    index: dict[Matrix, int] = {ident: 0}
-    ctx.elements.append(GroupElement(ctx, 0, ident, 0))
-    inv_matrices = [ident]
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for wi in frontier:
-            w = ctx.elements[wi]
-            for s in range(n):
-                col = tuple(w.matrix[k][s] for k in range(n))
-                if not _is_positive_vec(col):
-                    continue  # descent: ws already enumerated
-                m = _mat_rmul_simple(w.matrix, s, cartan)
-                if m in index:
-                    continue
-                idx = len(ctx.elements)
-                index[m] = idx
-                ctx.elements.append(GroupElement(ctx, idx, m, w.length + 1))
-                inv_matrices.append(_mat_mul(gens[s], inv_matrices[wi]))
-                next_frontier.append(idx)
-        frontier = next_frontier
-    if ctx.order != expected_order:
+    # breadth-first by length; x = parent[x] * s for s = letter[x]
+    rho = (1,) * n
+    index: dict[Vector, int] = {rho: 0}
+    weights = [rho]
+    parent, letter, lengths = [0], [-1], [0]
+    rmult, srd = ctx.rmult, ctx.srd
+    for wi, lam in enumerate(weights):  # weights grows while it is read
+        row = []
+        for s in range(n):
+            img = list(lam)
+            for j, a in roots_in_weights[s]:
+                img[j] -= lam[s] * a
+            key = tuple(img)
+            xi = index.get(key)
+            if xi is None:  # an ascent reaching a new element
+                xi = index[key] = len(weights)
+                weights.append(key)
+                parent.append(wi)
+                letter.append(s)
+                lengths.append(lengths[wi] + 1)
+            row.append(xi)
+        rmult.append(tuple(row))
+        srd.append(next((s for s, c in enumerate(lam) if c < 0), -1))
+    order = len(weights)
+    if order != expected_order:
         raise RuntimeError(
-            f"enumerated {ctx.order} elements of {datum.name}, "
+            f"enumerated {order} elements of {datum.name}, "
             f"expected {expected_order}"
         )
-    ctx.inv = [index[m] for m in inv_matrices]
+    npos = datum.num_positive_roots()
+    if lengths[-1] != npos or lengths.count(npos) != 1:
+        raise RuntimeError(
+            f"{datum.name} has no unique longest element of length {npos} "
+            f"at the last id"
+        )
+    ctx.lengths = lengths
+    ctx.elements = [GroupElement(ctx, i, ell) for i, ell in enumerate(lengths)]
 
-    # right-multiplication table by simple generators
-    ctx.rmult = [
-        tuple(index[_mat_rmul_simple(w.matrix, s, cartan)] for s in range(n))
-        for w in ctx.elements
-    ]
-    ctx.lengths = [w.length for w in ctx.elements]
-    ctx.srd = [
-        next((s for s, x in enumerate(row) if ctx.lengths[x] < ell), -1)
-        for row, ell in zip(ctx.rmult, ctx.lengths)
-    ]
+    # w = s_1 ... s_k read off the parent chain from the end, so
+    # w^-1 = s_k ... s_1 is the product of its letters in that order
+    inv = ctx.inv = [0] * order
+    for wi in range(1, order):
+        xi, yi = wi, 0
+        while xi:
+            yi = rmult[yi][letter[xi]]
+            xi = parent[xi]
+        inv[wi] = yi
+
+    def reflect(s: int, beta: Vector) -> Vector:
+        img = list(beta)
+        img[s] -= sum(a * b for a, b in zip(cartan[s], beta))
+        return tuple(img)
 
     # positive-root closure, simple roots first, discovery order after
     unit = lambda i: tuple(1 if j == i else 0 for j in range(n))
     roots: list[Vector] = [unit(i) for i in range(n)]
     seen = set(roots)
-    qi = 0
-    while qi < len(roots):
-        beta = roots[qi]
-        qi += 1
+    for beta in roots:  # roots grows while it is read
         for s in range(n):
-            img = _apply(gens[s], beta)
+            img = reflect(s, beta)
             if _is_positive_vec(img) and img not in seen:
                 seen.add(img)
                 roots.append(img)
     ctx.pos_roots = roots
-    if len(roots) != datum.num_positive_roots():
+    if len(roots) != npos:
         raise RuntimeError(
-            f"found {len(roots)} positive roots of {datum.name}, "
-            f"expected {datum.num_positive_roots()}"
+            f"found {len(roots)} positive roots of {datum.name}, expected {npos}"
         )
 
     # reflections: close {s_i} under conjugation, tracking the root;
     # the root of s t s is s(root of t), normalized to the positive side
-    root_to_matrix: dict[Vector, Matrix] = {unit(i): gens[i] for i in range(n)}
-    queue = list(root_to_matrix)
+    root_to_id: dict[Vector, int] = {unit(i): rmult[0][i] for i in range(n)}
+    queue = list(root_to_id)
     while queue:
         beta = queue.pop()
-        t = root_to_matrix[beta]
+        t = root_to_id[beta]
         for s in range(n):
-            sm = gens[s]
-            img = _apply(sm, beta)
+            img = reflect(s, beta)
             if not _is_positive_vec(img):
                 img = tuple(-c for c in img)
-            conj = _mat_mul(sm, _mat_mul(t, sm))
-            if img in root_to_matrix:
-                if root_to_matrix[img] != conj:
+            conj = inv[rmult[inv[rmult[t][s]]][s]]  # s t s
+            if img in root_to_id:
+                if root_to_id[img] != conj:
                     raise RuntimeError("reflection closure is inconsistent")
             else:
-                root_to_matrix[img] = conj
+                root_to_id[img] = conj
                 queue.append(img)
-    refl_ids = [index[root_to_matrix[beta]] for beta in roots]
+    refl_ids = [root_to_id[beta] for beta in roots]
     ctx.reflections = [ctx.elements[i] for i in refl_ids]
     ctx.reflection_ids = frozenset(refl_ids)
     if len(ctx.reflection_ids) != len(roots):
@@ -485,7 +480,7 @@ def parse_element(ctx: GroupContext, text: str) -> GroupElement:
         return ctx.identity
     idx = 0
     for tok in text.split():
-        if not tok.isdigit() or not 1 <= int(tok) <= ctx.rank:
+        if not (tok.isascii() and tok.isdigit()) or not 1 <= int(tok) <= ctx.rank:
             raise ValueError(
                 f"bad generator token {tok!r} in element word {text!r} "
                 f"(expected 1..{ctx.rank} or 'e')"

@@ -1,10 +1,15 @@
 """Tests for Bruhat order, interval graphs, absolute length, and defect."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from bruhatkl.bruhat import (
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_matrices import mat_mul, matrix_of  # noqa: E402
+
+from bruhatkl.bruhat import (  # noqa: E402
     abs_len_table,
     absolute_length,
     bruhat_edges,
@@ -20,8 +25,7 @@ from bruhatkl.bruhat import (
     neighborhood,
     up_adjacency,
 )
-from bruhatkl.coxeter import (
-    _mat_mul,
+from bruhatkl.coxeter import (  # noqa: E402
     build_group,
     inverse,
     multiply,
@@ -247,12 +251,12 @@ def test_adjacency_matches_matrix_products(spec):
     # reference: u -> ut for every reflection t with l(ut) > l(u), with ut
     # found by multiplying the geometric-representation matrices
     ctx = ctx_for(spec)
-    by_matrix = {g.matrix: g for g in ctx.elements}
+    by_matrix = {matrix_of(g): g for g in ctx.elements}
     up = [[] for _ in ctx.elements]
     down = [[] for _ in ctx.elements]
     for u in ctx.elements:
         for t in ctx.reflections:
-            v = by_matrix[_mat_mul(u.matrix, t.matrix)]
+            v = by_matrix[mat_mul(matrix_of(u), matrix_of(t))]
             if v.length > u.length:
                 up[u.index].append(v.index)
                 down[v.index].append(u.index)

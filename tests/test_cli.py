@@ -71,6 +71,13 @@ def test_bad_group_and_bad_token_exit_2(capsys):
     assert code == 2 and "H" in err
     code, _, err = run(capsys, "table", "--group", "A2", "--u", "e", "--w", "7")
     assert code == 2 and "'7'" in err
+    # digits other than ASCII 0-9 are refused with the module's own message
+    for group in ("A\u0663", "A\u00b2"):  # Arabic-Indic 3, superscript 2
+        code, out, err = run(capsys, "table", "--group", group, "--w", "1")
+        assert code == 2 and out == "" and "bad rank" in err
+    for word in ("\u0661 2", "1 \u00b2"):  # Arabic-Indic 1, superscript 2
+        code, out, err = run(capsys, "table", "--group", "A3", "--w", word)
+        assert code == 2 and out == "" and "bad generator token" in err
 
 
 def test_verify_all_a2(capsys):

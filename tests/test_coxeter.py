@@ -3,15 +3,23 @@
 import doctest
 import importlib
 import pkgutil
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-import bruhatkl.coxeter
-from bruhatkl.coxeter import (
-    _apply,
-    _is_positive_vec,
-    _mat_mul,
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_matrices import (  # noqa: E402
+    apply,
+    is_positive,
+    mat_mul,
+    matrix_of,
+    reference_tables,
+)
+
+import bruhatkl.coxeter  # noqa: E402
+from bruhatkl.coxeter import (  # noqa: E402
     build_group,
     inverse,
     left_descents,
@@ -26,6 +34,9 @@ from bruhatkl.coxeter import (
 
 # one group per family: simply laced (A, D) and with two root lengths
 FAMILIES = ("A4", "B3", "C3", "D4", "G2", "F4")
+# every accepted group of order at most 1152; B and C (transposed Cartan
+# matrices) tell a row from a column, which A and D cannot
+UP_TO_F4 = "A1 A2 A3 A4 A5 B2 B3 B4 C2 C3 C4 D2 D3 D4 F4 G2".split()
 
 
 def ctx_for(spec, guard=10000):
@@ -80,7 +91,37 @@ def test_parse_group_spec_errors():
         parse_group_spec("G3")
     with pytest.raises(ValueError):
         parse_group_spec("42")
+    # only ASCII digits: others are neither read as a rank nor left to int();
+    # Arabic-Indic 3, superscript 2, fullwidth 3
+    for spec in ("A\u0663", "A\u00b2", "A\uff13"):
+        with pytest.raises(ValueError, match="bad rank"):
+            parse_group_spec(spec)
     assert parse_group_spec("b2") == parse_group_spec("B2")
+
+
+@pytest.mark.parametrize("spec", UP_TO_F4)
+def test_build_matches_matrix_reference(spec):
+    # the weight-vector build gives the same ids, tables, root order and
+    # reflections as a breadth-first enumeration of matrices
+    ctx = ctx_for(spec)
+    ref = reference_tables(ctx.datum.cartan)
+    assert ctx.rmult == ref["rmult"]
+    assert ctx.inv == ref["inv"]
+    assert ctx.lengths == ref["lengths"]
+    assert ctx.srd == ref["srd"]
+    assert ctx.pos_roots == ref["pos_roots"]
+    assert [t.index for t in ctx.reflections] == ref["reflections"]
+
+
+def test_e6_builds_above_the_default_guard():
+    ctx = build_group(parse_group_spec("E6"), 51840)
+    assert ctx.order == 51840
+    assert len(ctx.pos_roots) == 36 and len(ctx.reflections) == 36
+    assert ctx.lengths.count(36) == 1 and max(ctx.lengths) == 36
+    w0 = ctx.longest_element()
+    assert w0.length == 36 and w0 is ctx.elements[-1]
+    for w in (w0, *ctx.reflections, *ctx.elements[::997]):
+        assert parse_element(ctx, word_of(w)) == w
 
 
 def test_order_guard():
@@ -115,10 +156,10 @@ def test_multiply_and_inverse():
 def test_multiply_matches_matrix_product(spec):
     # reference: the product of the geometric-representation matrices
     ctx = ctx_for(spec)
-    by_matrix = {g.matrix: g for g in ctx.elements}
+    by_matrix = {matrix_of(g): g for g in ctx.elements}
     for a in ctx.elements:
         for b in ctx.elements:
-            assert multiply(a, b) == by_matrix[_mat_mul(a.matrix, b.matrix)]
+            assert multiply(a, b) == by_matrix[mat_mul(matrix_of(a), matrix_of(b))]
 
 
 def test_context_mismatch():
@@ -145,8 +186,8 @@ def test_right_descents_match_column_signs(spec):
     # (column s of its matrix) to a negative root
     ctx = ctx_for(spec)
     for w in ctx.elements:
-        columns = zip(*w.matrix)
-        negative = [s for s, col in enumerate(columns) if not _is_positive_vec(col)]
+        columns = zip(*matrix_of(w))
+        negative = [s for s, col in enumerate(columns) if not is_positive(col)]
         assert right_descents(w) == negative
 
 
@@ -202,6 +243,9 @@ def test_parse_element_errors():
         parse_element(ctx, "1 5")
     with pytest.raises(ValueError):
         parse_element(ctx, "x")
+    for text in ("\u0661 2", "1 \u00b2"):  # Arabic-Indic 1, superscript 2
+        with pytest.raises(ValueError, match="bad generator token"):
+            parse_element(ctx, text)
     # non-reduced words still multiply out
     assert parse_element(ctx, "1 1") == ctx.identity
 
@@ -233,6 +277,6 @@ def test_length_equals_root_inversions():
             inversions = sum(
                 1
                 for beta in ctx.pos_roots
-                if not _is_positive_vec(_apply(w.matrix, beta))
+                if not is_positive(apply(matrix_of(w), beta))
             )
             assert inversions == w.length
