@@ -205,8 +205,10 @@ ByTop = dict[int, dict[int, int]]  # top id -> {bottom id: value}
 class Tables:
     """Lazily filled tables of one group, keyed by element ids.
 
-    Each field is filled by exactly one function, named in its comment;
-    ``None`` marks a whole-group table not built yet.  Lengths and
+    Each field is filled by one function, named in its comment, except
+    ``sum_r``: ``klr.sum_r_over`` enters one pair, and ``klr._fill_sum_r``
+    every missing pair of the group, with the same values.  ``None`` marks
+    a whole-group table not built yet.  Lengths and
     descents are group data (``GroupContext.lengths``, ``.srd``).  The
     lower-cone masks ``le`` may be partly built, 0 marking a mask not
     built yet (every cone contains e, so no built mask is 0).
@@ -233,7 +235,8 @@ class Tables:
     # mu-list by top id w: (x, mu(x, w)) for each x < w with mu(x, w) != 0;
     # a key w present means the column of w has been staged
     mu: dict[int, list[tuple[int, int]]] = field(default_factory=dict)  # klr._stage
-    sum_r: dict[Pair, Coeffs] = field(default_factory=dict)  # klr.sum_r_over
+    # klr.sum_r_over one pair at a time, klr._fill_sum_r the whole group
+    sum_r: dict[Pair, Coeffs] = field(default_factory=dict)
     r_shifted: dict[Pair, Coeffs] = field(default_factory=dict)  # theorems._r_shifted
 
 

@@ -228,6 +228,32 @@ def _r_at(ctx: GroupContext, xi: int, yi: int, bits: int) -> int:
     return _at(r, bits)
 
 
+def _r_at_q(ctx: GroupContext, factor: int | None) -> tuple[int, list[dict[int, int]]]:
+    """B and R_xy(Q), Q = 2^B, for every comparable pair, as columns by y.
+
+    ``cols[y]`` maps each x <= y, in increasing id, to R_xy(Q).  B serves
+    an identity whose sides are sums of at most |G| products R_xy * F,
+    each F with ||F||_1 <= ``factor`` (``None``: F is an R entry too; 1: a
+    plain sum of R entries).  Every coefficient of either side is then at
+    most M = |G| * max ||R_xy||_1 * factor, and coefficients <= M with
+    2^(B-1) > 2M make the identity exact at Q: a nonzero difference, its
+    coefficients below 2^(B-1) in absolute value, cannot vanish at 2^B.
+    The signed base-2^B digits of one side are then its coefficients
+    (``_digits``).  The norms are read from the table as it is now, not
+    from the 3^l bound of ``_certify``, so a corrupted entry raises B
+    instead of breaking the identity or raising.
+    """
+    lower = le_masks(ctx)
+    cols = [{x: _r(ctx, x, y) for x in iter_bits(lower[y])} for y in range(ctx.order)]
+    norm = max(1, max(sum(map(abs, r)) for col in cols for r in col.values()))
+    m = ctx.order * norm * (norm if factor is None else factor)
+    bits = (2 * m).bit_length() + 1  # 2^(B-1) > 2M
+    for col in cols:
+        for x, r in col.items():
+            col[x] = _at(r, bits)
+    return bits, cols
+
+
 def _certify(ctx: GroupContext, ui: int, wi: int, memo: _RAtQ | None = None) -> None:
     """Check the staged P_xw, x in [u, w], and move them into ``tables.KL``.
 
@@ -470,6 +496,46 @@ def sum_r_over(x: GroupElement, w: GroupElement) -> IntPoly:
         res = _trim(acc)
         ctx.tables.sum_r[key] = res
     return IntPoly(res, Basis.Q)
+
+
+def _digits(val: int, bits: int) -> Coeffs:
+    """Trimmed coefficients, each in [-2^(bits-1), 2^(bits-1)), of the
+    polynomial whose value at q = 2^bits is val: the inverse of ``_at``."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    out = []
+    while val:
+        d = ((val + half) & mask) - half
+        out.append(d)
+        val = (val - d) >> bits
+    return tuple(out)
+
+
+def _fill_sum_r(ctx: GroupContext) -> None:
+    """Enter ``sum_r_over``'s value for every comparable pair missing from
+    ``tables.sum_r``: the whole-group pass behind the interval R-sum checks.
+
+    Per top w, one integer S_xw = sum over v in [x, w] of R_xv(Q) for each
+    x <= w, added up column by column (x <= v <= w), and read back in
+    signed base-2^B digits, exact by the bound of ``_r_at_q``.
+    """
+    lower = le_masks(ctx)
+    sums = ctx.tables.sum_r
+    tops = [
+        w for w in range(ctx.order)
+        if any((x, w) not in sums for x in iter_bits(lower[w]))
+    ]
+    if not tops:
+        return
+    bits, cols = _r_at_q(ctx, 1)
+    for w in tops:
+        acc = dict.fromkeys(cols[w], 0)
+        for v in cols[w]:
+            for x, r in cols[v].items():
+                acc[x] += r
+        for x, val in acc.items():
+            if (x, w) not in sums:
+                sums[x, w] = _digits(val, bits)
 
 
 def is_rationally_smooth(u: GroupElement, w: GroupElement) -> bool:

@@ -9,6 +9,20 @@ KL-level inequalities, so failures localize early.  The equivalence checks
 sides through independent code paths: interval R-sums on one side, KL
 values on the other.
 
+Five checks test polynomial identities at one point, q = Q = 2^B
+(Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
+Algebra, section 8.4).  r_alternating_sum and kl_basics compare the two
+sides of their identity at Q, one integer each per pair, and dvc_linear,
+nth2_quadratic and smoothness_equivalence read each interval R-sum back
+from its value at Q (``klr._fill_sum_r``).  That is exact: B is set at
+each call from the norms of the R and KL tables as they are then
+(``klr._r_at_q``), so that every coefficient of either side is at most M
+with 2^(B-1) > 2M, and a nonzero integer polynomial with coefficients
+that small does not vanish at 2^B.  A pair that fails at Q is recomputed
+in coefficient form, which writes its witness.  kl_monotone and
+mono_equiv group each KL column by value and decide each pair of values
+once; every triple is still counted, and reported if it fails.
+
 Domains are always comparable pairs u <= w (zero values on incomparable
 pairs are the recursions' base case, covered by unit tests); checks with a
 narrower domain count the pairs they skip.
@@ -18,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable
 
 from bruhatkl.bruhat import (
     _defects,
@@ -28,15 +43,17 @@ from bruhatkl.bruhat import (
     le_masks,
     up_adjacency,
 )
-from bruhatkl.coxeter import GroupContext, word_of
+from bruhatkl.coxeter import Coeffs, GroupContext, word_of
 from bruhatkl.klr import (
+    _at,
+    _fill_sum_r,
     _kl,
     _kl1,
     _r,
+    _r_at_q,
     check_r_rtilde_link,
     fh_vectors,
     strict_path_to_smooth,
-    sum_r_over,
 )
 from bruhatkl.polynomial import (
     Basis,
@@ -171,25 +188,56 @@ def _check_r_inverse_symmetry(ctx: GroupContext) -> CheckReport:
     return _report(ctx, "r_inverse_symmetry", n, wit, {})
 
 
+def _convolve_sum(terms: list[tuple[Coeffs, Coeffs]], size: int) -> list[int]:
+    """Coefficients of the sum of a * b over terms (a, b): size of them,
+    or more where a product is longer, so a malformed entry cannot index
+    past the end."""
+    acc = [0] * max([size] + [len(a) + len(b) - 1 for a, b in terms])
+    for a, b in terms:
+        _addmul_into(acc, a, b)
+    return acc
+
+
+def _alternating_sum(ctx: GroupContext, ui: int, wi: int, members: int) -> list[int]:
+    """Coefficients of the sum over v in members of (-1)^l(u,v) R_uv R_vw."""
+    lengths = ctx.lengths
+    terms = []
+    for vi in iter_bits(members):
+        rvw = _r(ctx, vi, wi)
+        if (lengths[vi] - lengths[ui]) % 2:
+            rvw = tuple(-c for c in rvw)
+        terms.append((_r(ctx, ui, vi), rvw))
+    return _convolve_sum(terms, lengths[wi] - lengths[ui] + 1)
+
+
 def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
-    """Sign-alternating convolution over each interval is a Kronecker delta."""
+    """Sign-alternating convolution over each interval is a Kronecker delta.
+
+    Tested at Q = 2^B, one integer per pair; a pair that fails there is
+    recomputed in coefficient form for its witness.
+    """
     wit = _Witnesses()
     lower = le_masks(ctx)
     upper = ge_masks(ctx)
     lengths = ctx.lengths
-    n = 0
-    for ui, wi in _pairs(ctx):
-        n += 1
-        even = [0] * (lengths[wi] - lengths[ui] + 1)
-        odd = list(even)
-        for vi in iter_bits(lower[wi] & upper[ui]):
-            acc = odd if (lengths[vi] - lengths[ui]) % 2 else even
-            _addmul_into(acc, _r(ctx, ui, vi), _r(ctx, vi, wi))
-        acc = [e - o for e, o in zip(even, odd)]
-        expected = 1 if ui == wi else 0
-        if acc[0] != expected or any(acc[1:]):
-            wit.add(f"{_pair_word(ctx, ui, wi)}: alternating sum {acc}")
-    return _report(ctx, "r_alternating_sum", n, wit, {})
+    _, cols = _r_at_q(ctx, None)
+    for wi, col in enumerate(cols):
+        # acc[u] = sum over v in [u, w] of (-1)^l(v) R_uv(Q) R_vw(Q)
+        acc = dict.fromkeys(col, 0)
+        for vi, c in col.items():
+            if lengths[vi] % 2:
+                c = -c
+            for ui, r in cols[vi].items():
+                acc[ui] += r * c
+        for ui, val in acc.items():
+            if lengths[ui] % 2:
+                val = -val
+            expected = 1 if ui == wi else 0
+            if val != expected:
+                coeffs = _alternating_sum(ctx, ui, wi, lower[wi] & upper[ui])
+                if coeffs[0] != expected or any(coeffs[1:]):
+                    wit.add(f"{_pair_word(ctx, ui, wi)}: alternating sum {coeffs}")
+    return _report(ctx, "r_alternating_sum", len(_pairs(ctx)), wit, {})
 
 
 def _check_r_functional_equation(ctx: GroupContext) -> CheckReport:
@@ -385,12 +433,14 @@ def _biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckRepor
     wit = _Witnesses()
     lengths = ctx.lengths
     lower = le_masks(ctx)
+    _fill_sum_r(ctx)
+    sums = ctx.tables.sum_r
     exc_masks = [0] * ctx.order
     for wi in range(ctx.order):
         for xi in iter_bits(lower[wi]):
             if xi == wi:
                 continue
-            cs = sum_r_over(ctx.elements[xi], ctx.elements[wi]).coeffs
+            cs = sums[xi, wi]
             if order == 1:
                 val = sum(k * c for k, c in enumerate(cs))
             else:
@@ -458,6 +508,12 @@ def _check_le1_le2_le3(ctx: GroupContext) -> CheckReport:
         second = sum(k * (k - 1) * c for k, c in enumerate(rc))
         if a == 1:
             edges += 1
+            if len(rc) != ell + 1:
+                wit.add(
+                    f"{_pair_word(ctx, ui, wi)}: R entry {rc} has {len(rc)} "
+                    f"coefficients, not l(u,w) + 1 = {ell + 1}"
+                )
+                continue
             m = (ell - 1) // 2
             diff = list(rc)
             diff[m] += 1
@@ -467,7 +523,7 @@ def _check_le1_le2_le3(ctx: GroupContext) -> CheckReport:
                     f"{_pair_word(ctx, ui, wi)}: (q-1)^2 does not divide "
                     f"R - q^{m}(q-1)"
                 )
-            if _r(ctx, ui, wi, "Rt")[1] != 1:
+            if _r(ctx, ui, wi, "Rt")[1:2] != (1,):
                 wit.add(f"{_pair_word(ctx, ui, wi)}: linear Rt coeff != 1")
             if second != ell - 1:
                 wit.add(
@@ -493,35 +549,53 @@ def _check_le1_le2_le3(ctx: GroupContext) -> CheckReport:
 # -- KL-level checks -----------------------------------------------------
 
 
+def _kl_equation_holds(ctx: GroupContext, ui: int, wi: int, members: int) -> bool:
+    """q^l(u,w) P_uw(1/q) = sum over v in members of R_uv P_vw, in coefficients."""
+    D = ctx.lengths[wi] - ctx.lengths[ui]
+    acc = _convolve_sum(
+        [(_r(ctx, ui, vi), _kl(ctx, vi, wi)) for vi in iter_bits(members)], D + 1
+    )
+    lhs = [0] * len(acc)
+    for j, c in enumerate(_kl(ctx, ui, wi)):
+        lhs[D - j] = c
+    return lhs == acc
+
+
 def _check_kl_basics(ctx: GroupContext) -> CheckReport:
     """KL ground rules per pair: constant term 1, degree bound
     (l(u,w)-1)/2, 1 on the diagonal, and the defining functional equation
-    verified by full substitution."""
+    verified by full substitution, at Q = 2^B and, for a pair that fails
+    there, in coefficient form."""
     wit = _Witnesses()
     lengths = ctx.lengths
     lower = le_masks(ctx)
     upper = ge_masks(ctx)
-    n = 0
-    for ui, wi in _pairs(ctx):
-        n += 1
-        pc = _kl(ctx, ui, wi)
-        if ui == wi:
-            if pc != (1,):
-                wit.add(f"{_pair_word(ctx, ui, wi)}: diagonal KL entry not 1")
-            continue
-        D = lengths[wi] - lengths[ui]
-        if not pc or pc[0] != 1 or len(pc) - 1 > (D - 1) // 2:
-            wit.add(f"{_pair_word(ctx, ui, wi)}: malformed KL entry {pc}")
-            continue
-        acc = [0] * (D + 1)
-        for vi in iter_bits(lower[wi] & upper[ui]):
-            _addmul_into(acc, _r(ctx, ui, vi), _kl(ctx, vi, wi))
-        lhs = [0] * (D + 1)
-        for j, c in enumerate(pc):
-            lhs[D - j] = c
-        if lhs != acc:
-            wit.add(f"{_pair_word(ctx, ui, wi)}: functional equation fails")
-    return _report(ctx, "kl_basics", n, wit, {})
+    pairs = _pairs(ctx)
+    norm = max(sum(map(abs, _kl(ctx, ui, wi))) for ui, wi in pairs)
+    bits, cols = _r_at_q(ctx, max(1, norm))
+    for wi, col in enumerate(cols):
+        # acc[u] = sum over v in [u, w] of R_uv(Q) P_vw(Q)
+        acc = dict.fromkeys(col, 0)
+        for vi in col:
+            c = _at(_kl(ctx, vi, wi), bits)
+            for ui, r in cols[vi].items():
+                acc[ui] += r * c
+        for ui, val in acc.items():
+            pc = _kl(ctx, ui, wi)
+            if ui == wi:
+                if pc != (1,):
+                    wit.add(f"{_pair_word(ctx, ui, wi)}: diagonal KL entry not 1")
+                continue
+            D = lengths[wi] - lengths[ui]
+            if not pc or pc[0] != 1 or len(pc) - 1 > (D - 1) // 2:
+                wit.add(f"{_pair_word(ctx, ui, wi)}: malformed KL entry {pc}")
+                continue
+            lhs = _at(pc[::-1], bits) << bits * (D + 1 - len(pc))
+            if lhs != val and not _kl_equation_holds(
+                ctx, ui, wi, lower[wi] & upper[ui]
+            ):
+                wit.add(f"{_pair_word(ctx, ui, wi)}: functional equation fails")
+    return _report(ctx, "kl_basics", len(pairs), wit, {})
 
 
 def _check_kl_nonneg(ctx: GroupContext) -> CheckReport:
@@ -545,21 +619,71 @@ def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
+def _not_dominated(puw: Coeffs, pvw: Coeffs) -> bool:
+    return not _dominates(puw, pvw)
+
+
+def _strictness_differs(puw: Coeffs, pvw: Coeffs) -> bool:
+    """Strict coefficientwise inequality and strict inequality at 1 disagree."""
+    return (_dominates(puw, pvw) and puw != pvw) != (sum(puw) > sum(pvw))
+
+
+def _column_classes(ctx: GroupContext, wi: int, lower_w: int) -> dict[Coeffs, int]:
+    """Column w of the KL table as {P: mask of the u <= w with P_uw = P}."""
+    classes: dict[Coeffs, int] = {}
+    for ui in iter_bits(lower_w):
+        p = _kl(ctx, ui, wi)
+        classes[p] = classes.get(p, 0) | 1 << ui
+    return classes
+
+
+def _class_sweep(
+    ctx: GroupContext,
+    message: str,
+    fails: Callable[[Coeffs, Coeffs], bool],
+    strict: bool,
+) -> tuple[int, _Witnesses]:
+    """Test every triple u <= v <= w (u < v if strict) a column class at a time.
+
+    ``fails(P_uw, P_vw)`` is decided once per distinct pair of values and
+    memoized; the u failing for (v, w) are then one mask, ``bad & lower[v]``.
+    Returns the number of triples tested and the witnesses, in the order of
+    a sweep over (v, w) in pair order and u by increasing id.
+    """
+    wit = _Witnesses()
+    lower = le_masks(ctx)
+    verdicts: dict[tuple[Coeffs, Coeffs], bool] = {}
+    n = 0
+    for wi in range(ctx.order):
+        classes = _column_classes(ctx, wi, lower[wi])
+        bad_masks: dict[Coeffs, int] = {}
+        for vi in iter_bits(lower[wi]):
+            pvw = _kl(ctx, vi, wi)
+            bad = bad_masks.get(pvw)
+            if bad is None:
+                bad = 0
+                for puw, mask in classes.items():
+                    key = (puw, pvw)
+                    verdict = verdicts.get(key)
+                    if verdict is None:
+                        verdict = verdicts[key] = fails(puw, pvw)
+                    if verdict:
+                        bad |= mask
+                bad_masks[pvw] = bad
+            below = lower[vi] & ~(1 << vi) if strict else lower[vi]
+            n += below.bit_count()
+            for ui in iter_bits(bad & below):
+                wit.add(
+                    f"{_pair_word(ctx, ui, wi)} via "
+                    f"v='{word_of(ctx.elements[vi])}': {message}"
+                )
+    return n, wit
+
+
 def _check_kl_monotone(ctx: GroupContext) -> CheckReport:
     """Fixing the top element, KL polynomials weakly decrease along Bruhat
     order: u <= v <= w implies P_uw >= P_vw coefficientwise."""
-    wit = _Witnesses()
-    lower = le_masks(ctx)
-    n = 0
-    for vi, wi in _pairs(ctx):
-        pvw = _kl(ctx, vi, wi)
-        for ui in iter_bits(lower[vi]):
-            n += 1
-            if not _dominates(_kl(ctx, ui, wi), pvw):
-                wit.add(
-                    f"{_pair_word(ctx, ui, wi)} via "
-                    f"v='{word_of(ctx.elements[vi])}': monotonicity fails"
-                )
+    n, wit = _class_sweep(ctx, "monotonicity fails", _not_dominated, strict=False)
     return _report(
         ctx, "kl_monotone", n, wit, {"comparable_pairs": len(_pairs(ctx))}
     )
@@ -568,24 +692,7 @@ def _check_kl_monotone(ctx: GroupContext) -> CheckReport:
 def _check_mono_equiv(ctx: GroupContext) -> CheckReport:
     """For u < v <= w, strict coefficientwise KL inequality is equivalent
     to the strict inequality of the values at 1."""
-    wit = _Witnesses()
-    lower = le_masks(ctx)
-    n = 0
-    for vi, wi in _pairs(ctx):
-        pvw = _kl(ctx, vi, wi)
-        v1 = _kl1(ctx, vi, wi)
-        for ui in iter_bits(lower[vi]):
-            if ui == vi:
-                continue
-            n += 1
-            puw = _kl(ctx, ui, wi)
-            strict_poly = _dominates(puw, pvw) and puw != pvw
-            strict_at_one = _kl1(ctx, ui, wi) > v1
-            if strict_poly != strict_at_one:
-                wit.add(
-                    f"{_pair_word(ctx, ui, wi)} via "
-                    f"v='{word_of(ctx.elements[vi])}': strictness mismatch"
-                )
+    n, wit = _class_sweep(ctx, "strictness mismatch", _strictness_differs, strict=True)
     return _report(ctx, "mono_equiv", n, wit, {})
 
 
@@ -691,6 +798,8 @@ def _check_smoothness_equivalence(ctx: GroupContext) -> CheckReport:
     lengths = ctx.lengths
     lower = le_masks(ctx)
     upper = ge_masks(ctx)
+    _fill_sum_r(ctx)
+    sums = ctx.tables.sum_r
     bad_sum = [0] * ctx.order
     bad_df = [0] * ctx.order
     for wi in range(ctx.order):
@@ -698,7 +807,7 @@ def _check_smoothness_equivalence(ctx: GroupContext) -> CheckReport:
         for xi in iter_bits(lower[wi]):
             if xi == wi:
                 continue
-            cs = sum_r_over(ctx.elements[xi], ctx.elements[wi]).coeffs
+            cs = sums[xi, wi]
             ell = lengths[wi] - lengths[xi]
             if cs != (0,) * ell + (1,):
                 bad_sum[wi] |= 1 << xi

@@ -1,0 +1,237 @@
+"""Coefficient-form checks, the reference the library's fast checks are tested against.
+
+``bruhatkl.theorems`` tests r_alternating_sum, kl_basics and the interval
+R-sums of dvc_linear, nth2_quadratic and smoothness_equivalence at one
+point q = 2^B, and kl_monotone and mono_equiv a column class at a time.
+This module keeps the other route: every identity in coefficient form,
+every interval R-sum by ``sum_r_over`` and every triple u <= v <= w one at
+a time.  One change from that route as it was: kl_basics sizes its
+accumulator to the longest product, so an entry out of its degree bound
+gives a witness instead of an IndexError.  Each function takes a context
+and returns the CheckReport of the library check of the same name.
+"""
+
+from math import comb
+
+from bruhatkl.bruhat import _defects, ge_masks, iter_bits, le_masks
+from bruhatkl.coxeter import GroupContext, word_of
+from bruhatkl.klr import _kl, _kl1, _r, sum_r_over
+from bruhatkl.polynomial import _addmul_into
+from bruhatkl.theorems import (
+    CheckReport,
+    _dominates,
+    _pair_word,
+    _pairs,
+    _report,
+    _Witnesses,
+)
+
+
+def r_alternating_sum(ctx: GroupContext) -> CheckReport:
+    """Sign-alternating convolution over each interval is a Kronecker delta."""
+    wit = _Witnesses()
+    lower = le_masks(ctx)
+    upper = ge_masks(ctx)
+    lengths = ctx.lengths
+    n = 0
+    for ui, wi in _pairs(ctx):
+        n += 1
+        even = [0] * (lengths[wi] - lengths[ui] + 1)
+        odd = list(even)
+        for vi in iter_bits(lower[wi] & upper[ui]):
+            acc = odd if (lengths[vi] - lengths[ui]) % 2 else even
+            _addmul_into(acc, _r(ctx, ui, vi), _r(ctx, vi, wi))
+        acc = [e - o for e, o in zip(even, odd)]
+        expected = 1 if ui == wi else 0
+        if acc[0] != expected or any(acc[1:]):
+            wit.add(f"{_pair_word(ctx, ui, wi)}: alternating sum {acc}")
+    return _report(ctx, "r_alternating_sum", n, wit, {})
+
+
+def biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckReport:
+    """Shared body of dvc_linear and nth2_quadratic.
+
+    Inequality side: for every x < w the (q-1)^order coefficient of the
+    interval R-sum is at least binomial(l(x,w), order).  Equivalence side:
+    an interval [u, w] has strict excess at some x in [u, w) exactly when
+    P_uw differs from 1, with singularity read off the KL table.
+    """
+    wit = _Witnesses()
+    lengths = ctx.lengths
+    lower = le_masks(ctx)
+    exc_masks = [0] * ctx.order
+    for wi in range(ctx.order):
+        for xi in iter_bits(lower[wi]):
+            if xi == wi:
+                continue
+            cs = sum_r_over(ctx.elements[xi], ctx.elements[wi]).coeffs
+            if order == 1:
+                val = sum(k * c for k, c in enumerate(cs))
+            else:
+                val = sum(comb(k, 2) * c for k, c in enumerate(cs))
+            bound = comb(lengths[wi] - lengths[xi], order)
+            if val > bound:
+                exc_masks[wi] |= 1 << xi
+            elif val < bound:
+                wit.add(
+                    f"{_pair_word(ctx, xi, wi)}: (q-1)^{order} coefficient "
+                    f"of the R-sum is {val} < {bound}"
+                )
+    upper = ge_masks(ctx)
+    n = 0
+    singular = 0
+    for ui, wi in _pairs(ctx):
+        n += 1
+        strict_somewhere = bool(
+            lower[wi] & upper[ui] & ~(1 << wi) & exc_masks[wi]
+        )
+        singular_kl = _kl(ctx, ui, wi) != (1,)
+        singular += singular_kl
+        if strict_somewhere != singular_kl:
+            wit.add(
+                f"{_pair_word(ctx, ui, wi)}: strict excess is "
+                f"{strict_somewhere} but KL-singularity is {singular_kl}"
+            )
+    return _report(ctx, name, n, wit, {"singular_intervals": singular})
+
+
+def dvc_linear(ctx: GroupContext) -> CheckReport:
+    """Linear (q-1)-coefficient of interval R-sums dominates l(x,w), with
+    strictness somewhere iff the interval is singular."""
+    return biconditional_check(ctx, "dvc_linear", 1)
+
+
+def nth2_quadratic(ctx: GroupContext) -> CheckReport:
+    """Quadratic (q-1)-coefficient of interval R-sums dominates
+    binomial(l(x,w), 2), with strictness somewhere iff singular."""
+    return biconditional_check(ctx, "nth2_quadratic", 2)
+
+
+def kl_basics(ctx: GroupContext) -> CheckReport:
+    """KL ground rules per pair: constant term 1, degree bound
+    (l(u,w)-1)/2, 1 on the diagonal, and the defining functional equation
+    verified by full substitution."""
+    wit = _Witnesses()
+    lengths = ctx.lengths
+    lower = le_masks(ctx)
+    upper = ge_masks(ctx)
+    n = 0
+    for ui, wi in _pairs(ctx):
+        n += 1
+        pc = _kl(ctx, ui, wi)
+        if ui == wi:
+            if pc != (1,):
+                wit.add(f"{_pair_word(ctx, ui, wi)}: diagonal KL entry not 1")
+            continue
+        D = lengths[wi] - lengths[ui]
+        if not pc or pc[0] != 1 or len(pc) - 1 > (D - 1) // 2:
+            wit.add(f"{_pair_word(ctx, ui, wi)}: malformed KL entry {pc}")
+            continue
+        terms = [
+            (_r(ctx, ui, vi), _kl(ctx, vi, wi))
+            for vi in iter_bits(lower[wi] & upper[ui])
+        ]
+        acc = [0] * max([D + 1] + [len(a) + len(b) - 1 for a, b in terms])
+        for a, b in terms:
+            _addmul_into(acc, a, b)
+        lhs = [0] * len(acc)
+        for j, c in enumerate(pc):
+            lhs[D - j] = c
+        if lhs != acc:
+            wit.add(f"{_pair_word(ctx, ui, wi)}: functional equation fails")
+    return _report(ctx, "kl_basics", n, wit, {})
+
+
+def kl_monotone(ctx: GroupContext) -> CheckReport:
+    """Fixing the top element, KL polynomials weakly decrease along Bruhat
+    order: u <= v <= w implies P_uw >= P_vw coefficientwise."""
+    wit = _Witnesses()
+    lower = le_masks(ctx)
+    n = 0
+    for vi, wi in _pairs(ctx):
+        pvw = _kl(ctx, vi, wi)
+        for ui in iter_bits(lower[vi]):
+            n += 1
+            if not _dominates(_kl(ctx, ui, wi), pvw):
+                wit.add(
+                    f"{_pair_word(ctx, ui, wi)} via "
+                    f"v='{word_of(ctx.elements[vi])}': monotonicity fails"
+                )
+    return _report(
+        ctx, "kl_monotone", n, wit, {"comparable_pairs": len(_pairs(ctx))}
+    )
+
+
+def mono_equiv(ctx: GroupContext) -> CheckReport:
+    """For u < v <= w, strict coefficientwise KL inequality is equivalent
+    to the strict inequality of the values at 1."""
+    wit = _Witnesses()
+    lower = le_masks(ctx)
+    n = 0
+    for vi, wi in _pairs(ctx):
+        pvw = _kl(ctx, vi, wi)
+        v1 = _kl1(ctx, vi, wi)
+        for ui in iter_bits(lower[vi]):
+            if ui == vi:
+                continue
+            n += 1
+            puw = _kl(ctx, ui, wi)
+            strict_poly = _dominates(puw, pvw) and puw != pvw
+            strict_at_one = _kl1(ctx, ui, wi) > v1
+            if strict_poly != strict_at_one:
+                wit.add(
+                    f"{_pair_word(ctx, ui, wi)} via "
+                    f"v='{word_of(ctx.elements[vi])}': strictness mismatch"
+                )
+    return _report(ctx, "mono_equiv", n, wit, {})
+
+
+def smoothness_equivalence(ctx: GroupContext) -> CheckReport:
+    """Three singularity criteria agree on every interval: interval R-sums
+    equal to q^l at every lower vertex, zero defect at every lower vertex,
+    and KL triviality."""
+    wit = _Witnesses()
+    lengths = ctx.lengths
+    lower = le_masks(ctx)
+    upper = ge_masks(ctx)
+    bad_sum = [0] * ctx.order
+    bad_df = [0] * ctx.order
+    for wi in range(ctx.order):
+        defects = _defects(ctx, wi)
+        for xi in iter_bits(lower[wi]):
+            if xi == wi:
+                continue
+            cs = sum_r_over(ctx.elements[xi], ctx.elements[wi]).coeffs
+            ell = lengths[wi] - lengths[xi]
+            if cs != (0,) * ell + (1,):
+                bad_sum[wi] |= 1 << xi
+            if defects[xi] != 0:
+                bad_df[wi] |= 1 << xi
+    n = 0
+    smooth = 0
+    for ui, wi in _pairs(ctx):
+        n += 1
+        inside = lower[wi] & upper[ui] & ~(1 << wi)
+        by_sum = not (inside & bad_sum[wi])
+        by_df = not (inside & bad_df[wi])
+        by_kl = _kl(ctx, ui, wi) == (1,)
+        smooth += by_kl
+        if not by_sum == by_df == by_kl:
+            wit.add(
+                f"{_pair_word(ctx, ui, wi)}: sum-criterion {by_sum}, "
+                f"defect-criterion {by_df}, KL-criterion {by_kl}"
+            )
+    return _report(
+        ctx, "smoothness_equivalence", n, wit, {"smooth_intervals": smooth}
+    )
+
+
+REFERENCE = {
+    "r_alternating_sum": r_alternating_sum,
+    "dvc_linear": dvc_linear,
+    "nth2_quadratic": nth2_quadratic,
+    "kl_basics": kl_basics,
+    "kl_monotone": kl_monotone,
+    "mono_equiv": mono_equiv,
+    "smoothness_equivalence": smoothness_equivalence,
+}

@@ -17,7 +17,7 @@ from bruhatkl.coxeter import (  # noqa: E402
     parse_group_spec,
     word_of,
 )
-from bruhatkl.klr import _stage  # noqa: E402
+from bruhatkl.klr import _fill_sum_r, _stage  # noqa: E402
 from bruhatkl.klr import (  # noqa: E402
     check_r_rtilde_link,
     fh_vectors,
@@ -162,6 +162,19 @@ def test_sum_r_over():
     excess = s - IntPoly.q_power(4)
     assert not excess.is_zero
     assert all(c >= 0 for c in to_shifted(excess).coeffs)
+
+
+def test_fill_sum_r_matches_sum_r_over():
+    # the whole-group pass reads each sum back from one value at q = 2^B
+    for spec in ("A3", "B3", "G2"):
+        whole = build_group(parse_group_spec(spec))
+        _fill_sum_r(whole)
+        one = build_group(parse_group_spec(spec))
+        pairs = list(comparable_pairs(one))
+        assert sorted(whole.tables.sum_r) == sorted(pairs)
+        for xi, wi in pairs:
+            expected = sum_r_over(one.elements[xi], one.elements[wi]).coeffs
+            assert whole.tables.sum_r[xi, wi] == expected
 
 
 def test_is_rationally_smooth():

@@ -1,11 +1,17 @@
 """Tests for the named check suite: reports, determinism, sabotage controls."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from bruhatkl.coxeter import build_group, parse_group_spec
-from bruhatkl.theorems import (
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_checks import REFERENCE  # noqa: E402
+
+from bruhatkl.coxeter import build_group, parse_group_spec  # noqa: E402
+from bruhatkl.klr import fill_tables  # noqa: E402
+from bruhatkl.theorems import (  # noqa: E402
     CHECK_NAMES,
     check_dvc,
     check_nth2,
@@ -155,3 +161,75 @@ def test_full_suite_b2_g2():
         assert all(r.passed for r in reports), [
             (r.check_name, r.witnesses) for r in reports if not r.passed
         ]
+
+
+def test_kl_basics_reports_out_of_bound_entry_inside_interval():
+    # P_vw out of its degree bound for some v > u used to index past the
+    # accumulator of every pair (u, w) below it
+    ctx = build_group(parse_group_spec("A3"))
+    fill_tables(ctx)
+    ctx.tables.KL[2, 2] = (1, 1)
+    report = run_check("kl_basics", ctx)
+    assert not report.passed
+    assert report.witnesses == [
+        "u='e' w='2': functional equation fails",
+        "u='2' w='2': diagonal KL entry not 1",
+    ]
+
+
+def test_le1_le2_le3_reports_short_r_entry():
+    ctx = build_group(parse_group_spec("A3"))
+    fill_tables(ctx)
+    assert ctx.lengths[9] - ctx.lengths[0] == 3
+    assert ctx.tables.R[0, 9] == (-1, 2, -2, 1)  # an edge pair
+    ctx.tables.R[0, 9] = (-1, 1)
+    report = run_check("le1_le2_le3", ctx)
+    assert not report.passed
+    assert report.stats["violations_total"] == 1
+    assert report.witnesses[0].endswith(
+        ": R entry (-1, 1) has 2 coefficients, not l(u,w) + 1 = 4"
+    )
+
+
+def _corrupt(ctx, kind):
+    """Alter filled tables in place: several R entries +1 in one
+    coefficient, one R coefficient times 10^6 (which raises B), or several
+    KL entries, in and out of their degree bound."""
+    t = ctx.tables
+    if kind == "r_plus_one":
+        keys = sorted(k for k in t.R if k[0] != k[1])
+        for k in keys[:: max(1, len(keys) // 6)]:
+            v = t.R[k]
+            t.R[k] = (v[0] + 1,) + v[1:]
+    elif kind == "r_times_1e6":
+        k = (0, ctx.order - 1)
+        v = list(t.R[k])
+        j = max(range(len(v)), key=lambda i: abs(v[i]))
+        v[j] *= 10**6
+        t.R[k] = tuple(v)
+    elif kind == "kl":
+        keys = sorted(k for k in t.KL if k[0] != k[1])
+        for i, k in enumerate(keys[:: max(1, len(keys) // 6)]):
+            p = t.KL[k]
+            t.KL[k] = (p[0] + 1,) + p[1:] if i % 2 else p + (1,)
+        w = keys[len(keys) // 2][1]
+        t.KL[w, w] = (1, 1)
+        # larger at 1 than every P_vw = 1 above it, not larger coefficientwise
+        t.KL[0, ctx.order - 1] = (0, 2)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("kind", ["clean", "r_plus_one", "r_times_1e6", "kl"])
+def test_evaluated_checks_match_coefficient_reference(spec, kind):
+    reports = {}
+    for path in ("library", "reference"):
+        ctx = build_group(parse_group_spec(spec))
+        fill_tables(ctx)
+        _corrupt(ctx, kind)
+        if path == "library":
+            reports[path] = [report_to_json(run_check(n, ctx)) for n in REFERENCE]
+        else:
+            reports[path] = [report_to_json(fn(ctx)) for fn in REFERENCE.values()]
+    assert reports["library"] == reports["reference"]
+    if kind != "clean":
+        assert not all(r["passed"] for r in reports["library"])
