@@ -177,18 +177,24 @@ def test_kl_basics_reports_out_of_bound_entry_inside_interval():
     ]
 
 
-def test_le1_le2_le3_reports_short_r_entry():
+@pytest.mark.parametrize(
+    "entry, second", [((-1, 1), 0), ((-1, 2, -2, 1, 1), 14)]
+)
+def test_le1_le2_le3_reports_wrong_length_r_entry(entry, second):
     ctx = build_group(parse_group_spec("A3"))
     fill_tables(ctx)
     assert ctx.lengths[9] - ctx.lengths[0] == 3
     assert ctx.tables.R[0, 9] == (-1, 2, -2, 1)  # an edge pair
-    ctx.tables.R[0, 9] = (-1, 1)
+    ctx.tables.R[0, 9] = entry
+    ctx.tables.Rt[0, 9] = (0, 2)  # the Rt check still runs on this pair
     report = run_check("le1_le2_le3", ctx)
     assert not report.passed
-    assert report.stats["violations_total"] == 1
-    assert report.witnesses[0].endswith(
-        ": R entry (-1, 1) has 2 coefficients, not l(u,w) + 1 = 4"
-    )
+    assert report.stats["violations_total"] == 3
+    assert [w.split(": ", 1)[1] for w in report.witnesses] == [
+        f"R entry {entry} has {len(entry)} coefficients, not l(u,w) + 1 = 4",
+        "linear Rt coeff != 1",
+        f"R''(1) = {second} != 2",
+    ]
 
 
 def _corrupt(ctx, kind):
