@@ -214,7 +214,10 @@ class Tables:
     built yet (every cone contains e, so no built mask is 0).
     The R, Rt, KL and staged tables hold comparable pairs only
     (incomparable probes are answered by the order test, not stored), and
-    KL holds only entries that passed ``klr._certify``.  Tables can hold
+    KL holds only entries that passed ``klr._certify``.  A value derived
+    from one entry, like R's (q-1)-expansion (``klr._shifted``), has no
+    field: it is computed from the entry at each use, so no reader sees a
+    value derived from an entry that has since changed.  Tables can hold
     hundreds of thousands of entries, so they compare by identity and have
     no field-by-field repr.
     """
@@ -237,7 +240,6 @@ class Tables:
     mu: dict[int, list[tuple[int, int]]] = field(default_factory=dict)  # klr._stage
     # klr.sum_r_over one pair at a time, klr._fill_sum_r the whole group
     sum_r: dict[Pair, Coeffs] = field(default_factory=dict)
-    r_shifted: dict[Pair, Coeffs] = field(default_factory=dict)  # theorems._r_shifted
 
 
 class GroupContext:

@@ -36,6 +36,7 @@ nothing can overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from bruhatkl.bruhat import (
@@ -52,9 +53,9 @@ from bruhatkl.polynomial import (
     Basis,
     IntPoly,
     _addmul_into,
-    _q_minus_one_valuation,
-    from_shifted,
-    to_shifted,
+    _from_shifted,
+    _to_shifted,
+    _trim,
 )
 
 __all__ = [
@@ -73,12 +74,6 @@ __all__ = [
 ]
 
 KINDS = ("R", "Rt", "KL")
-
-
-def _trim(cs: list[int]) -> Coeffs:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
 
 
 # (top, side) step polynomials of the R/Rt recursion when us > u:
@@ -111,6 +106,11 @@ def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
             res = _trim(out)
     table[key] = res
     return res
+
+
+def _shifted(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
+    """Trimmed (q-1)-coefficients of R_uw, from the R table as it is now."""
+    return _to_shifted(_r(ctx, ui, wi))
 
 
 def _between(ctx: GroupContext, ui: int, wi: int) -> Iterator[int]:
@@ -391,13 +391,15 @@ def check_r_rtilde_link(u: GroupElement, w: GroupElement) -> bool:
     """Verify R against Rtilde through the absolute-length closed form.
 
     Rtilde_uw must have strictly positive coefficients exactly in degrees
-    a(u,w), a(u,w)+2, ..., l(u,w); writing c_n for them,
+    a(u,w), a(u,w)+2, ..., l(u,w); writing c_j for them,
 
-        R_uw(q) = sum_k c_{a+2k} q^((l-a-2k)/2) (q-1)^(a+2k).
+        R_uw(q) = sum_j c_j q^((l-j)/2) (q-1)^j,
 
-    Returns True iff the rebuilt polynomial equals R_uw.  A coefficient
-    pattern violation raises RuntimeError since it breaks the closed form
-    itself, not just the equality.
+    so, expanding q^m = (1 + (q-1))^m, the (q-1)^n coefficient of R_uw is
+    sum_j c_j binomial((l-j)/2, n-j).  Returns True iff the rebuilt
+    (q-1)-coefficients equal those of R_uw.  A coefficient pattern
+    violation raises RuntimeError since it breaks the closed form itself,
+    not just the equality.
     """
     ctx = u.ctx
     if u == w or not bruhat_le(u, w):
@@ -405,6 +407,7 @@ def check_r_rtilde_link(u: GroupElement, w: GroupElement) -> bool:
     a = absolute_length(u, w)
     ell = w.length - u.length
     rt = _r(ctx, u.index, w.index, "Rt")
+    rt += (0,) * (ell + 1 - len(rt))  # a short entry reads as 0 to q^l
     for n, c in enumerate(rt):
         expected_support = a <= n <= ell and (ell - n) % 2 == 0
         if expected_support and c <= 0:
@@ -417,12 +420,12 @@ def check_r_rtilde_link(u: GroupElement, w: GroupElement) -> bool:
                 f"Rtilde parity violation at q^{n} for "
                 f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
             )
-    rebuilt = IntPoly.zero()
-    for k in range((ell - a) // 2 + 1):
-        c = rt[a + 2 * k]
-        term = IntPoly.monomial((ell - a - 2 * k) // 2, c)
-        rebuilt = rebuilt + term * IntPoly.q_minus_one_power(a + 2 * k)
-    return rebuilt.coeffs == _r(ctx, u.index, w.index)
+    rebuilt = [0] * (ell + 1)
+    for j in range(a, ell + 1, 2):
+        m = (ell - j) // 2
+        for i in range(m + 1):
+            rebuilt[j + i] += rt[j] * comb(m, i)
+    return _trim(rebuilt) == _shifted(ctx, u.index, w.index)
 
 
 @dataclass
@@ -450,30 +453,25 @@ def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
     if u == w or not bruhat_le(u, w):
         raise ValueError("fh_vectors requires u < w")
     ell = w.length - u.length
-    rc = _r(ctx, u.index, w.index)
-    a, cur = _q_minus_one_valuation(rc)
+    sh = _shifted(ctx, u.index, w.index)
+    a = next((i for i, c in enumerate(sh) if c), 0)
     if a != absolute_length(u, w):
         raise RuntimeError(
             f"(q-1)-multiplicity {a} of R differs from absolute length for "
             f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
         )
-    quotient = IntPoly(cur, Basis.Q)
     d = ell - a
-    h = tuple(reversed(quotient.coeffs))
-    f = tuple(reversed(to_shifted(quotient).coeffs))
+    f = sh[a:][::-1]
+    h = _from_shifted(sh[a:])[::-1]
     ok = (
         len(f) == d + 1
         and len(h) == d + 1
         and f[0] == 1
         and h[0] == 1
         and all(x > 0 for x in f)
-        and h == tuple(reversed(h))
+        and h == h[::-1]
+        and _from_shifted(sh) == _r(ctx, u.index, w.index)
     )
-    # reconstruct both ways
-    shifted_back = from_shifted(IntPoly(tuple(reversed(f)), Basis.QM1))
-    ok = ok and shifted_back == quotient
-    rebuilt = quotient * IntPoly.q_minus_one_power(a)
-    ok = ok and rebuilt.coeffs == rc
     if not ok:
         raise RuntimeError(
             f"f/h-decomposition invariants failed for "

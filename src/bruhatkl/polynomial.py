@@ -9,9 +9,9 @@ A polynomial is stored as a coefficient tuple in one of two bases:
 Both views are plain power bases (in q, respectively in t = q-1), so
 addition and multiplication are ordinary convolution within one basis.
 Conversion between the bases never divides: the (q-1)-expansion is obtained
-by iterated synthetic division by (q-1), and the inverse direction is a
-Horner evaluation in (q-1).  All coefficients are Python integers, hence
-arbitrary precision; no operation can overflow.
+by iterated synthetic division by (q-1), and the inverse direction by
+iterated synthetic division by (t+1), t = q-1.  All coefficients are Python
+integers, hence arbitrary precision; no operation can overflow.
 
 The zero polynomial is the empty coefficient tuple and has no degree.
 Nonzero polynomials always carry a nonzero leading coefficient.
@@ -49,6 +49,13 @@ class Basis(Enum):
     QM1 = "q-1"
 
 
+def _trim(cs: list[int]) -> tuple[int, ...]:
+    """The coefficients cs without trailing zeros, as a tuple."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 def _normalized(coeffs: Iterable[int]) -> tuple[int, ...]:
     """Validate integer coefficients and strip trailing zeros."""
     out = []
@@ -56,37 +63,34 @@ def _normalized(coeffs: Iterable[int]) -> tuple[int, ...]:
         if not isinstance(c, int) or isinstance(c, bool):
             raise TypeError(f"integer coefficient expected, got {c!r}")
         out.append(c)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return _trim(out)
 
 
-def _divide_by_q_minus_one(cs: Sequence[int]) -> tuple[list[int], int]:
-    """One synthetic division by (q-1): return (quotient, remainder).
+def _expand_at(cs: Sequence[int], at: int) -> tuple[int, ...]:
+    """Trimmed coefficients, in powers of (x - at), of the polynomial with
+    coefficients cs in powers of x.
 
-    The remainder equals the value of the polynomial at q = 1.
+    Coefficient n is the remainder of the n-th synthetic division by
+    (x - at), so the index of the first nonzero one is the multiplicity of
+    (x - at) as a factor.  Division n runs in place on c[n:]: it leaves the
+    remainder, the value at x = at, in c[n] and the quotient in c[n+1:].
     """
-    if not cs:
-        return [], 0
-    quot = [0] * (len(cs) - 1)
-    acc = 0
-    for k in range(len(cs) - 1, 0, -1):
-        acc += cs[k]
-        quot[k - 1] = acc
-    return quot, acc + cs[0]
+    c = list(cs)
+    for n in range(len(c) - 1):
+        for k in range(len(c) - 2, n - 1, -1):
+            c[k] += at * c[k + 1]
+    return _trim(c)
 
 
-def _q_minus_one_valuation(cs: Sequence[int]) -> tuple[int, list[int]]:
-    """Multiplicity of (q-1) as a factor, by repeated synthetic division,
-    and the quotient by that power of (q-1).  The zero polynomial gives
-    (0, [])."""
-    mult, cur = 0, list(cs)
-    while cur:
-        quot, rem = _divide_by_q_minus_one(cur)
-        if rem:
-            break
-        mult, cur = mult + 1, quot
-    return mult, cur
+def _to_shifted(cs: Sequence[int]) -> tuple[int, ...]:
+    """Trimmed (q-1)-coefficients of the power-basis coefficients cs."""
+    return _expand_at(cs, 1)
+
+
+def _from_shifted(cs: Sequence[int]) -> tuple[int, ...]:
+    """Trimmed power-basis coefficients of the (q-1)-coefficients cs: in
+    t = q-1, powers of q are powers of t - (-1)."""
+    return _expand_at(cs, -1)
 
 
 def _addmul_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
@@ -262,31 +266,18 @@ def to_shifted(p: IntPoly) -> IntPoly:
     """
     if p.basis is not Basis.Q:
         raise ValueError("to_shifted expects a power-basis polynomial")
-    cs = list(p.coeffs)
-    shifted: list[int] = []
-    while cs:
-        cs, rem = _divide_by_q_minus_one(cs)
-        shifted.append(rem)
-    return IntPoly(shifted, Basis.QM1)
+    return IntPoly(_to_shifted(p.coeffs), Basis.QM1)
 
 
 def from_shifted(p: IntPoly) -> IntPoly:
-    """Expand a (q-1)-basis polynomial back into powers of q (Horner).
+    """Expand a (q-1)-basis polynomial back into powers of q.
 
     >>> from_shifted(IntPoly([0, 1, 1, 1], Basis.QM1)).coeffs
     (-1, 2, -2, 1)
     """
     if p.basis is not Basis.QM1:
         raise ValueError("from_shifted expects a shifted-basis polynomial")
-    out: list[int] = []
-    for a in reversed(p.coeffs):
-        # out <- out * (q-1) + a
-        shifted_up = [0] + out
-        for k in range(len(out)):
-            shifted_up[k] -= out[k]
-        out = shifted_up
-        out[0] += a
-    return IntPoly(out, Basis.Q)
+    return IntPoly(_from_shifted(p.coeffs), Basis.Q)
 
 
 def _shifted_view(p: IntPoly) -> tuple[int, ...]:

@@ -9,22 +9,261 @@ a time.  One change from that route as it was: kl_basics sizes its
 accumulator to the longest product, so an entry out of its degree bound
 gives a witness instead of an IndexError.  Each function takes a context
 and returns the CheckReport of the library check of the same name.
+
+The R-level checks (r_basics, shifted_nonneg, divisibility_order,
+fh_structure, boolean_criterion, binomial_bounds) read R's
+(q-1)-expansion, computed by ``klr._shifted`` at each use and compared
+with R-tilde on tuples.  Here they keep the IntPoly route: the expansion
+and the (q-1)-multiplicity by repeated synthetic division, computed anew
+for every pair, R rebuilt from R-tilde and the f/h round trips by IntPoly
+products, and (q-1)^n from its binomial coefficients.  fh_structure drops
+its re-tests after the f/h decomposition, which raises on each of them.
 """
 
 from math import comb
 
-from bruhatkl.bruhat import _defects, ge_masks, iter_bits, le_masks
+from bruhatkl.bruhat import _defects, absolute_length, ge_masks, iter_bits, le_masks
 from bruhatkl.coxeter import GroupContext, word_of
 from bruhatkl.klr import _kl, _kl1, _r, sum_r_over
-from bruhatkl.polynomial import _addmul_into
+from bruhatkl.polynomial import IntPoly, _addmul_into
 from bruhatkl.theorems import (
     CheckReport,
+    _abs,
     _dominates,
     _pair_word,
     _pairs,
     _report,
     _Witnesses,
 )
+
+
+def _divide_by_q_minus_one(cs):
+    """One synthetic division by (q-1): (quotient, remainder = value at 1)."""
+    if not cs:
+        return [], 0
+    quot = [0] * (len(cs) - 1)
+    acc = 0
+    for k in range(len(cs) - 1, 0, -1):
+        acc += cs[k]
+        quot[k - 1] = acc
+    return quot, acc + cs[0]
+
+
+def _shifted(cs):
+    """Trimmed (q-1)-coefficients of cs, one division per coefficient."""
+    cs, out = list(cs), []
+    while cs:
+        cs, rem = _divide_by_q_minus_one(cs)
+        out.append(rem)
+    return IntPoly(out).coeffs
+
+
+def _valuation(cs):
+    """Multiplicity of (q-1) as a factor of cs, and the quotient by it."""
+    mult, cur = 0, list(cs)
+    while cur:
+        quot, rem = _divide_by_q_minus_one(cur)
+        if rem:
+            break
+        mult, cur = mult + 1, quot
+    return mult, cur
+
+
+def _q_minus_one_power(n):
+    return IntPoly([(-1) ** (n - k) * comb(n, k) for k in range(n + 1)])
+
+
+def _from_shifted(cs):
+    """Power-basis IntPoly of the (q-1)-coefficients cs, by Horner in (q-1)."""
+    out = IntPoly.zero()
+    for a in reversed(cs):
+        out = out * IntPoly([-1, 1]) + IntPoly.const(a)
+    return out
+
+
+def _r_rtilde_link(ctx, ui, wi):
+    """R_uw rebuilt from Rt_uw term by term, with ``check_r_rtilde_link``'s
+    support and parity errors."""
+    u, w = ctx.elements[ui], ctx.elements[wi]
+    a = absolute_length(u, w)
+    ell = w.length - u.length
+    rt = _r(ctx, ui, wi, "Rt")
+    for n, c in enumerate(rt):
+        expected_support = a <= n <= ell and (ell - n) % 2 == 0
+        if expected_support and c <= 0:
+            raise RuntimeError(
+                f"Rtilde coefficient of q^{n} should be positive for "
+                f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
+            )
+        if not expected_support and c != 0:
+            raise RuntimeError(
+                f"Rtilde parity violation at q^{n} for "
+                f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
+            )
+    rebuilt = IntPoly.zero()
+    for k in range((ell - a) // 2 + 1):
+        c = rt[a + 2 * k]
+        term = IntPoly.monomial((ell - a - 2 * k) // 2, c)
+        rebuilt = rebuilt + term * _q_minus_one_power(a + 2 * k)
+    return rebuilt.coeffs == _r(ctx, ui, wi)
+
+
+def _fh_vectors(ctx, ui, wi):
+    """Raise ``fh_vectors``'s RuntimeError unless the f/h decomposition of
+    R_uw, by division and the two round trips, has every invariant."""
+    u, w = ctx.elements[ui], ctx.elements[wi]
+    ell = w.length - u.length
+    rc = _r(ctx, ui, wi)
+    a, cur = _valuation(rc)
+    if a != absolute_length(u, w):
+        raise RuntimeError(
+            f"(q-1)-multiplicity {a} of R differs from absolute length for "
+            f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
+        )
+    quotient = IntPoly(cur)
+    d = ell - a
+    h = tuple(reversed(quotient.coeffs))
+    f = tuple(reversed(_shifted(quotient.coeffs)))
+    ok = (
+        len(f) == d + 1
+        and len(h) == d + 1
+        and f[0] == 1
+        and h[0] == 1
+        and all(x > 0 for x in f)
+        and h == tuple(reversed(h))
+    )
+    ok = ok and _from_shifted(tuple(reversed(f))) == quotient
+    ok = ok and (quotient * _q_minus_one_power(a)).coeffs == rc
+    if not ok:
+        raise RuntimeError(
+            f"f/h-decomposition invariants failed for "
+            f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
+        )
+
+
+def r_basics(ctx: GroupContext) -> CheckReport:
+    """R and Rt ground rules, and R rebuilt from Rt."""
+    wit = _Witnesses()
+    lengths = ctx.lengths
+    n = 0
+    for ui, wi in _pairs(ctx):
+        n += 1
+        rc = _r(ctx, ui, wi)
+        rtc = _r(ctx, ui, wi, "Rt")
+        if ui == wi:
+            if rc != (1,) or rtc != (1,):
+                wit.add(f"{_pair_word(ctx, ui, wi)}: diagonal entry not 1")
+            continue
+        ell = lengths[wi] - lengths[ui]
+        if len(rc) != ell + 1 or rc[-1] != 1:
+            wit.add(f"{_pair_word(ctx, ui, wi)}: R not monic of degree {ell}: {rc}")
+            continue
+        if sum(rc) != 0:
+            wit.add(f"{_pair_word(ctx, ui, wi)}: R(1) = {sum(rc)} != 0")
+        if len(rtc) != ell + 1 or rtc[-1] != 1 or any(c < 0 for c in rtc):
+            wit.add(f"{_pair_word(ctx, ui, wi)}: bad Rt {rtc}")
+            continue
+        try:
+            if not _r_rtilde_link(ctx, ui, wi):
+                wit.add(f"{_pair_word(ctx, ui, wi)}: Rt substitution rebuild != R")
+        except RuntimeError as exc:
+            wit.add(str(exc))
+    return _report(ctx, "r_basics", n, wit, {})
+
+
+def shifted_nonneg(ctx: GroupContext) -> CheckReport:
+    """(q-1)-coefficients of R vanish below a(u,w) and are positive
+    from a(u,w) through l(u,w)."""
+    wit = _Witnesses()
+    lengths = ctx.lengths
+    n = 0
+    for ui, wi in _pairs(ctx):
+        if ui == wi:
+            continue
+        n += 1
+        sh = _shifted(_r(ctx, ui, wi))
+        a = _abs(ctx, ui, wi)
+        ell = lengths[wi] - lengths[ui]
+        ok = len(sh) == ell + 1
+        ok = ok and all(c == 0 for c in sh[:a])
+        ok = ok and all(c > 0 for c in sh[a:])
+        if not ok:
+            wit.add(f"{_pair_word(ctx, ui, wi)}: shifted {sh}, a = {a}")
+    return _report(ctx, "shifted_nonneg", n, wit, {})
+
+
+def divisibility_order(ctx: GroupContext) -> CheckReport:
+    """The (q-1)-multiplicity of R equals the absolute length of the pair."""
+    wit = _Witnesses()
+    n = 0
+    for ui, wi in _pairs(ctx):
+        if ui == wi:
+            continue
+        n += 1
+        mult, _ = _valuation(_r(ctx, ui, wi))
+        a = _abs(ctx, ui, wi)
+        if mult != a:
+            wit.add(f"{_pair_word(ctx, ui, wi)}: multiplicity {mult}, a = {a}")
+    return _report(ctx, "divisibility_order", n, wit, {})
+
+
+def fh_structure(ctx: GroupContext) -> CheckReport:
+    """f/h-decomposition exists per pair and rebuilds R exactly."""
+    wit = _Witnesses()
+    n = 0
+    for ui, wi in _pairs(ctx):
+        if ui == wi:
+            continue
+        n += 1
+        try:
+            _fh_vectors(ctx, ui, wi)
+        except RuntimeError as exc:
+            wit.add(str(exc))
+    return _report(ctx, "fh_structure", n, wit, {})
+
+
+def boolean_criterion(ctx: GroupContext) -> CheckReport:
+    """R equals (q-1)^l(u,w) exactly when a(u,w) = l(u,w)."""
+    wit = _Witnesses()
+    lengths = ctx.lengths
+    n = 0
+    a_lt_ell = 0
+    for ui, wi in _pairs(ctx):
+        if ui == wi:
+            continue
+        n += 1
+        ell = lengths[wi] - lengths[ui]
+        is_power = _r(ctx, ui, wi) == _q_minus_one_power(ell).coeffs
+        a_is_ell = _abs(ctx, ui, wi) == ell
+        a_lt_ell += not a_is_ell
+        if is_power != a_is_ell:
+            wit.add(
+                f"{_pair_word(ctx, ui, wi)}: R == (q-1)^l is {is_power} "
+                f"but a == l is {a_is_ell}"
+            )
+    return _report(ctx, "boolean_criterion", n, wit, {"a_lt_ell": a_lt_ell})
+
+
+def binomial_bounds(ctx: GroupContext) -> CheckReport:
+    """(q-1)^l <= R <= q^l coefficientwise in the shifted basis."""
+    wit = _Witnesses()
+    lengths = ctx.lengths
+    n = 0
+    for ui, wi in _pairs(ctx):
+        if ui == wi:
+            continue
+        n += 1
+        sh = _shifted(_r(ctx, ui, wi))
+        ell = lengths[wi] - lengths[ui]
+        for k, c in enumerate(sh):
+            lo = 1 if k == ell else 0
+            if not lo <= c <= comb(ell, k):
+                wit.add(
+                    f"{_pair_word(ctx, ui, wi)}: shifted coeff {k} is {c}, "
+                    f"bounds [{lo}, {comb(ell, k)}]"
+                )
+                break
+    return _report(ctx, "binomial_bounds", n, wit, {})
 
 
 def r_alternating_sum(ctx: GroupContext) -> CheckReport:
@@ -227,7 +466,13 @@ def smoothness_equivalence(ctx: GroupContext) -> CheckReport:
 
 
 REFERENCE = {
+    "r_basics": r_basics,
     "r_alternating_sum": r_alternating_sum,
+    "shifted_nonneg": shifted_nonneg,
+    "divisibility_order": divisibility_order,
+    "fh_structure": fh_structure,
+    "boolean_criterion": boolean_criterion,
+    "binomial_bounds": binomial_bounds,
     "dvc_linear": dvc_linear,
     "nth2_quadratic": nth2_quadratic,
     "kl_basics": kl_basics,

@@ -6,6 +6,7 @@ import pytest
 
 from bruhatkl.cli import main
 from bruhatkl.coxeter import build_group, parse_element
+from bruhatkl.klr import fill_tables
 from bruhatkl.polynomial import IntPoly
 
 
@@ -179,6 +180,24 @@ def test_poisoned_r_cache_hits_internal_invariant(monkeypatch, capsys):
     _poison(monkeypatch, "R", "e", "1", (5, 1))
     code, _, err = run(capsys, "verify", "--group", "A2")
     assert code == 1 and "internal invariant error" in err
+
+
+def test_empty_r_entry_fails_every_r_check_it_breaks(monkeypatch, capsys):
+    # an invariant failure (exit 1) with all 23 reports, not a crash of
+    # brenti_scan read as a usage error (exit 2)
+    def poisoned_build_group(datum, max_order):
+        ctx = build_group(datum, max_order)
+        fill_tables(ctx)
+        ctx.tables.R[0, 9] = ()
+        return ctx
+
+    monkeypatch.setattr("bruhatkl.cli.build_group", poisoned_build_group)
+    code, out, err = run(capsys, "verify", "--group", "A3")
+    assert code == 1 and err == ""
+    assert "FAILED r_basics: 1 violations" in out
+    assert "R not monic of degree 3: ()" in out
+    rows = [line.split() for line in out.splitlines()]
+    assert ["brenti_scan", "A3", "189", "PASS", "0"] in rows
 
 
 @pytest.mark.parametrize(

@@ -93,6 +93,17 @@ def test_r_rtilde_link():
         check_r_rtilde_link(e, e)
 
 
+def test_r_rtilde_link_short_rt_entry_raises_positivity_error():
+    # Rt entry shorter than l(u,w) + 1: the missing top coefficient reads
+    # as 0, which breaks the positive support of the closed form
+    ctx = build_group(parse_group_spec("A3"))
+    fill_tables(ctx, ("R", "Rt"))
+    w = ctx.elements[9]
+    ctx.tables.Rt[0, 9] = (0, 1)
+    with pytest.raises(RuntimeError, match="should be positive"):
+        check_r_rtilde_link(ctx.identity, w)
+
+
 def test_kl_examples():
     ctx = ctx_for("A2")
     for ui, wi in comparable_pairs(ctx):

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -197,10 +198,22 @@ def test_le1_le2_le3_reports_wrong_length_r_entry(entry, second):
     ]
 
 
+R_LEVEL = (
+    "r_basics",
+    "shifted_nonneg",
+    "divisibility_order",
+    "fh_structure",
+    "boolean_criterion",
+    "binomial_bounds",
+)
+
+
 def _corrupt(ctx, kind):
     """Alter filled tables in place: several R entries +1 in one
-    coefficient, one R coefficient times 10^6 (which raises B), or several
-    KL entries, in and out of their degree bound."""
+    coefficient, one R coefficient times 10^6 (which raises B), several
+    KL entries, in and out of their degree bound, or several Rt entries;
+    or run the R-level checks and then set R(e, w0) to (q-1)^l(w0), so a
+    check that kept what it read in the first run reports the old entry."""
     t = ctx.tables
     if kind == "r_plus_one":
         keys = sorted(k for k in t.R if k[0] != k[1])
@@ -222,10 +235,34 @@ def _corrupt(ctx, kind):
         t.KL[w, w] = (1, 1)
         # larger at 1 than every P_vw = 1 above it, not larger coefficientwise
         t.KL[0, ctx.order - 1] = (0, 2)
+    elif kind == "rt":
+        # entries with a < l: the lowest support coefficient q^a is not the top
+        keys = sorted(k for k, v in t.Rt.items() if sum(map(bool, v)) > 1)
+        for i, k in enumerate(keys[:: max(1, len(keys) // 8)]):
+            v = list(t.Rt[k])
+            a = next(j for j, c in enumerate(v) if c)
+            if i % 4 == 0:  # R rebuilt from Rt differs
+                v[a] += 2
+            elif i % 4 == 1:  # a support coefficient 0
+                v[a] = 0
+            elif i % 4 == 2:  # off the support: a parity violation
+                v[0] += 1
+            else:  # a negative coefficient
+                v[0] -= 1
+            t.Rt[k] = tuple(v)
+    elif kind == "r_after_run":
+        for name in R_LEVEL:
+            run_check(name, ctx)
+        ell = ctx.lengths[ctx.order - 1]
+        t.R[0, ctx.order - 1] = tuple(
+            (-1) ** (ell - k) * comb(ell, k) for k in range(ell + 1)
+        )
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
-@pytest.mark.parametrize("kind", ["clean", "r_plus_one", "r_times_1e6", "kl"])
+@pytest.mark.parametrize(
+    "kind", ["clean", "r_plus_one", "r_times_1e6", "kl", "rt", "r_after_run"]
+)
 def test_evaluated_checks_match_coefficient_reference(spec, kind):
     reports = {}
     for path in ("library", "reference"):
