@@ -205,10 +205,8 @@ ByTop = dict[int, dict[int, int]]  # top id -> {bottom id: value}
 class Tables:
     """Lazily filled tables of one group, keyed by element ids.
 
-    Each field is filled by one function, named in its comment, except
-    ``sum_r``: ``klr.sum_r_over`` enters one pair, and ``klr._fill_sum_r``
-    every missing pair of the group, with the same values.  ``None`` marks
-    a whole-group table not built yet.  Lengths and
+    Each field is filled by one function, named in its comment.  ``None``
+    marks a whole-group table not built yet.  Lengths and
     descents are group data (``GroupContext.lengths``, ``.srd``).  The
     lower-cone masks ``le`` may be partly built, 0 marking a mask not
     built yet (every cone contains e, so no built mask is 0).
@@ -217,7 +215,9 @@ class Tables:
     KL holds only entries that passed ``klr._certify``.  A value derived
     from one entry, like R's (q-1)-expansion (``klr._shifted``), has no
     field: it is computed from the entry at each use, so no reader sees a
-    value derived from an entry that has since changed.  Tables can hold
+    value derived from an entry that has since changed.  The interval
+    R-sums ``sum_r`` are the exception: filled for the whole group at once,
+    from R as it is then, and not refreshed if R changes.  Tables can hold
     hundreds of thousands of entries, so they compare by identity and have
     no field-by-field repr.
     """
@@ -238,8 +238,8 @@ class Tables:
     # mu-list by top id w: (x, mu(x, w)) for each x < w with mu(x, w) != 0;
     # a key w present means the column of w has been staged
     mu: dict[int, list[tuple[int, int]]] = field(default_factory=dict)  # klr._stage
-    # klr.sum_r_over one pair at a time, klr._fill_sum_r the whole group
-    sum_r: dict[Pair, Coeffs] = field(default_factory=dict)
+    # sum over v in [x, w] of R_xv, for every comparable pair at once
+    sum_r: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._sum_r_table
 
 
 class GroupContext:

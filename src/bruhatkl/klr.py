@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from bruhatkl.bruhat import (
     absolute_length,
@@ -47,7 +47,7 @@ from bruhatkl.bruhat import (
     neighborhood,
 )
 from bruhatkl.bruhat import _defects, _le, _lower, _require_le
-from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, word_of
+from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, Pair, word_of
 from bruhatkl.coxeter import _check_same_context
 from bruhatkl.polynomial import (
     Basis,
@@ -228,30 +228,44 @@ def _r_at(ctx: GroupContext, xi: int, yi: int, bits: int) -> int:
     return _at(r, bits)
 
 
-def _r_at_q(ctx: GroupContext, factor: int | None) -> tuple[int, list[dict[int, int]]]:
-    """B and R_xy(Q), Q = 2^B, for every comparable pair, as columns by y.
+def _sums_at_q(
+    ctx: GroupContext, f: Callable[[int, int], Coeffs]
+) -> tuple[int, Iterator[dict[int, int]]]:
+    """B, and one dict {u: S_uw(Q)} over u <= w per top w, by increasing id.
 
-    ``cols[y]`` maps each x <= y, in increasing id, to R_xy(Q).  B serves
-    an identity whose sides are sums of at most |G| products R_xy * F,
-    each F with ||F||_1 <= ``factor`` (``None``: F is an R entry too; 1: a
-    plain sum of R entries).  Every coefficient of either side is then at
-    most M = |G| * max ||R_xy||_1 * factor, and coefficients <= M with
+    Q = 2^B and S_uw = sum over v in [u, w] of R_uv * F_vw, where f(v, w)
+    gives the coefficients of F_vw.  B serves an identity whose sides are
+    sums of at most |G| such products: every coefficient of either side is
+    then at most M = |G| * max ||R_xy||_1 * max ||F_vw||_1 (each norm at
+    least 1, over every comparable pair), and coefficients <= M with
     2^(B-1) > 2M make the identity exact at Q: a nonzero difference, its
     coefficients below 2^(B-1) in absolute value, cannot vanish at 2^B.
-    The signed base-2^B digits of one side are then its coefficients
-    (``_digits``).  The norms are read from the table as it is now, not
+    The signed base-2^B digits of S_uw(Q) are then its coefficients
+    (``_digits``).  The norms are read from the tables as they are now, not
     from the 3^l bound of ``_certify``, so a corrupted entry raises B
     instead of breaking the identity or raising.
     """
     lower = le_masks(ctx)
     cols = [{x: _r(ctx, x, y) for x in iter_bits(lower[y])} for y in range(ctx.order)]
-    norm = max(1, max(sum(map(abs, r)) for col in cols for r in col.values()))
-    m = ctx.order * norm * (norm if factor is None else factor)
+    norm_r = max(sum(map(abs, r)) for col in cols for r in col.values())
+    norm_f = max(sum(map(abs, f(v, w))) for w, col in enumerate(cols) for v in col)
+    m = ctx.order * max(1, norm_r) * max(1, norm_f)
     bits = (2 * m).bit_length() + 1  # 2^(B-1) > 2M
     for col in cols:
         for x, r in col.items():
             col[x] = _at(r, bits)
-    return bits, cols
+
+    def tops() -> Iterator[dict[int, int]]:
+        for w, col in enumerate(cols):
+            acc = dict.fromkeys(col, 0)
+            # transposed: for each v, add R_uv(Q) F_vw(Q) to every u below it
+            for v in col:
+                c = _at(f(v, w), bits)
+                for u, r in cols[v].items():
+                    acc[u] += r * c
+            yield acc
+
+    return bits, tops()
 
 
 def _certify(ctx: GroupContext, ui: int, wi: int, memo: _RAtQ | None = None) -> None:
@@ -484,16 +498,11 @@ def sum_r_over(x: GroupElement, w: GroupElement) -> IntPoly:
     """Sum of R_xv over all v in [x, w]; equals q^l(x,w) iff w is smooth above x."""
     _require_le(x, w)
     ctx = x.ctx
-    key = (x.index, w.index)
-    res = ctx.tables.sum_r.get(key)
-    if res is None:
-        acc = [0] * (w.length - x.length + 1)
-        for vi in _between(ctx, x.index, w.index):
-            for i, c in enumerate(_r(ctx, x.index, vi)):
-                acc[i] += c
-        res = _trim(acc)
-        ctx.tables.sum_r[key] = res
-    return IntPoly(res, Basis.Q)
+    acc = [0] * (w.length - x.length + 1)
+    for vi in _between(ctx, x.index, w.index):
+        for i, c in enumerate(_r(ctx, x.index, vi)):
+            acc[i] += c
+    return IntPoly(_trim(acc), Basis.Q)
 
 
 def _digits(val: int, bits: int) -> Coeffs:
@@ -509,31 +518,17 @@ def _digits(val: int, bits: int) -> Coeffs:
     return tuple(out)
 
 
-def _fill_sum_r(ctx: GroupContext) -> None:
-    """Enter ``sum_r_over``'s value for every comparable pair missing from
-    ``tables.sum_r``: the whole-group pass behind the interval R-sum checks.
-
-    Per top w, one integer S_xw = sum over v in [x, w] of R_xv(Q) for each
-    x <= w, added up column by column (x <= v <= w), and read back in
-    signed base-2^B digits, exact by the bound of ``_r_at_q``.
-    """
-    lower = le_masks(ctx)
+def _sum_r_table(ctx: GroupContext) -> dict[Pair, Coeffs]:
+    """``tables.sum_r``, filled on first use with ``sum_r_over``'s value for
+    every comparable pair: the sums of ``_sums_at_q`` with F = 1, read back
+    in signed base-2^B digits.  Later changes to R do not refresh it."""
     sums = ctx.tables.sum_r
-    tops = [
-        w for w in range(ctx.order)
-        if any((x, w) not in sums for x in iter_bits(lower[w]))
-    ]
-    if not tops:
-        return
-    bits, cols = _r_at_q(ctx, 1)
-    for w in tops:
-        acc = dict.fromkeys(cols[w], 0)
-        for v in cols[w]:
-            for x, r in cols[v].items():
-                acc[x] += r
-        for x, val in acc.items():
-            if (x, w) not in sums:
+    if not sums:
+        bits, tops = _sums_at_q(ctx, lambda v, w: (1,))
+        for w, acc in enumerate(tops):
+            for x, val in acc.items():
                 sums[x, w] = _digits(val, bits)
+    return sums
 
 
 def is_rationally_smooth(u: GroupElement, w: GroupElement) -> bool:

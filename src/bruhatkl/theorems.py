@@ -11,18 +11,20 @@ values on the other.
 
 Five checks test polynomial identities at one point, q = Q = 2^B
 (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
-Algebra, section 8.4).  r_alternating_sum and kl_basics compare the two
-sides of their identity at Q, one integer each per pair, and dvc_linear,
-nth2_quadratic and smoothness_equivalence read each interval R-sum back
-from its value at Q (``klr._fill_sum_r``).  That is exact: B is set at
-each call from the norms of the R and KL tables as they are then
-(``klr._r_at_q``), so that every coefficient of either side is at most M
-with 2^(B-1) > 2M, and a nonzero integer polynomial with coefficients
-that small does not vanish at 2^B.  So a pair fails at Q exactly when it
-fails as polynomials; r_alternating_sum recomputes such a pair in
-coefficient form for the coefficients its witness prints.  kl_monotone and
-mono_equiv group each KL column by value and decide each pair of values
-once; every triple is still counted, and reported if it fails.
+Algebra, section 8.4), through one interval sum, S_uw = sum over v in
+[u, w] of R_uv F_vw (``klr._sums_at_q``).  r_alternating_sum (F = +-R)
+and kl_basics (F = P) compare the two sides of their identity at Q, one
+integer each per pair, and dvc_linear, nth2_quadratic and
+smoothness_equivalence read each interval R-sum (F = 1) back from its
+value at Q (``klr._sum_r_table``).  That is exact: B is set with each sum
+from the norms of R and F as they are then, so that every coefficient of
+either side is at most M with 2^(B-1) > 2M, and a nonzero integer
+polynomial with coefficients that small does not vanish at 2^B.  So a
+pair fails at Q exactly when it fails as polynomials; r_alternating_sum
+recomputes such a pair in coefficient form for the coefficients its
+witness prints.  kl_monotone and mono_equiv group each KL column by value
+and decide each pair of values once; every triple is still counted, and
+reported if it fails.
 
 The R-level checks read R's (q-1)-expansion through ``klr._shifted``,
 which computes it from the R table at each call, so they see the table
@@ -51,14 +53,15 @@ from bruhatkl.bruhat import (
 from bruhatkl.coxeter import Coeffs, GroupContext, word_of
 from bruhatkl.klr import (
     _at,
-    _fill_sum_r,
     _kl,
     _kl1,
     _r,
-    _r_at_q,
     _shifted,
+    _sum_r_table,
+    _sums_at_q,
     check_r_rtilde_link,
     fh_vectors,
+    fill_tables,
     strict_path_to_smooth,
 )
 from bruhatkl.polynomial import _addmul_into
@@ -201,22 +204,20 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
     """Sign-alternating convolution over each interval is a Kronecker delta.
 
     Tested at Q = 2^B, one integer per pair, exactly by the bound of
-    ``klr._r_at_q``; a pair that fails there is recomputed in coefficient
+    ``klr._sums_at_q``; a pair that fails there is recomputed in coefficient
     form for its witness.
     """
     wit = _Witnesses()
     lower = le_masks(ctx)
     upper = ge_masks(ctx)
     lengths = ctx.lengths
-    _, cols = _r_at_q(ctx, None)
-    for wi, col in enumerate(cols):
-        # acc[u] = sum over v in [u, w] of (-1)^l(v) R_uv(Q) R_vw(Q)
-        acc = dict.fromkeys(col, 0)
-        for vi, c in col.items():
-            if lengths[vi] % 2:
-                c = -c
-            for ui, r in cols[vi].items():
-                acc[ui] += r * c
+
+    def signed(vi: int, wi: int) -> Coeffs:  # (-1)^l(v) R_vw
+        r = _r(ctx, vi, wi)
+        return tuple(-c for c in r) if lengths[vi] % 2 else r
+
+    _, tops = _sums_at_q(ctx, signed)
+    for wi, acc in enumerate(tops):
         for ui, val in acc.items():
             if lengths[ui] % 2:
                 val = -val
@@ -342,8 +343,9 @@ def _check_binomial_bounds(ctx: GroupContext) -> CheckReport:
         if ui == wi:
             continue
         n += 1
-        sh = _shifted(ctx, ui, wi)
         ell = lengths[wi] - lengths[ui]
+        sh = _shifted(ctx, ui, wi)
+        sh += (0,) * (ell + 1 - len(sh))  # a short entry reads as 0 to (q-1)^l
         for k, c in enumerate(sh):
             lo = 1 if k == ell else 0
             if not lo <= c <= comb(ell, k):
@@ -414,8 +416,7 @@ def _biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckRepor
     wit = _Witnesses()
     lengths = ctx.lengths
     lower = le_masks(ctx)
-    _fill_sum_r(ctx)
-    sums = ctx.tables.sum_r
+    sums = _sum_r_table(ctx)
     exc_masks = [0] * ctx.order
     for wi in range(ctx.order):
         for xi in iter_bits(lower[wi]):
@@ -534,19 +535,12 @@ def _check_kl_basics(ctx: GroupContext) -> CheckReport:
     """KL ground rules per pair: constant term 1, degree bound
     (l(u,w)-1)/2, 1 on the diagonal, and the defining functional equation
     verified by full substitution at Q = 2^B, exactly by the bound of
-    ``klr._r_at_q``."""
+    ``klr._sums_at_q``."""
     wit = _Witnesses()
     lengths = ctx.lengths
-    pairs = _pairs(ctx)
-    norm = max(sum(map(abs, _kl(ctx, ui, wi))) for ui, wi in pairs)
-    bits, cols = _r_at_q(ctx, max(1, norm))
-    for wi, col in enumerate(cols):
+    bits, tops = _sums_at_q(ctx, lambda vi, wi: _kl(ctx, vi, wi))
+    for wi, acc in enumerate(tops):
         # acc[u] = sum over v in [u, w] of R_uv(Q) P_vw(Q)
-        acc = dict.fromkeys(col, 0)
-        for vi in col:
-            c = _at(_kl(ctx, vi, wi), bits)
-            for ui, r in cols[vi].items():
-                acc[ui] += r * c
         for ui, val in acc.items():
             pc = _kl(ctx, ui, wi)
             if ui == wi:
@@ -560,7 +554,7 @@ def _check_kl_basics(ctx: GroupContext) -> CheckReport:
             lhs = _at(pc[::-1], bits) << bits * (D + 1 - len(pc))
             if lhs != val:
                 wit.add(f"{_pair_word(ctx, ui, wi)}: functional equation fails")
-    return _report(ctx, "kl_basics", len(pairs), wit, {})
+    return _report(ctx, "kl_basics", len(_pairs(ctx)), wit, {})
 
 
 def _check_kl_nonneg(ctx: GroupContext) -> CheckReport:
@@ -761,8 +755,7 @@ def _check_smoothness_equivalence(ctx: GroupContext) -> CheckReport:
     lengths = ctx.lengths
     lower = le_masks(ctx)
     upper = ge_masks(ctx)
-    _fill_sum_r(ctx)
-    sums = ctx.tables.sum_r
+    sums = _sum_r_table(ctx)
     bad_sum = [0] * ctx.order
     bad_df = [0] * ctx.order
     for wi in range(ctx.order):
@@ -826,19 +819,27 @@ _REGISTRY = {
 
 CHECK_NAMES = tuple(_REGISTRY)
 
+# the checks that read the KL table
+_READS_KL = frozenset(
+    "dvc_linear nth2_quadratic kl_basics kl_nonneg kl_monotone mono_equiv "
+    "lemma_lm nth3_strict_edges strict_path smoothness_equivalence".split()
+)
+
 
 def run_check(name: str, ctx: GroupContext) -> CheckReport:
     """Run one registered check over a whole group."""
-    fn = _REGISTRY.get(name)
-    if fn is None:
+    if name not in _REGISTRY:
         raise ValueError(
             f"unknown check {name!r}; registered: {', '.join(CHECK_NAMES)}"
         )
-    return fn(ctx)
+    return run_suite(ctx, name)[0]
 
 
 def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
-    """Run the selected checks (registry order) and return their reports."""
+    """Run the selected checks (registry order) and return their reports.
+
+    If any of them reads the KL table, it is filled first, in one
+    certificate pass over the whole group."""
     if selection == "all":
         names = CHECK_NAMES
     else:
@@ -854,6 +855,8 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
                 f"unknown checks {unknown!r}; registered: {', '.join(CHECK_NAMES)}"
             )
         names = tuple(n for n in CHECK_NAMES if n in set(selection))
+    if not _READS_KL.isdisjoint(names):
+        fill_tables(ctx, ("KL",))
     return [_REGISTRY[n](ctx) for n in names]
 
 

@@ -253,8 +253,9 @@ def binomial_bounds(ctx: GroupContext) -> CheckReport:
         if ui == wi:
             continue
         n += 1
-        sh = _shifted(_r(ctx, ui, wi))
         ell = lengths[wi] - lengths[ui]
+        sh = _shifted(_r(ctx, ui, wi))
+        sh += (0,) * (ell + 1 - len(sh))  # a short entry reads as 0 to (q-1)^l
         for k, c in enumerate(sh):
             lo = 1 if k == ell else 0
             if not lo <= c <= comb(ell, k):

@@ -196,6 +196,8 @@ def test_empty_r_entry_fails_every_r_check_it_breaks(monkeypatch, capsys):
     assert code == 1 and err == ""
     assert "FAILED r_basics: 1 violations" in out
     assert "R not monic of degree 3: ()" in out
+    assert "FAILED binomial_bounds: 1 violations" in out
+    assert "shifted coeff 3 is 0, bounds [1, 1]" in out
     rows = [line.split() for line in out.splitlines()]
     assert ["brenti_scan", "A3", "189", "PASS", "0"] in rows
 

@@ -17,7 +17,7 @@ from bruhatkl.coxeter import (  # noqa: E402
     parse_group_spec,
     word_of,
 )
-from bruhatkl.klr import _fill_sum_r, _stage  # noqa: E402
+from bruhatkl.klr import _digits, _stage, _sums_at_q  # noqa: E402
 from bruhatkl.klr import (  # noqa: E402
     check_r_rtilde_link,
     fh_vectors,
@@ -175,17 +175,29 @@ def test_sum_r_over():
     assert all(c >= 0 for c in to_shifted(excess).coeffs)
 
 
-def test_fill_sum_r_matches_sum_r_over():
-    # the whole-group pass reads each sum back from one value at q = 2^B
+def test_sums_at_q_with_f_one_matches_sum_r_over():
+    # with F = 1 each interval R-sum is read back from one value at q = 2^B
     for spec in ("A3", "B3", "G2"):
         whole = build_group(parse_group_spec(spec))
-        _fill_sum_r(whole)
+        bits, tops = _sums_at_q(whole, lambda v, w: (1,))
+        sums = {
+            (xi, wi): _digits(val, bits)
+            for wi, acc in enumerate(tops)
+            for xi, val in acc.items()
+        }
         one = build_group(parse_group_spec(spec))
         pairs = list(comparable_pairs(one))
-        assert sorted(whole.tables.sum_r) == sorted(pairs)
+        assert sorted(sums) == sorted(pairs)
         for xi, wi in pairs:
             expected = sum_r_over(one.elements[xi], one.elements[wi]).coeffs
-            assert whole.tables.sum_r[xi, wi] == expected
+            assert sums[xi, wi] == expected
+
+
+def test_sum_r_over_leaves_sum_r_table_empty():
+    ctx = build_group(parse_group_spec("A3"))
+    for xi, wi in comparable_pairs(ctx):
+        sum_r_over(ctx.elements[xi], ctx.elements[wi])
+    assert ctx.tables.sum_r == {}
 
 
 def test_is_rationally_smooth():

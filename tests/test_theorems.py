@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from reference_checks import REFERENCE  # noqa: E402
 
+from bruhatkl.bruhat import comparable_pairs  # noqa: E402
 from bruhatkl.coxeter import build_group, parse_group_spec  # noqa: E402
 from bruhatkl.klr import fill_tables  # noqa: E402
 from bruhatkl.theorems import (  # noqa: E402
@@ -128,6 +129,28 @@ def test_report_json_shape():
 def test_summary_table_format():
     text = summary_table(run_suite(ctx_for("A2"), ["deodhar"]))
     assert "deodhar" in text and "PASS" in text
+
+
+def test_kl_table_filled_only_for_checks_that_read_it():
+    ctx = build_group(parse_group_spec("A3"))
+    run_suite(ctx, ["brenti_scan"])
+    run_check("binomial_bounds", ctx)
+    assert ctx.tables.KL == {}
+    run_suite(ctx, ["brenti_scan", "kl_basics"])
+    assert sorted(ctx.tables.KL) == sorted(comparable_pairs(ctx))
+    assert ctx.tables.staged == {}
+
+
+@pytest.mark.parametrize("entry", [(), (1,), (0, 0, 1)])
+def test_binomial_bounds_reports_short_r_entry(entry):
+    # R(e, w) of length 3 read as 0 at (q-1)^3, below its lower bound 1
+    ctx = build_group(parse_group_spec("A3"))
+    fill_tables(ctx)
+    assert ctx.lengths[9] - ctx.lengths[0] == 3
+    ctx.tables.R[0, 9] = entry
+    report = run_check("binomial_bounds", ctx)
+    assert report.stats["violations_total"] == 1
+    assert report.witnesses[0].endswith(": shifted coeff 3 is 0, bounds [1, 1]")
 
 
 def test_sabotaged_kl_entry_fails_kl_basics():
