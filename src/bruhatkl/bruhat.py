@@ -37,7 +37,6 @@ __all__ = [
     "absolute_length",
     "neighborhood",
     "defect",
-    "m_count",
     "le_masks",
     "ge_masks",
     "up_adjacency",
@@ -142,12 +141,17 @@ def iter_bits(mask: int):
         mask ^= lsb
 
 
-def comparable_pairs(ctx: GroupContext):
-    """Yield all id pairs (u, w) with u <= w, ordered by w id then u id."""
-    lower = le_masks(ctx)
-    for wi in range(ctx.order):
-        for ui in iter_bits(lower[wi]):
-            yield ui, wi
+def comparable_pairs(ctx: GroupContext) -> list[tuple[int, int]]:
+    """All id pairs (u, w) with u <= w, ordered by w id then u id.
+
+    One list per context, built on first use: the checks sweep it about
+    twenty times per run, and a list is read faster than masks are walked.
+    """
+    t = ctx.tables
+    if t.pairs is None:
+        lower = le_masks(ctx)
+        t.pairs = [(ui, wi) for wi in range(ctx.order) for ui in iter_bits(lower[wi])]
+    return t.pairs
 
 
 def _adjacency(ctx: GroupContext) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -244,15 +248,6 @@ def _defects(ctx: GroupContext, wi: int) -> dict[int, int]:
             table[xi] = nb - (lengths[wi] - lengths[xi])
         ctx.tables.defects[wi] = table
     return table
-
-
-def m_count(u: GroupElement, w: GroupElement) -> int:
-    """Number of length-2 directed paths u -> v -> w (requires a(u, w) = 2)."""
-    if absolute_length(u, w) != 2:
-        raise ValueError("m_count requires a pair at absolute length 2")
-    ctx = u.ctx
-    down_set = set(down_adjacency(ctx)[w.index])
-    return sum(1 for vi in up_adjacency(ctx)[u.index] if vi in down_set)
 
 
 def bruhat_edges(

@@ -191,7 +191,7 @@ def cmd_classify(args) -> int:
             {
                 "w": word_of(w),
                 "u": word_of(u),
-                "P": p.to_json(),
+                "P": p,
                 "P1": kl_at_one(u, w),
                 "df": defect(u, w),
                 "strict_edges": len(strict_edges(u, w)),
@@ -199,7 +199,8 @@ def cmd_classify(args) -> int:
             }
         )
     if args.format == "json":
-        print(json.dumps({"group": ctx.name, "singular": rows}))
+        obj = {"group": ctx.name, "singular": rows}
+        print(json.dumps(obj, default=IntPoly.to_json))  # P is an IntPoly
     else:
         print(f"group {ctx.name} (order {ctx.order}): {len(rows)} singular pairs")
         current_w = None
@@ -207,9 +208,8 @@ def cmd_classify(args) -> int:
             if row["w"] != current_w:
                 current_w = row["w"]
                 print(f"w = {current_w}")
-            p = IntPoly.from_json(row["P"])
             print(
-                f"  u = {row['u']}: P = {p}, P(1) = {row['P1']}, "
+                f"  u = {row['u']}: P = {row['P']}, P(1) = {row['P1']}, "
                 f"df = {row['df']}, strict_edges = {row['strict_edges']}, "
                 f"path_end = {row['path_end']}"
             )

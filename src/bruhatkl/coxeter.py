@@ -23,7 +23,7 @@ Elements are read and printed as whitespace-separated reduced words over
 >>> ctx = build_group(parse_group_spec("A2"))
 >>> len(ctx.elements), len(ctx.reflections)
 (6, 3)
->>> word_of(ctx.longest_element())
+>>> word_of(ctx.elements[-1])  # the longest element
 '1 2 1'
 """
 
@@ -39,11 +39,6 @@ __all__ = [
     "Tables",
     "parse_group_spec",
     "build_group",
-    "multiply",
-    "inverse",
-    "right_descents",
-    "left_descents",
-    "reflection_between",
     "word_of",
     "parse_element",
     "DEFAULT_ORDER_GUARD",
@@ -189,9 +184,6 @@ class GroupElement:
     def __hash__(self) -> int:
         return hash((id(self.ctx), self.index))
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return multiply(self, other)
-
     def __repr__(self) -> str:
         return f"<{self.ctx.name}: {word_of(self)}>"
 
@@ -215,9 +207,7 @@ class Tables:
     KL holds only entries that passed ``klr._certify``.  A value derived
     from one entry, like R's (q-1)-expansion (``klr._shifted``), has no
     field: it is computed from the entry at each use, so no reader sees a
-    value derived from an entry that has since changed.  The interval
-    R-sums ``sum_r`` are the exception: filled for the whole group at once,
-    from R as it is then, and not refreshed if R changes.  Tables can hold
+    value derived from an entry that has since changed.  Tables can hold
     hundreds of thousands of entries, so they compare by identity and have
     no field-by-field repr.
     """
@@ -228,7 +218,7 @@ class Tables:
     adjacency: tuple[list, list] | None = None  # bruhat._adjacency: (up, down)
     abs_len: ByTop = field(default_factory=dict)  # bruhat.abs_len_table
     defects: ByTop = field(default_factory=dict)  # bruhat._defects
-    pairs: list[Pair] | None = None  # theorems._pairs
+    pairs: list[Pair] | None = None  # bruhat.comparable_pairs
     R: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "R"
     Rt: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "Rt"
     KL: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._certify
@@ -238,8 +228,6 @@ class Tables:
     # mu-list by top id w: (x, mu(x, w)) for each x < w with mu(x, w) != 0;
     # a key w present means the column of w has been staged
     mu: dict[int, list[tuple[int, int]]] = field(default_factory=dict)  # klr._stage
-    # sum over v in [x, w] of R_xv, for every comparable pair at once
-    sum_r: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._sum_r_table
 
 
 class GroupContext:
@@ -277,13 +265,6 @@ class GroupContext:
     @property
     def identity(self) -> GroupElement:
         return self.elements[0]
-
-    @property
-    def simples(self) -> list[GroupElement]:
-        return [self.elements[i] for i in self.rmult[0]]
-
-    def longest_element(self) -> GroupElement:
-        return self.elements[-1]  # build_group checks it is the only one
 
     def __repr__(self) -> str:
         return f"<GroupContext {self.name}, order {self.order}>"
@@ -423,32 +404,6 @@ def _mul(ctx: GroupContext, xi: int, wi: int) -> int:
         return xi
     s = ctx.srd[wi]
     return ctx.rmult[_mul(ctx, xi, ctx.rmult[wi][s])][s]
-
-
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    _check_same_context(a, b)
-    return a.ctx.elements[_mul(a.ctx, a.index, b.index)]
-
-
-def inverse(a: GroupElement) -> GroupElement:
-    return a.ctx.elements[a.ctx.inv[a.index]]
-
-
-def right_descents(w: GroupElement) -> list[int]:
-    """Generators s (0-based) with l(ws) < l(w)."""
-    lengths = w.ctx.lengths
-    return [s for s, x in enumerate(w.ctx.rmult[w.index]) if lengths[x] < w.length]
-
-
-def left_descents(w: GroupElement) -> list[int]:
-    return right_descents(inverse(w))
-
-
-def reflection_between(u: GroupElement, w: GroupElement) -> GroupElement | None:
-    """The reflection t with w = u t, if one exists."""
-    _check_same_context(u, w)
-    t = multiply(inverse(u), w)
-    return t if t.index in u.ctx.reflection_ids else None
 
 
 def word_of(w: GroupElement) -> str:

@@ -1,6 +1,5 @@
 """Memoized exact tables of R-, Rtilde-, and Kazhdan-Lusztig polynomials,
-plus the derived machinery: f/h-vectors, interval R-sums, rational
-smoothness, and strict edges.
+plus the derived machinery: f/h-vectors, interval sums, and strict edges.
 
 R and Rt satisfy one recursion that strips the smallest right descent s
 of the top element w (fixed deterministically so the tables fill in a
@@ -46,7 +45,7 @@ from bruhatkl.bruhat import (
     le_masks,
     neighborhood,
 )
-from bruhatkl.bruhat import _defects, _le, _lower, _require_le
+from bruhatkl.bruhat import _le, _lower, _require_le
 from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, Pair, word_of
 from bruhatkl.coxeter import _check_same_context
 from bruhatkl.polynomial import (
@@ -66,8 +65,6 @@ __all__ = [
     "kl_poly",
     "kl_at_one",
     "fh_vectors",
-    "sum_r_over",
-    "is_rationally_smooth",
     "strict_edges",
     "strict_path_to_smooth",
     "fill_tables",
@@ -494,17 +491,6 @@ def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
     return FHDecomposition(a=a, d=d, f=f, h=h)
 
 
-def sum_r_over(x: GroupElement, w: GroupElement) -> IntPoly:
-    """Sum of R_xv over all v in [x, w]; equals q^l(x,w) iff w is smooth above x."""
-    _require_le(x, w)
-    ctx = x.ctx
-    acc = [0] * (w.length - x.length + 1)
-    for vi in _between(ctx, x.index, w.index):
-        for i, c in enumerate(_r(ctx, x.index, vi)):
-            acc[i] += c
-    return IntPoly(_trim(acc), Basis.Q)
-
-
 def _digits(val: int, bits: int) -> Coeffs:
     """Trimmed coefficients, each in [-2^(bits-1), 2^(bits-1)), of the
     polynomial whose value at q = 2^bits is val: the inverse of ``_at``."""
@@ -518,27 +504,16 @@ def _digits(val: int, bits: int) -> Coeffs:
     return tuple(out)
 
 
-def _sum_r_table(ctx: GroupContext) -> dict[Pair, Coeffs]:
-    """``tables.sum_r``, filled on first use with ``sum_r_over``'s value for
-    every comparable pair: the sums of ``_sums_at_q`` with F = 1, read back
-    in signed base-2^B digits.  Later changes to R do not refresh it."""
-    sums = ctx.tables.sum_r
-    if not sums:
-        bits, tops = _sums_at_q(ctx, lambda v, w: (1,))
-        for w, acc in enumerate(tops):
-            for x, val in acc.items():
-                sums[x, w] = _digits(val, bits)
-    return sums
-
-
-def is_rationally_smooth(u: GroupElement, w: GroupElement) -> bool:
-    """Whether every x in [u, w) has defect 0 under w."""
-    _require_le(u, w)
-    ctx = u.ctx
-    row = _defects(ctx, w.index)
-    return all(
-        row[xi] == 0 for xi in _between(ctx, u.index, w.index) if xi != w.index
-    )
+def _interval_r_sums(ctx: GroupContext) -> dict[Pair, Coeffs]:
+    """Sum over v in [x, w] of R_xv for every comparable pair, from R as it
+    is now: the sums of ``_sums_at_q`` with F = 1, read back in signed
+    base-2^B digits.  Nothing is stored."""
+    bits, tops = _sums_at_q(ctx, lambda v, w: (1,))
+    return {
+        (x, w): _digits(val, bits)
+        for w, acc in enumerate(tops)
+        for x, val in acc.items()
+    }
 
 
 def strict_edges(u: GroupElement, w: GroupElement) -> list[GroupElement]:

@@ -14,12 +14,14 @@ Five checks test polynomial identities at one point, q = Q = 2^B
 Algebra, section 8.4), through one interval sum, S_uw = sum over v in
 [u, w] of R_uv F_vw (``klr._sums_at_q``).  r_alternating_sum (F = +-R)
 and kl_basics (F = P) compare the two sides of their identity at Q, one
-integer each per pair, and dvc_linear, nth2_quadratic and
-smoothness_equivalence read each interval R-sum (F = 1) back from its
-value at Q (``klr._sum_r_table``).  That is exact: B is set with each sum
-from the norms of R and F as they are then, so that every coefficient of
-either side is at most M with 2^(B-1) > 2M, and a nonzero integer
-polynomial with coefficients that small does not vanish at 2^B.  So a
+integer each per pair.  The interval R-sums (F = 1) of dvc_linear,
+nth2_quadratic and smoothness_equivalence are read back from their values
+at Q (``klr._interval_r_sums``): ``run_suite`` computes them once per call,
+from R as it is then, at the first of the three it runs, and passes them to
+each of the three as an argument.  That is exact: B is set with
+each sum from the norms of R and F as they are then, so that every
+coefficient of either side is at most M with 2^(B-1) > 2M, and a nonzero
+integer polynomial with coefficients that small does not vanish at 2^B.  So a
 pair fails at Q exactly when it fails as polynomials; r_alternating_sum
 recomputes such a pair in coefficient form for the coefficients its
 witness prints.  kl_monotone and mono_equiv group each KL column by value
@@ -44,20 +46,21 @@ from typing import Callable
 from bruhatkl.bruhat import (
     _defects,
     abs_len_table,
+    comparable_pairs,
     down_adjacency,
     ge_masks,
     iter_bits,
     le_masks,
     up_adjacency,
 )
-from bruhatkl.coxeter import Coeffs, GroupContext, word_of
+from bruhatkl.coxeter import Coeffs, GroupContext, Pair, word_of
 from bruhatkl.klr import (
     _at,
     _kl,
     _kl1,
     _r,
+    _interval_r_sums,
     _shifted,
-    _sum_r_table,
     _sums_at_q,
     check_r_rtilde_link,
     fh_vectors,
@@ -71,8 +74,6 @@ __all__ = [
     "CHECK_NAMES",
     "run_check",
     "run_suite",
-    "check_dvc",
-    "check_nth2",
     "report_to_json",
     "summary_table",
 ]
@@ -109,15 +110,6 @@ def _pair_word(ctx: GroupContext, ui: int, wi: int) -> str:
     return f"u='{word_of(ctx.elements[ui])}' w='{word_of(ctx.elements[wi])}'"
 
 
-def _pairs(ctx: GroupContext) -> list[tuple[int, int]]:
-    """All comparable id pairs (u, w), w-major order, cached."""
-    t = ctx.tables
-    if t.pairs is None:
-        lower = le_masks(ctx)
-        t.pairs = [(ui, wi) for wi in range(ctx.order) for ui in iter_bits(lower[wi])]
-    return t.pairs
-
-
 def _abs(ctx: GroupContext, ui: int, wi: int) -> int:
     return abs_len_table(ctx.elements[wi])[ui]
 
@@ -145,7 +137,7 @@ def _check_r_basics(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lengths = ctx.lengths
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         rc = _r(ctx, ui, wi)
         rtc = _r(ctx, ui, wi, "Rt")
@@ -175,7 +167,7 @@ def _check_r_inverse_symmetry(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     inv = ctx.inv
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         if _r(ctx, ui, wi) != _r(ctx, inv[ui], inv[wi]):
             wit.add(f"{_pair_word(ctx, ui, wi)}: R differs on inverses")
@@ -225,7 +217,7 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
             if val != expected:
                 coeffs = _alternating_sum(ctx, ui, wi, lower[wi] & upper[ui])
                 wit.add(f"{_pair_word(ctx, ui, wi)}: alternating sum {coeffs}")
-    return _report(ctx, "r_alternating_sum", len(_pairs(ctx)), wit, {})
+    return _report(ctx, "r_alternating_sum", len(comparable_pairs(ctx)), wit, {})
 
 
 def _check_r_functional_equation(ctx: GroupContext) -> CheckReport:
@@ -233,7 +225,7 @@ def _check_r_functional_equation(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lengths = ctx.lengths
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         rc = _r(ctx, ui, wi)
         ell = lengths[wi] - lengths[ui]
@@ -249,7 +241,7 @@ def _check_r_derivative_edge(ctx: GroupContext) -> CheckReport:
     up = [set(xs) for xs in up_adjacency(ctx)]
     n = 0
     edges = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         d1 = sum(k * c for k, c in enumerate(_r(ctx, ui, wi)))
         is_edge = wi in up[ui]
@@ -265,7 +257,7 @@ def _check_shifted_nonneg(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lengths = ctx.lengths
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
@@ -285,7 +277,7 @@ def _check_divisibility_order(ctx: GroupContext) -> CheckReport:
     (q-1)-expansion) equals the absolute length of the pair."""
     wit = _Witnesses()
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
@@ -301,7 +293,7 @@ def _check_fh_structure(ctx: GroupContext) -> CheckReport:
     h palindromic with h_0 = 1, both rebuilding R exactly."""
     wit = _Witnesses()
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
@@ -318,7 +310,7 @@ def _check_boolean_criterion(ctx: GroupContext) -> CheckReport:
     lengths = ctx.lengths
     n = 0
     a_lt_ell = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
@@ -339,7 +331,7 @@ def _check_binomial_bounds(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lengths = ctx.lengths
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
@@ -367,7 +359,7 @@ def _check_brenti_scan(ctx: GroupContext) -> CheckReport:
     n = 0
     max_excess = None
     excess_pairs = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
@@ -396,7 +388,7 @@ def _check_deodhar(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     n = 0
     max_defect = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         df = _defects(ctx, wi)[ui]
         max_defect = max(max_defect, df)
@@ -405,7 +397,9 @@ def _check_deodhar(ctx: GroupContext) -> CheckReport:
     return _report(ctx, "deodhar", n, wit, {"max_defect": max_defect})
 
 
-def _biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckReport:
+def _biconditional_check(
+    ctx: GroupContext, sums: dict[Pair, Coeffs], name: str, order: int
+) -> CheckReport:
     """Shared body of dvc_linear and nth2_quadratic.
 
     Inequality side: for every x < w the (q-1)^order coefficient of the
@@ -416,7 +410,6 @@ def _biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckRepor
     wit = _Witnesses()
     lengths = ctx.lengths
     lower = le_masks(ctx)
-    sums = _sum_r_table(ctx)
     exc_masks = [0] * ctx.order
     for wi in range(ctx.order):
         for xi in iter_bits(lower[wi]):
@@ -438,7 +431,7 @@ def _biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckRepor
     upper = ge_masks(ctx)
     n = 0
     singular = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         strict_somewhere = bool(
             lower[wi] & upper[ui] & ~(1 << wi) & exc_masks[wi]
@@ -453,16 +446,16 @@ def _biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckRepor
     return _report(ctx, name, n, wit, {"singular_intervals": singular})
 
 
-def check_dvc(ctx: GroupContext) -> CheckReport:
+def _check_dvc(ctx: GroupContext, sums: dict[Pair, Coeffs]) -> CheckReport:
     """Linear (q-1)-coefficient of interval R-sums dominates l(x,w), with
     strictness somewhere iff the interval is singular."""
-    return _biconditional_check(ctx, "dvc_linear", 1)
+    return _biconditional_check(ctx, sums, "dvc_linear", 1)
 
 
-def check_nth2(ctx: GroupContext) -> CheckReport:
+def _check_nth2(ctx: GroupContext, sums: dict[Pair, Coeffs]) -> CheckReport:
     """Quadratic (q-1)-coefficient of interval R-sums dominates
     binomial(l(x,w), 2), with strictness somewhere iff singular."""
-    return _biconditional_check(ctx, "nth2_quadratic", 2)
+    return _biconditional_check(ctx, sums, "nth2_quadratic", 2)
 
 
 def _check_le1_le2_le3(ctx: GroupContext) -> CheckReport:
@@ -476,7 +469,7 @@ def _check_le1_le2_le3(ctx: GroupContext) -> CheckReport:
     down_sets = [set(xs) for xs in down_adjacency(ctx)]
     n = 0
     edges = a2_pairs = skipped = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         if ui == wi:
             skipped += 1
@@ -554,14 +547,14 @@ def _check_kl_basics(ctx: GroupContext) -> CheckReport:
             lhs = _at(pc[::-1], bits) << bits * (D + 1 - len(pc))
             if lhs != val:
                 wit.add(f"{_pair_word(ctx, ui, wi)}: functional equation fails")
-    return _report(ctx, "kl_basics", len(_pairs(ctx)), wit, {})
+    return _report(ctx, "kl_basics", len(comparable_pairs(ctx)), wit, {})
 
 
 def _check_kl_nonneg(ctx: GroupContext) -> CheckReport:
     """All KL coefficients are nonnegative."""
     wit = _Witnesses()
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         pc = _kl(ctx, ui, wi)
         if any(c < 0 for c in pc):
@@ -642,7 +635,7 @@ def _check_kl_monotone(ctx: GroupContext) -> CheckReport:
         ctx, "monotonicity fails", lambda a, b: not _dominates(a, b), strict=False
     )
     return _report(
-        ctx, "kl_monotone", n, wit, {"comparable_pairs": len(_pairs(ctx))}
+        ctx, "kl_monotone", n, wit, {"comparable_pairs": len(comparable_pairs(ctx))}
     )
 
 
@@ -661,7 +654,7 @@ def _check_lemma_lm(ctx: GroupContext) -> CheckReport:
     lower = le_masks(ctx)
     up = up_adjacency(ctx)
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         pc = _kl(ctx, ui, wi)
         lhs = (lengths[wi] - lengths[ui]) * sum(pc) - 2 * sum(
@@ -683,7 +676,7 @@ def _check_nth3_strict_edges(ctx: GroupContext) -> CheckReport:
     up = up_adjacency(ctx)
     n = 0
     singular = skipped = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         base = _kl1(ctx, ui, wi)
         if base <= 1:
@@ -720,7 +713,7 @@ def _check_strict_path(ctx: GroupContext) -> CheckReport:
     up = up_adjacency(ctx)
     n = 0
     singular = skipped = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         if _kl1(ctx, ui, wi) <= 1:
             skipped += 1
@@ -747,7 +740,9 @@ def _check_strict_path(ctx: GroupContext) -> CheckReport:
     )
 
 
-def _check_smoothness_equivalence(ctx: GroupContext) -> CheckReport:
+def _check_smoothness_equivalence(
+    ctx: GroupContext, sums: dict[Pair, Coeffs]
+) -> CheckReport:
     """Three singularity criteria agree on every interval: interval R-sums
     equal to q^l at every lower vertex, zero defect at every lower vertex,
     and KL triviality."""
@@ -755,7 +750,6 @@ def _check_smoothness_equivalence(ctx: GroupContext) -> CheckReport:
     lengths = ctx.lengths
     lower = le_masks(ctx)
     upper = ge_masks(ctx)
-    sums = _sum_r_table(ctx)
     bad_sum = [0] * ctx.order
     bad_df = [0] * ctx.order
     for wi in range(ctx.order):
@@ -771,7 +765,7 @@ def _check_smoothness_equivalence(ctx: GroupContext) -> CheckReport:
                 bad_df[wi] |= 1 << xi
     n = 0
     smooth = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         inside = lower[wi] & upper[ui] & ~(1 << wi)
         by_sum = not (inside & bad_sum[wi])
@@ -804,8 +798,8 @@ _REGISTRY = {
     "binomial_bounds": _check_binomial_bounds,
     "brenti_scan": _check_brenti_scan,
     "deodhar": _check_deodhar,
-    "dvc_linear": check_dvc,
-    "nth2_quadratic": check_nth2,
+    "dvc_linear": _check_dvc,
+    "nth2_quadratic": _check_nth2,
     "le1_le2_le3": _check_le1_le2_le3,
     "kl_basics": _check_kl_basics,
     "kl_nonneg": _check_kl_nonneg,
@@ -824,6 +818,8 @@ _READS_KL = frozenset(
     "dvc_linear nth2_quadratic kl_basics kl_nonneg kl_monotone mono_equiv "
     "lemma_lm nth3_strict_edges strict_path smoothness_equivalence".split()
 )
+# the checks that read the interval R-sums, passed to them as an argument
+_READS_SUMS = frozenset("dvc_linear nth2_quadratic smoothness_equivalence".split())
 
 
 def run_check(name: str, ctx: GroupContext) -> CheckReport:
@@ -839,7 +835,9 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     """Run the selected checks (registry order) and return their reports.
 
     If any of them reads the KL table, it is filled first, in one
-    certificate pass over the whole group."""
+    certificate pass over the whole group.  If any reads the interval
+    R-sums, they are computed once, at the first such check, and passed to
+    each of them; no check changes R, so they are R's sums at this call."""
     if selection == "all":
         names = CHECK_NAMES
     else:
@@ -857,7 +855,16 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
         names = tuple(n for n in CHECK_NAMES if n in set(selection))
     if not _READS_KL.isdisjoint(names):
         fill_tables(ctx, ("KL",))
-    return [_REGISTRY[n](ctx) for n in names]
+    sums = None
+    reports = []
+    for n in names:
+        if n in _READS_SUMS:
+            if sums is None:  # held through earlier checks, it adds to peak RSS
+                sums = _interval_r_sums(ctx)
+            reports.append(_REGISTRY[n](ctx, sums))
+        else:
+            reports.append(_REGISTRY[n](ctx))
+    return reports
 
 
 def report_to_json(report: CheckReport) -> dict:

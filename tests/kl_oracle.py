@@ -17,7 +17,13 @@ library, so agreement with bruhatkl.klr is a genuine two-route check.
 from fractions import Fraction
 
 from bruhatkl.bruhat import bruhat_le, iter_bits, le_masks
-from bruhatkl.coxeter import GroupContext, right_descents
+from bruhatkl.coxeter import GroupContext, GroupElement
+
+
+def right_descents(w: GroupElement) -> list[int]:
+    """Generators s (0-based) with l(ws) < l(w), read off the length table."""
+    lengths = w.ctx.lengths
+    return [s for s, x in enumerate(w.ctx.rmult[w.index]) if lengths[x] < w.length]
 
 
 def oracle_r_table(ctx: GroupContext) -> dict[tuple[int, int], tuple[int, ...]]:

@@ -4,37 +4,71 @@
 R-sums of dvc_linear, nth2_quadratic and smoothness_equivalence at one
 point q = 2^B, and kl_monotone and mono_equiv a column class at a time.
 This module keeps the other route: every identity in coefficient form,
-every interval R-sum by ``sum_r_over`` and every triple u <= v <= w one at
-a time.  One change from that route as it was: kl_basics sizes its
-accumulator to the longest product, so an entry out of its degree bound
-gives a witness instead of an IndexError.  Each function takes a context
-and returns the CheckReport of the library check of the same name.
+every interval R-sum by ``sum_r_over`` (R entries added one at a time)
+and every triple u <= v <= w one at a time.  One change from that route
+as it was: kl_basics sizes its accumulator to the longest product, so an
+entry out of its degree bound gives a witness instead of an IndexError.
+Each function takes a context and returns the CheckReport of the library
+check of the same name.
 
 The R-level checks (r_basics, shifted_nonneg, divisibility_order,
 fh_structure, boolean_criterion, binomial_bounds) read R's
 (q-1)-expansion, computed by ``klr._shifted`` at each use and compared
-with R-tilde on tuples.  Here they keep the IntPoly route: the expansion
-and the (q-1)-multiplicity by repeated synthetic division, computed anew
-for every pair, R rebuilt from R-tilde and the f/h round trips by IntPoly
-products, and (q-1)^n from its binomial coefficients.  fh_structure drops
-its re-tests after the f/h decomposition, which raises on each of them.
+with R-tilde on tuples.  Here they keep the route of polynomial
+arithmetic: the expansion and the (q-1)-multiplicity by repeated synthetic
+division, computed anew for every pair, R rebuilt from R-tilde and the f/h
+round trips by ``mul`` and ``add`` on coefficient tuples, and (q-1)^n
+from its binomial coefficients.  fh_structure drops its re-tests after
+the f/h decomposition, which raises on each of them.
 """
 
 from math import comb
 
-from bruhatkl.bruhat import _defects, absolute_length, ge_masks, iter_bits, le_masks
-from bruhatkl.coxeter import GroupContext, word_of
-from bruhatkl.klr import _kl, _kl1, _r, sum_r_over
-from bruhatkl.polynomial import IntPoly, _addmul_into
+from bruhatkl.bruhat import (
+    _defects,
+    _require_le,
+    absolute_length,
+    comparable_pairs,
+    ge_masks,
+    iter_bits,
+    le_masks,
+)
+from bruhatkl.coxeter import GroupContext, GroupElement, word_of
+from bruhatkl.klr import _between, _kl, _kl1, _r
+from bruhatkl.polynomial import _addmul_into, _trim
 from bruhatkl.theorems import (
     CheckReport,
     _abs,
     _dominates,
     _pair_word,
-    _pairs,
     _report,
     _Witnesses,
 )
+
+
+def add(a, b):
+    """a + b on coefficient tuples, trimmed."""
+    out = [0] * max(len(a), len(b))
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            out[i] += c
+    return _trim(out)
+
+
+def mul(a, b):
+    """a * b on coefficient tuples, trimmed."""
+    out = [0] * (len(a) + len(b))
+    _addmul_into(out, a, b)
+    return _trim(out)
+
+
+def sum_r_over(x: GroupElement, w: GroupElement):
+    """Sum of R_xv over all v in [x, w], one R entry at a time."""
+    _require_le(x, w)
+    acc = ()
+    for vi in _between(x.ctx, x.index, w.index):
+        acc = add(acc, _r(x.ctx, x.index, vi))
+    return acc
 
 
 def _divide_by_q_minus_one(cs):
@@ -55,7 +89,7 @@ def _shifted(cs):
     while cs:
         cs, rem = _divide_by_q_minus_one(cs)
         out.append(rem)
-    return IntPoly(out).coeffs
+    return _trim(out)
 
 
 def _valuation(cs):
@@ -70,14 +104,14 @@ def _valuation(cs):
 
 
 def _q_minus_one_power(n):
-    return IntPoly([(-1) ** (n - k) * comb(n, k) for k in range(n + 1)])
+    return tuple((-1) ** (n - k) * comb(n, k) for k in range(n + 1))
 
 
 def _from_shifted(cs):
-    """Power-basis IntPoly of the (q-1)-coefficients cs, by Horner in (q-1)."""
-    out = IntPoly.zero()
+    """Power-basis coefficients of the (q-1)-coefficients cs, by Horner in (q-1)."""
+    out = ()
     for a in reversed(cs):
-        out = out * IntPoly([-1, 1]) + IntPoly.const(a)
+        out = add(mul(out, (-1, 1)), (a,))
     return out
 
 
@@ -100,12 +134,11 @@ def _r_rtilde_link(ctx, ui, wi):
                 f"Rtilde parity violation at q^{n} for "
                 f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
             )
-    rebuilt = IntPoly.zero()
+    rebuilt = ()
     for k in range((ell - a) // 2 + 1):
-        c = rt[a + 2 * k]
-        term = IntPoly.monomial((ell - a - 2 * k) // 2, c)
-        rebuilt = rebuilt + term * _q_minus_one_power(a + 2 * k)
-    return rebuilt.coeffs == _r(ctx, ui, wi)
+        term = (0,) * ((ell - a - 2 * k) // 2) + (rt[a + 2 * k],)
+        rebuilt = add(rebuilt, mul(term, _q_minus_one_power(a + 2 * k)))
+    return rebuilt == _r(ctx, ui, wi)
 
 
 def _fh_vectors(ctx, ui, wi):
@@ -120,10 +153,10 @@ def _fh_vectors(ctx, ui, wi):
             f"(q-1)-multiplicity {a} of R differs from absolute length for "
             f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
         )
-    quotient = IntPoly(cur)
+    quotient = _trim(cur)
     d = ell - a
-    h = tuple(reversed(quotient.coeffs))
-    f = tuple(reversed(_shifted(quotient.coeffs)))
+    h = tuple(reversed(quotient))
+    f = tuple(reversed(_shifted(quotient)))
     ok = (
         len(f) == d + 1
         and len(h) == d + 1
@@ -133,7 +166,7 @@ def _fh_vectors(ctx, ui, wi):
         and h == tuple(reversed(h))
     )
     ok = ok and _from_shifted(tuple(reversed(f))) == quotient
-    ok = ok and (quotient * _q_minus_one_power(a)).coeffs == rc
+    ok = ok and mul(quotient, _q_minus_one_power(a)) == rc
     if not ok:
         raise RuntimeError(
             f"f/h-decomposition invariants failed for "
@@ -146,7 +179,7 @@ def r_basics(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lengths = ctx.lengths
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         rc = _r(ctx, ui, wi)
         rtc = _r(ctx, ui, wi, "Rt")
@@ -177,7 +210,7 @@ def shifted_nonneg(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lengths = ctx.lengths
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
@@ -196,7 +229,7 @@ def divisibility_order(ctx: GroupContext) -> CheckReport:
     """The (q-1)-multiplicity of R equals the absolute length of the pair."""
     wit = _Witnesses()
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
@@ -211,7 +244,7 @@ def fh_structure(ctx: GroupContext) -> CheckReport:
     """f/h-decomposition exists per pair and rebuilds R exactly."""
     wit = _Witnesses()
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
@@ -228,12 +261,12 @@ def boolean_criterion(ctx: GroupContext) -> CheckReport:
     lengths = ctx.lengths
     n = 0
     a_lt_ell = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
         ell = lengths[wi] - lengths[ui]
-        is_power = _r(ctx, ui, wi) == _q_minus_one_power(ell).coeffs
+        is_power = _r(ctx, ui, wi) == _q_minus_one_power(ell)
         a_is_ell = _abs(ctx, ui, wi) == ell
         a_lt_ell += not a_is_ell
         if is_power != a_is_ell:
@@ -249,7 +282,7 @@ def binomial_bounds(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lengths = ctx.lengths
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         if ui == wi:
             continue
         n += 1
@@ -274,7 +307,7 @@ def r_alternating_sum(ctx: GroupContext) -> CheckReport:
     upper = ge_masks(ctx)
     lengths = ctx.lengths
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         even = [0] * (lengths[wi] - lengths[ui] + 1)
         odd = list(even)
@@ -304,7 +337,7 @@ def biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckReport
         for xi in iter_bits(lower[wi]):
             if xi == wi:
                 continue
-            cs = sum_r_over(ctx.elements[xi], ctx.elements[wi]).coeffs
+            cs = sum_r_over(ctx.elements[xi], ctx.elements[wi])
             if order == 1:
                 val = sum(k * c for k, c in enumerate(cs))
             else:
@@ -320,7 +353,7 @@ def biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckReport
     upper = ge_masks(ctx)
     n = 0
     singular = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         strict_somewhere = bool(
             lower[wi] & upper[ui] & ~(1 << wi) & exc_masks[wi]
@@ -356,7 +389,7 @@ def kl_basics(ctx: GroupContext) -> CheckReport:
     lower = le_masks(ctx)
     upper = ge_masks(ctx)
     n = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         pc = _kl(ctx, ui, wi)
         if ui == wi:
@@ -388,7 +421,7 @@ def kl_monotone(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lower = le_masks(ctx)
     n = 0
-    for vi, wi in _pairs(ctx):
+    for vi, wi in comparable_pairs(ctx):
         pvw = _kl(ctx, vi, wi)
         for ui in iter_bits(lower[vi]):
             n += 1
@@ -398,7 +431,7 @@ def kl_monotone(ctx: GroupContext) -> CheckReport:
                     f"v='{word_of(ctx.elements[vi])}': monotonicity fails"
                 )
     return _report(
-        ctx, "kl_monotone", n, wit, {"comparable_pairs": len(_pairs(ctx))}
+        ctx, "kl_monotone", n, wit, {"comparable_pairs": len(comparable_pairs(ctx))}
     )
 
 
@@ -408,7 +441,7 @@ def mono_equiv(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lower = le_masks(ctx)
     n = 0
-    for vi, wi in _pairs(ctx):
+    for vi, wi in comparable_pairs(ctx):
         pvw = _kl(ctx, vi, wi)
         v1 = _kl1(ctx, vi, wi)
         for ui in iter_bits(lower[vi]):
@@ -441,7 +474,7 @@ def smoothness_equivalence(ctx: GroupContext) -> CheckReport:
         for xi in iter_bits(lower[wi]):
             if xi == wi:
                 continue
-            cs = sum_r_over(ctx.elements[xi], ctx.elements[wi]).coeffs
+            cs = sum_r_over(ctx.elements[xi], ctx.elements[wi])
             ell = lengths[wi] - lengths[xi]
             if cs != (0,) * ell + (1,):
                 bad_sum[wi] |= 1 << xi
@@ -449,7 +482,7 @@ def smoothness_equivalence(ctx: GroupContext) -> CheckReport:
                 bad_df[wi] |= 1 << xi
     n = 0
     smooth = 0
-    for ui, wi in _pairs(ctx):
+    for ui, wi in comparable_pairs(ctx):
         n += 1
         inside = lower[wi] & upper[ui] & ~(1 << wi)
         by_sum = not (inside & bad_sum[wi])

@@ -21,14 +21,11 @@ from bruhatkl.bruhat import (  # noqa: E402
     interval_to_dot,
     interval_to_json,
     le_masks,
-    m_count,
     neighborhood,
     up_adjacency,
 )
 from bruhatkl.coxeter import (  # noqa: E402
     build_group,
-    inverse,
-    multiply,
     parse_element,
     parse_group_spec,
     word_of,
@@ -43,16 +40,20 @@ def ctx_for(spec):
     return _CACHE[spec]
 
 
+def elements(ctx, *words):
+    return [parse_element(ctx, w) for w in words]
+
+
 def test_bruhat_le_basics():
     ctx = ctx_for("A2")
-    s1, s2 = ctx.simples
+    s1, s2, s2s1 = elements(ctx, "1", "2", "2 1")
     for w in ctx.elements:
         assert bruhat_le(ctx.identity, w)
         assert bruhat_le(w, w)
     assert not bruhat_le(s1, s2)
     assert not bruhat_le(s2, s1)
-    assert bruhat_le(s1, multiply(s2, s1))
-    assert not bruhat_le(multiply(s2, s1), s1)
+    assert bruhat_le(s1, s2s1)
+    assert not bruhat_le(s2s1, s1)
 
 
 def subword_oracle(ctx, w):
@@ -96,7 +97,7 @@ def test_le_masks_agree_with_recursion():
 def test_one_shot_queries_build_one_descent_chain():
     for query in (bruhat_le, interval):
         ctx = build_group(parse_group_spec("A5"))  # fresh: no masks
-        u, w = parse_element(ctx, "2 3"), ctx.longest_element()
+        u, w = parse_element(ctx, "2 3"), ctx.elements[-1]
         query(u, w)
         built = sum(1 for m in ctx.tables.le if m)
         assert 1 < built <= w.length + 1
@@ -117,14 +118,15 @@ def test_interval_members_match_masks():
 
 def test_inverse_symmetry():
     ctx = ctx_for("B2")
+    inverse = [ctx.elements[i] for i in ctx.inv]
     for u in ctx.elements:
         for w in ctx.elements:
-            assert bruhat_le(u, w) == bruhat_le(inverse(u), inverse(w))
+            assert bruhat_le(u, w) == bruhat_le(inverse[u.index], inverse[w.index])
 
 
 def test_interval_counts_a2():
     ctx = ctx_for("A2")
-    w0 = ctx.longest_element()
+    w0 = ctx.elements[-1]
     data = interval(ctx.identity, w0)
     assert len(data.members) == 6
     assert len(data.edges) == 9
@@ -137,11 +139,10 @@ def test_interval_counts_a2():
 
 def test_interval_singleton_and_boolean():
     ctx = ctx_for("A2")
-    w = ctx.simples[0]
+    w, s1s2 = elements(ctx, "1", "1 2")
     data = interval(w, w)
     assert len(data.members) == 1 and data.edges == [] and data.abs_len == 0
-    s1, s2 = ctx.simples
-    data = interval(ctx.identity, multiply(s1, s2))
+    data = interval(ctx.identity, s1s2)
     assert len(data.members) == 4
     assert len(data.edges) == 4
     assert data.abs_len == 2
@@ -161,18 +162,18 @@ def test_boolean_rank3_interval_in_a3():
 
 def test_interval_incomparable_raises():
     ctx = ctx_for("A2")
-    s1, s2 = ctx.simples
+    s1, s2 = elements(ctx, "1", "2")
     with pytest.raises(ValueError):
         interval(s1, s2)
 
 
 def test_absolute_length():
     ctx = ctx_for("A2")
-    w0 = ctx.longest_element()
+    w0 = ctx.elements[-1]
     assert absolute_length(ctx.identity, w0) == 1
     assert absolute_length(w0, w0) == 0
-    s1, s2 = ctx.simples
-    assert absolute_length(ctx.identity, multiply(s1, s2)) == 2
+    s1, s2, s1s2 = elements(ctx, "1", "2", "1 2")
+    assert absolute_length(ctx.identity, s1s2) == 2
     with pytest.raises(ValueError):
         absolute_length(s1, s2)
 
@@ -199,11 +200,11 @@ def test_reachability_matches_order():
 
 def test_neighborhood_and_defect_a2():
     ctx = ctx_for("A2")
-    w0 = ctx.longest_element()
+    w0 = ctx.elements[-1]
     nb = neighborhood(ctx.identity, w0)
     assert [g.length for g in nb] == [1, 1, 3]
     assert defect(ctx.identity, w0) == 0
-    s1 = ctx.simples[0]
+    s1 = parse_element(ctx, "1")
     assert [g.length for g in neighborhood(s1, w0)] == [2, 2]
     assert defect(s1, w0) == 0
     # atom interval
@@ -227,13 +228,18 @@ def test_deodhar_nonnegative_small():
 
 
 def test_m_count():
+    # m(u, w), the number of directed paths u -> v -> w, as le1_le2_le3
+    # reads it off the adjacency: 2 on every pair at absolute length 2
     ctx = ctx_for("A2")
-    s1, s2 = ctx.simples
-    assert m_count(ctx.identity, multiply(s1, s2)) == 2
-    assert m_count(ctx.identity, multiply(s2, s1)) == 2
-    assert m_count(s1, ctx.longest_element()) == 2
-    with pytest.raises(ValueError):
-        m_count(ctx.identity, ctx.longest_element())  # a = 1
+    up, down = up_adjacency(ctx), down_adjacency(ctx)
+
+    def m(u, w):
+        return sum(1 for vi in up[u.index] if vi in down[w.index])
+
+    e, s1, s1s2, s2s1, w0 = elements(ctx, "e", "1", "1 2", "2 1", "1 2 1")
+    for u, w in ((e, s1s2), (e, s2s1), (s1, w0)):
+        assert absolute_length(u, w) == 2 and m(u, w) == 2
+    assert absolute_length(e, w0) == 1 and m(e, w0) == 0  # no path of length 2
 
 
 def test_up_adjacency_edge_lengths_odd():
@@ -266,7 +272,7 @@ def test_adjacency_matches_matrix_products(spec):
 
 def test_dot_export():
     ctx = ctx_for("A2")
-    data = interval(ctx.identity, ctx.longest_element())
+    data = interval(ctx.identity, ctx.elements[-1])
     dot = interval_to_dot(data)
     assert dot.startswith("// interval [e, 1 2 1] in A2: 6 vertices, 9 edges")
     assert dot.count("->") == 9
@@ -276,7 +282,7 @@ def test_dot_export():
 
 def test_json_export():
     ctx = ctx_for("A2")
-    data = interval(ctx.identity, ctx.longest_element())
+    data = interval(ctx.identity, ctx.elements[-1])
     obj = json.loads(json.dumps(interval_to_json(data)))
     assert obj["group"] == "A2"
     assert obj["members"][0] == "e" and obj["top"] == "1 2 1"

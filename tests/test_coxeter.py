@@ -1,15 +1,20 @@
 """Tests for group construction, element arithmetic, and word I/O."""
 
+import ast
 import doctest
 import importlib
+import io
 import pkgutil
+import re
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from kl_oracle import right_descents  # noqa: E402
 from reference_matrices import (  # noqa: E402
     apply,
     is_positive,
@@ -19,17 +24,16 @@ from reference_matrices import (  # noqa: E402
 )
 
 import bruhatkl.coxeter  # noqa: E402
+from bruhatkl.bruhat import bruhat_le  # noqa: E402
 from bruhatkl.coxeter import (  # noqa: E402
+    _mul,
     build_group,
-    inverse,
-    left_descents,
-    multiply,
     parse_element,
     parse_group_spec,
-    reflection_between,
-    right_descents,
     word_of,
 )
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 # one group per family: simply laced (A, D) and with two root lengths
@@ -55,7 +59,33 @@ def test_package_doctest():
     assert failures == 0
 
 
+def _names_used(source):
+    """Identifiers a module's code and doctest lines use, less the name a
+    def or class line defines and the names of import statements."""
+    used = set()
+    prev, in_import, line_start = "", False, True
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            if line_start and tok.string in ("from", "import"):
+                in_import = True
+            elif not in_import and prev not in ("def", "class"):
+                used.add(tok.string)
+            prev = tok.string
+        elif tok.type == tokenize.STRING:
+            for line in tok.string.splitlines():
+                if re.match(r"\s*(>>>|\.\.\.) (?!from |import )", line):
+                    used.update(re.findall(r"[A-Za-z_]\w*", line.strip()[4:]))
+        if tok.type == tokenize.NEWLINE:
+            in_import = False
+        line_start = tok.type in (
+            tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT
+        ) or (line_start and tok.type == tokenize.COMMENT)
+    return used
+
+
 def test_every_exported_name_resolves():
+    # and has a user: library code or a doctest beyond its own def/class
+    # line and its __all__ entry, or README
     import bruhatkl
 
     modules = [bruhatkl] + [
@@ -67,6 +97,35 @@ def test_every_exported_name_resolves():
     for mod in exporting:
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert missing == [], (mod.__name__, missing)
+    used = set()
+    for path in Path(bruhatkl.__file__).parent.glob("*.py"):
+        used |= _names_used(path.read_text())
+    readme = README.read_text()
+    unused = [
+        (mod.__name__, name)
+        for mod in exporting
+        for name in mod.__all__
+        if name not in used and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unused == []
+
+
+def test_readme_library_example():
+    # runs the Library block of README and checks what its comments state
+    block = README.read_text().split("## Library", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    env, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values.append(eval(code, env))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), env)
+    kl, r_shifted, fh, passed = values
+    assert str(kl) == "q + 1"
+    assert str(r_shifted) == "(q-1)^4 + (q-1)^3 + (q-1)^2"
+    assert (fh.a, fh.d, fh.f, fh.h) == (2, 2, (1, 1, 1), (1, -1, 1))
+    assert passed == [True] * 23
 
 
 @pytest.mark.parametrize(
@@ -79,7 +138,7 @@ def test_build_counts(spec, order, num_refl):
     assert len(ctx.reflections) == num_refl
     assert len(ctx.pos_roots) == num_refl
     # every simple reflection is a reflection
-    assert all(s.index in ctx.reflection_ids for s in ctx.simples)
+    assert all(s in ctx.reflection_ids for s in ctx.rmult[0])
 
 
 def test_parse_group_spec_errors():
@@ -118,8 +177,8 @@ def test_e6_builds_above_the_default_guard():
     assert ctx.order == 51840
     assert len(ctx.pos_roots) == 36 and len(ctx.reflections) == 36
     assert ctx.lengths.count(36) == 1 and max(ctx.lengths) == 36
-    w0 = ctx.longest_element()
-    assert w0.length == 36 and w0 is ctx.elements[-1]
+    w0 = ctx.elements[-1]
+    assert w0.length == 36
     for w in (w0, *ctx.reflections, *ctx.elements[::997]):
         assert parse_element(ctx, word_of(w)) == w
 
@@ -139,17 +198,17 @@ def test_b_and_c_are_transposed():
 
 def test_multiply_and_inverse():
     ctx = ctx_for("A2")
-    s1, s2 = ctx.simples
-    e = ctx.identity
-    a = multiply(s1, s2)
-    assert multiply(a, e) == a
-    assert multiply(s1, s1) == e
-    assert multiply(multiply(s1, s2), s1) == multiply(multiply(s2, s1), s2)
-    assert inverse(e) == e
-    assert inverse(a) == multiply(s2, s1)
-    for t in ctx.reflections:
-        assert inverse(t) == t
-        assert multiply(t, t) == e
+    s1, s2 = ctx.rmult[0]
+    inv = ctx.inv
+    a = _mul(ctx, s1, s2)
+    assert _mul(ctx, a, 0) == a
+    assert _mul(ctx, s1, s1) == 0
+    assert _mul(ctx, a, s1) == _mul(ctx, _mul(ctx, s2, s1), s2)
+    assert inv[0] == 0
+    assert inv[a] == _mul(ctx, s2, s1)
+    for t in ctx.reflection_ids:
+        assert inv[t] == t
+        assert _mul(ctx, t, t) == 0
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
@@ -159,22 +218,21 @@ def test_multiply_matches_matrix_product(spec):
     by_matrix = {matrix_of(g): g for g in ctx.elements}
     for a in ctx.elements:
         for b in ctx.elements:
-            assert multiply(a, b) == by_matrix[mat_mul(matrix_of(a), matrix_of(b))]
+            ab = by_matrix[mat_mul(matrix_of(a), matrix_of(b))]
+            assert _mul(ctx, a.index, b.index) == ab.index
 
 
 def test_context_mismatch():
     a2, b2 = ctx_for("A2"), ctx_for("B2")
-    with pytest.raises(ValueError):
-        multiply(a2.identity, b2.identity)
+    with pytest.raises(ValueError, match="context mismatch"):
+        bruhat_le(a2.identity, b2.identity)
 
 
 def test_descents():
     ctx = ctx_for("A2")
-    s1, _ = ctx.simples
     assert right_descents(ctx.identity) == []
-    assert right_descents(ctx.longest_element()) == [0, 1]
-    assert right_descents(s1) == [0]
-    assert left_descents(s1) == [0]
+    assert right_descents(ctx.elements[-1]) == [0, 1]
+    assert right_descents(parse_element(ctx, "2 1")) == [0]
     for spec in ("A3", "B3", "G2"):
         ctx = ctx_for(spec)
         assert ctx.srd == [min(right_descents(w), default=-1) for w in ctx.elements]
@@ -192,12 +250,14 @@ def test_right_descents_match_column_signs(spec):
 
 
 def test_reflection_between():
+    # w = ut for the element t = u^-1 w, a Bruhat-graph edge when t is a
+    # reflection
     ctx = ctx_for("A2")
-    s1, s2 = ctx.simples
-    assert reflection_between(ctx.identity, s1) == s1
-    assert reflection_between(ctx.identity, multiply(s1, s2)) is None
-    t = reflection_between(ctx.identity, ctx.longest_element())
-    assert t is not None and t.length == 3
+    s1, s2 = ctx.rmult[0]
+    assert _mul(ctx, ctx.inv[s2], _mul(ctx, s2, s1)) == s1
+    assert _mul(ctx, ctx.inv[0], _mul(ctx, s1, s2)) not in ctx.reflection_ids
+    t = _mul(ctx, ctx.inv[0], ctx.order - 1)
+    assert t in ctx.reflection_ids and ctx.lengths[t] == 3
 
 
 def test_word_round_trip():
@@ -214,8 +274,8 @@ def test_word_round_trip():
 def test_word_examples():
     ctx = ctx_for("A2")
     assert word_of(ctx.identity) == "e"
-    assert word_of(ctx.simples[0]) == "1"
-    assert word_of(ctx.longest_element()) == "1 2 1"
+    assert word_of(ctx.elements[ctx.rmult[0][0]]) == "1"
+    assert word_of(ctx.elements[-1]) == "1 2 1"
 
 
 def test_word_is_lex_smallest_reduced():
@@ -255,7 +315,7 @@ def test_length_invariants():
         ctx = ctx_for(spec)
         npos = len(ctx.pos_roots)
         for w in ctx.elements:
-            assert w.length == inverse(w).length
+            assert w.length == ctx.lengths[ctx.inv[w.index]]
             for s in range(ctx.rank):
                 ws = ctx.elements[ctx.rmult[w.index][s]]
                 assert abs(ws.length - w.length) == 1

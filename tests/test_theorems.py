@@ -15,8 +15,6 @@ from bruhatkl.coxeter import build_group, parse_group_spec  # noqa: E402
 from bruhatkl.klr import fill_tables  # noqa: E402
 from bruhatkl.theorems import (  # noqa: E402
     CHECK_NAMES,
-    check_dvc,
-    check_nth2,
     report_to_json,
     run_check,
     run_suite,
@@ -93,7 +91,7 @@ def test_brenti_scan_reports_no_excess():
 
 def test_dvc_and_nth2_singular_counts():
     ctx = ctx_for("A3")
-    for report in (check_dvc(ctx), check_nth2(ctx)):
+    for report in run_suite(ctx, ["dvc_linear", "nth2_quadratic"]):
         assert report.passed
         assert report.stats["singular_intervals"] == 6
 
@@ -139,6 +137,32 @@ def test_kl_table_filled_only_for_checks_that_read_it():
     run_suite(ctx, ["brenti_scan", "kl_basics"])
     assert sorted(ctx.tables.KL) == sorted(comparable_pairs(ctx))
     assert ctx.tables.staged == {}
+
+
+SUM_CHECKS = ("dvc_linear", "nth2_quadratic", "smoothness_equivalence")
+
+
+def test_interval_r_sums_follow_r_between_runs():
+    # the interval R-sums are taken from R as it is at each run, so a run
+    # after R(e, w0) changes reports what a context that never ran the
+    # three checks before the change reports
+    reports = []
+    for ran_before in (True, False):
+        ctx = build_group(parse_group_spec("A3"))
+        run_check("kl_basics", ctx)
+        if ran_before:
+            run_suite(ctx, SUM_CHECKS)
+        ell = ctx.lengths[ctx.order - 1]
+        ctx.tables.R[0, ctx.order - 1] = tuple(
+            (-1) ** (ell - k) * comb(ell, k) for k in range(ell + 1)
+        )
+        reports.append([report_to_json(r) for r in run_suite(ctx, SUM_CHECKS)])
+    assert reports[0] == reports[1]
+    verdicts = {
+        r["check"]: (r["passed"], r["stats"]["violations_total"]) for r in reports[0]
+    }
+    assert verdicts["nth2_quadratic"] == (False, 1)
+    assert verdicts["smoothness_equivalence"] == (False, 1)
 
 
 @pytest.mark.parametrize("entry", [(), (1,), (0, 0, 1)])
