@@ -204,12 +204,12 @@ class Tables:
     built yet (every cone contains e, so no built mask is 0).
     The R, Rt, KL and staged tables hold comparable pairs only
     (incomparable probes are answered by the order test, not stored), and
-    KL holds only entries that passed ``klr._certify``.  A value derived
-    from one entry, like R's (q-1)-expansion (``klr._shifted``), has no
-    field: it is computed from the entry at each use, so no reader sees a
-    value derived from an entry that has since changed.  Tables can hold
-    hundreds of thousands of entries, so they compare by identity and have
-    no field-by-field repr.
+    KL holds only entries that passed ``klr._certify``, which tests them
+    with ``klr._kl_faults``.  A value derived from one entry, like R's
+    (q-1)-expansion (``klr._shifted``), has no field: it is computed from
+    the entry at each use, so no reader sees a value derived from an entry
+    that has since changed.  Tables can hold hundreds of thousands of
+    entries, so they compare by identity and have no field-by-field repr.
     """
 
     le: list[int] | None = None  # bruhat._lower; 0 = not built yet
@@ -223,7 +223,8 @@ class Tables:
     Rt: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "Rt"
     KL: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._certify
     # P_xw computed by the KL recursion and not yet checked; klr._certify
-    # moves an entry from here into KL once the functional equation holds
+    # moves an entry from here into KL once klr._kl_faults finds no fault
+    # on the interval or group it sweeps, never replacing an entry in KL
     staged: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._stage
     # mu-list by top id w: (x, mu(x, w)) for each x < w with mu(x, w) != 0;
     # a key w present means the column of w has been staged

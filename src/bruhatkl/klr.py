@@ -22,14 +22,16 @@ P_{., w} at a time by the Kazhdan-Lusztig recursion (Invent. Math. 53,
 
 where mu(z,v) is the coefficient of q^((l(z,v)-1)/2) in P_zv.  A column
 goes first into ``tables.staged``; ``tables.KL`` receives an entry only
-after the functional equation has been checked exactly over the whole
-interval [u, w] asked for (see ``_certify``).  So every KL value served
-has passed the check, whatever the recursion computed.  The tables are
-the ``R``, ``Rt``, ``KL``, ``staged`` and ``mu`` fields of the owning
-context's ``ctx.tables``, keyed by element ids and holding comparable
-pairs only; they are filled lazily (one thread at a time), and nothing
-else mutates them.  Coefficients are Python integers throughout, so
-nothing can overflow.
+after ``_kl_faults`` has found no fault on the whole interval [u, w]
+asked for, or on the whole group in ``fill_tables`` (see ``_certify``).
+It tests P_ww = 1, P(0) = 1, the degree bound and the functional
+equation, the last exactly at q = 2^B through the interval sums of
+``_sums_at_q``.  So every KL value served has passed the check, whatever
+the recursion computed.  The tables are the ``R``, ``Rt``, ``KL``,
+``staged`` and ``mu`` fields of the owning context's ``ctx.tables``, keyed
+by element ids and holding comparable pairs only; they are filled lazily
+(one thread at a time), and nothing else mutates them.  Coefficients are
+Python integers throughout, so nothing can overflow.
 """
 
 from __future__ import annotations
@@ -190,21 +192,6 @@ def _stage(ctx: GroupContext, wi: int) -> None:
         mu[w] = mus
 
 
-class _RAtQ:
-    """R_xy(2^bits) by column y, kept for the length of one fill_tables call.
-
-    Every column above y reuses the values of y; a larger ``bits`` than a
-    column needs is still sound, so the memo is rebuilt only when a column
-    needs more.
-    """
-
-    __slots__ = ("bits", "cols")
-
-    def __init__(self) -> None:
-        self.bits = 0
-        self.cols: dict[int, list[tuple[int, int]]] = {}
-
-
 def _at(cs: Coeffs, bits: int) -> int:
     """The polynomial cs evaluated at q = 2^bits."""
     val = 0
@@ -213,136 +200,132 @@ def _at(cs: Coeffs, bits: int) -> int:
     return val
 
 
-def _r_at(ctx: GroupContext, xi: int, yi: int, bits: int) -> int:
-    """R_xy(2^bits), after checking the norm bound the certificate rests on."""
-    r = _r(ctx, xi, yi)
-    if sum(map(abs, r)) > 3 ** (ctx.lengths[yi] - ctx.lengths[xi]):
-        raise RuntimeError(
-            f"R coefficients exceed the KL certificate's headroom for "
-            f"({word_of(ctx.elements[xi])!r}, {word_of(ctx.elements[yi])!r}) "
-            f"in {ctx.name}"
-        )
-    return _at(r, bits)
-
-
 def _sums_at_q(
-    ctx: GroupContext, f: Callable[[int, int], Coeffs]
-) -> tuple[int, Iterator[dict[int, int]]]:
-    """B, and one dict {u: S_uw(Q)} over u <= w per top w, by increasing id.
+    ctx: GroupContext, f: Callable[[int, int], Coeffs], ui: int = 0, wi: int = -1
+) -> tuple[int, Iterator[tuple[int, dict[int, int]]]]:
+    """B, and per top w one pair (w, {x: S_xw(Q)}), x by increasing id.
 
-    Q = 2^B and S_uw = sum over v in [u, w] of R_uv * F_vw, where f(v, w)
-    gives the coefficients of F_vw.  B serves an identity whose sides are
-    sums of at most |G| such products: every coefficient of either side is
-    then at most M = |G| * max ||R_xy||_1 * max ||F_vw||_1 (each norm at
-    least 1, over every comparable pair), and coefficients <= M with
-    2^(B-1) > 2M make the identity exact at Q: a nonzero difference, its
-    coefficients below 2^(B-1) in absolute value, cannot vanish at 2^B.
-    The signed base-2^B digits of S_uw(Q) are then its coefficients
-    (``_digits``).  The norms are read from the tables as they are now, not
-    from the 3^l bound of ``_certify``, so a corrupted entry raises B
-    instead of breaking the identity or raising.
+    Q = 2^B and S_xw = sum over v in [x, w] of R_xv * F_vw, where f(v, w)
+    gives the coefficients of F_vw.  With wi < 0 the sweep covers the whole
+    group, every w a top and every x <= w; otherwise it covers the
+    interval [u, w], with w its one top and every x in [u, w].  B serves an
+    identity whose sides are sums of at most n such products, n the number
+    of members: every coefficient of either side is then at most
+    M = n * max ||R_xy||_1 * max ||F_vw||_1 (each norm at least 1, over the
+    entries read), and coefficients <= M with 2^(B-1) > 2M make the
+    identity exact at Q: a nonzero difference, its coefficients below
+    2^(B-1) in absolute value, cannot vanish at 2^B.  The signed base-2^B
+    digits of S_xw(Q) are then its coefficients (``_digits``).  The norms
+    are read from the tables as they are now, so a corrupted entry raises B
+    instead of breaking the identity.  f is called once per pair.
     """
-    lower = le_masks(ctx)
-    cols = [{x: _r(ctx, x, y) for x in iter_bits(lower[y])} for y in range(ctx.order)]
-    norm_r = max(sum(map(abs, r)) for col in cols for r in col.values())
-    norm_f = max(sum(map(abs, f(v, w))) for w, col in enumerate(cols) for v in col)
-    m = ctx.order * max(1, norm_r) * max(1, norm_f)
+    if wi < 0:
+        masks, span, tops = le_masks(ctx), (1 << ctx.order) - 1, range(ctx.order)
+    else:
+        span = 0
+        for v in _between(ctx, ui, wi):  # builds the masks below w
+            span |= 1 << v
+        masks, tops = ctx.tables.le, (wi,)
+    # column v: the ids x of the members below v and the R_xv, read once
+    rcols = {}
+    for v in iter_bits(span):
+        xs = list(iter_bits(masks[v] & span))
+        rcols[v] = xs, [_r(ctx, x, v) for x in xs]
+    fcols = {w: [f(v, w) for v in rcols[w][0]] for w in tops}
+    norm_r = max(sum(map(abs, r)) for _, rs in rcols.values() for r in rs)
+    norm_f = max(sum(map(abs, p)) for fs in fcols.values() for p in fs)
+    m = len(rcols) * max(1, norm_r) * max(1, norm_f)
     bits = (2 * m).bit_length() + 1  # 2^(B-1) > 2M
-    for col in cols:
-        for x, r in col.items():
-            col[x] = _at(r, bits)
+    many = len(tops) > 1
+    if many:  # every column is read once per top above it: evaluate it once
+        for _, rs in rcols.values():
+            rs[:] = [_at(r, bits) for r in rs]
 
-    def tops() -> Iterator[dict[int, int]]:
-        for w, col in enumerate(cols):
-            acc = dict.fromkeys(col, 0)
-            # transposed: for each v, add R_uv(Q) F_vw(Q) to every u below it
-            for v in col:
-                c = _at(f(v, w), bits)
-                for u, r in cols[v].items():
-                    acc[u] += r * c
-            yield acc
+    def sums() -> Iterator[tuple[int, dict[int, int]]]:
+        for w in tops:
+            vs = rcols[w][0]
+            acc = dict.fromkeys(vs, 0)
+            # transposed: for each v, add R_xv(Q) F_vw(Q) to every x below it
+            for v, p in zip(vs, fcols.pop(w)):
+                xs, rs = rcols[v]
+                if not many:  # one top reads each column once: keep no values
+                    rs = [_at(r, bits) for r in rs]
+                c = _at(p, bits)
+                if c == 1:
+                    for x, r in zip(xs, rs):
+                        acc[x] += r
+                else:
+                    for x, r in zip(xs, rs):
+                        acc[x] += r * c
+            yield w, acc
 
-    return bits, tops()
+    return bits, sums()
 
 
-def _certify(ctx: GroupContext, ui: int, wi: int, memo: _RAtQ | None = None) -> None:
-    """Check the staged P_xw, x in [u, w], and move them into ``tables.KL``.
-
-    Stages the column of w first if needed.  Each x in [u, w] not yet in
-    ``tables.KL`` must satisfy P_ww = 1, P_xw(0) = 1, the degree bound, and
-    the functional equation, checked exactly at q = Q = 2^B:
+def _kl_faults(
+    ctx: GroupContext, get: Callable[[int, int], Coeffs], ui: int = 0, wi: int = -1
+) -> Iterator[tuple[int, int, str]]:
+    """(x, w, fault) for each pair of the sweep of ``_sums_at_q`` (the
+    interval [u, w], or the whole group when wi < 0) that fails a test, by
+    w and then x, with P_xw = get(x, w).  Tested: P_ww = 1, P_xw(0) = 1,
+    the degree bound deg P_xw <= (l(x,w)-1)/2, and the functional
+    equation, exactly at q = Q = 2^B:
 
         Q^l(x,w) P_xw(1/Q) = sum over y in [x, w] of R_xy(Q) P_yw(Q)
 
-    Both sides are polynomials in q.  ||R_xy||_1 <= 3^l(x,y), by induction
-    on the steps of ``_STEPS``: 3^(l-2) + 2 * 3^(l-1) <= 3^l (``_r_at``
-    raises if an R entry breaks it).  So every coefficient of either side is
-    at most M = |[u,w]| * 3^l(u,w) * max|P|, the difference at most 2M, and
-    2^(B-1) > 2M makes two sides with equal values at Q equal as
-    polynomials.  The equation and the degree bound on [u, w] determine
-    P_uw, so a checked entry is exact however the column was computed.
-    Raises RuntimeError naming the first failing pair from the top.
+    The equation and the degree bound determine P_xw from the P_yw with
+    y in (x, w], so when no pair of [x, w] fails, P_xw is the KL
+    polynomial of the tables' R however it was computed.
+    """
+    lengths = ctx.lengths
+    bits, tops = _sums_at_q(ctx, get, ui, wi)
+    for w, acc in tops:
+        lw = lengths[w]
+        for x, val in acc.items():
+            p = get(x, w)
+            d = lw - lengths[x]
+            if x == w:
+                if p != (1,):
+                    yield x, w, "diagonal KL entry not 1"
+            elif not p or p[0] != 1 or 2 * len(p) > d + 1:
+                yield x, w, f"malformed KL entry {p}"
+            elif _at(p[::-1], bits) << bits * (d + 1 - len(p)) != val:
+                yield x, w, "functional equation fails"
+
+
+def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> None:
+    """Check the staged P_xw over [u, w] and move them into ``tables.KL``;
+    with wi < 0, over every comparable pair.
+
+    Stages the columns of the tops first if needed, then, unless nothing
+    is left staged, runs one ``_kl_faults`` sweep over the entries of
+    ``tables.KL``, else staged.
+    Raises RuntimeError naming the first faulty pair not yet in
+    ``tables.KL``, by w and then x, before moving anything.  A staged entry
+    never replaces one already in ``tables.KL``.
     """
     t = ctx.tables
     kl, staged = t.KL, t.staged
-    if wi not in t.mu:
-        _stage(ctx, wi)
-    lengths = ctx.lengths
-    lw = lengths[wi]
-    members = list(_between(ctx, ui, wi))
-    col: dict[int, Coeffs] = {}
-    acc: dict[int, int] = {}  # x not yet in KL -> right-hand side at Q
-    todo = 0
-    for x in members:
-        p = kl.get((x, wi))
-        if p is None:
-            p = staged[x, wi]
-            acc[x] = 0
-            todo |= 1 << x
-        col[x] = p
-    for x in acc:
-        p = col[x]
-        if x == wi:
-            ok = p == (1,)
-        else:
-            ok = p and p[0] == 1 and 2 * len(p) <= lw - lengths[x] + 1
-        if not ok:
-            raise _kl_error(ctx, x, wi)
-    if acc:
-        top = max(abs(c) for p in col.values() for c in p)
-        bits = (2 * len(members) * 3 ** (lw - lengths[ui]) * top).bit_length() + 1
-        if memo is not None:
-            if memo.bits < bits:
-                memo.bits, memo.cols = bits + 16, {}
-            bits = memo.bits
-        masks = t.le
-        # transposed: for each y, add R_xy(Q) P_yw(Q) to every x below it
-        for y in members:
-            lower_y = masks[y] or _lower(ctx, y)
-            below = lower_y & todo
-            if not below:
-                continue
-            if memo is None:
-                pairs = [(x, _r_at(ctx, x, y, bits)) for x in iter_bits(below)]
-            else:
-                pairs = memo.cols.get(y)
-                if pairs is None:
-                    pairs = memo.cols[y] = [
-                        (x, _r_at(ctx, x, y, bits)) for x in iter_bits(lower_y)
-                    ]
-                if below != lower_y:
-                    pairs = [(x, r) for x, r in pairs if below >> x & 1]
-            py = _at(col[y], bits)
-            for x, r in pairs:
-                acc[x] += r * py
-        for x in sorted(acc, reverse=True):
-            p = col[x]
-            if _at(p[::-1], bits) << bits * (lw - lengths[x] - len(p) + 1) != acc[x]:
-                raise _kl_error(ctx, x, wi)
-    for x in members:
+    for w in range(ctx.order) if wi < 0 else (wi,):
+        _stage(ctx, w)
+    if not staged:  # a staged column's pairs are each in KL or staged
+        return
+
+    def get(v: int, w: int) -> Coeffs:
+        return kl.get((v, w)) or staged[v, w]
+
+    for x, w, _ in _kl_faults(ctx, get, ui, wi):
+        if (x, w) not in kl:
+            raise _kl_error(ctx, x, w)
+    if wi < 0:
+        for key, p in staged.items():
+            kl.setdefault(key, p)
+        staged.clear()
+        return
+    for x in _between(ctx, ui, wi):
         p = staged.pop((x, wi), None)
-        if x in acc:
-            kl[x, wi] = p
+        if p is not None:
+            kl.setdefault((x, wi), p)
 
 
 def _kl_error(ctx: GroupContext, xi: int, wi: int) -> RuntimeError:
@@ -509,11 +492,7 @@ def _interval_r_sums(ctx: GroupContext) -> dict[Pair, Coeffs]:
     is now: the sums of ``_sums_at_q`` with F = 1, read back in signed
     base-2^B digits.  Nothing is stored."""
     bits, tops = _sums_at_q(ctx, lambda v, w: (1,))
-    return {
-        (x, w): _digits(val, bits)
-        for w, acc in enumerate(tops)
-        for x, val in acc.items()
-    }
+    return {(x, w): _digits(val, bits) for w, acc in tops for x, val in acc.items()}
 
 
 def strict_edges(u: GroupElement, w: GroupElement) -> list[GroupElement]:
@@ -562,19 +541,18 @@ def strict_path_to_smooth(u: GroupElement, w: GroupElement) -> list[GroupElement
 def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
     """Compute every comparable pair's entry for the requested kinds.
 
-    Top elements go by increasing id, hence length.  Each KL column is
-    staged by the recursion and certified over its whole lower cone before
-    the next one, with R_xy(2^B) memoized for this call only.
+    Top elements go by increasing id, hence length.  For KL, every column
+    is staged by the recursion and then certified in one ``_certify`` sweep
+    over the whole group.
     """
     masks = le_masks(ctx)
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown table kind {kind!r}")
-    memo = _RAtQ()
     for wi in range(ctx.order):
         for kind in ("R", "Rt"):
             if kind in kinds:
                 for ui in iter_bits(masks[wi]):
                     _r(ctx, ui, wi, kind)
-        if "KL" in kinds:
-            _certify(ctx, 0, wi, memo)
+    if "KL" in kinds:
+        _certify(ctx)

@@ -14,19 +14,20 @@ Five checks test polynomial identities at one point, q = Q = 2^B
 Algebra, section 8.4), through one interval sum, S_uw = sum over v in
 [u, w] of R_uv F_vw (``klr._sums_at_q``).  r_alternating_sum (F = +-R)
 and kl_basics (F = P) compare the two sides of their identity at Q, one
-integer each per pair.  The interval R-sums (F = 1) of dvc_linear,
-nth2_quadratic and smoothness_equivalence are read back from their values
-at Q (``klr._interval_r_sums``): ``run_suite`` computes them once per call,
-from R as it is then, at the first of the three it runs, and passes them to
-each of the three as an argument.  That is exact: B is set with
-each sum from the norms of R and F as they are then, so that every
-coefficient of either side is at most M with 2^(B-1) > 2M, and a nonzero
-integer polynomial with coefficients that small does not vanish at 2^B.  So a
-pair fails at Q exactly when it fails as polynomials; r_alternating_sum
-recomputes such a pair in coefficient form for the coefficients its
-witness prints.  kl_monotone and mono_equiv group each KL column by value
-and decide each pair of values once; every triple is still counted, and
-reported if it fails.
+integer each per pair; kl_basics runs the per-pair test of the KL
+certificate, ``klr._kl_faults``, over the KL table as it is.  The interval
+R-sums (F = 1) of dvc_linear, nth2_quadratic and smoothness_equivalence are
+read back from their values at Q (``klr._interval_r_sums``): ``run_suite``
+computes them once per call, from R as it is then, at the first of the
+three it runs, and passes them to each of the three as an argument.  That
+is exact: B is set with each sum from the norms of R and F as they are
+then, so that every coefficient of either side is at most M with
+2^(B-1) > 2M, and a nonzero integer polynomial with coefficients that small
+does not vanish at 2^B.  So a pair fails at Q exactly when it fails as
+polynomials; r_alternating_sum recomputes such a pair in coefficient form
+for the coefficients its witness prints.  kl_monotone and mono_equiv group
+each KL column by value and decide each pair of values once; every triple
+is still counted, and reported if it fails.
 
 The R-level checks read R's (q-1)-expansion through ``klr._shifted``,
 which computes it from the R table at each call, so they see the table
@@ -55,9 +56,9 @@ from bruhatkl.bruhat import (
 )
 from bruhatkl.coxeter import Coeffs, GroupContext, Pair, word_of
 from bruhatkl.klr import (
-    _at,
     _kl,
     _kl1,
+    _kl_faults,
     _r,
     _interval_r_sums,
     _shifted,
@@ -209,7 +210,7 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
         return tuple(-c for c in r) if lengths[vi] % 2 else r
 
     _, tops = _sums_at_q(ctx, signed)
-    for wi, acc in enumerate(tops):
+    for wi, acc in tops:
         for ui, val in acc.items():
             if lengths[ui] % 2:
                 val = -val
@@ -527,26 +528,10 @@ def _check_le1_le2_le3(ctx: GroupContext) -> CheckReport:
 def _check_kl_basics(ctx: GroupContext) -> CheckReport:
     """KL ground rules per pair: constant term 1, degree bound
     (l(u,w)-1)/2, 1 on the diagonal, and the defining functional equation
-    verified by full substitution at Q = 2^B, exactly by the bound of
-    ``klr._sums_at_q``."""
+    verified by full substitution at Q = 2^B (``klr._kl_faults``)."""
     wit = _Witnesses()
-    lengths = ctx.lengths
-    bits, tops = _sums_at_q(ctx, lambda vi, wi: _kl(ctx, vi, wi))
-    for wi, acc in enumerate(tops):
-        # acc[u] = sum over v in [u, w] of R_uv(Q) P_vw(Q)
-        for ui, val in acc.items():
-            pc = _kl(ctx, ui, wi)
-            if ui == wi:
-                if pc != (1,):
-                    wit.add(f"{_pair_word(ctx, ui, wi)}: diagonal KL entry not 1")
-                continue
-            D = lengths[wi] - lengths[ui]
-            if not pc or pc[0] != 1 or len(pc) - 1 > (D - 1) // 2:
-                wit.add(f"{_pair_word(ctx, ui, wi)}: malformed KL entry {pc}")
-                continue
-            lhs = _at(pc[::-1], bits) << bits * (D + 1 - len(pc))
-            if lhs != val:
-                wit.add(f"{_pair_word(ctx, ui, wi)}: functional equation fails")
+    for ui, wi, fault in _kl_faults(ctx, lambda vi, wi: _kl(ctx, vi, wi)):
+        wit.add(f"{_pair_word(ctx, ui, wi)}: {fault}")
     return _report(ctx, "kl_basics", len(comparable_pairs(ctx)), wit, {})
 
 

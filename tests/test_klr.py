@@ -21,7 +21,7 @@ from bruhatkl.coxeter import (  # noqa: E402
     parse_group_spec,
     word_of,
 )
-from bruhatkl.klr import _interval_r_sums, _stage  # noqa: E402
+from bruhatkl.klr import _digits, _interval_r_sums, _stage, _sums_at_q  # noqa: E402
 from bruhatkl.klr import (  # noqa: E402
     check_r_rtilde_link,
     fh_vectors,
@@ -136,10 +136,18 @@ def test_kl_degree_bound_and_constant_term():
 
 
 def test_kl_matches_oracle_a3_b2():
+    # whole-group fill on a fresh context, and after one-shot queries have
+    # certified some columns (the fill must keep what is in KL)
     for spec in ("A3", "B2"):
-        ctx = build_group(parse_group_spec(spec))  # fresh context
-        fill_tables(ctx, ("KL",))
-        assert ctx.tables.KL == oracle_kl_table(ctx)
+        for warm in (False, True):
+            ctx = build_group(parse_group_spec(spec))
+            if warm:
+                for wi in range(0, ctx.order, 3):
+                    kl_poly(ctx.identity, ctx.elements[wi])
+                assert ctx.tables.KL and ctx.tables.staged
+            fill_tables(ctx, ("KL",))
+            assert ctx.tables.KL == oracle_kl_table(ctx)
+            assert not ctx.tables.staged
 
 
 def test_fh_vectors():
@@ -183,7 +191,8 @@ def test_sum_r_over():
 
 
 def test_sums_at_q_with_f_one_matches_sum_r_over():
-    # with F = 1 each interval R-sum is read back from one value at q = 2^B
+    # with F = 1 each interval R-sum is read back from one value at q = 2^B,
+    # over the whole group and over one interval [u, w] at a time
     for spec in ("A3", "B3", "G2"):
         sums = _interval_r_sums(build_group(parse_group_spec(spec)))
         one = build_group(parse_group_spec(spec))
@@ -191,6 +200,14 @@ def test_sums_at_q_with_f_one_matches_sum_r_over():
         assert sorted(sums) == sorted(pairs)
         for xi, wi in pairs:
             assert sums[xi, wi] == sum_r_over(one.elements[xi], one.elements[wi])
+    ctx = ctx_for("A3")
+    for ui, wi in comparable_pairs(ctx):
+        bits, tops = _sums_at_q(ctx, lambda v, w: (1,), ui, wi)
+        ((top, acc),) = tops
+        members = interval(ctx.elements[ui], ctx.elements[wi]).members
+        assert top == wi and list(acc) == sorted(x.index for x in members)
+        for xi, val in acc.items():
+            assert _digits(val, bits) == sum_r_over(ctx.elements[xi], ctx.elements[wi])
 
 
 def test_is_rationally_smooth():
@@ -240,32 +257,40 @@ def test_strict_path_to_smooth():
 
 
 def test_one_shot_kl_poly_builds_masks_below_w_only():
-    # A4, not A5: a whole-group KL fill of A5 takes about 3 s
-    filled = build_group(parse_group_spec("A4"))
-    fill_tables(filled, ("KL",))
-    for uw in (("1", "1 2 1"), ("e", "2 1 3 2"), ("2", "2 1 3 2 4 3")):
-        ctx = build_group(parse_group_spec("A4"))  # fresh: no masks
-        u, w = (parse_element(ctx, x) for x in uw)
-        p = kl_poly(u, w)
-        assert not ctx.tables.le_complete
-        built = [vi for vi, m in enumerate(ctx.tables.le) if m]
-        assert all(ctx.tables.le[w.index] >> vi & 1 for vi in built)
-        assert p.coeffs == filled.tables.KL[u.index, w.index]
+    # A4, not A5: a whole-group KL fill of A5 takes about 3 s; on A3 every
+    # pair u < w, so that intervals [u, w] with u != e are certified
+    a4 = build_group(parse_group_spec("A4"))
+    words = (("1", "1 2 1"), ("e", "2 1 3 2"), ("2", "2 1 3 2 4 3"))
+    a3 = build_group(parse_group_spec("A3"))
+    for filled, pairs in (
+        (a4, [tuple(parse_element(a4, x).index for x in uw) for uw in words]),
+        (a3, [(ui, wi) for ui, wi in comparable_pairs(a3) if ui != wi]),
+    ):
+        fill_tables(filled, ("KL",))
+        for ui, wi in pairs:
+            ctx = build_group(parse_group_spec(filled.name))  # fresh: no masks
+            p = kl_poly(ctx.elements[ui], ctx.elements[wi])
+            assert not ctx.tables.le_complete
+            built = [vi for vi, m in enumerate(ctx.tables.le) if m]
+            assert all(ctx.tables.le[wi] >> vi & 1 for vi in built)
+            assert p.coeffs == filled.tables.KL[ui, wi]
 
 
 def test_corrupt_staged_entry_fails_certificate():
-    ctx = build_group(parse_group_spec("A3"))
-    e, w = ctx.identity, parse_element(ctx, "2 1 3 2")
-    _stage(ctx, w.index)
-    key = (e.index, w.index)
-    assert ctx.tables.staged[key] == (1, 1)
-    # P(0) = 1 and within the degree bound, so only the equation sees it
-    ctx.tables.staged[key] = (1, 2)
-    with pytest.raises(RuntimeError, match=r"\('e', '2 1 3 2'\) in A3"):
-        kl_poly(e, w)
-    assert key not in ctx.tables.KL
-    # [2, w] does not contain e: served, and checked, as before
-    assert kl_poly(parse_element(ctx, "2"), w) == IntPoly([1, 1])
+    # through a one-shot query and through the whole-group fill
+    for certify in (kl_poly, lambda e, w: fill_tables(e.ctx, ("KL",))):
+        ctx = build_group(parse_group_spec("A3"))
+        e, w = ctx.identity, parse_element(ctx, "2 1 3 2")
+        _stage(ctx, w.index)
+        key = (e.index, w.index)
+        assert ctx.tables.staged[key] == (1, 1)
+        # P(0) = 1 and within the degree bound, so only the equation sees it
+        ctx.tables.staged[key] = (1, 2)
+        with pytest.raises(RuntimeError, match=r"\('e', '2 1 3 2'\) in A3"):
+            certify(e, w)
+        assert key not in ctx.tables.KL
+        # [2, w] does not contain e: served, and checked, as before
+        assert kl_poly(parse_element(ctx, "2"), w) == IntPoly([1, 1])
 
 
 def test_b2_c2_identical_tables_by_word():
