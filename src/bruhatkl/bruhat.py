@@ -5,7 +5,9 @@ l(u) < l(w); Bruhat order is the reachability order of this graph.  The
 order has one representation: per-element bitmasks of lower cones, built
 on demand with the lifting property along one descent chain, so a single
 comparison builds at most l(w) + 1 masks and every comparison is one bit
-test.  Whole-group scans complete the masks in one pass over the group.
+test.  The Bruhat graph is built per element the same way: the first read
+of either row of x (its out- or in-neighbors) builds both.  Whole-group
+scans complete the masks and the rows in one pass over the group.
 
 Interval statistics:
 
@@ -107,14 +109,12 @@ def le_masks(ctx: GroupContext) -> list[int]:
     """Bitmask per element id: bit u of le_masks[w] set iff u <= w.
 
     Builds the masks not built yet by increasing id (hence length), so
-    each one needs only masks already built; later calls return at once.
+    each one needs only masks already built, and returns the stored list.
     """
-    t = ctx.tables
-    if not t.le_complete:
+    if ctx.tables.le is None or 0 in ctx.tables.le:
         for wi in range(ctx.order):
             _lower(ctx, wi)
-        t.le_complete = True
-    return t.le
+    return ctx.tables.le
 
 
 def ge_masks(ctx: GroupContext) -> list[int]:
@@ -124,11 +124,8 @@ def ge_masks(ctx: GroupContext) -> list[int]:
         lower = le_masks(ctx)
         up = [0] * ctx.order
         for wi in range(ctx.order):
-            m = lower[wi]
-            while m:
-                lsb = m & -m
-                up[lsb.bit_length() - 1] |= 1 << wi
-                m ^= lsb
+            for ui in iter_bits(lower[wi]):
+                up[ui] |= 1 << wi
         t.ge = up
     return t.ge
 
@@ -154,33 +151,35 @@ def comparable_pairs(ctx: GroupContext) -> list[tuple[int, int]]:
     return t.pairs
 
 
-def _adjacency(ctx: GroupContext) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    tables = ctx.tables
-    if tables.adjacency is None:
+def _row(ctx: GroupContext, xi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bruhat-graph out- and in-neighbors of x as sorted ids, both built on
+    first use: v = xt for a reflection t is an out-neighbor iff l(v) > l(x)."""
+    t = ctx.tables
+    if t.up is None:
+        t.up, t.down = [None] * ctx.order, [None] * ctx.order
+    if t.up[xi] is None:
         lengths = ctx.lengths
-        up: list[list[int]] = [[] for _ in range(ctx.order)]
-        down: list[list[int]] = [[] for _ in range(ctx.order)]
-        for ui in range(ctx.order):
-            for t in ctx.reflections:
-                vi = _mul(ctx, ui, t.index)
-                if lengths[vi] > lengths[ui]:
-                    up[ui].append(vi)
-                    down[vi].append(ui)
-        tables.adjacency = (
-            [tuple(sorted(xs)) for xs in up],
-            [tuple(sorted(xs)) for xs in down],
-        )
-    return tables.adjacency
+        rows = [], []  # out, in
+        for r in ctx.reflections:
+            vi = _mul(ctx, xi, r.index)
+            rows[lengths[vi] < lengths[xi]].append(vi)
+        t.up[xi], t.down[xi] = tuple(sorted(rows[0])), tuple(sorted(rows[1]))
+    return t.up[xi], t.down[xi]
 
 
 def up_adjacency(ctx: GroupContext) -> list[tuple[int, ...]]:
-    """Bruhat-graph out-neighbors (as ids) of every element."""
-    return _adjacency(ctx)[0]
+    """Bruhat-graph out-neighbors (as ids) of every element: the stored
+    rows, any not built yet built first by increasing id."""
+    if ctx.tables.up is None or None in ctx.tables.up:
+        for xi in range(ctx.order):
+            _row(ctx, xi)
+    return ctx.tables.up
 
 
 def down_adjacency(ctx: GroupContext) -> list[tuple[int, ...]]:
     """Bruhat-graph in-neighbors (as ids) of every element."""
-    return _adjacency(ctx)[1]
+    up_adjacency(ctx)  # builds both rows of every element
+    return ctx.tables.down
 
 
 def abs_len_table(w: GroupElement) -> dict[int, int]:
@@ -192,7 +191,6 @@ def abs_len_table(w: GroupElement) -> dict[int, int]:
     ctx = w.ctx
     table = ctx.tables.abs_len.get(w.index)
     if table is None:
-        down = down_adjacency(ctx)
         table = {w.index: 0}
         frontier = [w.index]
         d = 0
@@ -200,7 +198,7 @@ def abs_len_table(w: GroupElement) -> dict[int, int]:
             d += 1
             nxt = []
             for xi in frontier:
-                for vi in down[xi]:
+                for vi in _row(ctx, xi)[1]:
                     if vi not in table:
                         table[vi] = d
                         nxt.append(vi)
@@ -221,12 +219,12 @@ def absolute_length(u: GroupElement, w: GroupElement) -> int:
 
 
 def neighborhood(u: GroupElement, w: GroupElement) -> list[GroupElement]:
-    """All v with u -> v and v <= w, sorted by (length, id): adjacency
+    """All v with u -> v and v <= w, sorted by (length, id): Bruhat-graph
     rows are sorted by id, and ids grow with length."""
     _check_same_context(u, w)
     ctx = u.ctx
     lower = _lower(ctx, w.index)
-    return [ctx.elements[vi] for vi in up_adjacency(ctx)[u.index] if lower >> vi & 1]
+    return [ctx.elements[vi] for vi in _row(ctx, u.index)[0] if lower >> vi & 1]
 
 
 def defect(u: GroupElement, w: GroupElement) -> int:
@@ -236,15 +234,14 @@ def defect(u: GroupElement, w: GroupElement) -> int:
 
 
 def _defects(ctx: GroupContext, wi: int) -> dict[int, int]:
-    """Defect of every x <= w under w, one adjacency sweep per top element."""
+    """Defect of every x <= w under w, from the out-neighbor rows below w."""
     table = ctx.tables.defects.get(wi)
     if table is None:
-        up = up_adjacency(ctx)
         lengths = ctx.lengths
         wm = _lower(ctx, wi)
         table = {}
         for xi in iter_bits(wm):
-            nb = sum(1 for vi in up[xi] if wm >> vi & 1)
+            nb = sum(1 for vi in _row(ctx, xi)[0] if wm >> vi & 1)
             table[xi] = nb - (lengths[wi] - lengths[xi])
         ctx.tables.defects[wi] = table
     return table
@@ -257,11 +254,10 @@ def bruhat_edges(
     if not members:
         return []
     ctx = members[0].ctx
-    up = up_adjacency(ctx)
     member_ids = {g.index for g in members}
     edges = []
     for x in sorted(members, key=lambda g: (g.length, g.index)):
-        for vi in up[x.index]:
+        for vi in _row(ctx, x.index)[0]:
             if vi in member_ids:
                 edges.append((x, ctx.elements[vi]))
     return edges
@@ -280,12 +276,11 @@ def interval(u: GroupElement, w: GroupElement) -> IntervalData:
             f"empty interval: {word_of(u)!r} and {word_of(w)!r} are incomparable"
         )
     ctx = u.ctx
-    up = up_adjacency(ctx)
     lower = _lower(ctx, w.index)
     seen = {u.index}
     queue = [u.index]
     for xi in queue:  # grows while iterated: a breadth-first walk
-        for vi in up[xi]:
+        for vi in _row(ctx, xi)[0]:
             if vi not in seen and lower >> vi & 1:
                 seen.add(vi)
                 queue.append(vi)

@@ -200,8 +200,9 @@ class Tables:
     Each field is filled by one function, named in its comment.  ``None``
     marks a whole-group table not built yet.  Lengths and
     descents are group data (``GroupContext.lengths``, ``.srd``).  The
-    lower-cone masks ``le`` may be partly built, 0 marking a mask not
-    built yet (every cone contains e, so no built mask is 0).
+    lower-cone masks ``le`` and the Bruhat-graph rows ``up`` and ``down``
+    are per element and may be partly built: a mask 0 (every cone
+    contains e, so no built mask is 0) or a row None is not built yet.
     The R, Rt, KL and staged tables hold comparable pairs only
     (incomparable probes are answered by the order test, not stored), and
     KL holds only entries that passed ``klr._certify``, which tests them
@@ -213,9 +214,9 @@ class Tables:
     """
 
     le: list[int] | None = None  # bruhat._lower; 0 = not built yet
-    le_complete: bool = False  # bruhat.le_masks: every entry of le built
     ge: list[int] | None = None  # bruhat.ge_masks
-    adjacency: tuple[list, list] | None = None  # bruhat._adjacency: (up, down)
+    up: list[tuple[int, ...] | None] | None = None  # bruhat._row; out-neighbors
+    down: list[tuple[int, ...] | None] | None = None  # bruhat._row; in-neighbors
     abs_len: ByTop = field(default_factory=dict)  # bruhat.abs_len_table
     defects: ByTop = field(default_factory=dict)  # bruhat._defects
     pairs: list[Pair] | None = None  # bruhat.comparable_pairs

@@ -293,39 +293,42 @@ def _kl_faults(
                 yield x, w, "functional equation fails"
 
 
-def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> None:
+def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> list | None:
     """Check the staged P_xw over [u, w] and move them into ``tables.KL``;
     with wi < 0, over every comparable pair.
 
     Stages the columns of the tops first if needed, then, unless nothing
     is left staged, runs one ``_kl_faults`` sweep over the entries of
-    ``tables.KL``, else staged.
+    ``tables.KL``, else staged, and returns its faults (None if no sweep).
     Raises RuntimeError naming the first faulty pair not yet in
-    ``tables.KL``, by w and then x, before moving anything.  A staged entry
-    never replaces one already in ``tables.KL``.
+    ``tables.KL``, by w and then x, before moving anything, so every fault
+    returned is at a pair already there.  A staged entry never replaces one
+    already in ``tables.KL``.
     """
     t = ctx.tables
     kl, staged = t.KL, t.staged
     for w in range(ctx.order) if wi < 0 else (wi,):
         _stage(ctx, w)
     if not staged:  # a staged column's pairs are each in KL or staged
-        return
+        return None
 
     def get(v: int, w: int) -> Coeffs:
         return kl.get((v, w)) or staged[v, w]
 
-    for x, w, _ in _kl_faults(ctx, get, ui, wi):
+    faults = list(_kl_faults(ctx, get, ui, wi))
+    for x, w, _ in faults:
         if (x, w) not in kl:
             raise _kl_error(ctx, x, w)
     if wi < 0:
         for key, p in staged.items():
             kl.setdefault(key, p)
         staged.clear()
-        return
+        return faults
     for x in _between(ctx, ui, wi):
         p = staged.pop((x, wi), None)
         if p is not None:
             kl.setdefault((x, wi), p)
+    return faults
 
 
 def _kl_error(ctx: GroupContext, xi: int, wi: int) -> RuntimeError:

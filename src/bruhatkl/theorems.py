@@ -14,20 +14,22 @@ Five checks test polynomial identities at one point, q = Q = 2^B
 Algebra, section 8.4), through one interval sum, S_uw = sum over v in
 [u, w] of R_uv F_vw (``klr._sums_at_q``).  r_alternating_sum (F = +-R)
 and kl_basics (F = P) compare the two sides of their identity at Q, one
-integer each per pair; kl_basics runs the per-pair test of the KL
-certificate, ``klr._kl_faults``, over the KL table as it is.  The interval
-R-sums (F = 1) of dvc_linear, nth2_quadratic and smoothness_equivalence are
-read back from their values at Q (``klr._interval_r_sums``): ``run_suite``
-computes them once per call, from R as it is then, at the first of the
-three it runs, and passes them to each of the three as an argument.  That
-is exact: B is set with each sum from the norms of R and F as they are
-then, so that every coefficient of either side is at most M with
-2^(B-1) > 2M, and a nonzero integer polynomial with coefficients that small
-does not vanish at 2^B.  So a pair fails at Q exactly when it fails as
-polynomials; r_alternating_sum recomputes such a pair in coefficient form
-for the coefficients its witness prints.  kl_monotone and mono_equiv group
-each KL column by value and decide each pair of values once; every triple
-is still counted, and reported if it fails.
+integer each per pair.  kl_basics reports the faults of the KL
+certificate's per-pair test, ``klr._kl_faults``: those of the sweep that
+fills the KL table in a ``run_suite`` call, else of a sweep of the table
+as it is.  The interval R-sums (F = 1) of dvc_linear, nth2_quadratic and
+smoothness_equivalence are read back from their values at Q
+(``klr._interval_r_sums``): ``run_suite`` computes them once per call,
+from R as it is then, at the first of the three it runs, and passes them
+to each of the three as an argument.  That is exact: B is set with each
+sum from the norms of R and F as they are then, so that every
+coefficient of either side is at most M with 2^(B-1) > 2M, and a nonzero
+integer polynomial with coefficients that small does not vanish at 2^B.
+So a pair fails at Q exactly when it fails as polynomials, and the
+signed base-2^B digits of a value are its coefficients, which
+r_alternating_sum's witness prints.  kl_monotone and mono_equiv group
+each KL column by value and decide each pair of values once; every
+triple is still counted, and reported if it fails.
 
 The R-level checks read R's (q-1)-expansion through ``klr._shifted``,
 which computes it from the R table at each call, so they see the table
@@ -56,6 +58,8 @@ from bruhatkl.bruhat import (
 )
 from bruhatkl.coxeter import Coeffs, GroupContext, Pair, word_of
 from bruhatkl.klr import (
+    _certify,
+    _digits,
     _kl,
     _kl1,
     _kl_faults,
@@ -65,10 +69,8 @@ from bruhatkl.klr import (
     _sums_at_q,
     check_r_rtilde_link,
     fh_vectors,
-    fill_tables,
     strict_path_to_smooth,
 )
-from bruhatkl.polynomial import _addmul_into
 
 __all__ = [
     "CheckReport",
@@ -175,48 +177,29 @@ def _check_r_inverse_symmetry(ctx: GroupContext) -> CheckReport:
     return _report(ctx, "r_inverse_symmetry", n, wit, {})
 
 
-def _alternating_sum(ctx: GroupContext, ui: int, wi: int, members: int) -> list[int]:
-    """Coefficients of the sum over v in members of (-1)^l(u,v) R_uv R_vw:
-    l(u,w) + 1 of them, or more where a product is longer, so a malformed
-    entry cannot index past the end."""
-    lengths = ctx.lengths
-    terms = []
-    for vi in iter_bits(members):
-        rvw = _r(ctx, vi, wi)
-        if (lengths[vi] - lengths[ui]) % 2:
-            rvw = tuple(-c for c in rvw)
-        terms.append((_r(ctx, ui, vi), rvw))
-    size = lengths[wi] - lengths[ui] + 1
-    acc = [0] * max([size] + [len(a) + len(b) - 1 for a, b in terms])
-    for a, b in terms:
-        _addmul_into(acc, a, b)
-    return acc
-
-
 def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
     """Sign-alternating convolution over each interval is a Kronecker delta.
 
     Tested at Q = 2^B, one integer per pair, exactly by the bound of
-    ``klr._sums_at_q``; a pair that fails there is recomputed in coefficient
-    form for its witness.
+    ``klr._sums_at_q``, which also makes the signed base-2^B digits of the
+    value the coefficients a failing pair's witness prints.
     """
     wit = _Witnesses()
-    lower = le_masks(ctx)
-    upper = ge_masks(ctx)
     lengths = ctx.lengths
 
     def signed(vi: int, wi: int) -> Coeffs:  # (-1)^l(v) R_vw
         r = _r(ctx, vi, wi)
         return tuple(-c for c in r) if lengths[vi] % 2 else r
 
-    _, tops = _sums_at_q(ctx, signed)
+    bits, tops = _sums_at_q(ctx, signed)
     for wi, acc in tops:
         for ui, val in acc.items():
             if lengths[ui] % 2:
                 val = -val
             expected = 1 if ui == wi else 0
             if val != expected:
-                coeffs = _alternating_sum(ctx, ui, wi, lower[wi] & upper[ui])
+                coeffs = list(_digits(val, bits))
+                coeffs += [0] * (lengths[wi] - lengths[ui] + 1 - len(coeffs))
                 wit.add(f"{_pair_word(ctx, ui, wi)}: alternating sum {coeffs}")
     return _report(ctx, "r_alternating_sum", len(comparable_pairs(ctx)), wit, {})
 
@@ -525,12 +508,16 @@ def _check_le1_le2_le3(ctx: GroupContext) -> CheckReport:
 # -- KL-level checks -----------------------------------------------------
 
 
-def _check_kl_basics(ctx: GroupContext) -> CheckReport:
+def _check_kl_basics(ctx: GroupContext, faults: list | None) -> CheckReport:
     """KL ground rules per pair: constant term 1, degree bound
     (l(u,w)-1)/2, 1 on the diagonal, and the defining functional equation
-    verified by full substitution at Q = 2^B (``klr._kl_faults``)."""
+    verified by full substitution at Q = 2^B (``klr._kl_faults``): the
+    faults of the sweep that filled the table in this run, if one did
+    (``faults``), else of a sweep of the table as it is."""
     wit = _Witnesses()
-    for ui, wi, fault in _kl_faults(ctx, lambda vi, wi: _kl(ctx, vi, wi)):
+    if faults is None:
+        faults = _kl_faults(ctx, lambda vi, wi: _kl(ctx, vi, wi))
+    for ui, wi, fault in faults:
         wit.add(f"{_pair_word(ctx, ui, wi)}: {fault}")
     return _report(ctx, "kl_basics", len(comparable_pairs(ctx)), wit, {})
 
@@ -820,9 +807,11 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     """Run the selected checks (registry order) and return their reports.
 
     If any of them reads the KL table, it is filled first, in one
-    certificate pass over the whole group.  If any reads the interval
-    R-sums, they are computed once, at the first such check, and passed to
-    each of them; no check changes R, so they are R's sums at this call."""
+    certificate pass whose faults kl_basics reports (it sweeps the table
+    itself only if the table was full before this call).  If any reads the
+    interval R-sums, they are computed once, at the first such check, and
+    passed to each of them; no check changes R, so they are R's sums at
+    this call."""
     if selection == "all":
         names = CHECK_NAMES
     else:
@@ -838,8 +827,7 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
                 f"unknown checks {unknown!r}; registered: {', '.join(CHECK_NAMES)}"
             )
         names = tuple(n for n in CHECK_NAMES if n in set(selection))
-    if not _READS_KL.isdisjoint(names):
-        fill_tables(ctx, ("KL",))
+    faults = None if _READS_KL.isdisjoint(names) else _certify(ctx)
     sums = None
     reports = []
     for n in names:
@@ -847,6 +835,8 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
             if sums is None:  # held through earlier checks, it adds to peak RSS
                 sums = _interval_r_sums(ctx)
             reports.append(_REGISTRY[n](ctx, sums))
+        elif n == "kl_basics":
+            reports.append(_check_kl_basics(ctx, faults))
         else:
             reports.append(_REGISTRY[n](ctx))
     return reports

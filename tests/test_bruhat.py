@@ -87,7 +87,7 @@ def test_le_masks_agree_with_recursion():
         for w in reversed(ctx.elements):
             for u in ctx.elements:
                 assert bruhat_le(u, w) == (u.index in oracle[w.index])
-        assert not ctx.tables.le_complete
+        assert 0 not in ctx.tables.le  # every mask built on demand
         masks = le_masks(ctx)
         assert masks is le_masks(ctx)
         for wi, below in oracle.items():
@@ -102,6 +102,18 @@ def test_one_shot_queries_build_one_descent_chain():
         built = sum(1 for m in ctx.tables.le if m)
         assert 1 < built <= w.length + 1
         assert all(le_masks(ctx))
+
+
+@pytest.mark.parametrize("query", [absolute_length, defect, interval])
+def test_one_shot_queries_build_rows_below_w_only(query):
+    ctx = build_group(parse_group_spec("A4"))  # fresh: no Bruhat-graph rows
+    u, w = elements(ctx, "2", "2 1 3 2 4 3")
+    query(u, w)
+    up, down = ctx.tables.up, ctx.tables.down
+    built = [xi for xi, row in enumerate(up) if row is not None]
+    assert built and None in up
+    assert [xi for xi, row in enumerate(down) if row is not None] == built
+    assert all(bruhat_le(ctx.elements[xi], w) for xi in built)
 
 
 def test_interval_members_match_masks():
@@ -255,8 +267,12 @@ def test_up_adjacency_edge_lengths_odd():
 @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "G2"])
 def test_adjacency_matches_matrix_products(spec):
     # reference: u -> ut for every reflection t with l(ut) > l(u), with ut
-    # found by multiplying the geometric-representation matrices
+    # found by multiplying the geometric-representation matrices; checked on
+    # a context with no rows and on one whose rows a query partly built
     ctx = ctx_for(spec)
+    partial = build_group(parse_group_spec(spec))
+    interval(partial.identity, partial.elements[partial.order // 2])
+    assert None in partial.tables.up
     by_matrix = {matrix_of(g): g for g in ctx.elements}
     up = [[] for _ in ctx.elements]
     down = [[] for _ in ctx.elements]
@@ -266,8 +282,10 @@ def test_adjacency_matches_matrix_products(spec):
             if v.length > u.length:
                 up[u.index].append(v.index)
                 down[v.index].append(u.index)
-    assert up_adjacency(ctx) == [tuple(sorted(xs)) for xs in up]
-    assert down_adjacency(ctx) == [tuple(sorted(xs)) for xs in down]
+    for c in (ctx, partial):
+        assert up_adjacency(c) == [tuple(sorted(xs)) for xs in up]
+        assert down_adjacency(c) == [tuple(sorted(xs)) for xs in down]
+        assert up_adjacency(c) is c.tables.up and down_adjacency(c) is c.tables.down
 
 
 def test_dot_export():

@@ -270,7 +270,7 @@ def test_one_shot_kl_poly_builds_masks_below_w_only():
         for ui, wi in pairs:
             ctx = build_group(parse_group_spec(filled.name))  # fresh: no masks
             p = kl_poly(ctx.elements[ui], ctx.elements[wi])
-            assert not ctx.tables.le_complete
+            assert (0 in ctx.tables.le) == (wi != ctx.order - 1)
             built = [vi for vi, m in enumerate(ctx.tables.le) if m]
             assert all(ctx.tables.le[wi] >> vi & 1 for vi in built)
             assert p.coeffs == filled.tables.KL[ui, wi]

@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from reference_checks import REFERENCE  # noqa: E402
 
+from bruhatkl import klr, theorems  # noqa: E402
 from bruhatkl.bruhat import comparable_pairs  # noqa: E402
 from bruhatkl.coxeter import build_group, parse_group_spec  # noqa: E402
 from bruhatkl.klr import fill_tables  # noqa: E402
@@ -175,6 +176,25 @@ def test_binomial_bounds_reports_short_r_entry(entry):
     report = run_check("binomial_bounds", ctx)
     assert report.stats["violations_total"] == 1
     assert report.witnesses[0].endswith(": shifted coeff 3 is 0, bounds [1, 1]")
+
+
+def test_fresh_run_suite_makes_one_kl_sweep(monkeypatch):
+    # kl_basics reports the faults of the sweep that certified the fill; a
+    # table full before the call is swept again, so a later change shows
+    sweeps = []
+    real = klr._kl_faults
+
+    def counted(*args):
+        sweeps.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(klr, "_kl_faults", counted)
+    monkeypatch.setattr(theorems, "_kl_faults", counted)
+    ctx = build_group(parse_group_spec("A3"))
+    assert all(r.passed for r in run_suite(ctx))
+    assert len(sweeps) == 1
+    assert run_check("kl_basics", ctx).passed
+    assert len(sweeps) == 2
 
 
 def test_sabotaged_kl_entry_fails_kl_basics():
