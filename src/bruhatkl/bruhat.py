@@ -124,8 +124,11 @@ def ge_masks(ctx: GroupContext) -> list[int]:
         lower = le_masks(ctx)
         up = [0] * ctx.order
         for wi in range(ctx.order):
-            for ui in iter_bits(lower[wi]):
-                up[ui] |= 1 << wi
+            m = lower[wi]
+            while m:
+                lsb = m & -m
+                up[lsb.bit_length() - 1] |= 1 << wi
+                m ^= lsb
         t.ge = up
     return t.ge
 

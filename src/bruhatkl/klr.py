@@ -298,12 +298,11 @@ def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> list | None:
     with wi < 0, over every comparable pair.
 
     Stages the columns of the tops first if needed, then, unless nothing
-    is left staged, runs one ``_kl_faults`` sweep over the entries of
-    ``tables.KL``, else staged, and returns its faults (None if no sweep).
-    Raises RuntimeError naming the first faulty pair not yet in
-    ``tables.KL``, by w and then x, before moving anything, so every fault
-    returned is at a pair already there.  A staged entry never replaces one
-    already in ``tables.KL``.
+    is left staged, runs one ``_kl_faults`` sweep and returns its faults
+    (None if no sweep).  A pair in ``tables.KL`` is read from there, even
+    when empty, and never replaced by its staged entry.  Raises
+    RuntimeError naming the first faulty pair not in ``tables.KL``, by w
+    and then x, before moving anything.
     """
     t = ctx.tables
     kl, staged = t.KL, t.staged
@@ -313,7 +312,7 @@ def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> list | None:
         return None
 
     def get(v: int, w: int) -> Coeffs:
-        return kl.get((v, w)) or staged[v, w]
+        return kl[v, w] if (v, w) in kl else staged[v, w]
 
     faults = list(_kl_faults(ctx, get, ui, wi))
     for x, w, _ in faults:

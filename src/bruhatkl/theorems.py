@@ -14,22 +14,20 @@ Five checks test polynomial identities at one point, q = Q = 2^B
 Algebra, section 8.4), through one interval sum, S_uw = sum over v in
 [u, w] of R_uv F_vw (``klr._sums_at_q``).  r_alternating_sum (F = +-R)
 and kl_basics (F = P) compare the two sides of their identity at Q, one
-integer each per pair.  kl_basics reports the faults of the KL
-certificate's per-pair test, ``klr._kl_faults``: those of the sweep that
-fills the KL table in a ``run_suite`` call, else of a sweep of the table
-as it is.  The interval R-sums (F = 1) of dvc_linear, nth2_quadratic and
-smoothness_equivalence are read back from their values at Q
-(``klr._interval_r_sums``): ``run_suite`` computes them once per call,
-from R as it is then, at the first of the three it runs, and passes them
-to each of the three as an argument.  That is exact: B is set with each
-sum from the norms of R and F as they are then, so that every
-coefficient of either side is at most M with 2^(B-1) > 2M, and a nonzero
-integer polynomial with coefficients that small does not vanish at 2^B.
-So a pair fails at Q exactly when it fails as polynomials, and the
-signed base-2^B digits of a value are its coefficients, which
-r_alternating_sum's witness prints.  kl_monotone and mono_equiv group
-each KL column by value and decide each pair of values once; every
-triple is still counted, and reported if it fails.
+integer each per pair; kl_basics reports the faults of ``klr._kl_faults``
+from the sweep that fills the KL table in a ``run_suite`` call, else
+from a sweep of the table as it is.  The interval R-sums (F = 1) of
+dvc_linear, nth2_quadratic and smoothness_equivalence are read back from
+their values at Q (``klr._interval_r_sums``): ``run_suite`` computes them
+once per call, from R as it is then, and passes them to each of the
+three.  That is exact: B is set with each sum from the norms of R and F
+as they are then, so that every coefficient of either side is at most M
+with 2^(B-1) > 2M, and a nonzero integer polynomial with coefficients
+that small does not vanish at 2^B.  So a pair fails at Q exactly when it
+fails as polynomials, and the signed base-2^B digits of a value are its
+coefficients, which r_alternating_sum's witness prints.  kl_monotone and
+mono_equiv group each KL column by value and decide each pair of values
+once; every triple is still counted, and reported if it fails.
 
 The R-level checks read R's (q-1)-expansion through ``klr._shifted``,
 which computes it from the R table at each call, so they see the table
@@ -810,8 +808,7 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     certificate pass whose faults kl_basics reports (it sweeps the table
     itself only if the table was full before this call).  If any reads the
     interval R-sums, they are computed once, at the first such check, and
-    passed to each of them; no check changes R, so they are R's sums at
-    this call."""
+    passed to each; no check changes R, so they are R's sums at this call."""
     if selection == "all":
         names = CHECK_NAMES
     else:
