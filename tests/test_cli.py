@@ -166,17 +166,14 @@ def _poison(monkeypatch, kind, u, w, coeffs):
     monkeypatch.setattr("bruhatkl.cli.build_group", poisoned_build_group)
 
 
-@pytest.mark.parametrize(
-    "coeffs, fault",
-    [((1, 7), "functional equation"), ((), "malformed KL entry ()")],
-)
-def test_poisoned_cache_fails_verification(monkeypatch, capsys, coeffs, fault):
+def test_poisoned_cache_fails_verification(monkeypatch, capsys):
     # a wrong KL entry planted before the fill, structurally valid or
     # empty: the checks catch it
-    _poison(monkeypatch, "KL", "e", "1 2 1", coeffs)
-    code, out, _ = run(capsys, "verify", "--group", "A2", "--checks", "kl_basics")
-    assert code == 1
-    assert "FAIL" in out and fault in out
+    for coeffs, fault in ((1, 7), "functional equation"), ((), "malformed KL entry ()"):
+        _poison(monkeypatch, "KL", "e", "1 2 1", coeffs)
+        code, out, _ = run(capsys, "verify", "--group", "A2", "--checks", "kl_basics")
+        assert code == 1
+        assert "FAIL" in out and fault in out
 
 
 def test_poisoned_r_cache_hits_internal_invariant(monkeypatch, capsys):
