@@ -23,7 +23,6 @@ import sys
 
 from bruhatkl.bruhat import (
     absolute_length,
-    comparable_pairs,
     defect,
     interval,
     interval_to_dot,
@@ -39,14 +38,12 @@ from bruhatkl.coxeter import (
     word_of,
 )
 from bruhatkl.klr import (
+    _singular_rows,
     fh_vectors,
     fill_tables,
-    kl_at_one,
     kl_poly,
     r_poly,
     rtilde_poly,
-    strict_edges,
-    strict_path_to_smooth,
 )
 from bruhatkl.polynomial import IntPoly, to_shifted
 from bruhatkl.theorems import (
@@ -179,25 +176,20 @@ def cmd_classify(args) -> int:
         )
     fill_tables(ctx, ("KL",))
     rows = []
-    for ui, wi in comparable_pairs(ctx):
-        if ui == wi:
-            continue
-        u, w = ctx.elements[ui], ctx.elements[wi]
-        p = kl_poly(u, w)
-        if p == IntPoly([1]):
-            continue
-        path = strict_path_to_smooth(u, w)
-        rows.append(
-            {
-                "w": word_of(w),
-                "u": word_of(u),
-                "P": p,
-                "P1": kl_at_one(u, w),
-                "df": defect(u, w),
-                "strict_edges": len(strict_edges(u, w)),
-                "path_end": word_of(path[-1]),
-            }
-        )
+    for wi in range(ctx.order):
+        w = word_of(ctx.elements[wi])
+        for xi, p, p1, df, strict, end in _singular_rows(ctx, wi):
+            rows.append(
+                {
+                    "w": w,
+                    "u": word_of(ctx.elements[xi]),
+                    "P": IntPoly(p),
+                    "P1": p1,
+                    "df": df,
+                    "strict_edges": strict,
+                    "path_end": word_of(ctx.elements[end]),
+                }
+            )
     if args.format == "json":
         obj = {"group": ctx.name, "singular": rows}
         print(json.dumps(obj, default=IntPoly.to_json))  # P is an IntPoly

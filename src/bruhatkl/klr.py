@@ -47,7 +47,7 @@ from bruhatkl.bruhat import (
     le_masks,
     neighborhood,
 )
-from bruhatkl.bruhat import _le, _lower, _require_le
+from bruhatkl.bruhat import _le, _lower, _require_le, _row
 from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, Pair, word_of
 from bruhatkl.coxeter import _check_same_context
 from bruhatkl.polynomial import (
@@ -511,30 +511,78 @@ def strict_path_to_smooth(u: GroupElement, w: GroupElement) -> list[GroupElement
     """Greedy strict path from a singular u to a smooth vertex under w.
 
     At each step take the strict neighbor minimizing P(1), ties broken by
-    element id.  Requires P_uw(1) > 1; P(1) strictly decreases along the
-    path, so it terminates at a vertex with P(1) = 1.
+    element id (``_strict_step``).  Requires P_uw(1) > 1; P(1) strictly
+    decreases along the path, so it terminates at a vertex with P(1) = 1.
     """
     _require_le(u, w)
-    ctx = u.ctx
-    if _kl1(ctx, u.index, w.index) <= 1:
+    ctx, wi = u.ctx, w.index
+    here = _kl1(ctx, u.index, wi)
+    if here <= 1:
         raise ValueError("strict_path_to_smooth requires a singular bottom vertex")
     path = [u]
-    cur = u
-    while _kl1(ctx, cur.index, w.index) > 1:
-        here = _kl1(ctx, cur.index, w.index)
-        best = None
-        for v in neighborhood(cur, w):
-            val = _kl1(ctx, v.index, w.index)
-            if val < here and (best is None or (val, v.index) < best[:2]):
-                best = (val, v.index, v)
-        if best is None:
-            raise RuntimeError(
-                f"singular vertex {word_of(cur)!r} under {word_of(w)!r} in "
-                f"{ctx.name} has no strict edge"
-            )
-        cur = best[2]
-        path.append(cur)
+    while here > 1:
+        cur = path[-1]
+        vals = [(_kl1(ctx, v.index, wi), v.index) for v in neighborhood(cur, w)]
+        here, vi = _strict_step(ctx, cur.index, wi, [c for c in vals if c[0] < here])
+        path.append(ctx.elements[vi])
     return path
+
+
+def _strict_step(
+    ctx: GroupContext, xi: int, wi: int, strict: list[tuple[int, int]]
+) -> tuple[int, int]:
+    """The greedy step from x under w: the least (P_vw(1), v) of the strict
+    edges x -> v, given as such pairs.  RuntimeError if there is none."""
+    if not strict:
+        raise RuntimeError(
+            f"singular vertex {word_of(ctx.elements[xi])!r} under "
+            f"{word_of(ctx.elements[wi])!r} in {ctx.name} has no strict edge"
+        )
+    return min(strict)
+
+
+def _singular_rows(
+    ctx: GroupContext, wi: int
+) -> Iterator[tuple[int, Coeffs, int, int, int, int]]:
+    """(x, P_xw, P_xw(1), df(x, w), strict edges at x, greedy path end) for
+    every x < w with P_xw != 1, by increasing id: the rows of ``classify``.
+
+    Reads each P_xw once, and makes one pass per x over its out-neighbors
+    below w, which gives the defect, the strict edges and the greedy step.
+    The step depends only on x and w, so each path end is found once per
+    column.  Raises as ``strict_path_to_smooth`` does, for the first row
+    by increasing id whose path it cannot build, naming the same vertex.
+    """
+    lower = _lower(ctx, wi)
+    lengths = ctx.lengths
+    lw = lengths[wi]
+    ps = {x: _kl(ctx, x, wi) for x in iter_bits(lower)}
+    p1 = {x: sum(p) for x, p in ps.items()}
+    counts = {}  # x -> (out-neighbors below w, strict edges)
+    ends = {}  # x -> end of the greedy path from x
+
+    def step(x: int) -> int:
+        here = p1[x]
+        nb = [(p1[v], v) for v in _row(ctx, x)[0] if lower >> v & 1]
+        strict = [c for c in nb if c[0] < here]
+        counts[x] = len(nb), len(strict)
+        return _strict_step(ctx, x, wi, strict)[1]
+
+    for x, p in ps.items():
+        if x == wi or p == (1,):
+            continue
+        if p1[x] <= 1:
+            raise ValueError("strict_path_to_smooth requires a singular bottom vertex")
+        walk = []
+        cur = x
+        while cur not in ends and p1[cur] > 1:
+            walk.append(cur)
+            cur = step(cur)
+        end = ends.get(cur, cur)
+        for v in walk:
+            ends[v] = end
+        nb, strict = counts[x]
+        yield x, p, p1[x], nb - (lw - lengths[x]), strict, end
 
 
 # -- whole-group tables --------------------------------------------------

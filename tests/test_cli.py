@@ -4,9 +4,17 @@ import json
 
 import pytest
 
+from bruhatkl.bruhat import comparable_pairs, defect, neighborhood
 from bruhatkl.cli import main
-from bruhatkl.coxeter import build_group, parse_element
-from bruhatkl.klr import fill_tables
+from bruhatkl.coxeter import build_group, parse_element, parse_group_spec, word_of
+from bruhatkl.klr import (
+    _singular_rows,
+    fill_tables,
+    kl_at_one,
+    kl_poly,
+    strict_edges,
+    strict_path_to_smooth,
+)
 from bruhatkl.polynomial import IntPoly
 
 
@@ -142,6 +150,122 @@ def test_classify_a1_empty(capsys):
 def test_classify_guard_refuses_f4(capsys):
     code, _, err = run(capsys, "classify", "--group", "F4")
     assert code == 2 and "--big" in err
+
+
+def _classify_pair_by_pair(ctx):
+    """The rows of ``classify``, rebuilt pair by pair from the public
+    one-pair functions."""
+    fill_tables(ctx, ("KL",))
+    rows = []
+    for ui, wi in comparable_pairs(ctx):
+        if ui == wi:
+            continue
+        u, w = ctx.elements[ui], ctx.elements[wi]
+        p = kl_poly(u, w)
+        if p == IntPoly([1]):
+            continue
+        path = strict_path_to_smooth(u, w)
+        rows.append(
+            {
+                "w": word_of(w),
+                "u": word_of(u),
+                "P": p.to_json(),
+                "P1": kl_at_one(u, w),
+                "df": defect(u, w),
+                "strict_edges": len(strict_edges(u, w)),
+                "path_end": word_of(path[-1]),
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2"])
+def test_classify_rows_match_pair_by_pair(capsys, spec):
+    # the column pass against the per-pair path it replaces
+    ctx = build_group(parse_group_spec(spec))
+    rows = _classify_pair_by_pair(ctx)
+    code, out, err = run(capsys, "classify", "--group", spec, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"group": ctx.name, "singular": rows}
+    lines = [f"group {ctx.name} (order {ctx.order}): {len(rows)} singular pairs"]
+    for i, row in enumerate(rows):
+        if i == 0 or row["w"] != rows[i - 1]["w"]:
+            lines.append(f"w = {row['w']}")
+        lines.append(
+            f"  u = {row['u']}: P = {IntPoly(row['P']['coeffs'])}, "
+            f"P(1) = {row['P1']}, df = {row['df']}, "
+            f"strict_edges = {row['strict_edges']}, path_end = {row['path_end']}"
+        )
+    code, out, err = run(capsys, "classify", "--group", spec)
+    assert code == 0 and err == ""
+    assert out == "\n".join(lines) + "\n"
+
+
+def _patch_classify_fill(monkeypatch, corrupt):
+    """Make ``classify`` change KL entries, by corrupt(ctx), after its fill."""
+
+    def fill_then_corrupt(ctx, kinds):
+        fill_tables(ctx, kinds)
+        corrupt(ctx)
+
+    monkeypatch.setattr("bruhatkl.cli.fill_tables", fill_then_corrupt)
+
+
+def _first_path_error(ctx, exc_type):
+    """The first error of ``strict_path_to_smooth`` over the rows of
+    ``classify``, in its order of w and then u, as (u, message)."""
+    for ui, wi in comparable_pairs(ctx):
+        u, w = ctx.elements[ui], ctx.elements[wi]
+        if ui != wi and kl_poly(u, w) != IntPoly([1]):
+            try:
+                strict_path_to_smooth(u, w)
+            except exc_type as exc:
+                return word_of(u), str(exc)
+    return None
+
+
+def test_classify_stuck_singular_vertex_exits_1(monkeypatch, capsys):
+    # the out-neighbors of the singular s = 1 2 4 under w (P_sw = 1 + q)
+    # get P(1) = 2 too, so s has no strict edge; the greedy path from the
+    # earlier row u = 1 4 reaches s before any row starts at s
+    def corrupt(ctx):
+        w = parse_element(ctx, "1 2 3 2 1 4 2 1 3")
+        for v in neighborhood(parse_element(ctx, "1 2 4"), w):
+            ctx.tables.KL[v.index, w.index] = (1, 1)
+
+    ctx = build_group(parse_group_spec("D4"))
+    fill_tables(ctx, ("KL",))
+    corrupt(ctx)
+    first = _first_path_error(ctx, RuntimeError)
+    assert first == (
+        "1 4",
+        "singular vertex '1 2 4' under '1 2 3 2 1 4 2 1 3' in D4 has no strict edge",
+    )
+    wi = parse_element(ctx, "1 2 3 2 1 4 2 1 3").index
+    with pytest.raises(RuntimeError) as exc:
+        list(_singular_rows(ctx, wi))
+    assert str(exc.value) == first[1]
+    _patch_classify_fill(monkeypatch, corrupt)
+    code, out, err = run(capsys, "classify", "--group", "D4")
+    assert code == 1 and out == ""
+    assert err == f"internal invariant error: {first[1]}\n"
+
+
+def test_classify_row_with_p1_at_most_1_exits_2(monkeypatch, capsys):
+    # P != 1 with P(1) = 0: no greedy path starts there
+    def corrupt(ctx):
+        e, w = ctx.identity, parse_element(ctx, "2 1 3 2")
+        ctx.tables.KL[e.index, w.index] = (1, -1)
+
+    ctx = build_group(parse_group_spec("A3"))
+    fill_tables(ctx, ("KL",))
+    corrupt(ctx)
+    first = _first_path_error(ctx, ValueError)
+    assert first == ("e", "strict_path_to_smooth requires a singular bottom vertex")
+    _patch_classify_fill(monkeypatch, corrupt)
+    code, out, err = run(capsys, "classify", "--group", "A3")
+    assert code == 2 and out == ""
+    assert err == f"error: {first[1]}\n"
 
 
 def test_scan_brenti(capsys):

@@ -210,6 +210,20 @@ def test_sums_at_q_with_f_one_matches_sum_r_over():
             assert _digits(val, bits) == sum_r_over(ctx.elements[xi], ctx.elements[wi])
 
 
+def test_interval_r_sums_count_members_with_every_r_one():
+    # with every R entry 1 both norms are 1, so only the member count n in
+    # M = n * max ||R|| * max ||F|| makes B wide enough for sums up to n
+    ctx = build_group(parse_group_spec("A3"))
+    fill_tables(ctx, ("R",))
+    for key in ctx.tables.R:
+        ctx.tables.R[key] = (1,)
+    counts = {
+        (xi, wi): (len(interval(ctx.elements[xi], ctx.elements[wi]).members),)
+        for xi, wi in comparable_pairs(ctx)
+    }
+    assert _interval_r_sums(ctx) == counts
+
+
 def test_is_rationally_smooth():
     # [u, w] is rationally smooth when every x in [u, w) has defect 0 under
     # w, which on A2 and A3 is exactly when P_uw = 1
