@@ -206,11 +206,16 @@ class Tables:
     The R, Rt, KL and staged tables hold comparable pairs only
     (incomparable probes are answered by the order test, not stored), and
     KL holds only entries that passed ``klr._certify``, which tests them
-    with ``klr._kl_faults``.  A value derived from one entry, like R's
-    (q-1)-expansion (``klr._shifted``), has no field: it is computed from
-    the entry at each use, so no reader sees a value derived from an entry
-    that has since changed.  Tables can hold hundreds of thousands of
-    entries, so they compare by identity and have no field-by-field repr.
+    with ``klr._kl_faults``.  These tables hold few distinct values (37 R
+    polynomials over D4's 9,817 comparable pairs, 436 over F4's 396,809),
+    so every value they are filled with is the one tuple of ``pool`` equal
+    to it, and the arithmetic on values is memoized by value, never by
+    pair: the R/Rt recursion step in ``steps`` and R's (q-1)-expansion in
+    ``shifted``.  A reader of a derived value looks it up by the entry as
+    it is now, so an entry changed after a fill gets its own result and no
+    reader sees a value derived from an entry that has since changed.
+    Tables can hold hundreds of thousands of entries, so they compare by
+    identity and have no field-by-field repr.
     """
 
     le: list[int] | None = None  # bruhat._lower; 0 = not built yet
@@ -230,6 +235,14 @@ class Tables:
     # mu-list by top id w: (x, mu(x, w)) for each x < w with mu(x, w) != 0;
     # a key w present means the column of w has been staged
     mu: dict[int, list[tuple[int, int]]] = field(default_factory=dict)  # klr._stage
+    # one canonical tuple per distinct value filled into R, Rt, KL or staged
+    pool: dict[Coeffs, Coeffs] = field(default_factory=dict)  # klr._intern
+    # (kind, a, b) -> top * a + side * b, the kind's recursion step
+    steps: dict[tuple[str, Coeffs, Coeffs], Coeffs] = field(
+        default_factory=dict
+    )  # klr._step
+    # R value -> its trimmed (q-1)-coefficients
+    shifted: dict[Coeffs, Coeffs] = field(default_factory=dict)  # klr._shifted
 
 
 class GroupContext:

@@ -32,6 +32,16 @@ the recursion computed.  The tables are the ``R``, ``Rt``, ``KL``,
 by element ids and holding comparable pairs only; they are filled lazily
 (one thread at a time), and nothing else mutates them.  Coefficients are
 Python integers throughout, so nothing can overflow.
+
+The tables hold few distinct values (81 R polynomials over A5's 98,407
+comparable pairs), so each value is held once: every entry filled in is
+the tuple of ``tables.pool`` equal to it (``_intern``), and each piece of
+arithmetic on values runs once per value, never per pair.  The step
+top * a + side * b of the R/Rt recursion is memoized in ``tables.steps``
+by (kind, a, b), R's (q-1)-expansion in ``tables.shifted`` by R, and a
+sweep of ``_sums_at_q`` evaluates each distinct R and F value at Q once.
+Keyed by value, no memo can serve a result for an entry that has since
+changed: the changed entry is looked up by its new value.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from bruhatkl.bruhat import (
     neighborhood,
 )
 from bruhatkl.bruhat import _le, _lower, _require_le, _row
-from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, Pair, word_of
+from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, Pair, Tables, word_of
 from bruhatkl.coxeter import _check_same_context
 from bruhatkl.polynomial import (
     Basis,
@@ -80,16 +90,36 @@ KINDS = ("R", "Rt", "KL")
 _STEPS = {"R": ((0, 1), (-1, 1)), "Rt": ((1,), (0, 1))}
 
 
+def _intern(t: Tables, cs: Coeffs) -> Coeffs:
+    """The one tuple of ``t.pool`` equal to cs, cs itself if it is new."""
+    return t.pool.setdefault(cs, cs)
+
+
+def _step(t: Tables, kind: str, a: Coeffs, b: Coeffs) -> Coeffs:
+    """top * a + side * b for the kind's step polynomials, interned;
+    computed once per (kind, a, b) and kept in ``t.steps``."""
+    key = kind, a, b
+    res = t.steps.get(key)
+    if res is None:
+        top, side = _STEPS[kind]
+        out = [0] * max(len(top) + len(a), len(side) + len(b))
+        _addmul_into(out, top, a)
+        _addmul_into(out, side, b)
+        res = t.steps[key] = _intern(t, _trim(out))
+    return res
+
+
 def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
     """R_uw (kind "R") or Rt_uw (kind "Rt"); () when u is not below w."""
-    table = getattr(ctx.tables, kind)
+    t = ctx.tables
+    table = getattr(t, kind)
     key = (ui, wi)
     res = table.get(key)
     if res is not None:
         return res
     if ui == wi:
-        res = (1,)
-    elif not _le(ctx, ui, wi):
+        res = _intern(t, (1,))
+    elif not _lower(ctx, wi) >> ui & 1:
         return ()
     else:
         lengths = ctx.lengths
@@ -98,18 +128,20 @@ def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
         if lengths[usi] < lengths[ui]:
             res = _r(ctx, usi, wsi, kind)
         else:
-            top, side = _STEPS[kind]
-            out = [0] * (lengths[wi] - lengths[ui] + 1)
-            _addmul_into(out, top, _r(ctx, usi, wsi, kind))
-            _addmul_into(out, side, _r(ctx, ui, wsi, kind))
-            res = _trim(out)
+            res = _step(t, kind, _r(ctx, usi, wsi, kind), _r(ctx, ui, wsi, kind))
     table[key] = res
     return res
 
 
 def _shifted(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
-    """Trimmed (q-1)-coefficients of R_uw, from the R table as it is now."""
-    return _to_shifted(_r(ctx, ui, wi))
+    """Trimmed (q-1)-coefficients of R_uw as the R table holds it now,
+    expanded once per R value and kept in ``tables.shifted``."""
+    r = _r(ctx, ui, wi)
+    memo = ctx.tables.shifted
+    sh = memo.get(r)
+    if sh is None:
+        sh = memo[r] = _to_shifted(r)
+    return sh
 
 
 def _between(ctx: GroupContext, ui: int, wi: int) -> Iterator[int]:
@@ -144,7 +176,7 @@ def _stage(ctx: GroupContext, wi: int) -> None:
             continue
         s = srd[w]
         if s < 0:  # w = e
-            staged[w, w] = (1,)
+            staged[w, w] = _intern(t, (1,))
             mu[w] = []
             continue
         v = rmult[w][s]
@@ -179,7 +211,7 @@ def _stage(ctx: GroupContext, wi: int) -> None:
                 if out is not None:
                     for i, c in enumerate(kl.get((x, z)) or staged[x, z], shift):
                         out[i] -= m * c
-        done = {x: _trim(out) for x, out in col.items()}
+        done = {x: _intern(t, _trim(out)) for x, out in col.items()}
         mus = []
         for x in below:
             p = done.get(x)
@@ -217,7 +249,9 @@ def _sums_at_q(
     2^(B-1) in absolute value, cannot vanish at 2^B.  The signed base-2^B
     digits of S_xw(Q) are then its coefficients (``_digits``).  The norms
     are read from the tables as they are now, so a corrupted entry raises B
-    instead of breaking the identity.  f is called once per pair.
+    instead of breaking the identity.  f is called once per pair.  The
+    norms and the values at Q are taken once per distinct R or F value
+    read, which the sweep then shares between the pairs that hold it.
     """
     if wi < 0:
         masks, span, tops = le_masks(ctx), (1 << ctx.order) - 1, range(ctx.order)
@@ -232,14 +266,15 @@ def _sums_at_q(
         xs = list(iter_bits(masks[v] & span))
         rcols[v] = xs, [_r(ctx, x, v) for x in xs]
     fcols = {w: [f(v, w) for v in rcols[w][0]] for w in tops}
-    norm_r = max(sum(map(abs, r)) for _, rs in rcols.values() for r in rs)
-    norm_f = max(sum(map(abs, p)) for fs in fcols.values() for p in fs)
+    rvals = {r for _, rs in rcols.values() for r in rs}
+    fvals = {p for fs in fcols.values() for p in fs}
+    norm_r = max(sum(map(abs, r)) for r in rvals)
+    norm_f = max(sum(map(abs, p)) for p in fvals)
     m = len(rcols) * max(1, norm_r) * max(1, norm_f)
     bits = (2 * m).bit_length() + 1  # 2^(B-1) > 2M
-    many = len(tops) > 1
-    if many:  # every column is read once per top above it: evaluate it once
-        for _, rs in rcols.values():
-            rs[:] = [_at(r, bits) for r in rs]
+    at = {cs: _at(cs, bits) for cs in rvals | fvals}
+    for _, rs in rcols.values():
+        rs[:] = [at[r] for r in rs]
 
     def sums() -> Iterator[tuple[int, dict[int, int]]]:
         for w in tops:
@@ -248,9 +283,7 @@ def _sums_at_q(
             # transposed: for each v, add R_xv(Q) F_vw(Q) to every x below it
             for v, p in zip(vs, fcols.pop(w)):
                 xs, rs = rcols[v]
-                if not many:  # one top reads each column once: keep no values
-                    rs = [_at(r, bits) for r in rs]
-                c = _at(p, bits)
+                c = at[p]
                 if c == 1:
                     for x, r in zip(xs, rs):
                         acc[x] += r
@@ -279,6 +312,7 @@ def _kl_faults(
     """
     lengths = ctx.lengths
     bits, tops = _sums_at_q(ctx, get, ui, wi)
+    rev: dict[Coeffs, int] = {}  # P -> Q^(deg P) P(1/Q), once per value
     for w, acc in tops:
         lw = lengths[w]
         for x, val in acc.items():
@@ -289,8 +323,12 @@ def _kl_faults(
                     yield x, w, "diagonal KL entry not 1"
             elif not p or p[0] != 1 or 2 * len(p) > d + 1:
                 yield x, w, f"malformed KL entry {p}"
-            elif _at(p[::-1], bits) << bits * (d + 1 - len(p)) != val:
-                yield x, w, "functional equation fails"
+            else:
+                lhs = rev.get(p)
+                if lhs is None:
+                    lhs = rev[p] = _at(p[::-1], bits)
+                if lhs << bits * (d + 1 - len(p)) != val:
+                    yield x, w, "functional equation fails"
 
 
 def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> list | None:
@@ -492,9 +530,17 @@ def _digits(val: int, bits: int) -> Coeffs:
 def _interval_r_sums(ctx: GroupContext) -> dict[Pair, Coeffs]:
     """Sum over v in [x, w] of R_xv for every comparable pair, from R as it
     is now: the sums of ``_sums_at_q`` with F = 1, read back in signed
-    base-2^B digits.  Nothing is stored."""
+    base-2^B digits, once per distinct value.  Nothing is stored."""
     bits, tops = _sums_at_q(ctx, lambda v, w: (1,))
-    return {(x, w): _digits(val, bits) for w, acc in tops for x, val in acc.items()}
+    digits: dict[int, Coeffs] = {}
+    out = {}
+    for w, acc in tops:
+        for x, val in acc.items():
+            cs = digits.get(val)
+            if cs is None:
+                cs = digits[val] = _digits(val, bits)
+            out[x, w] = cs
+    return out
 
 
 def strict_edges(u: GroupElement, w: GroupElement) -> list[GroupElement]:

@@ -30,8 +30,9 @@ mono_equiv group each KL column by value and decide each pair of values
 once; every triple is still counted, and reported if it fails.
 
 The R-level checks read R's (q-1)-expansion through ``klr._shifted``,
-which computes it from the R table at each call, so they see the table
-as it is when they run.
+which looks the expansion up by the R entry as the table holds it at
+each call (it is computed once per distinct R value), so they see the
+table as it is when they run.
 
 Domains are always comparable pairs u <= w (zero values on incomparable
 pairs are the recursions' base case, covered by unit tests); checks with a
@@ -180,14 +181,21 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
 
     Tested at Q = 2^B, one integer per pair, exactly by the bound of
     ``klr._sums_at_q``, which also makes the signed base-2^B digits of the
-    value the coefficients a failing pair's witness prints.
+    value the coefficients a failing pair's witness prints.  F = +-R holds
+    one tuple per distinct value, so the sweep evaluates each at Q once.
     """
     wit = _Witnesses()
     lengths = ctx.lengths
+    negated: dict[Coeffs, Coeffs] = {}  # R value -> -R, once per value
 
     def signed(vi: int, wi: int) -> Coeffs:  # (-1)^l(v) R_vw
         r = _r(ctx, vi, wi)
-        return tuple(-c for c in r) if lengths[vi] % 2 else r
+        if not lengths[vi] % 2:
+            return r
+        neg = negated.get(r)
+        if neg is None:
+            neg = negated[r] = tuple(-c for c in r)
+        return neg
 
     bits, tops = _sums_at_q(ctx, signed)
     for wi, acc in tops:
@@ -203,7 +211,8 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
 
 
 def _check_r_functional_equation(ctx: GroupContext) -> CheckReport:
-    """Reversing R's coefficients equals R up to the sign (-1)^l(u,w)."""
+    """q^l R(1/q) = (-1)^l R(q), l = l(u,w): reversing R's l + 1
+    coefficients (a short entry padded with zeros) gives R up to sign."""
     wit = _Witnesses()
     lengths = ctx.lengths
     n = 0
@@ -212,7 +221,8 @@ def _check_r_functional_equation(ctx: GroupContext) -> CheckReport:
         rc = _r(ctx, ui, wi)
         ell = lengths[wi] - lengths[ui]
         sign = -1 if ell % 2 else 1
-        if tuple(reversed(rc)) != tuple(sign * c for c in rc):
+        padded = rc + (0,) * (ell + 1 - len(rc))  # a short entry reads as 0 to q^l
+        if padded[::-1] != tuple(sign * c for c in padded):
             wit.add(f"{_pair_word(ctx, ui, wi)}: reversal/sign mismatch {rc}")
     return _report(ctx, "r_functional_equation", n, wit, {})
 

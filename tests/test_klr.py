@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from kl_oracle import oracle_kl_table  # noqa: E402
-from reference_checks import add, sum_r_over  # noqa: E402
+from reference_checks import add, mul, sum_r_over  # noqa: E402
 
 from bruhatkl.bruhat import (  # noqa: E402
     absolute_length,
@@ -336,3 +336,47 @@ def test_poly_table_invariants():
         else:
             assert len(p.coeffs) == ctx.lengths[wi] - ctx.lengths[ui] + 1
 
+
+
+def _one_object_per_value(table):
+    return len({id(v) for v in table.values()}) == len(set(table.values()))
+
+
+@pytest.mark.parametrize("spec", ["B3", "D4"])
+def test_fill_holds_one_object_per_distinct_value(spec):
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx)
+    for table in (ctx.tables.R, ctx.tables.Rt, ctx.tables.KL):
+        assert len(set(table.values())) < len(table)
+        assert _one_object_per_value(table)
+
+
+def test_one_shot_queries_hold_one_object_per_distinct_value():
+    ctx = build_group(parse_group_spec("A4"))
+    for u, w in (("e", "1 2 1 3 2 1 4 3 2 1"), ("2", "2 1 3 2 4 3"), ("1", "1 2 1")):
+        u, w = elements(ctx, u, w)
+        r_poly(u, w), rtilde_poly(u, w), kl_poly(u, w)
+    for table in (ctx.tables.R, ctx.tables.Rt, ctx.tables.KL):
+        assert len(set(table.values())) < len(table)
+        assert _one_object_per_value(table)
+
+
+def test_r_step_is_keyed_by_value():
+    # R_{e,w} = q R_{s,ws} + (q-1) R_{e,ws} for the smallest right descent
+    # s of w = 1 2 1: plant both terms, then a different first term
+    results = []
+    for a in ((3, 5), (3, 6)):
+        ctx = build_group(parse_group_spec("A3"))
+        e, s, ws, w = elements(ctx, "e", "1", "1 2", "1 2 1")
+        assert ctx.rmult[w.index][ctx.srd[w.index]] == ws.index
+        b = (7, 11, 13)
+        ctx.tables.R[s.index, ws.index] = a
+        ctx.tables.R[e.index, ws.index] = b
+        step = add(mul((0, 1), a), mul((-1, 1), b))
+        assert r_poly(e, w).coeffs == step
+        results.append(step)
+        # the same context, a third value: the memo is not keyed by pair
+        del ctx.tables.R[e.index, w.index]
+        ctx.tables.R[s.index, ws.index] = (1,)
+        assert r_poly(e, w).coeffs == add((0, 1), mul((-1, 1), b))
+    assert results[0] != results[1]

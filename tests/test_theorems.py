@@ -12,7 +12,7 @@ from reference_checks import REFERENCE  # noqa: E402
 
 from bruhatkl import klr, theorems  # noqa: E402
 from bruhatkl.bruhat import comparable_pairs  # noqa: E402
-from bruhatkl.coxeter import build_group, parse_group_spec  # noqa: E402
+from bruhatkl.coxeter import build_group, parse_element, parse_group_spec  # noqa: E402
 from bruhatkl.klr import fill_tables  # noqa: E402
 from bruhatkl.theorems import (  # noqa: E402
     CHECK_NAMES,
@@ -176,6 +176,22 @@ def test_binomial_bounds_reports_short_r_entry(entry):
     report = run_check("binomial_bounds", ctx)
     assert report.stats["violations_total"] == 1
     assert report.witnesses[0].endswith(": shifted coeff 3 is 0, bounds [1, 1]")
+
+
+@pytest.mark.parametrize("w, entry", [("1 2 1", (1, -1)), ("1 2", (1,))])
+def test_r_functional_equation_reports_short_r_entry(w, entry):
+    # q^l R(1/q) = (-1)^l R(q) with l = l(e, w): a short entry reads as 0
+    # up to q^l, so (1, -1) at l = 3 gives -q^2 + q^3, not -R = -1 + q
+    ctx = build_group(parse_group_spec("A3"))
+    fill_tables(ctx, ("R",))
+    wi = parse_element(ctx, w).index
+    assert len(ctx.tables.R[0, wi]) == ctx.lengths[wi] + 1 > len(entry)
+    ctx.tables.R[0, wi] = entry
+    report = run_check("r_functional_equation", ctx)
+    assert report.stats["violations_total"] == 1
+    assert report.witnesses == [
+        f"u='e' w='{w}': reversal/sign mismatch {entry}"
+    ]
 
 
 def test_fresh_run_suite_makes_one_kl_sweep(monkeypatch):
