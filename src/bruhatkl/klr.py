@@ -133,10 +133,9 @@ def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
     return res
 
 
-def _shifted(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
-    """Trimmed (q-1)-coefficients of R_uw as the R table holds it now,
-    expanded once per R value and kept in ``tables.shifted``."""
-    r = _r(ctx, ui, wi)
+def _shifted(ctx: GroupContext, r: Coeffs) -> Coeffs:
+    """Trimmed (q-1)-coefficients of the R value r, expanded once per
+    value and kept in ``tables.shifted``."""
     memo = ctx.tables.shifted
     sh = memo.get(r)
     if sh is None:
@@ -369,11 +368,7 @@ def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> list | None:
 
 
 def _kl_error(ctx: GroupContext, xi: int, wi: int) -> RuntimeError:
-    return RuntimeError(
-        f"KL functional equation failed for "
-        f"({word_of(ctx.elements[xi])!r}, {word_of(ctx.elements[wi])!r}) "
-        f"in {ctx.name}"
-    )
+    return RuntimeError(_pair_fault(ctx, xi, wi, "KL functional equation failed"))
 
 
 def _kl(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
@@ -421,6 +416,37 @@ def kl_at_one(u: GroupElement, w: GroupElement) -> int:
     return _kl1(u.ctx, u.index, w.index)
 
 
+def _pair_fault(ctx: GroupContext, ui: int, wi: int, fault: str) -> str:
+    """A fault of the pair (u, w), worded as this module's RuntimeErrors are."""
+    u, w = ctx.elements[ui], ctx.elements[wi]
+    return f"{fault} for ({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
+
+
+def _rt_support_fault(rt: Coeffs, a: int, ell: int) -> str | None:
+    """The first coefficient of an Rt value (read as 0 up to q^l where
+    short) that breaks the closed form's support pattern, a pair's
+    absolute length a and length l > 0 given: positive exactly in degrees
+    a, a+2, ..., l.  None if there is none."""
+    for n, c in enumerate(rt + (0,) * (ell + 1 - len(rt))):
+        expected_support = a <= n <= ell and (ell - n) % 2 == 0
+        if expected_support and c <= 0:
+            return f"Rtilde coefficient of q^{n} should be positive"
+        if not expected_support and c != 0:
+            return f"Rtilde parity violation at q^{n}"
+    return None
+
+
+def _rt_rebuilt(rt: Coeffs, a: int, ell: int) -> Coeffs:
+    """Trimmed (q-1)-coefficients of R rebuilt from an Rt value that has
+    the support pattern of ``_rt_support_fault``."""
+    rebuilt = [0] * (ell + 1)
+    for j in range(a, ell + 1, 2):
+        m = (ell - j) // 2
+        for i in range(m + 1):
+            rebuilt[j + i] += rt[j] * comb(m, i)
+    return _trim(rebuilt)
+
+
 def check_r_rtilde_link(u: GroupElement, w: GroupElement) -> bool:
     """Verify R against Rtilde through the absolute-length closed form.
 
@@ -433,7 +459,9 @@ def check_r_rtilde_link(u: GroupElement, w: GroupElement) -> bool:
     sum_j c_j binomial((l-j)/2, n-j).  Returns True iff the rebuilt
     (q-1)-coefficients equal those of R_uw.  A coefficient pattern
     violation raises RuntimeError since it breaks the closed form itself,
-    not just the equality.
+    not just the equality.  The work is done on the pair's values by
+    ``_rt_support_fault`` and ``_rt_rebuilt``, which the ``verify`` check
+    r_basics calls once per distinct (R, Rt, a, l) instead of once per pair.
     """
     ctx = u.ctx
     if u == w or not bruhat_le(u, w):
@@ -441,25 +469,10 @@ def check_r_rtilde_link(u: GroupElement, w: GroupElement) -> bool:
     a = absolute_length(u, w)
     ell = w.length - u.length
     rt = _r(ctx, u.index, w.index, "Rt")
-    rt += (0,) * (ell + 1 - len(rt))  # a short entry reads as 0 to q^l
-    for n, c in enumerate(rt):
-        expected_support = a <= n <= ell and (ell - n) % 2 == 0
-        if expected_support and c <= 0:
-            raise RuntimeError(
-                f"Rtilde coefficient of q^{n} should be positive for "
-                f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
-            )
-        if not expected_support and c != 0:
-            raise RuntimeError(
-                f"Rtilde parity violation at q^{n} for "
-                f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
-            )
-    rebuilt = [0] * (ell + 1)
-    for j in range(a, ell + 1, 2):
-        m = (ell - j) // 2
-        for i in range(m + 1):
-            rebuilt[j + i] += rt[j] * comb(m, i)
-    return _trim(rebuilt) == _shifted(ctx, u.index, w.index)
+    fault = _rt_support_fault(rt, a, ell)
+    if fault is not None:
+        raise RuntimeError(_pair_fault(ctx, u.index, w.index, fault))
+    return _rt_rebuilt(rt, a, ell) == _shifted(ctx, _r(ctx, u.index, w.index))
 
 
 @dataclass
@@ -481,19 +494,17 @@ class FHDecomposition:
     h: tuple[int, ...]
 
 
-def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
-    """Extract and validate the f/h-decomposition of R_uw (requires u < w)."""
-    ctx = u.ctx
-    if u == w or not bruhat_le(u, w):
-        raise ValueError("fh_vectors requires u < w")
-    ell = w.length - u.length
-    sh = _shifted(ctx, u.index, w.index)
-    a = next((i for i, c in enumerate(sh) if c), 0)
-    if a != absolute_length(u, w):
-        raise RuntimeError(
-            f"(q-1)-multiplicity {a} of R differs from absolute length for "
-            f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
-        )
+def _fh_split(
+    ctx: GroupContext, r: Coeffs, a: int, ell: int
+) -> FHDecomposition | str:
+    """The f/h-decomposition of an R value r, for a pair of absolute length
+    a and length l > 0, or the fault that stops it: the (q-1)-multiplicity
+    of r differs from a, or an invariant of ``FHDecomposition`` fails, or
+    the decomposition does not rebuild r."""
+    sh = _shifted(ctx, r)
+    mult = next((i for i, c in enumerate(sh) if c), 0)
+    if mult != a:
+        return f"(q-1)-multiplicity {mult} of R differs from absolute length"
     d = ell - a
     f = sh[a:][::-1]
     h = _from_shifted(sh[a:])[::-1]
@@ -504,14 +515,28 @@ def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
         and h[0] == 1
         and all(x > 0 for x in f)
         and h == h[::-1]
-        and _from_shifted(sh) == _r(ctx, u.index, w.index)
+        and _from_shifted(sh) == r
     )
     if not ok:
-        raise RuntimeError(
-            f"f/h-decomposition invariants failed for "
-            f"({word_of(u)!r}, {word_of(w)!r}) in {ctx.name}"
-        )
+        return "f/h-decomposition invariants failed"
     return FHDecomposition(a=a, d=d, f=f, h=h)
+
+
+def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
+    """Extract and validate the f/h-decomposition of R_uw (requires u < w).
+
+    Raises RuntimeError naming the pair if it fails.  The work is done on
+    the pair's values by ``_fh_split``, which the ``verify`` check
+    fh_structure calls once per distinct (R, a, l) instead of once per pair.
+    """
+    ctx = u.ctx
+    if u == w or not bruhat_le(u, w):
+        raise ValueError("fh_vectors requires u < w")
+    r = _r(ctx, u.index, w.index)
+    fh = _fh_split(ctx, r, absolute_length(u, w), w.length - u.length)
+    if isinstance(fh, str):
+        raise RuntimeError(_pair_fault(ctx, u.index, w.index, fh))
+    return fh
 
 
 def _digits(val: int, bits: int) -> Coeffs:

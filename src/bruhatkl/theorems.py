@@ -29,10 +29,20 @@ coefficients, which r_alternating_sum's witness prints.  kl_monotone and
 mono_equiv group each KL column by value and decide each pair of values
 once; every triple is still counted, and reported if it fails.
 
-The R-level checks read R's (q-1)-expansion through ``klr._shifted``,
-which looks the expansion up by the R entry as the table holds it at
-each call (it is computed once per distinct R value), so they see the
-table as it is when they run.
+Ten R-level checks (``_READS_CLASSES``: r_basics, r_functional_equation,
+r_derivative_edge, shifted_nonneg, divisibility_order, fh_structure,
+boolean_criterion, binomial_bounds, brenti_scan, le1_le2_le3) read a pair
+only through its key (R_uw, Rt_uw, a(u,w), l(u,w), u -> w), and the
+tables hold few keys (37 over D4's 9,817 comparable pairs).  So
+``run_suite`` groups the pairs by key once per call, in one pass over
+``comparable_pairs`` (``_r_classes``), from the tables as they are then,
+and passes the classes to each of the ten, which decides each class once.
+Counts and stats come from the class sizes; only a failing class's pairs
+are walked, merged in pair order, to write the witnesses a sweep of the
+pairs one at a time would write.  le1_le2_le3 still counts the length-2
+paths of each pair with a(u,w) = 2, the one part of a verdict that the
+key does not fix.  R's (q-1)-expansion is read through ``klr._shifted``,
+once per R value.
 
 Domains are always comparable pairs u <= w (zero values on incomparable
 pairs are the recursions' base case, covered by unit tests); checks with a
@@ -47,6 +57,7 @@ from typing import Callable
 
 from bruhatkl.bruhat import (
     _defects,
+    _row,
     abs_len_table,
     comparable_pairs,
     down_adjacency,
@@ -62,12 +73,14 @@ from bruhatkl.klr import (
     _kl,
     _kl1,
     _kl_faults,
-    _r,
+    _fh_split,
     _interval_r_sums,
+    _pair_fault,
+    _r,
+    _rt_rebuilt,
+    _rt_support_fault,
     _shifted,
     _sums_at_q,
-    check_r_rtilde_link,
-    fh_vectors,
     strict_path_to_smooth,
 )
 
@@ -112,10 +125,6 @@ def _pair_word(ctx: GroupContext, ui: int, wi: int) -> str:
     return f"u='{word_of(ctx.elements[ui])}' w='{word_of(ctx.elements[wi])}'"
 
 
-def _abs(ctx: GroupContext, ui: int, wi: int) -> int:
-    return abs_len_table(ctx.elements[wi])[ui]
-
-
 def _report(ctx, name, pairs, wit, stats) -> CheckReport:
     stats = dict(stats)
     stats["violations_total"] = wit.total
@@ -131,37 +140,116 @@ def _report(ctx, name, pairs, wit, stats) -> CheckReport:
 
 # -- R-level checks ------------------------------------------------------
 
+# (R_uw, Rt_uw, a(u,w), l(u,w), u -> w): everything an R-level verdict reads
+Key = tuple[Coeffs, Coeffs, int, int, bool]
+# a fault of a pair: its text, and whether it is worded as klr's
+# RuntimeErrors ("... for (u, w) in G") rather than as "u=... w=...: ..."
+Fault = tuple[str, bool]
+# the comparable pairs by key, each class's pairs in pair order
+Classes = dict[Key, list[Pair]]
 
-def _check_r_basics(ctx: GroupContext) -> CheckReport:
+
+def _r_classes(ctx: GroupContext) -> Classes:
+    """The comparable pairs grouped by their ``Key``, each class's pairs
+    in pair order.
+
+    One pass over ``comparable_pairs``: R and Rt are read through
+    ``klr._r`` (filled lazily where missing), and a(u,w) and the in-edges
+    of w once per top w.  Nothing is kept: each ``run_suite`` call groups
+    the tables as they are then.  l(u,w) = 0 exactly on the diagonal.
+    """
+    lengths = ctx.lengths
+    classes: Classes = {}
+    wi = -1
+    for pair in comparable_pairs(ctx):
+        ui, w = pair
+        if w != wi:
+            wi, lw = w, lengths[w]
+            a_of = abs_len_table(ctx.elements[wi])
+            into_w = set(_row(ctx, wi)[1])
+        key = (
+            _r(ctx, ui, wi),
+            _r(ctx, ui, wi, "Rt"),
+            a_of[ui],
+            lw - lengths[ui],
+            ui in into_w,
+        )
+        members = classes.get(key)
+        if members is None:
+            classes[key] = [pair]
+        else:
+            members.append(pair)
+    return classes
+
+
+def _count(classes: Classes, diagonal: bool = False) -> int:
+    """Number of pairs in the classes, the diagonal's only if asked."""
+    return sum(len(ps) for key, ps in classes.items() if diagonal or key[3])
+
+
+def _pair_order_witnesses(
+    ctx: GroupContext, failing: list[tuple[list[Pair], list[Fault]]]
+) -> _Witnesses:
+    """The witnesses of (pairs, their faults) entries, in pair order and,
+    per pair, in the order of its faults: what a sweep of the pairs one at
+    a time writes."""
+    wit = _Witnesses()
+    rows = [(pair, faults) for pairs, faults in failing for pair in pairs]
+    rows.sort(key=lambda row: (row[0][1], row[0][0]))
+    for (ui, wi), faults in rows:
+        for text, named in faults:
+            if named:
+                wit.add(_pair_fault(ctx, ui, wi, text))
+            else:
+                wit.add(f"{_pair_word(ctx, ui, wi)}: {text}")
+    return wit
+
+
+def _class_report(
+    ctx: GroupContext,
+    name: str,
+    classes: Classes,
+    decide: Callable[[Coeffs, Coeffs, int, int, bool], list[Fault]],
+    diagonal: bool = False,
+    stats: dict[str, int] | None = None,
+) -> CheckReport:
+    """The report of a check that decides each class once: ``decide``
+    takes a class's key and returns the faults of each of its pairs.  The
+    diagonal's classes are tested and counted only if asked."""
+    failing = []
+    for key, pairs in classes.items():
+        if diagonal or key[3]:
+            faults = decide(*key)
+            if faults:
+                failing.append((pairs, faults))
+    wit = _pair_order_witnesses(ctx, failing)
+    return _report(ctx, name, _count(classes, diagonal), wit, stats or {})
+
+
+def _check_r_basics(ctx: GroupContext, classes: Classes) -> CheckReport:
     """R and Rt ground rules: 1 on the diagonal, monic of degree l(u,w),
     R(1) = 0 off the diagonal, Rt nonnegative, and R rebuilt from Rt
     through the absolute-length closed form."""
-    wit = _Witnesses()
-    lengths = ctx.lengths
-    n = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        rc = _r(ctx, ui, wi)
-        rtc = _r(ctx, ui, wi, "Rt")
-        if ui == wi:
-            if rc != (1,) or rtc != (1,):
-                wit.add(f"{_pair_word(ctx, ui, wi)}: diagonal entry not 1")
-            continue
-        ell = lengths[wi] - lengths[ui]
-        if len(rc) != ell + 1 or rc[-1] != 1:
-            wit.add(f"{_pair_word(ctx, ui, wi)}: R not monic of degree {ell}: {rc}")
-            continue
-        if sum(rc) != 0:
-            wit.add(f"{_pair_word(ctx, ui, wi)}: R(1) = {sum(rc)} != 0")
-        if len(rtc) != ell + 1 or rtc[-1] != 1 or any(c < 0 for c in rtc):
-            wit.add(f"{_pair_word(ctx, ui, wi)}: bad Rt {rtc}")
-            continue
-        try:
-            if not check_r_rtilde_link(ctx.elements[ui], ctx.elements[wi]):
-                wit.add(f"{_pair_word(ctx, ui, wi)}: Rt substitution rebuild != R")
-        except RuntimeError as exc:
-            wit.add(str(exc))
-    return _report(ctx, "r_basics", n, wit, {})
+
+    def decide(r, rt, a, ell, edge) -> list[Fault]:
+        if not ell:
+            return [] if r == rt == (1,) else [("diagonal entry not 1", False)]
+        if len(r) != ell + 1 or r[-1] != 1:
+            return [(f"R not monic of degree {ell}: {r}", False)]
+        faults = []
+        if sum(r) != 0:
+            faults.append((f"R(1) = {sum(r)} != 0", False))
+        if len(rt) != ell + 1 or rt[-1] != 1 or any(c < 0 for c in rt):
+            faults.append((f"bad Rt {rt}", False))
+            return faults
+        fault = _rt_support_fault(rt, a, ell)
+        if fault is not None:
+            faults.append((fault, True))
+        elif _rt_rebuilt(rt, a, ell) != _shifted(ctx, r):
+            faults.append(("Rt substitution rebuild != R", False))
+        return faults
+
+    return _class_report(ctx, "r_basics", classes, decide, diagonal=True)
 
 
 def _check_r_inverse_symmetry(ctx: GroupContext) -> CheckReport:
@@ -210,162 +298,132 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
     return _report(ctx, "r_alternating_sum", len(comparable_pairs(ctx)), wit, {})
 
 
-def _check_r_functional_equation(ctx: GroupContext) -> CheckReport:
+def _check_r_functional_equation(ctx: GroupContext, classes: Classes) -> CheckReport:
     """q^l R(1/q) = (-1)^l R(q), l = l(u,w): reversing R's l + 1
-    coefficients (a short entry padded with zeros) gives R up to sign."""
-    wit = _Witnesses()
-    lengths = ctx.lengths
-    n = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        rc = _r(ctx, ui, wi)
-        ell = lengths[wi] - lengths[ui]
+    coefficients (a short entry padded with zeros) gives R up to sign,
+    and R has no nonzero coefficient past q^l."""
+
+    def decide(r, rt, a, ell, edge) -> list[Fault]:
         sign = -1 if ell % 2 else 1
-        padded = rc + (0,) * (ell + 1 - len(rc))  # a short entry reads as 0 to q^l
-        if padded[::-1] != tuple(sign * c for c in padded):
-            wit.add(f"{_pair_word(ctx, ui, wi)}: reversal/sign mismatch {rc}")
-    return _report(ctx, "r_functional_equation", n, wit, {})
+        # a short entry reads as 0 to q^l
+        padded = r[: ell + 1] + (0,) * (ell + 1 - len(r))
+        if any(r[ell + 1 :]) or padded[::-1] != tuple(sign * c for c in padded):
+            return [(f"reversal/sign mismatch {r}", False)]
+        return []
+
+    return _class_report(
+        ctx, "r_functional_equation", classes, decide, diagonal=True
+    )
 
 
-def _check_r_derivative_edge(ctx: GroupContext) -> CheckReport:
+def _check_r_derivative_edge(ctx: GroupContext, classes: Classes) -> CheckReport:
     """R'(1) is 1 on Bruhat-graph edges and 0 on all other pairs."""
-    wit = _Witnesses()
-    up = [set(xs) for xs in up_adjacency(ctx)]
-    n = 0
-    edges = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        d1 = sum(k * c for k, c in enumerate(_r(ctx, ui, wi)))
-        is_edge = wi in up[ui]
-        edges += is_edge
-        if d1 != (1 if is_edge else 0):
-            wit.add(f"{_pair_word(ctx, ui, wi)}: R'(1) = {d1}, edge = {is_edge}")
-    return _report(ctx, "r_derivative_edge", n, wit, {"edges": edges})
+
+    def decide(r, rt, a, ell, edge) -> list[Fault]:
+        d1 = sum(k * c for k, c in enumerate(r))
+        if d1 != (1 if edge else 0):
+            return [(f"R'(1) = {d1}, edge = {edge}", False)]
+        return []
+
+    edges = sum(len(ps) for (*_, edge), ps in classes.items() if edge)
+    return _class_report(
+        ctx, "r_derivative_edge", classes, decide, True, {"edges": edges}
+    )
 
 
-def _check_shifted_nonneg(ctx: GroupContext) -> CheckReport:
+def _check_shifted_nonneg(ctx: GroupContext, classes: Classes) -> CheckReport:
     """(q-1)-coefficients of R vanish below a(u,w) and are positive
     from a(u,w) through l(u,w)."""
-    wit = _Witnesses()
-    lengths = ctx.lengths
-    n = 0
-    for ui, wi in comparable_pairs(ctx):
-        if ui == wi:
-            continue
-        n += 1
-        sh = _shifted(ctx, ui, wi)
-        a = _abs(ctx, ui, wi)
-        ell = lengths[wi] - lengths[ui]
+
+    def decide(r, rt, a, ell, edge) -> list[Fault]:
+        sh = _shifted(ctx, r)
         ok = len(sh) == ell + 1
         ok = ok and all(c == 0 for c in sh[:a])
         ok = ok and all(c > 0 for c in sh[a:])
-        if not ok:
-            wit.add(f"{_pair_word(ctx, ui, wi)}: shifted {sh}, a = {a}")
-    return _report(ctx, "shifted_nonneg", n, wit, {})
+        return [] if ok else [(f"shifted {sh}, a = {a}", False)]
+
+    return _class_report(ctx, "shifted_nonneg", classes, decide)
 
 
-def _check_divisibility_order(ctx: GroupContext) -> CheckReport:
+def _check_divisibility_order(ctx: GroupContext, classes: Classes) -> CheckReport:
     """The (q-1)-multiplicity of R (the leading zeros of its
     (q-1)-expansion) equals the absolute length of the pair."""
-    wit = _Witnesses()
-    n = 0
-    for ui, wi in comparable_pairs(ctx):
-        if ui == wi:
-            continue
-        n += 1
-        mult = next((i for i, c in enumerate(_shifted(ctx, ui, wi)) if c), 0)
-        a = _abs(ctx, ui, wi)
-        if mult != a:
-            wit.add(f"{_pair_word(ctx, ui, wi)}: multiplicity {mult}, a = {a}")
-    return _report(ctx, "divisibility_order", n, wit, {})
+
+    def decide(r, rt, a, ell, edge) -> list[Fault]:
+        mult = next((i for i, c in enumerate(_shifted(ctx, r)) if c), 0)
+        return [] if mult == a else [(f"multiplicity {mult}, a = {a}", False)]
+
+    return _class_report(ctx, "divisibility_order", classes, decide)
 
 
-def _check_fh_structure(ctx: GroupContext) -> CheckReport:
+def _check_fh_structure(ctx: GroupContext, classes: Classes) -> CheckReport:
     """f/h-decomposition exists per pair: f positive with f_(-1) = 1,
     h palindromic with h_0 = 1, both rebuilding R exactly."""
-    wit = _Witnesses()
-    n = 0
-    for ui, wi in comparable_pairs(ctx):
-        if ui == wi:
-            continue
-        n += 1
-        try:
-            fh_vectors(ctx.elements[ui], ctx.elements[wi])
-        except RuntimeError as exc:
-            wit.add(str(exc))
-    return _report(ctx, "fh_structure", n, wit, {})
+
+    def decide(r, rt, a, ell, edge) -> list[Fault]:
+        fh = _fh_split(ctx, r, a, ell)
+        return [(fh, True)] if isinstance(fh, str) else []
+
+    return _class_report(ctx, "fh_structure", classes, decide)
 
 
-def _check_boolean_criterion(ctx: GroupContext) -> CheckReport:
+def _check_boolean_criterion(ctx: GroupContext, classes: Classes) -> CheckReport:
     """R equals (q-1)^l(u,w) exactly when a(u,w) = l(u,w)."""
-    wit = _Witnesses()
-    lengths = ctx.lengths
-    n = 0
-    a_lt_ell = 0
-    for ui, wi in comparable_pairs(ctx):
-        if ui == wi:
-            continue
-        n += 1
-        ell = lengths[wi] - lengths[ui]
-        is_power = _shifted(ctx, ui, wi) == (0,) * ell + (1,)
-        a_is_ell = _abs(ctx, ui, wi) == ell
-        a_lt_ell += not a_is_ell
+
+    def decide(r, rt, a, ell, edge) -> list[Fault]:
+        is_power = _shifted(ctx, r) == (0,) * ell + (1,)
+        a_is_ell = a == ell
         if is_power != a_is_ell:
-            wit.add(
-                f"{_pair_word(ctx, ui, wi)}: R == (q-1)^l is {is_power} "
-                f"but a == l is {a_is_ell}"
-            )
-    return _report(ctx, "boolean_criterion", n, wit, {"a_lt_ell": a_lt_ell})
+            return [(f"R == (q-1)^l is {is_power} but a == l is {a_is_ell}", False)]
+        return []
+
+    a_lt_ell = sum(
+        len(ps) for (_, _, a, ell, _), ps in classes.items() if ell and a != ell
+    )
+    return _class_report(
+        ctx, "boolean_criterion", classes, decide, stats={"a_lt_ell": a_lt_ell}
+    )
 
 
-def _check_binomial_bounds(ctx: GroupContext) -> CheckReport:
+def _check_binomial_bounds(ctx: GroupContext, classes: Classes) -> CheckReport:
     """(q-1)^l <= R <= q^l coefficientwise in the shifted basis."""
-    wit = _Witnesses()
-    lengths = ctx.lengths
-    n = 0
-    for ui, wi in comparable_pairs(ctx):
-        if ui == wi:
-            continue
-        n += 1
-        ell = lengths[wi] - lengths[ui]
-        sh = _shifted(ctx, ui, wi)
+
+    def decide(r, rt, a, ell, edge) -> list[Fault]:
+        sh = _shifted(ctx, r)
         sh += (0,) * (ell + 1 - len(sh))  # a short entry reads as 0 to (q-1)^l
         for k, c in enumerate(sh):
             lo = 1 if k == ell else 0
             if not lo <= c <= comb(ell, k):
-                wit.add(
-                    f"{_pair_word(ctx, ui, wi)}: shifted coeff {k} is {c}, "
-                    f"bounds [{lo}, {comb(ell, k)}]"
-                )
-                break
-    return _report(ctx, "binomial_bounds", n, wit, {})
+                return [(
+                    f"shifted coeff {k} is {c}, bounds [{lo}, {comb(ell, k)}]",
+                    False,
+                )]
+        return []
+
+    return _class_report(ctx, "binomial_bounds", classes, decide)
 
 
-def _check_brenti_scan(ctx: GroupContext) -> CheckReport:
+def _check_brenti_scan(ctx: GroupContext, classes: Classes) -> CheckReport:
     """Report-only scan of |[q^n] R| against binomial(l, n).
 
     The bound is an open conjecture, so violations are reported in the
     stats (max excess and how many pairs exceed 0), never as failures.
     """
-    lengths = ctx.lengths
-    n = 0
     max_excess = None
     excess_pairs = 0
-    for ui, wi in comparable_pairs(ctx):
-        if ui == wi:
+    for (r, rt, a, ell, edge), pairs in classes.items():
+        if not ell:
             continue
-        n += 1
-        ell = lengths[wi] - lengths[ui]
-        rc = _r(ctx, ui, wi)
-        rc += (0,) * (ell + 1 - len(rc))  # a short entry reads as 0 to q^l
-        worst = max(abs(c) - comb(ell, k) for k, c in enumerate(rc))
-        excess_pairs += worst > 0
+        r += (0,) * (ell + 1 - len(r))  # a short entry reads as 0 to q^l
+        worst = max(abs(c) - comb(ell, k) for k, c in enumerate(r))
+        if worst > 0:
+            excess_pairs += len(pairs)
         if max_excess is None or worst > max_excess:
             max_excess = worst
     return _report(
         ctx,
         "brenti_scan",
-        n,
+        _count(classes),
         _Witnesses(),
         {"max_excess": 0 if max_excess is None else max_excess,
          "excess_pairs": excess_pairs},
@@ -380,12 +438,12 @@ def _check_deodhar(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     n = 0
     max_defect = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        df = _defects(ctx, wi)[ui]
-        max_defect = max(max_defect, df)
-        if df < 0:
-            wit.add(f"{_pair_word(ctx, ui, wi)}: defect {df}")
+    for wi in range(ctx.order):
+        for ui, df in _defects(ctx, wi).items():  # u by increasing id
+            n += 1
+            max_defect = max(max_defect, df)
+            if df < 0:
+                wit.add(f"{_pair_word(ctx, ui, wi)}: defect {df}")
     return _report(ctx, "deodhar", n, wit, {"max_defect": max_defect})
 
 
@@ -450,65 +508,57 @@ def _check_nth2(ctx: GroupContext, sums: dict[Pair, Coeffs]) -> CheckReport:
     return _biconditional_check(ctx, sums, "nth2_quadratic", 2)
 
 
-def _check_le1_le2_le3(ctx: GroupContext) -> CheckReport:
+def _check_le1_le2_le3(ctx: GroupContext, classes: Classes) -> CheckReport:
     """Edge and double-step consequences: for u -> w, (q-1)^2 divides
     R - q^((l-1)/2) (q-1), the linear Rt coefficient is 1, and
     R''(1) = l(u,w) - 1; for a(u,w) = 2, R''(1) counts the length-2
-    directed paths from u to w."""
-    wit = _Witnesses()
-    lengths = ctx.lengths
+    directed paths from u to w.
+
+    Decided once per class, except the path count of a(u,w) = 2, which
+    is taken per pair."""
     up = up_adjacency(ctx)
     down_sets = [set(xs) for xs in down_adjacency(ctx)]
-    n = 0
+    failing: list[tuple[list[Pair], list[Fault]]] = []
     edges = a2_pairs = skipped = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        if ui == wi:
-            skipped += 1
+    for (r, rt, a, ell, edge), pairs in classes.items():
+        if not ell or a > 2:
+            skipped += len(pairs)
             continue
-        a = _abs(ctx, ui, wi)
-        if a > 2:
-            skipped += 1
+        second = sum(k * (k - 1) * c for k, c in enumerate(r))
+        if a != 1:
+            a2_pairs += len(pairs)
+            for ui, wi in pairs:
+                m_paths = sum(1 for vi in up[ui] if vi in down_sets[wi])
+                if second != m_paths:
+                    text = f"R''(1) = {second}, m = {m_paths}"
+                    failing.append(([(ui, wi)], [(text, False)]))
             continue
-        ell = lengths[wi] - lengths[ui]
-        rc = _r(ctx, ui, wi)
-        second = sum(k * (k - 1) * c for k, c in enumerate(rc))
-        if a == 1:
-            edges += 1
-            m = (ell - 1) // 2
-            if len(rc) != ell + 1:
-                wit.add(
-                    f"{_pair_word(ctx, ui, wi)}: R entry {rc} has {len(rc)} "
-                    f"coefficients, not l(u,w) + 1 = {ell + 1}"
-                )
-            else:
-                diff = list(rc)
-                diff[m] += 1
-                diff[m + 1] -= 1  # subtract q^m (q-1)
-                if sum(diff) != 0 or sum(k * c for k, c in enumerate(diff)) != 0:
-                    wit.add(
-                        f"{_pair_word(ctx, ui, wi)}: (q-1)^2 does not divide "
-                        f"R - q^{m}(q-1)"
-                    )
-            if _r(ctx, ui, wi, "Rt")[1:2] != (1,):
-                wit.add(f"{_pair_word(ctx, ui, wi)}: linear Rt coeff != 1")
-            if second != ell - 1:
-                wit.add(
-                    f"{_pair_word(ctx, ui, wi)}: R''(1) = {second} != {ell - 1}"
-                )
+        edges += len(pairs)
+        faults = []
+        m = (ell - 1) // 2
+        if len(r) != ell + 1:
+            faults.append((
+                f"R entry {r} has {len(r)} coefficients, "
+                f"not l(u,w) + 1 = {ell + 1}",
+                False,
+            ))
         else:
-            a2_pairs += 1
-            m_paths = sum(1 for vi in up[ui] if vi in down_sets[wi])
-            if second != m_paths:
-                wit.add(
-                    f"{_pair_word(ctx, ui, wi)}: R''(1) = {second}, "
-                    f"m = {m_paths}"
-                )
+            diff = list(r)
+            diff[m] += 1
+            diff[m + 1] -= 1  # subtract q^m (q-1)
+            if sum(diff) != 0 or sum(k * c for k, c in enumerate(diff)) != 0:
+                faults.append((f"(q-1)^2 does not divide R - q^{m}(q-1)", False))
+        if rt[1:2] != (1,):
+            faults.append(("linear Rt coeff != 1", False))
+        if second != ell - 1:
+            faults.append((f"R''(1) = {second} != {ell - 1}", False))
+        if faults:
+            failing.append((pairs, faults))
     return _report(
         ctx,
         "le1_le2_le3",
-        n,
-        wit,
+        _count(classes, True),
+        _pair_order_witnesses(ctx, failing),
         {"edges": edges, "a2_pairs": a2_pairs, "skipped": skipped},
     )
 
@@ -656,6 +706,7 @@ def _check_nth3_strict_edges(ctx: GroupContext) -> CheckReport:
     up = up_adjacency(ctx)
     n = 0
     singular = skipped = 0
+    defects_of = -1  # the top whose defect row ``defects`` is
     for ui, wi in comparable_pairs(ctx):
         n += 1
         base = _kl1(ctx, ui, wi)
@@ -663,6 +714,8 @@ def _check_nth3_strict_edges(ctx: GroupContext) -> CheckReport:
             skipped += 1
             continue
         singular += 1
+        if defects_of != wi:
+            defects_of, defects = wi, _defects(ctx, wi)
         strict = 0
         for vi in up[ui]:
             if lower[wi] >> vi & 1:
@@ -670,7 +723,7 @@ def _check_nth3_strict_edges(ctx: GroupContext) -> CheckReport:
                 if val <= 0:
                     wit.add(f"{_pair_word(ctx, ui, wi)}: P(1) <= 0 at a neighbor")
                 strict += base > val
-        df = _defects(ctx, wi)[ui]
+        df = defects[ui]
         if strict < df + 1:
             wit.add(
                 f"{_pair_word(ctx, ui, wi)}: {strict} strict edges, "
@@ -800,6 +853,12 @@ _READS_KL = frozenset(
 )
 # the checks that read the interval R-sums, passed to them as an argument
 _READS_SUMS = frozenset("dvc_linear nth2_quadratic smoothness_equivalence".split())
+# the checks that decide once per class of ``_r_classes``, passed to them
+_READS_CLASSES = frozenset(
+    "r_basics r_functional_equation r_derivative_edge shifted_nonneg "
+    "divisibility_order fh_structure boolean_criterion binomial_bounds "
+    "brenti_scan le1_le2_le3".split()
+)
 
 
 def run_check(name: str, ctx: GroupContext) -> CheckReport:
@@ -818,7 +877,10 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     certificate pass whose faults kl_basics reports (it sweeps the table
     itself only if the table was full before this call).  If any reads the
     interval R-sums, they are computed once, at the first such check, and
-    passed to each; no check changes R, so they are R's sums at this call."""
+    passed to each; no check changes R, so they are R's sums at this call.
+    The classes of ``_r_classes`` are built the same way for the checks
+    that decide once per class, from R, Rt and the graph as they are at
+    this call."""
     if selection == "all":
         names = CHECK_NAMES
     else:
@@ -835,10 +897,14 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
             )
         names = tuple(n for n in CHECK_NAMES if n in set(selection))
     faults = None if _READS_KL.isdisjoint(names) else _certify(ctx)
-    sums = None
+    classes = sums = None
     reports = []
     for n in names:
-        if n in _READS_SUMS:
+        if n in _READS_CLASSES:
+            if classes is None:
+                classes = _r_classes(ctx)
+            reports.append(_REGISTRY[n](ctx, classes))
+        elif n in _READS_SUMS:
             if sums is None:  # held through earlier checks, it adds to peak RSS
                 sums = _interval_r_sums(ctx)
             reports.append(_REGISTRY[n](ctx, sums))

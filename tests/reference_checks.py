@@ -11,15 +11,19 @@ entry out of its degree bound gives a witness instead of an IndexError.
 Each function takes a context and returns the CheckReport of the library
 check of the same name.
 
-The R-level checks (r_basics, shifted_nonneg, divisibility_order,
-fh_structure, boolean_criterion, binomial_bounds) read R's
-(q-1)-expansion, computed by ``klr._shifted`` at each use and compared
-with R-tilde on tuples.  Here they keep the route of polynomial
-arithmetic: the expansion and the (q-1)-multiplicity by repeated synthetic
-division, computed anew for every pair, R rebuilt from R-tilde and the f/h
-round trips by ``mul`` and ``add`` on coefficient tuples, and (q-1)^n
-from its binomial coefficients.  fh_structure drops its re-tests after
-the f/h decomposition, which raises on each of them.
+The ten R-level checks (r_basics, r_functional_equation,
+r_derivative_edge, shifted_nonneg, divisibility_order, fh_structure,
+boolean_criterion, binomial_bounds, brenti_scan, le1_le2_le3) decide each
+class of pairs with equal (R, Rt, a(u,w), l(u,w)) once, on tuples.  Here
+every pair is decided on its own, by polynomial arithmetic: the
+(q-1)-expansion and the (q-1)-multiplicity by repeated synthetic
+division, computed anew for every pair, R'(1) and R''(1) read from that
+expansion, q^l R(1/q) and R rebuilt from R-tilde and the f/h round trips
+by ``mul`` and ``add`` on coefficient tuples, (q-1)^n from its binomial
+coefficients, and Bruhat-graph edges found from the reflections
+(u -> w when u^-1 w is a reflection), not from the graph's rows.
+fh_structure drops its re-tests after the f/h decomposition, which raises
+on each of them.
 """
 
 from math import comb
@@ -27,23 +31,28 @@ from math import comb
 from bruhatkl.bruhat import (
     _defects,
     _require_le,
+    abs_len_table,
     absolute_length,
     comparable_pairs,
     ge_masks,
     iter_bits,
     le_masks,
 )
-from bruhatkl.coxeter import GroupContext, GroupElement, word_of
+from bruhatkl.coxeter import GroupContext, GroupElement, _mul, word_of
 from bruhatkl.klr import _between, _kl, _kl1, _r
 from bruhatkl.polynomial import _addmul_into, _trim
 from bruhatkl.theorems import (
     CheckReport,
-    _abs,
     _dominates,
     _pair_word,
     _report,
     _Witnesses,
 )
+
+
+def _abs(ctx, ui, wi):
+    """a(u, w), read from the table of w for every pair."""
+    return abs_len_table(ctx.elements[wi])[ui]
 
 
 def add(a, b):
@@ -300,6 +309,138 @@ def binomial_bounds(ctx: GroupContext) -> CheckReport:
     return _report(ctx, "binomial_bounds", n, wit, {})
 
 
+def r_functional_equation(ctx: GroupContext) -> CheckReport:
+    """q^l R(1/q) = (-1)^l R(q), l = l(u,w), with q^l R(1/q) built one
+    term c q^(l-k) at a time; a nonzero term past q^l has no such form."""
+    wit = _Witnesses()
+    lengths = ctx.lengths
+    n = 0
+    for ui, wi in comparable_pairs(ctx):
+        n += 1
+        rc = _r(ctx, ui, wi)
+        ell = lengths[wi] - lengths[ui]
+        lhs, ok = (), True
+        for k, c in enumerate(rc):
+            if k <= ell:
+                lhs = add(lhs, (0,) * (ell - k) + (c,))
+            elif c:
+                ok = False
+        if not ok or lhs != mul(((-1) ** ell,), rc):
+            wit.add(f"{_pair_word(ctx, ui, wi)}: reversal/sign mismatch {rc}")
+    return _report(ctx, "r_functional_equation", n, wit, {})
+
+
+def _is_edge(ctx, ui, wi):
+    """u -> w: w = ut for a reflection t, and l(w) > l(u)."""
+    t = _mul(ctx, ctx.inv[ui], wi)
+    return ctx.lengths[wi] > ctx.lengths[ui] and any(
+        r.index == t for r in ctx.reflections
+    )
+
+
+def r_derivative_edge(ctx: GroupContext) -> CheckReport:
+    """R'(1), the (q-1)^1 coefficient of R, is 1 on Bruhat-graph edges
+    and 0 on all other pairs."""
+    wit = _Witnesses()
+    n = edges = 0
+    for ui, wi in comparable_pairs(ctx):
+        n += 1
+        sh = _shifted(_r(ctx, ui, wi))
+        d1 = sh[1] if len(sh) > 1 else 0
+        is_edge = _is_edge(ctx, ui, wi)
+        edges += is_edge
+        if d1 != (1 if is_edge else 0):
+            wit.add(f"{_pair_word(ctx, ui, wi)}: R'(1) = {d1}, edge = {is_edge}")
+    return _report(ctx, "r_derivative_edge", n, wit, {"edges": edges})
+
+
+def brenti_scan(ctx: GroupContext) -> CheckReport:
+    """Report-only scan of |[q^n] R| against binomial(l, n), over every
+    n up to the larger of l(u,w) and the degree of the entry."""
+    lengths = ctx.lengths
+    n = excess_pairs = 0
+    max_excess = None
+    for ui, wi in comparable_pairs(ctx):
+        if ui == wi:
+            continue
+        n += 1
+        rc = _r(ctx, ui, wi)
+        ell = lengths[wi] - lengths[ui]
+        worst = max(
+            abs(rc[k] if k < len(rc) else 0) - comb(ell, k)
+            for k in range(max(ell + 1, len(rc)))
+        )
+        excess_pairs += worst > 0
+        max_excess = worst if max_excess is None else max(max_excess, worst)
+    return _report(
+        ctx,
+        "brenti_scan",
+        n,
+        _Witnesses(),
+        {"max_excess": 0 if max_excess is None else max_excess,
+         "excess_pairs": excess_pairs},
+    )
+
+
+def le1_le2_le3(ctx: GroupContext) -> CheckReport:
+    """For u -> w: (q-1)^2 divides R - q^m (q-1), m = (l-1)/2, by
+    synthetic division, the linear Rt coefficient is 1, and R''(1), twice
+    the (q-1)^2 coefficient of R, is l(u,w) - 1; for a(u,w) = 2, R''(1)
+    counts the v with u -> v -> w, edges found from the reflections."""
+    wit = _Witnesses()
+    lengths = ctx.lengths
+    n = edges = a2_pairs = skipped = 0
+    for ui, wi in comparable_pairs(ctx):
+        n += 1
+        a = _abs(ctx, ui, wi) if ui != wi else 0
+        if ui == wi or a > 2:
+            skipped += 1
+            continue
+        ell = lengths[wi] - lengths[ui]
+        rc = _r(ctx, ui, wi)
+        sh = _shifted(rc)
+        second = 2 * sh[2] if len(sh) > 2 else 0
+        if a != 1:
+            a2_pairs += 1
+            m_paths = sum(
+                1
+                for t in ctx.reflections
+                if _is_edge(ctx, ui, vi := _mul(ctx, ui, t.index))
+                and _is_edge(ctx, vi, wi)
+            )
+            if second != m_paths:
+                wit.add(
+                    f"{_pair_word(ctx, ui, wi)}: R''(1) = {second}, m = {m_paths}"
+                )
+            continue
+        edges += 1
+        m = (ell - 1) // 2
+        if len(rc) != ell + 1:
+            wit.add(
+                f"{_pair_word(ctx, ui, wi)}: R entry {rc} has {len(rc)} "
+                f"coefficients, not l(u,w) + 1 = {ell + 1}"
+            )
+        else:
+            diff = add(rc, mul((0,) * m + (1,), (1, -1)))  # R - q^m (q-1)
+            if diff and _valuation(diff)[0] < 2:
+                wit.add(
+                    f"{_pair_word(ctx, ui, wi)}: (q-1)^2 does not divide "
+                    f"R - q^{m}(q-1)"
+                )
+        rt = _r(ctx, ui, wi, "Rt")
+        if (rt[1] if len(rt) > 1 else 0) != 1:
+            wit.add(f"{_pair_word(ctx, ui, wi)}: linear Rt coeff != 1")
+        if second != ell - 1:
+            wit.add(f"{_pair_word(ctx, ui, wi)}: R''(1) = {second} != {ell - 1}")
+    return _report(
+        ctx,
+        "le1_le2_le3",
+        n,
+        wit,
+        {"edges": edges, "a2_pairs": a2_pairs, "skipped": skipped},
+    )
+
+
 def r_alternating_sum(ctx: GroupContext) -> CheckReport:
     """Sign-alternating convolution over each interval is a Kronecker delta."""
     wit = _Witnesses()
@@ -502,11 +643,15 @@ def smoothness_equivalence(ctx: GroupContext) -> CheckReport:
 REFERENCE = {
     "r_basics": r_basics,
     "r_alternating_sum": r_alternating_sum,
+    "r_functional_equation": r_functional_equation,
+    "r_derivative_edge": r_derivative_edge,
     "shifted_nonneg": shifted_nonneg,
     "divisibility_order": divisibility_order,
     "fh_structure": fh_structure,
     "boolean_criterion": boolean_criterion,
     "binomial_bounds": binomial_bounds,
+    "brenti_scan": brenti_scan,
+    "le1_le2_le3": le1_le2_le3,
     "dvc_linear": dvc_linear,
     "nth2_quadratic": nth2_quadratic,
     "kl_basics": kl_basics,

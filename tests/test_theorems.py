@@ -194,6 +194,46 @@ def test_r_functional_equation_reports_short_r_entry(w, entry):
     ]
 
 
+@pytest.mark.parametrize("entry, violations", [((1, 0, -1), 1), ((-1, 1, 0), 0)])
+def test_r_functional_equation_reads_long_r_entry_as_a_polynomial(entry, violations):
+    # at l(e, s1) = 1, 1 - q^2 reverses to itself up to sign as a tuple,
+    # but q R(1/q) = q - 1/q is no polynomial; q - 1 with a trailing zero
+    # coefficient is R_{e,s1} itself
+    ctx = build_group(parse_group_spec("A3"))
+    fill_tables(ctx, ("R",))
+    wi = parse_element(ctx, "1").index
+    ctx.tables.R[0, wi] = entry
+    report = run_check("r_functional_equation", ctx)
+    assert report.stats["violations_total"] == violations
+    assert report.witnesses == [
+        f"u='e' w='1': reversal/sign mismatch {entry}"
+    ][:violations]
+
+
+def test_r_level_verdicts_are_keyed_by_a_and_l_not_by_r_alone():
+    # R = q - 1 is right on the edge (e, s1) (a = l = 1) and wrong on
+    # (e, s1 s2) (a = l = 2): a verdict keyed by R alone would report both
+    # pairs or neither
+    ctx = build_group(parse_group_spec("A3"))
+    fill_tables(ctx, ("R", "Rt"))
+    right, wrong = parse_element(ctx, "1").index, parse_element(ctx, "1 2").index
+    value = (-1, 1)
+    ctx.tables.R[0, right] = ctx.tables.R[0, wrong] = value
+    expected = {
+        "shifted_nonneg": "u='e' w='1 2': shifted (0, 1), a = 2",
+        "divisibility_order": "u='e' w='1 2': multiplicity 1, a = 2",
+        "boolean_criterion":
+            "u='e' w='1 2': R == (q-1)^l is False but a == l is True",
+        "fh_structure": "(q-1)-multiplicity 1 of R differs from absolute "
+            "length for ('e', '1 2') in A3",
+    }
+    for name, witness in expected.items():
+        report = run_check(name, ctx)
+        assert (report.witnesses, report.stats["violations_total"]) == (
+            [witness], 1
+        ), name
+
+
 def test_fresh_run_suite_makes_one_kl_sweep(monkeypatch):
     # kl_basics reports the faults of the sweep that certified the fill; a
     # table full before the call is swept again, so a later change shows
@@ -283,11 +323,15 @@ def test_le1_le2_le3_reports_wrong_length_r_entry(entry, second):
 
 R_LEVEL = (
     "r_basics",
+    "r_functional_equation",
+    "r_derivative_edge",
     "shifted_nonneg",
     "divisibility_order",
     "fh_structure",
     "boolean_criterion",
     "binomial_bounds",
+    "brenti_scan",
+    "le1_le2_le3",
 )
 
 
