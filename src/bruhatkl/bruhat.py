@@ -40,7 +40,6 @@ __all__ = [
     "neighborhood",
     "defect",
     "le_masks",
-    "ge_masks",
     "up_adjacency",
     "down_adjacency",
     "abs_len_table",
@@ -117,22 +116,6 @@ def le_masks(ctx: GroupContext) -> list[int]:
     return ctx.tables.le
 
 
-def ge_masks(ctx: GroupContext) -> list[int]:
-    """Bitmask per element id: bit w of ge_masks[u] set iff u <= w."""
-    t = ctx.tables
-    if t.ge is None:
-        lower = le_masks(ctx)
-        up = [0] * ctx.order
-        for wi in range(ctx.order):
-            m = lower[wi]
-            while m:
-                lsb = m & -m
-                up[lsb.bit_length() - 1] |= 1 << wi
-                m ^= lsb
-        t.ge = up
-    return t.ge
-
-
 def iter_bits(mask: int):
     """Yield set-bit indices of a mask in increasing order."""
     while mask:
@@ -144,8 +127,9 @@ def iter_bits(mask: int):
 def comparable_pairs(ctx: GroupContext) -> list[tuple[int, int]]:
     """All id pairs (u, w) with u <= w, ordered by w id then u id.
 
-    One list per context, built on first use: the checks sweep it about
-    twenty times per run, and a list is read faster than masks are walked.
+    One list per context, built on first use: a ``verify`` run sweeps it
+    twice (the R-level classes and r_inverse_symmetry) and reads its length
+    three times, and a list is read faster than masks are walked.
     """
     t = ctx.tables
     if t.pairs is None:
@@ -168,6 +152,12 @@ def _row(ctx: GroupContext, xi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             rows[lengths[vi] < lengths[xi]].append(vi)
         t.up[xi], t.down[xi] = tuple(sorted(rows[0])), tuple(sorted(rows[1]))
     return t.up[xi], t.down[xi]
+
+
+def _out_below(ctx: GroupContext, xi: int, lower: int) -> list[int]:
+    """Out-neighbors of x whose bit is set in lower (the lower cone of some
+    w), sorted by id, hence by length."""
+    return [vi for vi in _row(ctx, xi)[0] if lower >> vi & 1]
 
 
 def up_adjacency(ctx: GroupContext) -> list[tuple[int, ...]]:
@@ -226,8 +216,7 @@ def neighborhood(u: GroupElement, w: GroupElement) -> list[GroupElement]:
     rows are sorted by id, and ids grow with length."""
     _check_same_context(u, w)
     ctx = u.ctx
-    lower = _lower(ctx, w.index)
-    return [ctx.elements[vi] for vi in _row(ctx, u.index)[0] if lower >> vi & 1]
+    return [ctx.elements[vi] for vi in _out_below(ctx, u.index, _lower(ctx, w.index))]
 
 
 def defect(u: GroupElement, w: GroupElement) -> int:
@@ -244,8 +233,7 @@ def _defects(ctx: GroupContext, wi: int) -> dict[int, int]:
         wm = _lower(ctx, wi)
         table = {}
         for xi in iter_bits(wm):
-            nb = sum(1 for vi in _row(ctx, xi)[0] if wm >> vi & 1)
-            table[xi] = nb - (lengths[wi] - lengths[xi])
+            table[xi] = len(_out_below(ctx, xi, wm)) - (lengths[wi] - lengths[xi])
         ctx.tables.defects[wi] = table
     return table
 
@@ -283,8 +271,8 @@ def interval(u: GroupElement, w: GroupElement) -> IntervalData:
     seen = {u.index}
     queue = [u.index]
     for xi in queue:  # grows while iterated: a breadth-first walk
-        for vi in _row(ctx, xi)[0]:
-            if vi not in seen and lower >> vi & 1:
+        for vi in _out_below(ctx, xi, lower):
+            if vi not in seen:
                 seen.add(vi)
                 queue.append(vi)
     members = [ctx.elements[vi] for vi in sorted(seen)]

@@ -219,7 +219,6 @@ class Tables:
     """
 
     le: list[int] | None = None  # bruhat._lower; 0 = not built yet
-    ge: list[int] | None = None  # bruhat.ge_masks
     up: list[tuple[int, ...] | None] | None = None  # bruhat._row; out-neighbors
     down: list[tuple[int, ...] | None] | None = None  # bruhat._row; in-neighbors
     abs_len: ByTop = field(default_factory=dict)  # bruhat.abs_len_table

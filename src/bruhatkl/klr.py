@@ -57,7 +57,7 @@ from bruhatkl.bruhat import (
     le_masks,
     neighborhood,
 )
-from bruhatkl.bruhat import _le, _lower, _require_le, _row
+from bruhatkl.bruhat import _le, _lower, _out_below, _require_le
 from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, Pair, Tables, word_of
 from bruhatkl.coxeter import _check_same_context
 from bruhatkl.polynomial import (
@@ -155,17 +155,27 @@ def _between(ctx: GroupContext, ui: int, wi: int) -> Iterator[int]:
             yield vi
 
 
+def _reader(t: Tables) -> Callable[[int, int], Coeffs]:
+    """P_vw from ``t.KL`` if the pair is there, even empty, else from ``t.staged``."""
+    kl, staged = t.KL, t.staged
+
+    def get(v: int, w: int) -> Coeffs:
+        return kl[v, w] if (v, w) in kl else staged[v, w]
+
+    return get
+
+
 def _stage(ctx: GroupContext, wi: int) -> None:
     """Stage the KL column of w, and first every column it needs.
 
     Fills ``tables.staged`` with P_xw for every x <= w, by the recursion in
     the module docstring, and ``tables.mu`` with the mu-list of w: the
     pairs (x, mu(x, w)) with mu(x, w) != 0.  Entries of columns already
-    moved into ``tables.KL`` are read from there.  Reads only the masks
-    of elements below w.
+    moved into ``tables.KL`` are read from there (``_reader``).  Reads only
+    the masks of elements below w.
     """
     t = ctx.tables
-    kl, staged, mu = t.KL, t.staged, t.mu
+    staged, mu, get = t.staged, t.mu, _reader(t)
     rmult, lengths, srd = ctx.rmult, ctx.lengths, ctx.srd
     stack = [wi]
     while stack:
@@ -197,10 +207,10 @@ def _stage(ctx: GroupContext, wi: int) -> None:
             if lengths[xs] > lengths[x]:
                 continue
             out = [0] * ((lw - lengths[x]) // 2 + 1)
-            for i, c in enumerate(kl.get((xs, v)) or staged[xs, v]):
+            for i, c in enumerate(get(xs, v)):
                 out[i] += c
             if lower_v >> x & 1:
-                for i, c in enumerate(kl.get((x, v)) or staged[x, v], 1):
+                for i, c in enumerate(get(x, v), 1):
                     out[i] += c
             col[x] = out
         for z, m in terms:
@@ -208,7 +218,7 @@ def _stage(ctx: GroupContext, wi: int) -> None:
             for x in iter_bits(_lower(ctx, z)):
                 out = col.get(x)
                 if out is not None:
-                    for i, c in enumerate(kl.get((x, z)) or staged[x, z], shift):
+                    for i, c in enumerate(get(x, z), shift):
                         out[i] -= m * c
         done = {x: _intern(t, _trim(out)) for x, out in col.items()}
         mus = []
@@ -337,7 +347,7 @@ def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> list | None:
     Stages the columns of the tops first if needed, then, unless nothing
     is left staged, runs one ``_kl_faults`` sweep and returns its faults
     (None if no sweep).  A pair in ``tables.KL`` is read from there, even
-    when empty, and never replaced by its staged entry.  Raises
+    when empty (``_reader``), and never replaced by its staged entry.  Raises
     RuntimeError naming the first faulty pair not in ``tables.KL``, by w
     and then x, before moving anything.
     """
@@ -348,10 +358,7 @@ def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> list | None:
     if not staged:  # a staged column's pairs are each in KL or staged
         return None
 
-    def get(v: int, w: int) -> Coeffs:
-        return kl[v, w] if (v, w) in kl else staged[v, w]
-
-    faults = list(_kl_faults(ctx, get, ui, wi))
+    faults = list(_kl_faults(ctx, _reader(t), ui, wi))
     for x, w, _ in faults:
         if (x, w) not in kl:
             raise _kl_error(ctx, x, w)
@@ -387,6 +394,17 @@ def _kl(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
 def _kl1(ctx: GroupContext, ui: int, wi: int) -> int:
     """P_uw evaluated at 1 (drives strict-edge machinery)."""
     return sum(_kl(ctx, ui, wi))
+
+
+def _column(
+    ctx: GroupContext, wi: int
+) -> tuple[int, dict[int, Coeffs], dict[int, int]]:
+    """The column view of w: lower(w), {x: P_xw} and {x: P_xw(1)} for every
+    x <= w by increasing id.  Each P is read once, through ``_kl``, so a
+    column not yet in ``tables.KL`` is certified first."""
+    lower = _lower(ctx, wi)
+    ps = {x: _kl(ctx, x, wi) for x in iter_bits(lower)}
+    return lower, ps, {x: sum(p) for x, p in ps.items()}
 
 
 # -- public operations ---------------------------------------------------
@@ -582,8 +600,10 @@ def strict_path_to_smooth(u: GroupElement, w: GroupElement) -> list[GroupElement
     """Greedy strict path from a singular u to a smooth vertex under w.
 
     At each step take the strict neighbor minimizing P(1), ties broken by
-    element id (``_strict_step``).  Requires P_uw(1) > 1; P(1) strictly
-    decreases along the path, so it terminates at a vertex with P(1) = 1.
+    element id.  Requires P_uw(1) > 1; P(1) strictly decreases along the
+    path, so it terminates at a vertex with P(1) <= 1.  RuntimeError if a
+    vertex on the way has no strict edge.  The one-pair reference for the
+    column walk of ``_greedy_ends``.
     """
     _require_le(u, w)
     ctx, wi = u.ctx, w.index
@@ -594,66 +614,76 @@ def strict_path_to_smooth(u: GroupElement, w: GroupElement) -> list[GroupElement
     while here > 1:
         cur = path[-1]
         vals = [(_kl1(ctx, v.index, wi), v.index) for v in neighborhood(cur, w)]
-        here, vi = _strict_step(ctx, cur.index, wi, [c for c in vals if c[0] < here])
+        strict = [c for c in vals if c[0] < here]
+        if not strict:
+            raise _stuck_error(ctx, cur.index, wi)
+        here, vi = min(strict)
         path.append(ctx.elements[vi])
     return path
 
 
-def _strict_step(
-    ctx: GroupContext, xi: int, wi: int, strict: list[tuple[int, int]]
-) -> tuple[int, int]:
-    """The greedy step from x under w: the least (P_vw(1), v) of the strict
-    edges x -> v, given as such pairs.  RuntimeError if there is none."""
-    if not strict:
-        raise RuntimeError(
-            f"singular vertex {word_of(ctx.elements[xi])!r} under "
-            f"{word_of(ctx.elements[wi])!r} in {ctx.name} has no strict edge"
-        )
-    return min(strict)
+def _stuck_error(ctx: GroupContext, xi: int, wi: int) -> RuntimeError:
+    """The error of a greedy path stuck at x under w: no strict edge."""
+    return RuntimeError(
+        f"singular vertex {word_of(ctx.elements[xi])!r} under "
+        f"{word_of(ctx.elements[wi])!r} in {ctx.name} has no strict edge"
+    )
+
+
+def _greedy_ends(
+    ctx: GroupContext, wi: int, lower: int, p1: dict[int, int]
+) -> tuple[Callable[[int], tuple[int, bool]], dict[int, list[int]]]:
+    """The greedy walk of one column, lower and p1 being ``_column``'s: a
+    function mapping x <= w to (the end of the greedy strict path from x,
+    False) or (the vertex where it gets stuck, True), as
+    ``strict_path_to_smooth`` walks it, and the out-neighbors below w of
+    each vertex walked so far.  A walk stops at the first vertex whose
+    result is known, so each vertex is walked once per column."""
+    ends: dict[int, tuple[int, bool]] = {}
+    nbs: dict[int, list[int]] = {}
+
+    def end_of(x: int) -> tuple[int, bool]:
+        walk = []
+        while x not in ends and p1[x] > 1:
+            walk.append(x)
+            nb = nbs[x] = _out_below(ctx, x, lower)
+            strict = [(p1[v], v) for v in nb if p1[v] < p1[x]]
+            if not strict:
+                ends[x] = x, True
+                break
+            x = min(strict)[1]
+        res = ends.get(x, (x, False))
+        for v in walk:
+            ends[v] = res
+        return res
+
+    return end_of, nbs
 
 
 def _singular_rows(
     ctx: GroupContext, wi: int
 ) -> Iterator[tuple[int, Coeffs, int, int, int, int]]:
     """(x, P_xw, P_xw(1), df(x, w), strict edges at x, greedy path end) for
-    every x < w with P_xw != 1, by increasing id: the rows of ``classify``.
-
-    Reads each P_xw once, and makes one pass per x over its out-neighbors
-    below w, which gives the defect, the strict edges and the greedy step.
-    The step depends only on x and w, so each path end is found once per
-    column.  Raises as ``strict_path_to_smooth`` does, for the first row
-    by increasing id whose path it cannot build, naming the same vertex.
+    every x < w with P_xw != 1, by increasing id: the rows of ``classify``,
+    from the column view of w and its greedy walk.  Raises as
+    ``strict_path_to_smooth`` does, for the first row by increasing id
+    whose path it cannot build, naming the same vertex.
     """
-    lower = _lower(ctx, wi)
+    lower, ps, p1 = _column(ctx, wi)
     lengths = ctx.lengths
     lw = lengths[wi]
-    ps = {x: _kl(ctx, x, wi) for x in iter_bits(lower)}
-    p1 = {x: sum(p) for x, p in ps.items()}
-    counts = {}  # x -> (out-neighbors below w, strict edges)
-    ends = {}  # x -> end of the greedy path from x
-
-    def step(x: int) -> int:
-        here = p1[x]
-        nb = [(p1[v], v) for v in _row(ctx, x)[0] if lower >> v & 1]
-        strict = [c for c in nb if c[0] < here]
-        counts[x] = len(nb), len(strict)
-        return _strict_step(ctx, x, wi, strict)[1]
-
+    end_of, nbs = _greedy_ends(ctx, wi, lower, p1)
     for x, p in ps.items():
         if x == wi or p == (1,):
             continue
         if p1[x] <= 1:
             raise ValueError("strict_path_to_smooth requires a singular bottom vertex")
-        walk = []
-        cur = x
-        while cur not in ends and p1[cur] > 1:
-            walk.append(cur)
-            cur = step(cur)
-        end = ends.get(cur, cur)
-        for v in walk:
-            ends[v] = end
-        nb, strict = counts[x]
-        yield x, p, p1[x], nb - (lw - lengths[x]), strict, end
+        end, stuck = end_of(x)
+        if stuck:
+            raise _stuck_error(ctx, end, wi)
+        nb = nbs[x]  # x was walked: P_xw(1) > 1
+        strict = len([v for v in nb if p1[v] < p1[x]])
+        yield x, p, p1[x], len(nb) - (lw - lengths[x]), strict, end
 
 
 # -- whole-group tables --------------------------------------------------

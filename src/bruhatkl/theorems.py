@@ -44,6 +44,12 @@ paths of each pair with a(u,w) = 2, the one part of a verdict that the
 key does not fix.  R's (q-1)-expansion is read through ``klr._shifted``,
 once per R value.
 
+The KL-level checks go one top w at a time through ``klr._column``
+(lower(w), and P_xw and P_xw(1) for each x <= w, each read once), and
+strict_path reads the column's greedy walk, ``klr._greedy_ends``, as
+``classify`` does.  Some x < w failing a criterion lies in [u, w) exactly
+when bit u of the OR of their lower(x) is set.
+
 Domains are always comparable pairs u <= w (zero values on incomparable
 pairs are the recursions' base case, covered by unit tests); checks with a
 narrower domain count the pairs they skip.
@@ -57,11 +63,11 @@ from typing import Callable
 
 from bruhatkl.bruhat import (
     _defects,
+    _out_below,
     _row,
     abs_len_table,
     comparable_pairs,
     down_adjacency,
-    ge_masks,
     iter_bits,
     le_masks,
     up_adjacency,
@@ -69,9 +75,10 @@ from bruhatkl.bruhat import (
 from bruhatkl.coxeter import Coeffs, GroupContext, Pair, word_of
 from bruhatkl.klr import (
     _certify,
+    _column,
     _digits,
+    _greedy_ends,
     _kl,
-    _kl1,
     _kl_faults,
     _fh_split,
     _interval_r_sums,
@@ -80,8 +87,8 @@ from bruhatkl.klr import (
     _rt_rebuilt,
     _rt_support_fault,
     _shifted,
+    _stuck_error,
     _sums_at_q,
-    strict_path_to_smooth,
 )
 
 __all__ = [
@@ -455,12 +462,12 @@ def _biconditional_check(
     Inequality side: for every x < w the (q-1)^order coefficient of the
     interval R-sum is at least binomial(l(x,w), order).  Equivalence side:
     an interval [u, w] has strict excess at some x in [u, w) exactly when
-    P_uw differs from 1, with singularity read off the KL table.
+    P_uw differs from 1, with singularity read off the column view of w.
     """
     wit = _Witnesses()
     lengths = ctx.lengths
     lower = le_masks(ctx)
-    exc_masks = [0] * ctx.order
+    reach = [0] * ctx.order  # per w, the OR of lower(x) over x with excess
     for wi in range(ctx.order):
         for xi in iter_bits(lower[wi]):
             if xi == wi:
@@ -472,27 +479,25 @@ def _biconditional_check(
                 val = sum(comb(k, 2) * c for k, c in enumerate(cs))
             bound = comb(lengths[wi] - lengths[xi], order)
             if val > bound:
-                exc_masks[wi] |= 1 << xi
+                reach[wi] |= lower[xi]
             elif val < bound:
                 wit.add(
                     f"{_pair_word(ctx, xi, wi)}: (q-1)^{order} coefficient "
                     f"of the R-sum is {val} < {bound}"
                 )
-    upper = ge_masks(ctx)
     n = 0
     singular = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        strict_somewhere = bool(
-            lower[wi] & upper[ui] & ~(1 << wi) & exc_masks[wi]
-        )
-        singular_kl = _kl(ctx, ui, wi) != (1,)
-        singular += singular_kl
-        if strict_somewhere != singular_kl:
-            wit.add(
-                f"{_pair_word(ctx, ui, wi)}: strict excess is "
-                f"{strict_somewhere} but KL-singularity is {singular_kl}"
-            )
+    for wi in range(ctx.order):
+        for ui, p in _column(ctx, wi)[1].items():
+            n += 1
+            strict_somewhere = bool(reach[wi] >> ui & 1)
+            singular_kl = p != (1,)
+            singular += singular_kl
+            if strict_somewhere != singular_kl:
+                wit.add(
+                    f"{_pair_word(ctx, ui, wi)}: strict excess is "
+                    f"{strict_somewhere} but KL-singularity is {singular_kl}"
+                )
     return _report(ctx, name, n, wit, {"singular_intervals": singular})
 
 
@@ -584,11 +589,11 @@ def _check_kl_nonneg(ctx: GroupContext) -> CheckReport:
     """All KL coefficients are nonnegative."""
     wit = _Witnesses()
     n = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        pc = _kl(ctx, ui, wi)
-        if any(c < 0 for c in pc):
-            wit.add(f"{_pair_word(ctx, ui, wi)}: negative coefficient in {pc}")
+    for wi in range(ctx.order):
+        for ui, pc in _column(ctx, wi)[1].items():
+            n += 1
+            if any(c < 0 for c in pc):
+                wit.add(f"{_pair_word(ctx, ui, wi)}: negative coefficient in {pc}")
     return _report(ctx, "kl_nonneg", n, wit, {})
 
 
@@ -604,15 +609,6 @@ def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 def _strictness_differs(puw: Coeffs, pvw: Coeffs) -> bool:
     """Strict coefficientwise inequality and strict inequality at 1 disagree."""
     return (_dominates(puw, pvw) and puw != pvw) != (sum(puw) > sum(pvw))
-
-
-def _column_classes(ctx: GroupContext, wi: int, lower_w: int) -> dict[Coeffs, int]:
-    """Column w of the KL table as {P: mask of the u <= w with P_uw = P}."""
-    classes: dict[Coeffs, int] = {}
-    for ui in iter_bits(lower_w):
-        p = _kl(ctx, ui, wi)
-        classes[p] = classes.get(p, 0) | 1 << ui
-    return classes
 
 
 def _class_sweep(
@@ -633,10 +629,12 @@ def _class_sweep(
     verdicts: dict[tuple[Coeffs, Coeffs], bool] = {}
     n = 0
     for wi in range(ctx.order):
-        classes = _column_classes(ctx, wi, lower[wi])
+        ps = _column(ctx, wi)[1]
+        classes: dict[Coeffs, int] = {}  # P -> mask of the u with P_uw = P
+        for ui, p in ps.items():
+            classes[p] = classes.get(p, 0) | 1 << ui
         bad_masks: dict[Coeffs, int] = {}
-        for vi in iter_bits(lower[wi]):
-            pvw = _kl(ctx, vi, wi)
+        for vi, pvw in ps.items():
             bad = bad_masks.get(pvw)
             if bad is None:
                 bad = 0
@@ -681,20 +679,17 @@ def _check_lemma_lm(ctx: GroupContext) -> CheckReport:
     bottom neighborhood of [u, w]."""
     wit = _Witnesses()
     lengths = ctx.lengths
-    lower = le_masks(ctx)
-    up = up_adjacency(ctx)
     n = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        pc = _kl(ctx, ui, wi)
-        lhs = (lengths[wi] - lengths[ui]) * sum(pc) - 2 * sum(
-            k * c for k, c in enumerate(pc)
-        )
-        rhs = sum(
-            _kl1(ctx, vi, wi) for vi in up[ui] if lower[wi] >> vi & 1
-        )
-        if lhs != rhs:
-            wit.add(f"{_pair_word(ctx, ui, wi)}: {lhs} != {rhs}")
+    for wi in range(ctx.order):
+        lower, ps, p1 = _column(ctx, wi)
+        for ui, pc in ps.items():
+            n += 1
+            lhs = (lengths[wi] - lengths[ui]) * p1[ui] - 2 * sum(
+                k * c for k, c in enumerate(pc)
+            )
+            rhs = sum(p1[vi] for vi in _out_below(ctx, ui, lower))
+            if lhs != rhs:
+                wit.add(f"{_pair_word(ctx, ui, wi)}: {lhs} != {rhs}")
     return _report(ctx, "lemma_lm", n, wit, {})
 
 
@@ -702,33 +697,28 @@ def _check_nth3_strict_edges(ctx: GroupContext) -> CheckReport:
     """Every singular pair has strict edges at the bottom vertex, at least
     defect + 1 of them, each pointing to a vertex with positive P(1)."""
     wit = _Witnesses()
-    lower = le_masks(ctx)
-    up = up_adjacency(ctx)
+    lengths = ctx.lengths
     n = 0
     singular = skipped = 0
-    defects_of = -1  # the top whose defect row ``defects`` is
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        base = _kl1(ctx, ui, wi)
-        if base <= 1:
-            skipped += 1
-            continue
-        singular += 1
-        if defects_of != wi:
-            defects_of, defects = wi, _defects(ctx, wi)
-        strict = 0
-        for vi in up[ui]:
-            if lower[wi] >> vi & 1:
-                val = _kl1(ctx, vi, wi)
-                if val <= 0:
+    for wi in range(ctx.order):
+        lower, _, p1 = _column(ctx, wi)
+        for ui, base in p1.items():
+            n += 1
+            if base <= 1:
+                skipped += 1
+                continue
+            singular += 1
+            nb = _out_below(ctx, ui, lower)
+            for vi in nb:
+                if p1[vi] <= 0:
                     wit.add(f"{_pair_word(ctx, ui, wi)}: P(1) <= 0 at a neighbor")
-                strict += base > val
-        df = defects[ui]
-        if strict < df + 1:
-            wit.add(
-                f"{_pair_word(ctx, ui, wi)}: {strict} strict edges, "
-                f"defect {df}"
-            )
+            strict = sum(1 for vi in nb if base > p1[vi])
+            df = len(nb) - (lengths[wi] - lengths[ui])
+            if strict < df + 1:
+                wit.add(
+                    f"{_pair_word(ctx, ui, wi)}: {strict} strict edges, "
+                    f"defect {df}"
+                )
     return _report(
         ctx,
         "nth3_strict_edges",
@@ -740,30 +730,25 @@ def _check_nth3_strict_edges(ctx: GroupContext) -> CheckReport:
 
 def _check_strict_path(ctx: GroupContext) -> CheckReport:
     """From every singular pair the greedy strict path exists, uses only
-    strict Bruhat-graph edges, and ends at a rationally smooth vertex."""
+    strict Bruhat-graph edges (as ``klr._greedy_ends`` builds it), and
+    ends at a rationally smooth vertex."""
     wit = _Witnesses()
-    lower = le_masks(ctx)
-    up = up_adjacency(ctx)
     n = 0
     singular = skipped = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        if _kl1(ctx, ui, wi) <= 1:
-            skipped += 1
-            continue
-        singular += 1
-        try:
-            path = strict_path_to_smooth(ctx.elements[ui], ctx.elements[wi])
-        except RuntimeError as exc:
-            wit.add(str(exc))
-            continue
-        ok = len(path) >= 2 and _kl(ctx, path[-1].index, wi) == (1,)
-        for x, y in zip(path, path[1:]):
-            ok = ok and y.index in up[x.index]
-            ok = ok and bool(lower[wi] >> y.index & 1)
-            ok = ok and _kl1(ctx, x.index, wi) > _kl1(ctx, y.index, wi)
-        if not ok:
-            wit.add(f"{_pair_word(ctx, ui, wi)}: bad strict path")
+    for wi in range(ctx.order):
+        lower, ps, p1 = _column(ctx, wi)
+        end_of = _greedy_ends(ctx, wi, lower, p1)[0]
+        for ui, base in p1.items():
+            n += 1
+            if base <= 1:
+                skipped += 1
+                continue
+            singular += 1
+            end, stuck = end_of(ui)
+            if stuck:
+                wit.add(str(_stuck_error(ctx, end, wi)))
+            elif ps[end] != (1,):
+                wit.add(f"{_pair_word(ctx, ui, wi)}: bad strict path")
     return _report(
         ctx,
         "strict_path",
@@ -781,35 +766,32 @@ def _check_smoothness_equivalence(
     and KL triviality."""
     wit = _Witnesses()
     lengths = ctx.lengths
-    lower = le_masks(ctx)
-    upper = ge_masks(ctx)
-    bad_sum = [0] * ctx.order
-    bad_df = [0] * ctx.order
-    for wi in range(ctx.order):
-        defects = _defects(ctx, wi)
-        for xi in iter_bits(lower[wi]):
-            if xi == wi:
-                continue
-            cs = sums[xi, wi]
-            ell = lengths[wi] - lengths[xi]
-            if cs != (0,) * ell + (1,):
-                bad_sum[wi] |= 1 << xi
-            if defects[xi] != 0:
-                bad_df[wi] |= 1 << xi
+    masks = le_masks(ctx)
     n = 0
     smooth = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        inside = lower[wi] & upper[ui] & ~(1 << wi)
-        by_sum = not (inside & bad_sum[wi])
-        by_df = not (inside & bad_df[wi])
-        by_kl = _kl(ctx, ui, wi) == (1,)
-        smooth += by_kl
-        if not by_sum == by_df == by_kl:
-            wit.add(
-                f"{_pair_word(ctx, ui, wi)}: sum-criterion {by_sum}, "
-                f"defect-criterion {by_df}, KL-criterion {by_kl}"
-            )
+    for wi in range(ctx.order):
+        lower, ps, _ = _column(ctx, wi)
+        defects = _defects(ctx, wi)
+        bad_sum = bad_df = 0  # the OR of lower(x) over the x < w failing
+        for xi in iter_bits(lower):
+            if xi == wi:
+                continue
+            ell = lengths[wi] - lengths[xi]
+            if sums[xi, wi] != (0,) * ell + (1,):
+                bad_sum |= masks[xi]
+            if defects[xi] != 0:
+                bad_df |= masks[xi]
+        for ui, p in ps.items():
+            n += 1
+            by_sum = not (bad_sum >> ui & 1)
+            by_df = not (bad_df >> ui & 1)
+            by_kl = p == (1,)
+            smooth += by_kl
+            if not by_sum == by_df == by_kl:
+                wit.add(
+                    f"{_pair_word(ctx, ui, wi)}: sum-criterion {by_sum}, "
+                    f"defect-criterion {by_df}, KL-criterion {by_kl}"
+                )
     return _report(
         ctx, "smoothness_equivalence", n, wit, {"smooth_intervals": smooth}
     )

@@ -24,6 +24,13 @@ coefficients, and Bruhat-graph edges found from the reflections
 (u -> w when u^-1 w is a reflection), not from the graph's rows.
 fh_structure drops its re-tests after the f/h decomposition, which raises
 on each of them.
+
+lemma_lm, nth3_strict_edges and strict_path read the KL table a column at
+a time in the library and walk each column's greedy paths once.  Here
+every pair reads its own P values and its out-neighbors below w, and
+strict_path builds each pair's path with ``strict_path_to_smooth`` and
+tests every edge of it.  Membership of v in [u, w] is tested per pair
+from the lower cones, as lower[w] >> v & 1 and lower[v] >> u & 1.
 """
 
 from math import comb
@@ -34,12 +41,12 @@ from bruhatkl.bruhat import (
     abs_len_table,
     absolute_length,
     comparable_pairs,
-    ge_masks,
     iter_bits,
     le_masks,
+    up_adjacency,
 )
 from bruhatkl.coxeter import GroupContext, GroupElement, _mul, word_of
-from bruhatkl.klr import _between, _kl, _kl1, _r
+from bruhatkl.klr import _between, _kl, _kl1, _r, strict_path_to_smooth
 from bruhatkl.polynomial import _addmul_into, _trim
 from bruhatkl.theorems import (
     CheckReport,
@@ -48,6 +55,11 @@ from bruhatkl.theorems import (
     _report,
     _Witnesses,
 )
+
+
+def _interval_mask(lower, ui, wi):
+    """Mask of [u, w]: bit v set iff lower[w] >> v & 1 and lower[v] >> u & 1."""
+    return sum(1 << vi for vi in iter_bits(lower[wi]) if lower[vi] >> ui & 1)
 
 
 def _abs(ctx, ui, wi):
@@ -445,14 +457,13 @@ def r_alternating_sum(ctx: GroupContext) -> CheckReport:
     """Sign-alternating convolution over each interval is a Kronecker delta."""
     wit = _Witnesses()
     lower = le_masks(ctx)
-    upper = ge_masks(ctx)
     lengths = ctx.lengths
     n = 0
     for ui, wi in comparable_pairs(ctx):
         n += 1
         even = [0] * (lengths[wi] - lengths[ui] + 1)
         odd = list(even)
-        for vi in iter_bits(lower[wi] & upper[ui]):
+        for vi in iter_bits(_interval_mask(lower, ui, wi)):
             acc = odd if (lengths[vi] - lengths[ui]) % 2 else even
             _addmul_into(acc, _r(ctx, ui, vi), _r(ctx, vi, wi))
         acc = [e - o for e, o in zip(even, odd)]
@@ -491,13 +502,12 @@ def biconditional_check(ctx: GroupContext, name: str, order: int) -> CheckReport
                     f"{_pair_word(ctx, xi, wi)}: (q-1)^{order} coefficient "
                     f"of the R-sum is {val} < {bound}"
                 )
-    upper = ge_masks(ctx)
     n = 0
     singular = 0
     for ui, wi in comparable_pairs(ctx):
         n += 1
         strict_somewhere = bool(
-            lower[wi] & upper[ui] & ~(1 << wi) & exc_masks[wi]
+            _interval_mask(lower, ui, wi) & ~(1 << wi) & exc_masks[wi]
         )
         singular_kl = _kl(ctx, ui, wi) != (1,)
         singular += singular_kl
@@ -528,7 +538,6 @@ def kl_basics(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lengths = ctx.lengths
     lower = le_masks(ctx)
-    upper = ge_masks(ctx)
     n = 0
     for ui, wi in comparable_pairs(ctx):
         n += 1
@@ -543,7 +552,7 @@ def kl_basics(ctx: GroupContext) -> CheckReport:
             continue
         terms = [
             (_r(ctx, ui, vi), _kl(ctx, vi, wi))
-            for vi in iter_bits(lower[wi] & upper[ui])
+            for vi in iter_bits(_interval_mask(lower, ui, wi))
         ]
         acc = [0] * max([D + 1] + [len(a) + len(b) - 1 for a, b in terms])
         for a, b in terms:
@@ -600,6 +609,103 @@ def mono_equiv(ctx: GroupContext) -> CheckReport:
     return _report(ctx, "mono_equiv", n, wit, {})
 
 
+def lemma_lm(ctx: GroupContext) -> CheckReport:
+    """l(u,w) P_uw(1) - 2 P'_uw(1) equals the sum of P_vw(1) over the
+    bottom neighborhood of [u, w]."""
+    wit = _Witnesses()
+    lengths = ctx.lengths
+    lower = le_masks(ctx)
+    up = up_adjacency(ctx)
+    n = 0
+    for ui, wi in comparable_pairs(ctx):
+        n += 1
+        pc = _kl(ctx, ui, wi)
+        lhs = (lengths[wi] - lengths[ui]) * sum(pc) - 2 * sum(
+            k * c for k, c in enumerate(pc)
+        )
+        rhs = sum(
+            _kl1(ctx, vi, wi) for vi in up[ui] if lower[wi] >> vi & 1
+        )
+        if lhs != rhs:
+            wit.add(f"{_pair_word(ctx, ui, wi)}: {lhs} != {rhs}")
+    return _report(ctx, "lemma_lm", n, wit, {})
+
+
+def nth3_strict_edges(ctx: GroupContext) -> CheckReport:
+    """Every singular pair has strict edges at the bottom vertex, at least
+    defect + 1 of them, each pointing to a vertex with positive P(1)."""
+    wit = _Witnesses()
+    lower = le_masks(ctx)
+    up = up_adjacency(ctx)
+    n = 0
+    singular = skipped = 0
+    defects_of = -1  # the top whose defect row ``defects`` is
+    for ui, wi in comparable_pairs(ctx):
+        n += 1
+        base = _kl1(ctx, ui, wi)
+        if base <= 1:
+            skipped += 1
+            continue
+        singular += 1
+        if defects_of != wi:
+            defects_of, defects = wi, _defects(ctx, wi)
+        strict = 0
+        for vi in up[ui]:
+            if lower[wi] >> vi & 1:
+                val = _kl1(ctx, vi, wi)
+                if val <= 0:
+                    wit.add(f"{_pair_word(ctx, ui, wi)}: P(1) <= 0 at a neighbor")
+                strict += base > val
+        df = defects[ui]
+        if strict < df + 1:
+            wit.add(
+                f"{_pair_word(ctx, ui, wi)}: {strict} strict edges, "
+                f"defect {df}"
+            )
+    return _report(
+        ctx,
+        "nth3_strict_edges",
+        n,
+        wit,
+        {"singular_pairs": singular, "smooth_skipped": skipped},
+    )
+
+
+def strict_path(ctx: GroupContext) -> CheckReport:
+    """From every singular pair the greedy strict path exists, uses only
+    strict Bruhat-graph edges, and ends at a rationally smooth vertex."""
+    wit = _Witnesses()
+    lower = le_masks(ctx)
+    up = up_adjacency(ctx)
+    n = 0
+    singular = skipped = 0
+    for ui, wi in comparable_pairs(ctx):
+        n += 1
+        if _kl1(ctx, ui, wi) <= 1:
+            skipped += 1
+            continue
+        singular += 1
+        try:
+            path = strict_path_to_smooth(ctx.elements[ui], ctx.elements[wi])
+        except RuntimeError as exc:
+            wit.add(str(exc))
+            continue
+        ok = len(path) >= 2 and _kl(ctx, path[-1].index, wi) == (1,)
+        for x, y in zip(path, path[1:]):
+            ok = ok and y.index in up[x.index]
+            ok = ok and bool(lower[wi] >> y.index & 1)
+            ok = ok and _kl1(ctx, x.index, wi) > _kl1(ctx, y.index, wi)
+        if not ok:
+            wit.add(f"{_pair_word(ctx, ui, wi)}: bad strict path")
+    return _report(
+        ctx,
+        "strict_path",
+        n,
+        wit,
+        {"singular_pairs": singular, "smooth_skipped": skipped},
+    )
+
+
 def smoothness_equivalence(ctx: GroupContext) -> CheckReport:
     """Three singularity criteria agree on every interval: interval R-sums
     equal to q^l at every lower vertex, zero defect at every lower vertex,
@@ -607,7 +713,6 @@ def smoothness_equivalence(ctx: GroupContext) -> CheckReport:
     wit = _Witnesses()
     lengths = ctx.lengths
     lower = le_masks(ctx)
-    upper = ge_masks(ctx)
     bad_sum = [0] * ctx.order
     bad_df = [0] * ctx.order
     for wi in range(ctx.order):
@@ -625,7 +730,7 @@ def smoothness_equivalence(ctx: GroupContext) -> CheckReport:
     smooth = 0
     for ui, wi in comparable_pairs(ctx):
         n += 1
-        inside = lower[wi] & upper[ui] & ~(1 << wi)
+        inside = _interval_mask(lower, ui, wi) & ~(1 << wi)
         by_sum = not (inside & bad_sum[wi])
         by_df = not (inside & bad_df[wi])
         by_kl = _kl(ctx, ui, wi) == (1,)
@@ -657,5 +762,8 @@ REFERENCE = {
     "kl_basics": kl_basics,
     "kl_monotone": kl_monotone,
     "mono_equiv": mono_equiv,
+    "lemma_lm": lemma_lm,
+    "nth3_strict_edges": nth3_strict_edges,
+    "strict_path": strict_path,
     "smoothness_equivalence": smoothness_equivalence,
 }

@@ -34,6 +34,7 @@ from bruhatkl.klr import (  # noqa: E402
     strict_path_to_smooth,
 )
 from bruhatkl.polynomial import IntPoly, _to_shifted  # noqa: E402
+from bruhatkl.theorems import run_check  # noqa: E402
 
 _CACHE = {}
 
@@ -305,6 +306,26 @@ def test_corrupt_staged_entry_fails_certificate():
         assert key not in ctx.tables.KL
         # [2, w] does not contain e: served, and checked, as before
         assert kl_poly(parse_element(ctx, "2"), w) == IntPoly([1, 1])
+
+
+def test_empty_kl_entry_planted_after_its_column_fails_certificate():
+    # the column of v = ws is certified, then P_ev is planted as (); staging
+    # the column of w reads P_ev from KL, as the certificate does, so the
+    # bad column fails the equation instead of a lookup into staged
+    for certify in (
+        lambda ctx, w: kl_poly(ctx.identity, w),
+        lambda ctx, w: run_check("kl_basics", ctx),
+    ):
+        ctx = build_group(parse_group_spec("A3"))
+        w = parse_element(ctx, "2 1 3 2")
+        v = ctx.rmult[w.index][ctx.srd[w.index]]
+        kl_poly(ctx.identity, ctx.elements[v])
+        ctx.tables.KL[ctx.identity.index, v] = ()
+        with pytest.raises(
+            RuntimeError,
+            match=r"^KL functional equation failed for \('e', '2 1 3 2'\) in A3$",
+        ):
+            certify(ctx, w)
 
 
 def test_b2_c2_identical_tables_by_word():

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from reference_checks import REFERENCE  # noqa: E402
 
 from bruhatkl import klr, theorems  # noqa: E402
-from bruhatkl.bruhat import comparable_pairs  # noqa: E402
+from bruhatkl.bruhat import comparable_pairs, neighborhood  # noqa: E402
 from bruhatkl.coxeter import build_group, parse_element, parse_group_spec  # noqa: E402
 from bruhatkl.klr import fill_tables  # noqa: E402
 from bruhatkl.theorems import (  # noqa: E402
@@ -403,3 +403,49 @@ def test_evaluated_checks_match_coefficient_reference(spec, kind):
     assert reports["library"] == reports["reference"]
     if kind != "clean":
         assert not all(r["passed"] for r in reports["library"])
+
+
+def _plant_stuck_vertex(ctx, s, w):
+    # classify's stuck-vertex case: every out-neighbor of the singular s
+    # below w (P_sw = 1 + q) gets P(1) = 2 too, so s has no strict edge
+    for v in neighborhood(s, w):
+        ctx.tables.KL[v.index, w.index] = (1, 1)
+
+
+def _plant_p1_at_most_1(ctx, s, w):
+    # P_sw != 1 with P_sw(1) = 0: greedy paths from below end at s
+    ctx.tables.KL[s.index, w.index] = (1, -1)
+
+
+@pytest.mark.parametrize(
+    "plant, witness",
+    [
+        (_plant_stuck_vertex, "has no strict edge"),
+        (_plant_p1_at_most_1, "bad strict path"),
+    ],
+    ids=["stuck_vertex", "p1_at_most_1"],
+)
+def test_column_checks_match_reference_on_greedy_path_corruptions(plant, witness):
+    names = (
+        "dvc_linear",
+        "nth2_quadratic",
+        "lemma_lm",
+        "nth3_strict_edges",
+        "strict_path",
+        "smoothness_equivalence",
+    )
+    reports = {}
+    for path in ("library", "reference"):
+        ctx = build_group(parse_group_spec("D4"))
+        fill_tables(ctx)
+        w = parse_element(ctx, "1 2 3 2 1 4 2 1 3")
+        plant(ctx, parse_element(ctx, "1 2 4"), w)
+        if path == "library":
+            reports[path] = [report_to_json(run_check(n, ctx)) for n in names]
+        else:
+            reports[path] = [report_to_json(REFERENCE[n](ctx)) for n in names]
+    assert reports["library"] == reports["reference"]
+    by_name = dict(zip(names, reports["library"]))
+    assert not by_name["lemma_lm"]["passed"]
+    assert not by_name["nth3_strict_edges"]["passed"]
+    assert any(witness in text for text in by_name["strict_path"]["witnesses"])
