@@ -127,15 +127,12 @@ def iter_bits(mask: int):
 def comparable_pairs(ctx: GroupContext) -> list[tuple[int, int]]:
     """All id pairs (u, w) with u <= w, ordered by w id then u id.
 
-    One list per context, built on first use: a ``verify`` run sweeps it
-    twice (the R-level classes and r_inverse_symmetry) and reads its length
-    three times, and a list is read faster than masks are walked.
+    A new list per call, read off ``le_masks``; nothing is stored, since a
+    whole-group list is large (396,809 pairs on F4) and the library's own
+    sweeps walk the masks top by top instead.
     """
-    t = ctx.tables
-    if t.pairs is None:
-        lower = le_masks(ctx)
-        t.pairs = [(ui, wi) for wi in range(ctx.order) for ui in iter_bits(lower[wi])]
-    return t.pairs
+    lower = le_masks(ctx)
+    return [(ui, wi) for wi in range(ctx.order) for ui in iter_bits(lower[wi])]
 
 
 def _row(ctx: GroupContext, xi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -223,19 +220,6 @@ def defect(u: GroupElement, w: GroupElement) -> int:
     """Outgoing bottom edges inside [u, w] minus the interval length."""
     _require_le(u, w)
     return len(neighborhood(u, w)) - (w.length - u.length)
-
-
-def _defects(ctx: GroupContext, wi: int) -> dict[int, int]:
-    """Defect of every x <= w under w, from the out-neighbor rows below w."""
-    table = ctx.tables.defects.get(wi)
-    if table is None:
-        lengths = ctx.lengths
-        wm = _lower(ctx, wi)
-        table = {}
-        for xi in iter_bits(wm):
-            table[xi] = len(_out_below(ctx, xi, wm)) - (lengths[wi] - lengths[xi])
-        ctx.tables.defects[wi] = table
-    return table
 
 
 def bruhat_edges(

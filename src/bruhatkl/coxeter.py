@@ -215,15 +215,15 @@ class Tables:
     it is now, so an entry changed after a fill gets its own result and no
     reader sees a value derived from an entry that has since changed.
     Tables can hold hundreds of thousands of entries, so they compare by
-    identity and have no field-by-field repr.
+    identity and have no field-by-field repr.  What a sweep can derive a
+    top w at a time is not stored: the list of comparable pairs is read
+    off ``le``, and the defects off the rows below w (``klr._Column``).
     """
 
     le: list[int] | None = None  # bruhat._lower; 0 = not built yet
     up: list[tuple[int, ...] | None] | None = None  # bruhat._row; out-neighbors
     down: list[tuple[int, ...] | None] | None = None  # bruhat._row; in-neighbors
     abs_len: ByTop = field(default_factory=dict)  # bruhat.abs_len_table
-    defects: ByTop = field(default_factory=dict)  # bruhat._defects
-    pairs: list[Pair] | None = None  # bruhat.comparable_pairs
     R: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "R"
     Rt: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "Rt"
     KL: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._certify

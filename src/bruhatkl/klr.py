@@ -242,7 +242,11 @@ def _at(cs: Coeffs, bits: int) -> int:
 
 
 def _sums_at_q(
-    ctx: GroupContext, f: Callable[[int, int], Coeffs], ui: int = 0, wi: int = -1
+    ctx: GroupContext,
+    f: Callable[[int, int], Coeffs],
+    ui: int = 0,
+    wi: int = -1,
+    ones: dict[Pair, Coeffs] | None = None,
 ) -> tuple[int, Iterator[tuple[int, dict[int, int]]]]:
     """B, and per top w one pair (w, {x: S_xw(Q)}), x by increasing id.
 
@@ -261,6 +265,13 @@ def _sums_at_q(
     instead of breaking the identity.  f is called once per pair.  The
     norms and the values at Q are taken once per distinct R or F value
     read, which the sweep then shares between the pairs that hold it.
+
+    If ``ones`` is a dict, the same sweep also writes into it, for every
+    pair (x, w) it yields, the coefficients of the interval R-sum S_1, the
+    sum with F = 1, read back by ``_digits`` once per distinct value.  B
+    serves S_1 too, since ||1||_1 = 1 <= max(1, max ||F_vw||_1).  Each
+    triple then adds R_xv(Q) to S_1, and R_xv(Q) (F_vw(Q) - 1) to S_F only
+    where that is nonzero, and S_F = S_1 + the latter.
     """
     if wi < 0:
         masks, span, tops = le_masks(ctx), (1 << ctx.order) - 1, range(ctx.order)
@@ -286,26 +297,45 @@ def _sums_at_q(
         rs[:] = [at[r] for r in rs]
 
     def sums() -> Iterator[tuple[int, dict[int, int]]]:
+        digits: dict[int, Coeffs] = {}  # S_1(Q) -> its coefficients
         for w in tops:
             vs = rcols[w][0]
             acc = dict.fromkeys(vs, 0)
+            acc1 = dict.fromkeys(vs, 0) if ones is not None else None
             # transposed: for each v, add R_xv(Q) F_vw(Q) to every x below it
             for v, p in zip(vs, fcols.pop(w)):
                 xs, rs = rcols[v]
                 c = at[p]
+                if acc1 is not None:
+                    for x, r in zip(xs, rs):
+                        acc1[x] += r
+                    c -= 1
+                    if not c:
+                        continue
                 if c == 1:
                     for x, r in zip(xs, rs):
                         acc[x] += r
                 else:
                     for x, r in zip(xs, rs):
                         acc[x] += r * c
+            if acc1 is not None:
+                for x, val in acc1.items():
+                    acc[x] += val
+                    cs = digits.get(val)
+                    if cs is None:
+                        cs = digits[val] = _digits(val, bits)
+                    ones[x, w] = cs
             yield w, acc
 
     return bits, sums()
 
 
 def _kl_faults(
-    ctx: GroupContext, get: Callable[[int, int], Coeffs], ui: int = 0, wi: int = -1
+    ctx: GroupContext,
+    get: Callable[[int, int], Coeffs],
+    ui: int = 0,
+    wi: int = -1,
+    ones: dict[Pair, Coeffs] | None = None,
 ) -> Iterator[tuple[int, int, str]]:
     """(x, w, fault) for each pair of the sweep of ``_sums_at_q`` (the
     interval [u, w], or the whole group when wi < 0) that fails a test, by
@@ -317,10 +347,11 @@ def _kl_faults(
 
     The equation and the degree bound determine P_xw from the P_yw with
     y in (x, w], so when no pair of [x, w] fails, P_xw is the KL
-    polynomial of the tables' R however it was computed.
+    polynomial of the tables' R however it was computed.  ``ones`` is
+    passed to the sweep, which fills it with the interval R-sums.
     """
     lengths = ctx.lengths
-    bits, tops = _sums_at_q(ctx, get, ui, wi)
+    bits, tops = _sums_at_q(ctx, get, ui, wi, ones)
     rev: dict[Coeffs, int] = {}  # P -> Q^(deg P) P(1/Q), once per value
     for w, acc in tops:
         lw = lengths[w]
@@ -340,16 +371,23 @@ def _kl_faults(
                     yield x, w, "functional equation fails"
 
 
-def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> list | None:
+def _certify(
+    ctx: GroupContext,
+    ui: int = 0,
+    wi: int = -1,
+    ones: dict[Pair, Coeffs] | None = None,
+) -> list | None:
     """Check the staged P_xw over [u, w] and move them into ``tables.KL``;
     with wi < 0, over every comparable pair.
 
     Stages the columns of the tops first if needed, then, unless nothing
     is left staged, runs one ``_kl_faults`` sweep and returns its faults
-    (None if no sweep).  A pair in ``tables.KL`` is read from there, even
-    when empty (``_reader``), and never replaced by its staged entry.  Raises
-    RuntimeError naming the first faulty pair not in ``tables.KL``, by w
-    and then x, before moving anything.
+    (None if no sweep).  The sweep also fills ``ones``, if given, with the
+    interval R-sums of the pairs it covers (see ``_sums_at_q``).  A pair
+    in ``tables.KL`` is read from there, even when empty (``_reader``),
+    and never replaced by its staged entry.  Raises RuntimeError naming
+    the first faulty pair not in ``tables.KL``, by w and then x, before
+    moving anything.
     """
     t = ctx.tables
     kl, staged = t.KL, t.staged
@@ -358,7 +396,7 @@ def _certify(ctx: GroupContext, ui: int = 0, wi: int = -1) -> list | None:
     if not staged:  # a staged column's pairs are each in KL or staged
         return None
 
-    faults = list(_kl_faults(ctx, _reader(t), ui, wi))
+    faults = list(_kl_faults(ctx, _reader(t), ui, wi, ones))
     for x, w, _ in faults:
         if (x, w) not in kl:
             raise _kl_error(ctx, x, w)
@@ -396,15 +434,37 @@ def _kl1(ctx: GroupContext, ui: int, wi: int) -> int:
     return sum(_kl(ctx, ui, wi))
 
 
-def _column(
-    ctx: GroupContext, wi: int
-) -> tuple[int, dict[int, Coeffs], dict[int, int]]:
-    """The column view of w: lower(w), {x: P_xw} and {x: P_xw(1)} for every
-    x <= w by increasing id.  Each P is read once, through ``_kl``, so a
-    column not yet in ``tables.KL`` is certified first."""
-    lower = _lower(ctx, wi)
-    ps = {x: _kl(ctx, x, wi) for x in iter_bits(lower)}
-    return lower, ps, {x: sum(p) for x, p in ps.items()}
+class _Column:
+    """The column view of w: ``lower`` = lower(w), ``below`` = the x <= w
+    by increasing id, ``ps`` = {x: P_xw} and ``p1`` = {x: P_xw(1)} (None
+    without ``kl``), and the out-neighbors below w of each x, built on its
+    first read and then kept (``out``).  Each P is read once, through
+    ``_kl``, so a column not yet in ``tables.KL`` is certified first."""
+
+    __slots__ = ("ctx", "w", "lower", "below", "ps", "p1", "_out")
+
+    def __init__(self, ctx: GroupContext, wi: int, kl: bool = True):
+        self.ctx, self.w = ctx, wi
+        self.lower = _lower(ctx, wi)
+        self.below = list(iter_bits(self.lower))
+        self.ps: dict[int, Coeffs] | None = None
+        self.p1: dict[int, int] | None = None
+        if kl:
+            self.ps = {x: _kl(ctx, x, wi) for x in self.below}
+            self.p1 = {x: sum(p) for x, p in self.ps.items()}
+        self._out: dict[int, list[int]] = {}
+
+    def out(self, x: int) -> list[int]:
+        """The out-neighbors of x below w, sorted by id, hence by length."""
+        nb = self._out.get(x)
+        if nb is None:
+            nb = self._out[x] = _out_below(self.ctx, x, self.lower)
+        return nb
+
+    def defect(self, x: int) -> int:
+        """df(x, w): out-neighbors of x below w minus l(x, w)."""
+        lengths = self.ctx.lengths
+        return len(self.out(x)) - (lengths[self.w] - lengths[x])
 
 
 # -- public operations ---------------------------------------------------
@@ -572,17 +632,11 @@ def _digits(val: int, bits: int) -> Coeffs:
 
 def _interval_r_sums(ctx: GroupContext) -> dict[Pair, Coeffs]:
     """Sum over v in [x, w] of R_xv for every comparable pair, from R as it
-    is now: the sums of ``_sums_at_q`` with F = 1, read back in signed
-    base-2^B digits, once per distinct value.  Nothing is stored."""
-    bits, tops = _sums_at_q(ctx, lambda v, w: (1,))
-    digits: dict[int, Coeffs] = {}
-    out = {}
-    for w, acc in tops:
-        for x, val in acc.items():
-            cs = digits.get(val)
-            if cs is None:
-                cs = digits[val] = _digits(val, bits)
-            out[x, w] = cs
+    is now: the sums S_1 of a ``_sums_at_q`` sweep with F = 1, read back in
+    signed base-2^B digits, once per distinct value.  Nothing is stored."""
+    out: dict[Pair, Coeffs] = {}
+    for _ in _sums_at_q(ctx, lambda v, w: (1,), ones=out)[1]:
+        pass
     return out
 
 
@@ -630,24 +684,20 @@ def _stuck_error(ctx: GroupContext, xi: int, wi: int) -> RuntimeError:
     )
 
 
-def _greedy_ends(
-    ctx: GroupContext, wi: int, lower: int, p1: dict[int, int]
-) -> tuple[Callable[[int], tuple[int, bool]], dict[int, list[int]]]:
-    """The greedy walk of one column, lower and p1 being ``_column``'s: a
-    function mapping x <= w to (the end of the greedy strict path from x,
-    False) or (the vertex where it gets stuck, True), as
-    ``strict_path_to_smooth`` walks it, and the out-neighbors below w of
-    each vertex walked so far.  A walk stops at the first vertex whose
+def _greedy_ends(col: _Column) -> Callable[[int], tuple[int, bool]]:
+    """The greedy walk of one column: a function mapping x <= w to (the end
+    of the greedy strict path from x, False) or (the vertex where it gets
+    stuck, True), as ``strict_path_to_smooth`` walks it, reading the
+    column's out-neighbor lists.  A walk stops at the first vertex whose
     result is known, so each vertex is walked once per column."""
     ends: dict[int, tuple[int, bool]] = {}
-    nbs: dict[int, list[int]] = {}
+    p1 = col.p1
 
     def end_of(x: int) -> tuple[int, bool]:
         walk = []
         while x not in ends and p1[x] > 1:
             walk.append(x)
-            nb = nbs[x] = _out_below(ctx, x, lower)
-            strict = [(p1[v], v) for v in nb if p1[v] < p1[x]]
+            strict = [(p1[v], v) for v in col.out(x) if p1[v] < p1[x]]
             if not strict:
                 ends[x] = x, True
                 break
@@ -657,7 +707,7 @@ def _greedy_ends(
             ends[v] = res
         return res
 
-    return end_of, nbs
+    return end_of
 
 
 def _singular_rows(
@@ -669,11 +719,10 @@ def _singular_rows(
     ``strict_path_to_smooth`` does, for the first row by increasing id
     whose path it cannot build, naming the same vertex.
     """
-    lower, ps, p1 = _column(ctx, wi)
-    lengths = ctx.lengths
-    lw = lengths[wi]
-    end_of, nbs = _greedy_ends(ctx, wi, lower, p1)
-    for x, p in ps.items():
+    col = _Column(ctx, wi)
+    p1 = col.p1
+    end_of = _greedy_ends(col)
+    for x, p in col.ps.items():
         if x == wi or p == (1,):
             continue
         if p1[x] <= 1:
@@ -681,9 +730,8 @@ def _singular_rows(
         end, stuck = end_of(x)
         if stuck:
             raise _stuck_error(ctx, end, wi)
-        nb = nbs[x]  # x was walked: P_xw(1) > 1
-        strict = len([v for v in nb if p1[v] < p1[x]])
-        yield x, p, p1[x], len(nb) - (lw - lengths[x]), strict, end
+        strict = len([v for v in col.out(x) if p1[v] < p1[x]])
+        yield x, p, p1[x], col.defect(x), strict, end
 
 
 # -- whole-group tables --------------------------------------------------

@@ -18,9 +18,13 @@ integer each per pair; kl_basics reports the faults of ``klr._kl_faults``
 from the sweep that fills the KL table in a ``run_suite`` call, else
 from a sweep of the table as it is.  The interval R-sums (F = 1) of
 dvc_linear, nth2_quadratic and smoothness_equivalence are read back from
-their values at Q (``klr._interval_r_sums``): ``run_suite`` computes them
-once per call, from R as it is then, and passes them to each of the
-three.  That is exact: B is set with each sum from the norms of R and F
+their values at Q, once per call, from R as it is then, and passed to
+each of the three.  A call that fills the KL table takes them from its
+certificate sweep, which adds R_xv(Q) to S_1 at every triple and
+R_xv(Q) (P_vw(Q) - 1) to S_P only where P_vw != 1, at the one B that
+serves both; a call on a full table makes a sweep of its own
+(``klr._interval_r_sums``).  That is exact: B is set with each sum from
+the norms of R and F
 as they are then, so that every coefficient of either side is at most M
 with 2^(B-1) > 2M, and a nonzero integer polynomial with coefficients
 that small does not vanish at 2^B.  So a pair fails at Q exactly when it
@@ -34,8 +38,8 @@ r_derivative_edge, shifted_nonneg, divisibility_order, fh_structure,
 boolean_criterion, binomial_bounds, brenti_scan, le1_le2_le3) read a pair
 only through its key (R_uw, Rt_uw, a(u,w), l(u,w), u -> w), and the
 tables hold few keys (37 over D4's 9,817 comparable pairs).  So
-``run_suite`` groups the pairs by key once per call, in one pass over
-``comparable_pairs`` (``_r_classes``), from the tables as they are then,
+``run_suite`` groups the pairs by key once per call, in one pass over the
+lower-cone masks (``_r_classes``), from the tables as they are then,
 and passes the classes to each of the ten, which decides each class once.
 Counts and stats come from the class sizes; only a failing class's pairs
 are walked, merged in pair order, to write the witnesses a sweep of the
@@ -44,11 +48,16 @@ paths of each pair with a(u,w) = 2, the one part of a verdict that the
 key does not fix.  R's (q-1)-expansion is read through ``klr._shifted``,
 once per R value.
 
-The KL-level checks go one top w at a time through ``klr._column``
-(lower(w), and P_xw and P_xw(1) for each x <= w, each read once), and
-strict_path reads the column's greedy walk, ``klr._greedy_ends``, as
-``classify`` does.  Some x < w failing a criterion lies in [u, w) exactly
-when bit u of the OR of their lower(x) is set.
+The ten column checks (``_WALKS``: deodhar and the KL-level checks but
+kl_basics) share one walk over the tops w per ``run_suite`` call
+(``_walk``).  For each w it builds one ``klr._Column``: lower(w), P_xw
+and P_xw(1) for each x <= w, each read once, and each x's out-neighbors
+below w, built at most once per (x, w); deodhar's defects are
+len(out-neighbors) - l(x, w).  Only one column is held at a time, and a
+walk of deodhar alone reads no KL.  strict_path reads the column's greedy
+walk, ``klr._greedy_ends``, as ``classify`` does.  Some x < w failing a
+criterion lies in [u, w) exactly when bit u of the OR of their lower(x)
+is set.
 
 Domains are always comparable pairs u <= w (zero values on incomparable
 pairs are the recursions' base case, covered by unit tests); checks with a
@@ -59,14 +68,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable
+from typing import Callable, Generator
 
 from bruhatkl.bruhat import (
-    _defects,
-    _out_below,
     _row,
     abs_len_table,
-    comparable_pairs,
     down_adjacency,
     iter_bits,
     le_masks,
@@ -75,7 +81,7 @@ from bruhatkl.bruhat import (
 from bruhatkl.coxeter import Coeffs, GroupContext, Pair, word_of
 from bruhatkl.klr import (
     _certify,
-    _column,
+    _Column,
     _digits,
     _greedy_ends,
     _kl,
@@ -132,6 +138,11 @@ def _pair_word(ctx: GroupContext, ui: int, wi: int) -> str:
     return f"u='{word_of(ctx.elements[ui])}' w='{word_of(ctx.elements[wi])}'"
 
 
+def _pair_count(ctx: GroupContext) -> int:
+    """Number of comparable pairs: a popcount over the lower-cone masks."""
+    return sum(m.bit_count() for m in le_masks(ctx))
+
+
 def _report(ctx, name, pairs, wit, stats) -> CheckReport:
     stats = dict(stats)
     stats["violations_total"] = wit.total
@@ -160,32 +171,32 @@ def _r_classes(ctx: GroupContext) -> Classes:
     """The comparable pairs grouped by their ``Key``, each class's pairs
     in pair order.
 
-    One pass over ``comparable_pairs``: R and Rt are read through
-    ``klr._r`` (filled lazily where missing), and a(u,w) and the in-edges
-    of w once per top w.  Nothing is kept: each ``run_suite`` call groups
-    the tables as they are then.  l(u,w) = 0 exactly on the diagonal.
+    One pass over the lower-cone masks, top w by top w: R and Rt are read
+    through ``klr._r`` (filled lazily where missing), and a(u,w) and the
+    in-edges of w once per top w.  Nothing is kept: each ``run_suite``
+    call groups the tables as they are then.  l(u,w) = 0 exactly on the
+    diagonal.
     """
     lengths = ctx.lengths
+    lower = le_masks(ctx)
     classes: Classes = {}
-    wi = -1
-    for pair in comparable_pairs(ctx):
-        ui, w = pair
-        if w != wi:
-            wi, lw = w, lengths[w]
-            a_of = abs_len_table(ctx.elements[wi])
-            into_w = set(_row(ctx, wi)[1])
-        key = (
-            _r(ctx, ui, wi),
-            _r(ctx, ui, wi, "Rt"),
-            a_of[ui],
-            lw - lengths[ui],
-            ui in into_w,
-        )
-        members = classes.get(key)
-        if members is None:
-            classes[key] = [pair]
-        else:
-            members.append(pair)
+    for wi in range(ctx.order):
+        lw = lengths[wi]
+        a_of = abs_len_table(ctx.elements[wi])
+        into_w = set(_row(ctx, wi)[1])
+        for ui in iter_bits(lower[wi]):
+            key = (
+                _r(ctx, ui, wi),
+                _r(ctx, ui, wi, "Rt"),
+                a_of[ui],
+                lw - lengths[ui],
+                ui in into_w,
+            )
+            members = classes.get(key)
+            if members is None:
+                classes[key] = [(ui, wi)]
+            else:
+                members.append((ui, wi))
     return classes
 
 
@@ -263,11 +274,14 @@ def _check_r_inverse_symmetry(ctx: GroupContext) -> CheckReport:
     """R is invariant under inverting both indices."""
     wit = _Witnesses()
     inv = ctx.inv
+    lower = le_masks(ctx)
     n = 0
-    for ui, wi in comparable_pairs(ctx):
-        n += 1
-        if _r(ctx, ui, wi) != _r(ctx, inv[ui], inv[wi]):
-            wit.add(f"{_pair_word(ctx, ui, wi)}: R differs on inverses")
+    for wi in range(ctx.order):
+        iw = inv[wi]
+        for ui in iter_bits(lower[wi]):
+            n += 1
+            if _r(ctx, ui, wi) != _r(ctx, inv[ui], iw):
+                wit.add(f"{_pair_word(ctx, ui, wi)}: R differs on inverses")
     return _report(ctx, "r_inverse_symmetry", n, wit, {})
 
 
@@ -302,7 +316,7 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
                 coeffs = list(_digits(val, bits))
                 coeffs += [0] * (lengths[wi] - lengths[ui] + 1 - len(coeffs))
                 wit.add(f"{_pair_word(ctx, ui, wi)}: alternating sum {coeffs}")
-    return _report(ctx, "r_alternating_sum", len(comparable_pairs(ctx)), wit, {})
+    return _report(ctx, "r_alternating_sum", _pair_count(ctx), wit, {})
 
 
 def _check_r_functional_equation(ctx: GroupContext, classes: Classes) -> CheckReport:
@@ -439,75 +453,91 @@ def _check_brenti_scan(ctx: GroupContext, classes: Classes) -> CheckReport:
 
 # -- Bruhat-graph checks -------------------------------------------------
 
+# A column check is a generator sent one ``klr._Column`` per top w, by
+# increasing id, and then None, on which it returns its report
+# (``_walk``).  So every selected column check reads one view of each
+# column, and the view's out-neighbor lists are built once per (x, w).
+Walker = Generator[None, "_Column | None", CheckReport]
 
-def _check_deodhar(ctx: GroupContext) -> CheckReport:
+
+def _joined(first: _Witnesses, then: _Witnesses) -> _Witnesses:
+    """The witnesses of first and then those of then, as one collector
+    holds them when they are added in that order."""
+    wit = _Witnesses()
+    wit.total = first.total + then.total
+    wit.items = (first.items + then.items)[:WITNESS_CAP]
+    return wit
+
+
+def _check_deodhar(ctx: GroupContext) -> Walker:
     """Defect is nonnegative on every comparable pair."""
     wit = _Witnesses()
-    n = 0
-    max_defect = 0
-    for wi in range(ctx.order):
-        for ui, df in _defects(ctx, wi).items():  # u by increasing id
-            n += 1
+    n = max_defect = 0
+    while col := (yield):
+        n += len(col.below)
+        for ui in col.below:
+            df = col.defect(ui)
             max_defect = max(max_defect, df)
             if df < 0:
-                wit.add(f"{_pair_word(ctx, ui, wi)}: defect {df}")
+                wit.add(f"{_pair_word(ctx, ui, col.w)}: defect {df}")
     return _report(ctx, "deodhar", n, wit, {"max_defect": max_defect})
 
 
 def _biconditional_check(
     ctx: GroupContext, sums: dict[Pair, Coeffs], name: str, order: int
-) -> CheckReport:
+) -> Walker:
     """Shared body of dvc_linear and nth2_quadratic.
 
     Inequality side: for every x < w the (q-1)^order coefficient of the
     interval R-sum is at least binomial(l(x,w), order).  Equivalence side:
     an interval [u, w] has strict excess at some x in [u, w) exactly when
     P_uw differs from 1, with singularity read off the column view of w.
+    Every inequality-side witness is listed before the equivalence side's.
     """
-    wit = _Witnesses()
+    ineq, equiv = _Witnesses(), _Witnesses()
     lengths = ctx.lengths
     lower = le_masks(ctx)
-    reach = [0] * ctx.order  # per w, the OR of lower(x) over x with excess
-    for wi in range(ctx.order):
-        for xi in iter_bits(lower[wi]):
+    coeff: dict[Coeffs, int] = {}  # R-sum -> its (q-1)^order coefficient
+    n = singular = 0
+    while col := (yield):
+        wi = col.w
+        reach = 0  # the OR of lower(x) over the x < w with strict excess
+        for xi in col.below:
             if xi == wi:
                 continue
             cs = sums[xi, wi]
-            if order == 1:
-                val = sum(k * c for k, c in enumerate(cs))
-            else:
-                val = sum(comb(k, 2) * c for k, c in enumerate(cs))
+            val = coeff.get(cs)
+            if val is None:
+                val = coeff[cs] = sum(comb(k, order) * c for k, c in enumerate(cs))
             bound = comb(lengths[wi] - lengths[xi], order)
             if val > bound:
-                reach[wi] |= lower[xi]
+                reach |= lower[xi]
             elif val < bound:
-                wit.add(
+                ineq.add(
                     f"{_pair_word(ctx, xi, wi)}: (q-1)^{order} coefficient "
                     f"of the R-sum is {val} < {bound}"
                 )
-    n = 0
-    singular = 0
-    for wi in range(ctx.order):
-        for ui, p in _column(ctx, wi)[1].items():
+        for ui, p in col.ps.items():
             n += 1
-            strict_somewhere = bool(reach[wi] >> ui & 1)
+            strict_somewhere = bool(reach >> ui & 1)
             singular_kl = p != (1,)
             singular += singular_kl
             if strict_somewhere != singular_kl:
-                wit.add(
+                equiv.add(
                     f"{_pair_word(ctx, ui, wi)}: strict excess is "
                     f"{strict_somewhere} but KL-singularity is {singular_kl}"
                 )
+    wit = _joined(ineq, equiv)
     return _report(ctx, name, n, wit, {"singular_intervals": singular})
 
 
-def _check_dvc(ctx: GroupContext, sums: dict[Pair, Coeffs]) -> CheckReport:
+def _check_dvc(ctx: GroupContext, sums: dict[Pair, Coeffs]) -> Walker:
     """Linear (q-1)-coefficient of interval R-sums dominates l(x,w), with
     strictness somewhere iff the interval is singular."""
     return _biconditional_check(ctx, sums, "dvc_linear", 1)
 
 
-def _check_nth2(ctx: GroupContext, sums: dict[Pair, Coeffs]) -> CheckReport:
+def _check_nth2(ctx: GroupContext, sums: dict[Pair, Coeffs]) -> Walker:
     """Quadratic (q-1)-coefficient of interval R-sums dominates
     binomial(l(x,w), 2), with strictness somewhere iff singular."""
     return _biconditional_check(ctx, sums, "nth2_quadratic", 2)
@@ -582,18 +612,18 @@ def _check_kl_basics(ctx: GroupContext, faults: list | None) -> CheckReport:
         faults = _kl_faults(ctx, lambda vi, wi: _kl(ctx, vi, wi))
     for ui, wi, fault in faults:
         wit.add(f"{_pair_word(ctx, ui, wi)}: {fault}")
-    return _report(ctx, "kl_basics", len(comparable_pairs(ctx)), wit, {})
+    return _report(ctx, "kl_basics", _pair_count(ctx), wit, {})
 
 
-def _check_kl_nonneg(ctx: GroupContext) -> CheckReport:
+def _check_kl_nonneg(ctx: GroupContext) -> Walker:
     """All KL coefficients are nonnegative."""
     wit = _Witnesses()
     n = 0
-    for wi in range(ctx.order):
-        for ui, pc in _column(ctx, wi)[1].items():
-            n += 1
+    while col := (yield):
+        n += len(col.ps)
+        for ui, pc in col.ps.items():
             if any(c < 0 for c in pc):
-                wit.add(f"{_pair_word(ctx, ui, wi)}: negative coefficient in {pc}")
+                wit.add(f"{_pair_word(ctx, ui, col.w)}: negative coefficient in {pc}")
     return _report(ctx, "kl_nonneg", n, wit, {})
 
 
@@ -616,20 +646,21 @@ def _class_sweep(
     message: str,
     fails: Callable[[Coeffs, Coeffs], bool],
     strict: bool,
-) -> tuple[int, _Witnesses]:
-    """Test every triple u <= v <= w (u < v if strict) a column class at a time.
+) -> Generator[None, "_Column | None", tuple[int, _Witnesses]]:
+    """Test every triple u <= v <= w (u < v if strict) a column class at a
+    time, as a column check whose result is (triples tested, witnesses).
 
     ``fails(P_uw, P_vw)`` is decided once per distinct pair of values and
     memoized; the u failing for (v, w) are then one mask, ``bad & lower[v]``.
-    Returns the number of triples tested and the witnesses, in the order of
-    a sweep over (v, w) in pair order and u by increasing id.
+    The witnesses are in the order of a sweep over (v, w) in pair order and
+    u by increasing id.
     """
     wit = _Witnesses()
     lower = le_masks(ctx)
     verdicts: dict[tuple[Coeffs, Coeffs], bool] = {}
     n = 0
-    for wi in range(ctx.order):
-        ps = _column(ctx, wi)[1]
+    while col := (yield):
+        wi, ps = col.w, col.ps
         classes: dict[Coeffs, int] = {}  # P -> mask of the u with P_uw = P
         for ui, p in ps.items():
             classes[p] = classes.get(p, 0) | 1 << ui
@@ -656,64 +687,64 @@ def _class_sweep(
     return n, wit
 
 
-def _check_kl_monotone(ctx: GroupContext) -> CheckReport:
+def _check_kl_monotone(ctx: GroupContext) -> Walker:
     """Fixing the top element, KL polynomials weakly decrease along Bruhat
     order: u <= v <= w implies P_uw >= P_vw coefficientwise."""
-    n, wit = _class_sweep(
+    n, wit = yield from _class_sweep(
         ctx, "monotonicity fails", lambda a, b: not _dominates(a, b), strict=False
     )
     return _report(
-        ctx, "kl_monotone", n, wit, {"comparable_pairs": len(comparable_pairs(ctx))}
+        ctx, "kl_monotone", n, wit, {"comparable_pairs": _pair_count(ctx)}
     )
 
 
-def _check_mono_equiv(ctx: GroupContext) -> CheckReport:
+def _check_mono_equiv(ctx: GroupContext) -> Walker:
     """For u < v <= w, strict coefficientwise KL inequality is equivalent
     to the strict inequality of the values at 1."""
-    n, wit = _class_sweep(ctx, "strictness mismatch", _strictness_differs, strict=True)
+    n, wit = yield from _class_sweep(
+        ctx, "strictness mismatch", _strictness_differs, strict=True
+    )
     return _report(ctx, "mono_equiv", n, wit, {})
 
 
-def _check_lemma_lm(ctx: GroupContext) -> CheckReport:
+def _check_lemma_lm(ctx: GroupContext) -> Walker:
     """l(u,w) P_uw(1) - 2 P'_uw(1) equals the sum of P_vw(1) over the
     bottom neighborhood of [u, w]."""
     wit = _Witnesses()
     lengths = ctx.lengths
     n = 0
-    for wi in range(ctx.order):
-        lower, ps, p1 = _column(ctx, wi)
-        for ui, pc in ps.items():
-            n += 1
+    while col := (yield):
+        wi, p1 = col.w, col.p1
+        n += len(p1)
+        for ui, pc in col.ps.items():
             lhs = (lengths[wi] - lengths[ui]) * p1[ui] - 2 * sum(
                 k * c for k, c in enumerate(pc)
             )
-            rhs = sum(p1[vi] for vi in _out_below(ctx, ui, lower))
+            rhs = sum(p1[vi] for vi in col.out(ui))
             if lhs != rhs:
                 wit.add(f"{_pair_word(ctx, ui, wi)}: {lhs} != {rhs}")
     return _report(ctx, "lemma_lm", n, wit, {})
 
 
-def _check_nth3_strict_edges(ctx: GroupContext) -> CheckReport:
+def _check_nth3_strict_edges(ctx: GroupContext) -> Walker:
     """Every singular pair has strict edges at the bottom vertex, at least
     defect + 1 of them, each pointing to a vertex with positive P(1)."""
     wit = _Witnesses()
-    lengths = ctx.lengths
-    n = 0
-    singular = skipped = 0
-    for wi in range(ctx.order):
-        lower, _, p1 = _column(ctx, wi)
+    n = singular = skipped = 0
+    while col := (yield):
+        wi, p1 = col.w, col.p1
+        n += len(p1)
         for ui, base in p1.items():
-            n += 1
             if base <= 1:
                 skipped += 1
                 continue
             singular += 1
-            nb = _out_below(ctx, ui, lower)
+            nb = col.out(ui)
             for vi in nb:
                 if p1[vi] <= 0:
                     wit.add(f"{_pair_word(ctx, ui, wi)}: P(1) <= 0 at a neighbor")
             strict = sum(1 for vi in nb if base > p1[vi])
-            df = len(nb) - (lengths[wi] - lengths[ui])
+            df = col.defect(ui)
             if strict < df + 1:
                 wit.add(
                     f"{_pair_word(ctx, ui, wi)}: {strict} strict edges, "
@@ -728,18 +759,17 @@ def _check_nth3_strict_edges(ctx: GroupContext) -> CheckReport:
     )
 
 
-def _check_strict_path(ctx: GroupContext) -> CheckReport:
+def _check_strict_path(ctx: GroupContext) -> Walker:
     """From every singular pair the greedy strict path exists, uses only
     strict Bruhat-graph edges (as ``klr._greedy_ends`` builds it), and
     ends at a rationally smooth vertex."""
     wit = _Witnesses()
-    n = 0
-    singular = skipped = 0
-    for wi in range(ctx.order):
-        lower, ps, p1 = _column(ctx, wi)
-        end_of = _greedy_ends(ctx, wi, lower, p1)[0]
+    n = singular = skipped = 0
+    while col := (yield):
+        wi, ps, p1 = col.w, col.ps, col.p1
+        end_of = _greedy_ends(col)
+        n += len(p1)
         for ui, base in p1.items():
-            n += 1
             if base <= 1:
                 skipped += 1
                 continue
@@ -760,28 +790,26 @@ def _check_strict_path(ctx: GroupContext) -> CheckReport:
 
 def _check_smoothness_equivalence(
     ctx: GroupContext, sums: dict[Pair, Coeffs]
-) -> CheckReport:
+) -> Walker:
     """Three singularity criteria agree on every interval: interval R-sums
     equal to q^l at every lower vertex, zero defect at every lower vertex,
     and KL triviality."""
     wit = _Witnesses()
     lengths = ctx.lengths
-    masks = le_masks(ctx)
-    n = 0
-    smooth = 0
-    for wi in range(ctx.order):
-        lower, ps, _ = _column(ctx, wi)
-        defects = _defects(ctx, wi)
+    lower = le_masks(ctx)
+    n = smooth = 0
+    while col := (yield):
+        wi = col.w
         bad_sum = bad_df = 0  # the OR of lower(x) over the x < w failing
-        for xi in iter_bits(lower):
+        for xi in col.below:
             if xi == wi:
                 continue
             ell = lengths[wi] - lengths[xi]
             if sums[xi, wi] != (0,) * ell + (1,):
-                bad_sum |= masks[xi]
-            if defects[xi] != 0:
-                bad_df |= masks[xi]
-        for ui, p in ps.items():
+                bad_sum |= lower[xi]
+            if col.defect(xi) != 0:
+                bad_df |= lower[xi]
+        for ui, p in col.ps.items():
             n += 1
             by_sum = not (bad_sum >> ui & 1)
             by_df = not (bad_df >> ui & 1)
@@ -795,6 +823,29 @@ def _check_smoothness_equivalence(
     return _report(
         ctx, "smoothness_equivalence", n, wit, {"smooth_intervals": smooth}
     )
+
+
+def _walk(ctx: GroupContext, checks: dict[str, Walker]) -> dict[str, CheckReport]:
+    """Run the column checks in one walk over the tops w, by increasing id,
+    and return their reports.  One ``klr._Column`` of w is built and sent
+    to each check; it reads the KL column only if one of them reads KL.
+    No column is kept past the next one."""
+    if not checks:
+        return {}
+    kl = not _READS_KL.isdisjoint(checks)
+    for check in checks.values():
+        next(check)
+    for wi in range(ctx.order):
+        col = _Column(ctx, wi, kl)
+        for check in checks.values():
+            check.send(col)
+    reports = {}
+    for name, check in checks.items():
+        try:
+            check.send(None)
+        except StopIteration as done:
+            reports[name] = done.value
+    return reports
 
 
 # -- registry and drivers -------------------------------------------------
@@ -841,6 +892,11 @@ _READS_CLASSES = frozenset(
     "divisibility_order fh_structure boolean_criterion binomial_bounds "
     "brenti_scan le1_le2_le3".split()
 )
+# the column checks, run together in one ``_walk``
+_WALKS = frozenset(
+    "deodhar dvc_linear nth2_quadratic kl_nonneg kl_monotone mono_equiv "
+    "lemma_lm nth3_strict_edges strict_path smoothness_equivalence".split()
+)
 
 
 def run_check(name: str, ctx: GroupContext) -> CheckReport:
@@ -853,16 +909,18 @@ def run_check(name: str, ctx: GroupContext) -> CheckReport:
 
 
 def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
-    """Run the selected checks (registry order) and return their reports.
+    """Run the selected checks and return their reports, in registry order.
 
     If any of them reads the KL table, it is filled first, in one
     certificate pass whose faults kl_basics reports (it sweeps the table
     itself only if the table was full before this call).  If any reads the
-    interval R-sums, they are computed once, at the first such check, and
-    passed to each; no check changes R, so they are R's sums at this call.
-    The classes of ``_r_classes`` are built the same way for the checks
-    that decide once per class, from R, Rt and the graph as they are at
-    this call."""
+    interval R-sums, that certificate pass also yields them; if the table
+    was full before this call, they come from a sweep of their own.  No
+    check changes R, so they are R's sums at this call, passed to each.
+    The classes of ``_r_classes`` are built once for the checks that
+    decide once per class, from R, Rt and the graph as they are at this
+    call.  The column checks (``_WALKS``) share one ``_walk`` over the
+    tops, after the others have run."""
     if selection == "all":
         names = CHECK_NAMES
     else:
@@ -878,23 +936,29 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
                 f"unknown checks {unknown!r}; registered: {', '.join(CHECK_NAMES)}"
             )
         names = tuple(n for n in CHECK_NAMES if n in set(selection))
-    faults = None if _READS_KL.isdisjoint(names) else _certify(ctx)
-    classes = sums = None
-    reports = []
+    reads_sums = not _READS_SUMS.isdisjoint(names)
+    sums: dict[Pair, Coeffs] | None = {} if reads_sums else None
+    faults = None if _READS_KL.isdisjoint(names) else _certify(ctx, ones=sums)
+    if reads_sums and faults is None:  # no certificate sweep in this call
+        sums = _interval_r_sums(ctx)
+    classes = None
+    reports = {}
+    walkers = {}
     for n in names:
-        if n in _READS_CLASSES:
+        check = _REGISTRY[n]
+        if n in _WALKS:
+            walkers[n] = check(ctx, sums) if n in _READS_SUMS else check(ctx)
+        elif n in _READS_CLASSES:
             if classes is None:
                 classes = _r_classes(ctx)
-            reports.append(_REGISTRY[n](ctx, classes))
-        elif n in _READS_SUMS:
-            if sums is None:  # held through earlier checks, it adds to peak RSS
-                sums = _interval_r_sums(ctx)
-            reports.append(_REGISTRY[n](ctx, sums))
+            reports[n] = check(ctx, classes)
         elif n == "kl_basics":
-            reports.append(_check_kl_basics(ctx, faults))
+            reports[n] = _check_kl_basics(ctx, faults)
         else:
-            reports.append(_REGISTRY[n](ctx))
-    return reports
+            reports[n] = check(ctx)
+    classes = None  # not held through the walk
+    reports.update(_walk(ctx, walkers))
+    return [reports[n] for n in names]
 
 
 def report_to_json(report: CheckReport) -> dict:

@@ -36,11 +36,11 @@ from the lower cones, as lower[w] >> v & 1 and lower[v] >> u & 1.
 from math import comb
 
 from bruhatkl.bruhat import (
-    _defects,
     _require_le,
     abs_len_table,
     absolute_length,
     comparable_pairs,
+    defect,
     iter_bits,
     le_masks,
     up_adjacency,
@@ -60,6 +60,11 @@ from bruhatkl.theorems import (
 def _interval_mask(lower, ui, wi):
     """Mask of [u, w]: bit v set iff lower[w] >> v & 1 and lower[v] >> u & 1."""
     return sum(1 << vi for vi in iter_bits(lower[wi]) if lower[vi] >> ui & 1)
+
+
+def _defect(ctx, ui, wi):
+    """df(u, w), by the public one-pair ``defect`` for every pair."""
+    return defect(ctx.elements[ui], ctx.elements[wi])
 
 
 def _abs(ctx, ui, wi):
@@ -639,7 +644,6 @@ def nth3_strict_edges(ctx: GroupContext) -> CheckReport:
     up = up_adjacency(ctx)
     n = 0
     singular = skipped = 0
-    defects_of = -1  # the top whose defect row ``defects`` is
     for ui, wi in comparable_pairs(ctx):
         n += 1
         base = _kl1(ctx, ui, wi)
@@ -647,8 +651,6 @@ def nth3_strict_edges(ctx: GroupContext) -> CheckReport:
             skipped += 1
             continue
         singular += 1
-        if defects_of != wi:
-            defects_of, defects = wi, _defects(ctx, wi)
         strict = 0
         for vi in up[ui]:
             if lower[wi] >> vi & 1:
@@ -656,7 +658,7 @@ def nth3_strict_edges(ctx: GroupContext) -> CheckReport:
                 if val <= 0:
                     wit.add(f"{_pair_word(ctx, ui, wi)}: P(1) <= 0 at a neighbor")
                 strict += base > val
-        df = defects[ui]
+        df = _defect(ctx, ui, wi)
         if strict < df + 1:
             wit.add(
                 f"{_pair_word(ctx, ui, wi)}: {strict} strict edges, "
@@ -716,7 +718,6 @@ def smoothness_equivalence(ctx: GroupContext) -> CheckReport:
     bad_sum = [0] * ctx.order
     bad_df = [0] * ctx.order
     for wi in range(ctx.order):
-        defects = _defects(ctx, wi)
         for xi in iter_bits(lower[wi]):
             if xi == wi:
                 continue
@@ -724,7 +725,7 @@ def smoothness_equivalence(ctx: GroupContext) -> CheckReport:
             ell = lengths[wi] - lengths[xi]
             if cs != (0,) * ell + (1,):
                 bad_sum[wi] |= 1 << xi
-            if defects[xi] != 0:
+            if _defect(ctx, xi, wi) != 0:
                 bad_df[wi] |= 1 << xi
     n = 0
     smooth = 0

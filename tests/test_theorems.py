@@ -12,7 +12,12 @@ from reference_checks import REFERENCE  # noqa: E402
 
 from bruhatkl import klr, theorems  # noqa: E402
 from bruhatkl.bruhat import comparable_pairs, neighborhood  # noqa: E402
-from bruhatkl.coxeter import build_group, parse_element, parse_group_spec  # noqa: E402
+from bruhatkl.coxeter import (  # noqa: E402
+    build_group,
+    parse_element,
+    parse_group_spec,
+    word_of,
+)
 from bruhatkl.klr import fill_tables  # noqa: E402
 from bruhatkl.theorems import (  # noqa: E402
     CHECK_NAMES,
@@ -449,3 +454,146 @@ def test_column_checks_match_reference_on_greedy_path_corruptions(plant, witness
     assert not by_name["lemma_lm"]["passed"]
     assert not by_name["nth3_strict_edges"]["passed"]
     assert any(witness in text for text in by_name["strict_path"]["witnesses"])
+
+
+def _joint_and_single(spec, prepare, fill=True):
+    """The reports of one run_suite over all checks, and of one run_check
+    per check, each on a fresh context prepared the same way."""
+
+    def fresh():
+        ctx = build_group(parse_group_spec(spec))
+        if fill:
+            fill_tables(ctx)
+        prepare(ctx)
+        return ctx
+
+    joint = [report_to_json(r) for r in run_suite(fresh())]
+    single = [report_to_json(run_check(n, fresh())) for n in CHECK_NAMES]
+    return joint, single
+
+
+def _equivalence_sides(reports):
+    """Per biconditional check, whether each witness is from the
+    equivalence side (True) or the inequality side (False)."""
+    return [
+        ["strict excess is" in text for text in r["witnesses"]]
+        for r in reports
+        if r["check"] in ("dvc_linear", "nth2_quadratic")
+    ]
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+@pytest.mark.parametrize(
+    "kind", ["fresh", "clean", "r_plus_one", "r_times_1e6", "kl", "rt", "r_after_run"]
+)
+def test_joint_walk_matches_single_checks(spec, kind):
+    # one run_suite shares the column walk and the certificate sweep
+    # between its checks; each report, witness order and cap included,
+    # must be what the check run alone reports
+    if kind == "fresh":  # nothing filled: the certificate yields the R-sums
+        joint, single = _joint_and_single(spec, lambda ctx: None, fill=False)
+    else:
+        joint, single = _joint_and_single(spec, lambda ctx: _corrupt(ctx, kind))
+    assert joint == single
+    for sides in _equivalence_sides(joint):
+        assert sides == sorted(sides)  # inequality side first
+
+
+def _plant_both_sides(ctx):
+    """An inequality-side fault of nth2_quadratic at the last top, R(e, w0)
+    set to (q-1)^l, and 25 equivalence-side faults at earlier tops, P = 1
+    set to 1 + q on pairs of length at least 3."""
+    fill_tables(ctx)
+    top = ctx.order - 1
+    ell = ctx.lengths[top]
+    ctx.tables.R[0, top] = tuple(
+        (-1) ** (ell - k) * comb(ell, k) for k in range(ell + 1)
+    )
+    smooth = [
+        (u, w)
+        for w in range(top)
+        for u in range(w)
+        if ctx.tables.KL.get((u, w)) == (1,) and ctx.lengths[w] - ctx.lengths[u] >= 3
+    ]
+    for key in smooth[:25]:
+        ctx.tables.KL[key] = (1, 1)
+
+
+def test_biconditional_lists_inequality_side_before_equivalence_side():
+    # the fault at the last top is listed before the 25 at earlier tops,
+    # and the cap then cuts the equivalence side, as in the reference
+    reports = []
+    for check in (run_check, lambda name, ctx: REFERENCE[name](ctx)):
+        ctx = build_group(parse_group_spec("A3"))
+        _plant_both_sides(ctx)
+        reports.append(report_to_json(check("nth2_quadratic", ctx)))
+    assert reports[0] == reports[1]
+    witnesses = reports[0]["witnesses"]
+    assert reports[0]["stats"]["violations_total"] == 26 and len(witnesses) == 20
+    assert witnesses[0] == (
+        "u='e' w='1 2 1 3 2 1': (q-1)^2 coefficient of the R-sum is 14 < 15"
+    )
+    assert all("strict excess is" in text for text in witnesses[1:])
+
+
+@pytest.mark.parametrize(
+    "plant", [_plant_stuck_vertex, _plant_p1_at_most_1],
+    ids=["stuck_vertex", "p1_at_most_1"],
+)
+def test_joint_walk_matches_single_checks_on_greedy_path_corruptions(plant):
+    def prepare(ctx):
+        w = parse_element(ctx, "1 2 3 2 1 4 2 1 3")
+        plant(ctx, parse_element(ctx, "1 2 4"), w)
+
+    joint, single = _joint_and_single("D4", prepare)
+    assert joint == single
+    assert not all(r["passed"] for r in joint)
+
+
+@pytest.mark.parametrize("spec, plant", [
+    ("A3", False), ("B3", False), ("D4", False), ("A3", True),
+])
+def test_fresh_run_suite_shares_its_certificate_sweep_with_the_r_sums(
+    monkeypatch, spec, plant
+):
+    # a fresh run_suite makes two sweeps, the certificate (F = P, which
+    # also yields the interval R-sums, F = 1) and r_alternating_sum's
+    # (F = +-R), and its R-sums equal those of a sweep of their own
+    sweeps = []  # (the R-sums dict it fills or None, B)
+    real = klr._sums_at_q
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        ones = args[4] if len(args) > 4 else kwargs.get("ones")
+        sweeps.append((ones, res[0]))
+        return res
+
+    monkeypatch.setattr(klr, "_sums_at_q", counted)
+    monkeypatch.setattr(theorems, "_sums_at_q", counted)
+    ctx = build_group(parse_group_spec(spec))
+    top = ctx.order - 1
+    if plant:
+        # P(e, w0) with a huge coefficient: its fault is reported, as the
+        # entry is already in KL, and its norm raises the certificate's B
+        ctx.tables.KL[0, top] = (1, 10**6)
+    reports = {r.check_name: r for r in run_suite(ctx)}
+    assert len(sweeps) == 2
+    ((shared, bits),) = [(ones, b) for ones, b in sweeps if ones is not None]
+    monkeypatch.undo()
+    assert shared == klr._interval_r_sums(ctx)
+    assert len(shared) == theorems._pair_count(ctx)
+    if plant:
+        own_bits = klr._sums_at_q(ctx, lambda v, w: (1,))[0]
+        assert bits > own_bits + 10  # B grows with ||P||_1 = 10^6 + 1
+        assert reports["kl_basics"].witnesses == [
+            f"u='e' w='{word_of(ctx.elements[top])}': functional equation fails"
+        ]
+    else:
+        assert all(r.passed for r in reports.values())
+
+
+def test_deodhar_alone_reads_no_kl():
+    ctx = build_group(parse_group_spec("A3"))
+    (report,) = run_suite(ctx, "deodhar")
+    assert report.passed and report.pairs_tested == 213
+    assert ctx.tables.KL == {} and ctx.tables.staged == {} and ctx.tables.mu == {}
