@@ -20,18 +20,25 @@ from a sweep of the table as it is.  The interval R-sums (F = 1) of
 dvc_linear, nth2_quadratic and smoothness_equivalence are read back from
 their values at Q, once per call, from R as it is then, and passed to
 each of the three.  A call that fills the KL table takes them from its
-certificate sweep, which adds R_xv(Q) to S_1 at every triple and
+certificate sweep, which adds R_xv(Q) to S_1 at every triple it sums and
 R_xv(Q) (P_vw(Q) - 1) to S_P only where P_vw != 1, at the one B that
 serves both; a call on a full table makes a sweep of its own
 (``klr._interval_r_sums``).  That is exact: B is set with each sum from
-the norms of R and F
-as they are then, so that every coefficient of either side is at most M
-with 2^(B-1) > 2M, and a nonzero integer polynomial with coefficients
-that small does not vanish at 2^B.  So a pair fails at Q exactly when it
-fails as polynomials, and the signed base-2^B digits of a value are its
-coefficients, which r_alternating_sum's witness prints.  kl_monotone and
-mono_equiv group each KL column by value and decide each pair of values
-once; every triple is still counted, and reported if it fails.
+the norms of R and F as they are then, so that every coefficient of
+either side is at most M with 2^(B-1) > 2M, and a nonzero integer
+polynomial with coefficients that small does not vanish at 2^B.  So a
+pair fails at Q exactly when it fails as polynomials, and the signed
+base-2^B digits of a value are its coefficients, which
+r_alternating_sum's witness prints.  A whole-group sweep sums over the
+triples only for the pairs with D_R(w) in D_R(x) and gets the others'
+sums by a power of Q, when F_vw = F_{vs,w} for s in D_R(w) and R follows
+its recursion, both checked on the entries read.  F = P and F = 1 meet
+that on correct tables; F = +-R does not, so r_alternating_sum, like a
+sweep of tables that break either premise, sums over every triple.  The
+values, and so every verdict, count and witness, are the same either
+way.  kl_monotone and mono_equiv group each KL column by value and
+decide each pair of values once; every triple is still counted, and
+reported if it fails.
 
 Ten R-level checks (``_READS_CLASSES``: r_basics, r_functional_equation,
 r_derivative_edge, shifted_nonneg, divisibility_order, fh_structure,

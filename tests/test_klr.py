@@ -21,7 +21,14 @@ from bruhatkl.coxeter import (  # noqa: E402
     parse_group_spec,
     word_of,
 )
-from bruhatkl.klr import _digits, _interval_r_sums, _stage, _sums_at_q  # noqa: E402
+from bruhatkl.klr import (  # noqa: E402
+    _coset_tops,
+    _digits,
+    _interval_r_sums,
+    _right_descents,
+    _stage,
+    _sums_at_q,
+)
 from bruhatkl.klr import (  # noqa: E402
     check_r_rtilde_link,
     fh_vectors,
@@ -193,8 +200,9 @@ def test_sum_r_over():
 
 def test_sums_at_q_with_f_one_matches_sum_r_over():
     # with F = 1 each interval R-sum is read back from one value at q = 2^B,
-    # over the whole group and over one interval [u, w] at a time
-    for spec in ("A3", "B3", "G2"):
+    # over the whole group and over one interval [u, w] at a time; the
+    # whole-group sweep sums over coset tops and shifts their sums down
+    for spec in ("A3", "B3", "G2", "D4"):
         sums = _interval_r_sums(build_group(parse_group_spec(spec)))
         one = build_group(parse_group_spec(spec))
         pairs = comparable_pairs(one)
@@ -209,6 +217,33 @@ def test_sums_at_q_with_f_one_matches_sum_r_over():
         assert top == wi and list(acc) == sorted(x.index for x in members)
         for xi, val in acc.items():
             assert _digits(val, bits) == sum_r_over(ctx.elements[xi], ctx.elements[wi])
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2", "D4"])
+def test_coset_tops_are_the_longest_coset_elements(spec):
+    # for every right descent set d that occurs, x* is the longest element
+    # of {x u : u in W_d}, grown from x by rmult with d, and k = l(x*) - l(x)
+    ctx = ctx_for(spec)
+    lengths, rmult = ctx.lengths, ctx.rmult
+    desc = [
+        sum(1 << s for s in range(ctx.rank) if lengths[rmult[x][s]] < lengths[x])
+        for x in range(ctx.order)
+    ]
+    assert _right_descents(ctx) == desc
+    for d in sorted(set(desc)):
+        gens = [s for s in range(ctx.rank) if d >> s & 1]
+        tops = _coset_tops(ctx, d)
+        for x in range(ctx.order):
+            coset, todo = {x}, [x]
+            while todo:
+                y = todo.pop()
+                for s in gens:
+                    if rmult[y][s] not in coset:
+                        coset.add(rmult[y][s])
+                        todo.append(rmult[y][s])
+            top = max(coset, key=lengths.__getitem__)
+            assert [y for y in coset if lengths[y] == lengths[top]] == [top]
+            assert tops[x] == (top, lengths[top] - lengths[x])
 
 
 def test_interval_r_sums_count_members_with_every_r_one():

@@ -11,7 +11,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from reference_checks import REFERENCE  # noqa: E402
 
 from bruhatkl import klr, theorems  # noqa: E402
-from bruhatkl.bruhat import comparable_pairs, neighborhood  # noqa: E402
+from bruhatkl.bruhat import (  # noqa: E402
+    comparable_pairs,
+    iter_bits,
+    le_masks,
+    neighborhood,
+)
 from bruhatkl.coxeter import (  # noqa: E402
     build_group,
     parse_element,
@@ -340,12 +345,47 @@ R_LEVEL = (
 )
 
 
+def _plant_kl_coset(ctx):
+    """Give every x of one coset x W_d below a top w, d = D_R(w), the same
+    wrong P_xw: P_{x*,w} + q, x* the coset's top, with l(x*, w) >= 3.  The
+    constant term 1 and the degree bound still hold, and so does
+    P_xw = P_{xs,w} for s in d, so the premises of the coset reduction of
+    ``klr._sums_at_q`` hold and the reduced sweep reports the fault.  w is
+    the first top by id with the most descents that has such a coset: two
+    on A3 and B3; on rank 2 only w0 has two, and its one coset holds w0,
+    so G2 gets one.  Returns (w, the coset's ids)."""
+    lengths, rmult = ctx.lengths, ctx.rmult
+    desc = klr._right_descents(ctx)
+    lower = le_masks(ctx)
+    for w in sorted(range(ctx.order), key=lambda w: (-bin(desc[w]).count("1"), w)):
+        d = desc[w]
+        for top in iter_bits(lower[w]):
+            if desc[top] & d == d and lengths[w] - lengths[top] >= 3:
+                coset, todo = {top}, [top]
+                while todo:
+                    x = todo.pop()
+                    for s in iter_bits(d):
+                        if rmult[x][s] not in coset:
+                            coset.add(rmult[x][s])
+                            todo.append(rmult[x][s])
+                p = ctx.tables.KL[top, w]
+                p += (0,) * (2 - len(p))
+                wrong = (p[0], p[1] + 1) + p[2:]  # + q
+                for x in coset:
+                    ctx.tables.KL[x, w] = wrong
+                return w, sorted(coset)
+    raise AssertionError(f"no coset to plant in {ctx.name}")
+
+
 def _corrupt(ctx, kind):
     """Alter filled tables in place: several R entries +1 in one
     coefficient, one R coefficient times 10^6 (which raises B), several
     KL entries, in and out of their degree bound, or several Rt entries;
     or run the R-level checks and then set R(e, w0) to (q-1)^l(w0), so a
-    check that kept what it read in the first run reports the old entry."""
+    check that kept what it read in the first run reports the old entry.
+    Each of these that alters R or KL breaks a premise of the coset
+    reduction of ``klr._sums_at_q``; kind kl_coset alters KL and keeps both
+    (see ``_plant_kl_coset``)."""
     t = ctx.tables
     if kind == "r_plus_one":
         keys = sorted(k for k in t.R if k[0] != k[1])
@@ -382,6 +422,8 @@ def _corrupt(ctx, kind):
             else:  # a negative coefficient
                 v[0] -= 1
             t.Rt[k] = tuple(v)
+    elif kind == "kl_coset":
+        _plant_kl_coset(ctx)
     elif kind == "r_after_run":
         for name in R_LEVEL:
             run_check(name, ctx)
@@ -393,7 +435,8 @@ def _corrupt(ctx, kind):
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
 @pytest.mark.parametrize(
-    "kind", ["clean", "r_plus_one", "r_times_1e6", "kl", "rt", "r_after_run"]
+    "kind",
+    ["clean", "r_plus_one", "r_times_1e6", "kl", "rt", "r_after_run", "kl_coset"],
 )
 def test_evaluated_checks_match_coefficient_reference(spec, kind):
     reports = {}
@@ -408,6 +451,26 @@ def test_evaluated_checks_match_coefficient_reference(spec, kind):
     assert reports["library"] == reports["reference"]
     if kind != "clean":
         assert not all(r["passed"] for r in reports["library"])
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+def test_kl_basics_names_every_pair_of_a_planted_coset(spec, monkeypatch):
+    # the premises of the coset reduction hold, so the reduced sweep, which
+    # sums over the coset tops alone, is the one that reports the coset
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx)
+    w, coset = _plant_kl_coset(ctx)
+    reduced = []
+    coset_tops = klr._coset_tops
+    monkeypatch.setattr(
+        klr, "_coset_tops", lambda c, d: reduced.append(d) or coset_tops(c, d)
+    )
+    report = run_check("kl_basics", ctx)
+    assert klr._right_descents(ctx)[w] in reduced
+    assert not report.passed
+    for x in coset:
+        pair = f"u='{word_of(ctx.elements[x])}' w='{word_of(ctx.elements[w])}':"
+        assert any(wit.startswith(pair) for wit in report.witnesses)
 
 
 def _plant_stuck_vertex(ctx, s, w):
