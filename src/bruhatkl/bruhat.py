@@ -177,23 +177,21 @@ def abs_len_table(w: GroupElement) -> dict[int, int]:
 
     Directed paths ending at w never leave [e, w], so no order filtering is
     needed; reachability doubles as an independent comparability witness.
+    Nothing is stored: each call runs its own BFS.
     """
     ctx = w.ctx
-    table = ctx.tables.abs_len.get(w.index)
-    if table is None:
-        table = {w.index: 0}
-        frontier = [w.index]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for xi in frontier:
-                for vi in _row(ctx, xi)[1]:
-                    if vi not in table:
-                        table[vi] = d
-                        nxt.append(vi)
-            frontier = nxt
-        ctx.tables.abs_len[w.index] = table
+    table = {w.index: 0}
+    frontier = [w.index]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for xi in frontier:
+            for vi in _row(ctx, xi)[1]:
+                if vi not in table:
+                    table[vi] = d
+                    nxt.append(vi)
+        frontier = nxt
     return table
 
 

@@ -190,7 +190,6 @@ class GroupElement:
 
 Pair = tuple[int, int]
 Coeffs = tuple[int, ...]
-ByTop = dict[int, dict[int, int]]  # top id -> {bottom id: value}
 
 
 @dataclass(repr=False, eq=False)
@@ -217,13 +216,14 @@ class Tables:
     Tables can hold hundreds of thousands of entries, so they compare by
     identity and have no field-by-field repr.  What a sweep can derive a
     top w at a time is not stored: the list of comparable pairs is read
-    off ``le``, and the defects off the rows below w (``klr._Column``).
+    off ``le``, the defects off the rows below w (``klr._Column``), and
+    the absolute lengths a(., w) by one BFS from w
+    (``bruhat.abs_len_table``).
     """
 
     le: list[int] | None = None  # bruhat._lower; 0 = not built yet
     up: list[tuple[int, ...] | None] | None = None  # bruhat._row; out-neighbors
     down: list[tuple[int, ...] | None] | None = None  # bruhat._row; in-neighbors
-    abs_len: ByTop = field(default_factory=dict)  # bruhat.abs_len_table
     R: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "R"
     Rt: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "Rt"
     KL: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._certify

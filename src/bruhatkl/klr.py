@@ -509,29 +509,25 @@ def _certify(
     ui: int = 0,
     wi: int = -1,
     ones: dict[Pair, Coeffs] | None = None,
-) -> list | None:
-    """Check the staged P_xw over [u, w] and move them into ``tables.KL``;
-    with wi < 0, over every comparable pair.
+) -> list:
+    """Check the P_xw over [u, w] and move the staged ones into
+    ``tables.KL``; with wi < 0, over every comparable pair.
 
-    Stages the columns of the tops first if needed, then, unless nothing
-    is left staged, runs one ``_kl_faults`` sweep and returns its faults
-    (None if no sweep).  Over the whole group the sweep sums only for the
-    coset tops x*, D_R(w) in D_R(x*), when its two premises hold, and for
-    every pair otherwise; the faults are the same either way (see
+    Stages the columns of the tops first if needed, then runs one
+    ``_kl_faults`` sweep and returns its faults, also on a table already
+    certified.  Over the whole group the sweep sums only for the coset
+    tops x*, D_R(w) in D_R(x*), when its two premises hold, and for every
+    pair otherwise; the faults are the same either way (see
     ``_sums_at_q``).  The sweep also fills ``ones``, if given, with the
-    interval R-sums of the pairs it covers.  A pair
-    in ``tables.KL`` is read from there, even when empty (``_reader``),
-    and never replaced by its staged entry.  Raises RuntimeError naming
-    the first faulty pair not in ``tables.KL``, by w and then x, before
-    moving anything.
+    interval R-sums of the pairs it covers.  A pair in ``tables.KL`` is
+    read from there, even when empty (``_reader``), and never replaced by
+    its staged entry.  Raises RuntimeError naming the first faulty pair
+    not in ``tables.KL``, by w and then x, before moving anything.
     """
     t = ctx.tables
     kl, staged = t.KL, t.staged
     for w in range(ctx.order) if wi < 0 else (wi,):
         _stage(ctx, w)
-    if not staged:  # a staged column's pairs are each in KL or staged
-        return None
-
     faults = list(_kl_faults(ctx, _reader(t), ui, wi, ones))
     for x, w, _ in faults:
         if (x, w) not in kl:
@@ -766,16 +762,6 @@ def _digits(val: int, bits: int) -> Coeffs:
     return tuple(out)
 
 
-def _interval_r_sums(ctx: GroupContext) -> dict[Pair, Coeffs]:
-    """Sum over v in [x, w] of R_xv for every comparable pair, from R as it
-    is now: the sums S_1 of a ``_sums_at_q`` sweep with F = 1, read back in
-    signed base-2^B digits, once per distinct value.  Nothing is stored."""
-    out: dict[Pair, Coeffs] = {}
-    for _ in _sums_at_q(ctx, lambda v, w: (1,), ones=out)[1]:
-        pass
-    return out
-
-
 def strict_edges(u: GroupElement, w: GroupElement) -> list[GroupElement]:
     """Neighbors v of u inside [u, w] with P_uw(1) > P_vw(1)."""
     _require_le(u, w)
@@ -878,7 +864,7 @@ def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
 
     Top elements go by increasing id, hence length.  For KL, every column
     is staged by the recursion and then certified in one ``_certify`` sweep
-    over the whole group.
+    over the whole group; a second call certifies the table again.
     """
     masks = le_masks(ctx)
     for kind in kinds:

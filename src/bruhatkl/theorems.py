@@ -15,15 +15,14 @@ Algebra, section 8.4), through one interval sum, S_uw = sum over v in
 [u, w] of R_uv F_vw (``klr._sums_at_q``).  r_alternating_sum (F = +-R)
 and kl_basics (F = P) compare the two sides of their identity at Q, one
 integer each per pair; kl_basics reports the faults of ``klr._kl_faults``
-from the sweep that fills the KL table in a ``run_suite`` call, else
-from a sweep of the table as it is.  The interval R-sums (F = 1) of
-dvc_linear, nth2_quadratic and smoothness_equivalence are read back from
-their values at Q, once per call, from R as it is then, and passed to
-each of the three.  A call that fills the KL table takes them from its
-certificate sweep, which adds R_xv(Q) to S_1 at every triple it sums and
-R_xv(Q) (P_vw(Q) - 1) to S_P only where P_vw != 1, at the one B that
-serves both; a call on a full table makes a sweep of its own
-(``klr._interval_r_sums``).  That is exact: B is set with each sum from
+from the one certificate sweep (``klr._certify``) of a ``run_suite``
+call, which fills what is missing of the KL table and checks all of it.
+The interval R-sums (F = 1) of dvc_linear, nth2_quadratic and
+smoothness_equivalence are read back from their values at Q, once per
+call, from R as it is then, and passed to each of the three.  They come
+from the same certificate sweep, which adds R_xv(Q) to S_1 at every
+triple it sums and R_xv(Q) (P_vw(Q) - 1) to S_P only where P_vw != 1, at
+the one B that serves both.  That is exact: B is set with each sum from
 the norms of R and F as they are then, so that every coefficient of
 either side is at most M with 2^(B-1) > 2M, and a nonzero integer
 polynomial with coefficients that small does not vanish at 2^B.  So a
@@ -91,10 +90,7 @@ from bruhatkl.klr import (
     _Column,
     _digits,
     _greedy_ends,
-    _kl,
-    _kl_faults,
     _fh_split,
-    _interval_r_sums,
     _pair_fault,
     _r,
     _rt_rebuilt,
@@ -608,15 +604,12 @@ def _check_le1_le2_le3(ctx: GroupContext, classes: Classes) -> CheckReport:
 # -- KL-level checks -----------------------------------------------------
 
 
-def _check_kl_basics(ctx: GroupContext, faults: list | None) -> CheckReport:
+def _check_kl_basics(ctx: GroupContext, faults: list) -> CheckReport:
     """KL ground rules per pair: constant term 1, degree bound
     (l(u,w)-1)/2, 1 on the diagonal, and the defining functional equation
     verified by full substitution at Q = 2^B (``klr._kl_faults``): the
-    faults of the sweep that filled the table in this run, if one did
-    (``faults``), else of a sweep of the table as it is."""
+    faults of the certificate sweep of this run (``faults``)."""
     wit = _Witnesses()
-    if faults is None:
-        faults = _kl_faults(ctx, lambda vi, wi: _kl(ctx, vi, wi))
     for ui, wi, fault in faults:
         wit.add(f"{_pair_word(ctx, ui, wi)}: {fault}")
     return _report(ctx, "kl_basics", _pair_count(ctx), wit, {})
@@ -918,11 +911,10 @@ def run_check(name: str, ctx: GroupContext) -> CheckReport:
 def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     """Run the selected checks and return their reports, in registry order.
 
-    If any of them reads the KL table, it is filled first, in one
-    certificate pass whose faults kl_basics reports (it sweeps the table
-    itself only if the table was full before this call).  If any reads the
-    interval R-sums, that certificate pass also yields them; if the table
-    was full before this call, they come from a sweep of their own.  No
+    If any of them reads the KL table, one certificate sweep
+    (``klr._certify``) fills what is missing of it and checks all of it,
+    also when it was full before this call; kl_basics reports its faults.
+    If any reads the interval R-sums, the same sweep also yields them.  No
     check changes R, so they are R's sums at this call, passed to each.
     The classes of ``_r_classes`` are built once for the checks that
     decide once per class, from R, Rt and the graph as they are at this
@@ -946,8 +938,6 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     reads_sums = not _READS_SUMS.isdisjoint(names)
     sums: dict[Pair, Coeffs] | None = {} if reads_sums else None
     faults = None if _READS_KL.isdisjoint(names) else _certify(ctx, ones=sums)
-    if reads_sums and faults is None:  # no certificate sweep in this call
-        sums = _interval_r_sums(ctx)
     classes = None
     reports = {}
     walkers = {}

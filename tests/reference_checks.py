@@ -46,7 +46,14 @@ from bruhatkl.bruhat import (
     up_adjacency,
 )
 from bruhatkl.coxeter import GroupContext, GroupElement, _mul, word_of
-from bruhatkl.klr import _between, _kl, _kl1, _r, strict_path_to_smooth
+from bruhatkl.klr import (
+    _between,
+    _kl,
+    _kl1,
+    _r,
+    _sums_at_q,
+    strict_path_to_smooth,
+)
 from bruhatkl.polynomial import _addmul_into, _trim
 from bruhatkl.theorems import (
     CheckReport,
@@ -95,6 +102,16 @@ def sum_r_over(x: GroupElement, w: GroupElement):
     for vi in _between(x.ctx, x.index, w.index):
         acc = add(acc, _r(x.ctx, x.index, vi))
     return acc
+
+
+def interval_r_sums(ctx: GroupContext):
+    """{(x, w): sum of R_xv over v in [x, w]} for every comparable pair,
+    from R as it is now: the library's route, one whole-group
+    ``_sums_at_q`` sweep with F = 1, read back into ``ones``."""
+    out = {}
+    for _ in _sums_at_q(ctx, lambda v, w: (1,), ones=out)[1]:
+        pass
+    return out
 
 
 def _divide_by_q_minus_one(cs):

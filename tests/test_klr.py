@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from kl_oracle import oracle_kl_table  # noqa: E402
-from reference_checks import add, mul, sum_r_over  # noqa: E402
+from reference_checks import add, interval_r_sums, mul, sum_r_over  # noqa: E402
 
 from bruhatkl.bruhat import (  # noqa: E402
     absolute_length,
@@ -24,7 +24,6 @@ from bruhatkl.coxeter import (  # noqa: E402
 from bruhatkl.klr import (  # noqa: E402
     _coset_tops,
     _digits,
-    _interval_r_sums,
     _right_descents,
     _stage,
     _sums_at_q,
@@ -203,7 +202,7 @@ def test_sums_at_q_with_f_one_matches_sum_r_over():
     # over the whole group and over one interval [u, w] at a time; the
     # whole-group sweep sums over coset tops and shifts their sums down
     for spec in ("A3", "B3", "G2", "D4"):
-        sums = _interval_r_sums(build_group(parse_group_spec(spec)))
+        sums = interval_r_sums(build_group(parse_group_spec(spec)))
         one = build_group(parse_group_spec(spec))
         pairs = comparable_pairs(one)
         assert sorted(sums) == sorted(pairs)
@@ -257,7 +256,7 @@ def test_interval_r_sums_count_members_with_every_r_one():
         (xi, wi): (len(interval(ctx.elements[xi], ctx.elements[wi]).members),)
         for xi, wi in comparable_pairs(ctx)
     }
-    assert _interval_r_sums(ctx) == counts
+    assert interval_r_sums(ctx) == counts
 
 
 def test_is_rationally_smooth():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from reference_checks import REFERENCE  # noqa: E402
+from reference_checks import REFERENCE, interval_r_sums  # noqa: E402
 
 from bruhatkl import klr, theorems  # noqa: E402
 from bruhatkl.bruhat import (  # noqa: E402
@@ -255,7 +255,6 @@ def test_fresh_run_suite_makes_one_kl_sweep(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(klr, "_kl_faults", counted)
-    monkeypatch.setattr(theorems, "_kl_faults", counted)
     ctx = build_group(parse_group_spec("A3"))
     assert all(r.passed for r in run_suite(ctx))
     assert len(sweeps) == 1
@@ -643,7 +642,7 @@ def test_fresh_run_suite_shares_its_certificate_sweep_with_the_r_sums(
     assert len(sweeps) == 2
     ((shared, bits),) = [(ones, b) for ones, b in sweeps if ones is not None]
     monkeypatch.undo()
-    assert shared == klr._interval_r_sums(ctx)
+    assert shared == interval_r_sums(ctx)
     assert len(shared) == theorems._pair_count(ctx)
     if plant:
         own_bits = klr._sums_at_q(ctx, lambda v, w: (1,))[0]
@@ -653,6 +652,32 @@ def test_fresh_run_suite_shares_its_certificate_sweep_with_the_r_sums(
         ]
     else:
         assert all(r.passed for r in reports.values())
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_run_suite_on_a_filled_table_makes_one_sweep(monkeypatch, spec):
+    # on a table certified before the call, kl_basics and the three R-sum
+    # checks still share one certificate sweep, and report what the same
+    # call on a fresh context reports
+    sweeps = []
+    real = klr._sums_at_q
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[1])
+        return real(*args, **kwargs)
+
+    names = ("kl_basics",) + SUM_CHECKS
+    reports = {}
+    for filled in (False, True):
+        ctx = build_group(parse_group_spec(spec))
+        if filled:
+            fill_tables(ctx)
+            monkeypatch.setattr(klr, "_sums_at_q", counted)
+            monkeypatch.setattr(theorems, "_sums_at_q", counted)
+        reports[filled] = [report_to_json(r) for r in run_suite(ctx, names)]
+    assert len(sweeps) == 1
+    assert reports[True] == reports[False]
+    assert all(r["passed"] for r in reports[True])
 
 
 def test_deodhar_alone_reads_no_kl():
