@@ -144,8 +144,8 @@ def _row(ctx: GroupContext, xi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if t.up[xi] is None:
         lengths = ctx.lengths
         rows = [], []  # out, in
-        for r in ctx.reflections:
-            vi = _mul(ctx, xi, r.index)
+        for ti in ctx.reflection_ids:
+            vi = _mul(ctx, xi, ti)
             rows[lengths[vi] < lengths[xi]].append(vi)
         t.up[xi], t.down[xi] = tuple(sorted(rows[0])), tuple(sorted(rows[1]))
     return t.up[xi], t.down[xi]
@@ -211,7 +211,8 @@ def neighborhood(u: GroupElement, w: GroupElement) -> list[GroupElement]:
     rows are sorted by id, and ids grow with length."""
     _check_same_context(u, w)
     ctx = u.ctx
-    return [ctx.elements[vi] for vi in _out_below(ctx, u.index, _lower(ctx, w.index))]
+    elements = ctx.elements
+    return [elements[vi] for vi in _out_below(ctx, u.index, _lower(ctx, w.index))]
 
 
 def defect(u: GroupElement, w: GroupElement) -> int:
@@ -227,12 +228,12 @@ def bruhat_edges(
     if not members:
         return []
     ctx = members[0].ctx
-    member_ids = {g.index for g in members}
+    by_id = {g.index: g for g in members}
     edges = []
     for x in sorted(members, key=lambda g: (g.length, g.index)):
         for vi in _row(ctx, x.index)[0]:
-            if vi in member_ids:
-                edges.append((x, ctx.elements[vi]))
+            if vi in by_id:
+                edges.append((x, by_id[vi]))
     return edges
 
 
@@ -257,7 +258,8 @@ def interval(u: GroupElement, w: GroupElement) -> IntervalData:
             if vi not in seen:
                 seen.add(vi)
                 queue.append(vi)
-    members = [ctx.elements[vi] for vi in sorted(seen)]
+    elements = ctx.elements
+    members = [elements[vi] for vi in sorted(seen)]
     nbhd = neighborhood(u, w)
     return IntervalData(
         bottom=u,

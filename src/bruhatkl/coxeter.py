@@ -12,7 +12,7 @@ Groups, 5.4).  Roots are in simple-root coordinates, where s_i sets only
 y[i] = x[i] - sum_j cartan[i][j] * x[j].  Elements get stable integer
 ids breadth-first by length; after that, group operations are lookups in
 id tables (``rmult``, ``inv``, ``lengths``, ``srd``), and the lazily
-filled tables in ``GroupContext.tables`` key on ids and id pairs.  The reference
+filled tables in ``GroupContext.tables`` key on ids.  The reference
 matrices of the geometric representation live in the tests
 (``tests/reference_matrices.py``), which check the tables against them.
 
@@ -29,8 +29,10 @@ Elements are read and printed as whitespace-separated reduced words over
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import factorial
+from typing import Iterator
 
 __all__ = [
     "CoxeterDatum",
@@ -167,7 +169,9 @@ def _is_positive_vec(v: Vector) -> bool:
 
 
 class GroupElement:
-    """Interned element of one GroupContext: cached length, stable id."""
+    """Element of one GroupContext: its stable id and its length.  Built on
+    access (``GroupContext.elements``); equal to every element of the same
+    context and id."""
 
     __slots__ = ("ctx", "index", "length")
 
@@ -188,8 +192,35 @@ class GroupElement:
         return f"<{self.ctx.name}: {word_of(self)}>"
 
 
+class _Elements(Sequence):
+    """The elements of a context with the given ids, in their order, each
+    built on access, so that the context holds no GroupElement (see
+    ``GroupContext``)."""
+
+    __slots__ = ("_ctx", "_ids")
+
+    def __init__(self, ctx: "GroupContext", ids: Sequence[int]):
+        self._ctx, self._ids = ctx, ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Elements(self._ctx, self._ids[i])
+        xi = self._ids[i]
+        return GroupElement(self._ctx, xi, self._ctx.lengths[xi])
+
+    def __iter__(self) -> Iterator[GroupElement]:
+        ctx, lengths = self._ctx, self._ctx.lengths
+        for xi in self._ids:
+            yield GroupElement(ctx, xi, lengths[xi])
+
+
 Pair = tuple[int, int]
 Coeffs = tuple[int, ...]
+# a pair table: {w: {x: value}}, one column dict per top w, keyed by x
+Columns = dict[int, dict[int, Coeffs]]
 
 
 @dataclass(repr=False, eq=False)
@@ -202,17 +233,21 @@ class Tables:
     lower-cone masks ``le`` and the Bruhat-graph rows ``up`` and ``down``
     are per element and may be partly built: a mask 0 (every cone
     contains e, so no built mask is 0) or a row None is not built yet.
-    The R, Rt, KL and staged tables hold comparable pairs only
-    (incomparable probes are answered by the order test, not stored), and
-    KL holds only entries that passed ``klr._certify``, which tests them
-    with ``klr._kl_faults``.  These tables hold few distinct values (37 R
-    polynomials over D4's 9,817 comparable pairs, 436 over F4's 396,809),
-    so every value they are filled with is the one tuple of ``pool`` equal
-    to it, and the arithmetic on values is memoized by value, never by
-    pair: the R/Rt recursion step in ``steps`` and R's (q-1)-expansion in
-    ``shifted``.  A reader of a derived value looks it up by the entry as
-    it is now, so an entry changed after a fill gets its own result and no
-    reader sees a value derived from an entry that has since changed.
+    The R, Rt, KL and staged tables are ``Columns``: one dict per top w,
+    {w: {x: value}}, so an entry costs one slot of its column's dict and
+    no (x, w) key tuple (38-54 bytes per R entry on B3, A4 and D4, 83-93
+    with pair keys).  They hold comparable pairs only (incomparable probes
+    are answered by the order test, not stored), a column is made with its
+    first entry, and KL holds only entries that passed ``klr._certify``,
+    which tests them with ``klr._kl_faults``.  These tables hold few
+    distinct values (37 R polynomials over D4's 9,817 comparable pairs, 436
+    over F4's 396,809), so every value they are filled with is the one
+    tuple of ``pool`` equal to it, and the arithmetic on values is
+    memoized by value, never by pair: the R/Rt recursion step in ``steps``
+    and R's (q-1)-expansion in ``shifted``.  A reader of a derived value
+    looks it up by the entry as it is now, so an entry changed after a
+    fill gets its own result and no reader sees a value derived from an
+    entry that has since changed.
     Tables can hold hundreds of thousands of entries, so they compare by
     identity and have no field-by-field repr.  What a sweep can derive a
     top w at a time is not stored: the list of comparable pairs is read
@@ -224,13 +259,14 @@ class Tables:
     le: list[int] | None = None  # bruhat._lower; 0 = not built yet
     up: list[tuple[int, ...] | None] | None = None  # bruhat._row; out-neighbors
     down: list[tuple[int, ...] | None] | None = None  # bruhat._row; in-neighbors
-    R: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "R"
-    Rt: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._r, kind "Rt"
-    KL: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._certify
+    R: Columns = field(default_factory=dict)  # klr._r, kind "R"; R[w][x] = R_xw
+    Rt: Columns = field(default_factory=dict)  # klr._r, kind "Rt"
+    KL: Columns = field(default_factory=dict)  # klr._certify; KL[w][x] = P_xw
     # P_xw computed by the KL recursion and not yet checked; klr._certify
     # moves an entry from here into KL once klr._kl_faults finds no fault
-    # on the interval or group it sweeps, never replacing an entry in KL
-    staged: dict[Pair, Coeffs] = field(default_factory=dict)  # klr._stage
+    # on the interval or group it sweeps, never replacing an entry in KL,
+    # and drops a column it empties
+    staged: Columns = field(default_factory=dict)  # klr._stage
     # mu-list by top id w: (x, mu(x, w)) for each x < w with mu(x, w) != 0;
     # a key w present means the column of w has been staged
     mu: dict[int, list[tuple[int, int]]] = field(default_factory=dict)  # klr._stage
@@ -253,17 +289,18 @@ class GroupContext:
     id tables ``rmult``, ``inv``, ``lengths`` and ``srd``.  The group data
     is fixed once ``build_group`` returns.  The only later mutation is lazy,
     single-threaded filling of ``tables`` (and of the word memo behind
-    ``word_of``).
+    ``word_of``).  The context holds ids only: ``elements``, ``identity``
+    and ``reflections`` build each GroupElement on access, so a context
+    is freed as soon as nothing refers to it.
     """
 
     def __init__(self, datum: CoxeterDatum):
         self.datum = datum
         self.name = datum.name
         self.rank = datum.rank
-        self.elements: list[GroupElement] = []
         self.pos_roots: list[Vector] = []
-        self.reflections: list[GroupElement] = []
-        self.reflection_ids: frozenset[int] = frozenset()
+        # ids of the reflections, in the order of pos_roots
+        self.reflection_ids: tuple[int, ...] = ()
         self.rmult: list[tuple[int, ...]] = []  # id of ws by id of w, s
         self.lengths: list[int] = []  # l(w) by id
         self.srd: list[int] = []  # smallest right descent by id, -1 for e
@@ -274,11 +311,21 @@ class GroupContext:
     # populated by build_group
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.lengths)
+
+    @property
+    def elements(self) -> Sequence[GroupElement]:
+        """Every element, by id."""
+        return _Elements(self, range(self.order))
 
     @property
     def identity(self) -> GroupElement:
-        return self.elements[0]
+        return GroupElement(self, 0, 0)
+
+    @property
+    def reflections(self) -> Sequence[GroupElement]:
+        """The reflections, in the order of ``pos_roots``."""
+        return _Elements(self, self.reflection_ids)
 
     def __repr__(self) -> str:
         return f"<GroupContext {self.name}, order {self.order}>"
@@ -348,7 +395,6 @@ def build_group(
             f"at the last id"
         )
     ctx.lengths = lengths
-    ctx.elements = [GroupElement(ctx, i, ell) for i, ell in enumerate(lengths)]
 
     # w = s_1 ... s_k read off the parent chain from the end, so
     # w^-1 = s_k ... s_1 is the product of its letters in that order
@@ -399,10 +445,8 @@ def build_group(
             else:
                 root_to_id[img] = conj
                 queue.append(img)
-    refl_ids = [root_to_id[beta] for beta in roots]
-    ctx.reflections = [ctx.elements[i] for i in refl_ids]
-    ctx.reflection_ids = frozenset(refl_ids)
-    if len(ctx.reflection_ids) != len(roots):
+    ctx.reflection_ids = tuple(root_to_id[beta] for beta in roots)
+    if len(set(ctx.reflection_ids)) != len(roots):
         raise RuntimeError("reflections are not in bijection with positive roots")
     return ctx
 

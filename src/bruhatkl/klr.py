@@ -44,9 +44,11 @@ as well, would sweep 2.2% of D4's triples and 2.6% of B4's (8.2% and
 10.6% on the right alone), but needs premises on the left too.
 
 The tables are the ``R``, ``Rt``, ``KL``, ``staged`` and ``mu`` fields
-of the owning context's ``ctx.tables``, keyed by element ids and holding
-comparable pairs only; they are filled lazily (one thread at a time), and
-nothing else mutates them.  Coefficients are Python integers throughout,
+of the owning context's ``ctx.tables``.  The first four hold comparable
+pairs only, one dict per top w keyed by x (``coxeter.Columns``), so a
+sweep resolves a column once and then reads its entries by x; ``mu`` is
+keyed by w.  They are filled lazily (one thread at a time), and nothing
+else mutates them.  Coefficients are Python integers throughout,
 so nothing can overflow.
 
 The tables hold few distinct values (81 R polynomials over A5's 98,407
@@ -75,8 +77,8 @@ from bruhatkl.bruhat import (
     neighborhood,
 )
 from bruhatkl.bruhat import _le, _lower, _out_below, _require_le
-from bruhatkl.coxeter import Coeffs, GroupContext, GroupElement, Pair, Tables, word_of
-from bruhatkl.coxeter import _check_same_context
+from bruhatkl.coxeter import Coeffs, Columns, GroupContext, GroupElement, Tables
+from bruhatkl.coxeter import _check_same_context, word_of
 from bruhatkl.polynomial import (
     Basis,
     IntPoly,
@@ -130,10 +132,11 @@ def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
     """R_uw (kind "R") or Rt_uw (kind "Rt"); () when u is not below w."""
     t = ctx.tables
     table = getattr(t, kind)
-    key = (ui, wi)
-    res = table.get(key)
-    if res is not None:
-        return res
+    col = table.get(wi)
+    if col is not None:
+        res = col.get(ui)
+        if res is not None:
+            return res
     if ui == wi:
         res = _intern(t, (1,))
     elif not _lower(ctx, wi) >> ui & 1:
@@ -146,7 +149,9 @@ def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
             res = _r(ctx, usi, wsi, kind)
         else:
             res = _step(t, kind, _r(ctx, usi, wsi, kind), _r(ctx, ui, wsi, kind))
-    table[key] = res
+    if col is None:  # the recursion reads only columns below w
+        col = table[wi] = {}
+    col[ui] = res
     return res
 
 
@@ -172,27 +177,32 @@ def _between(ctx: GroupContext, ui: int, wi: int) -> Iterator[int]:
             yield vi
 
 
-def _reader(t: Tables) -> Callable[[int, int], Coeffs]:
-    """P_vw from ``t.KL`` if the pair is there, even empty, else from ``t.staged``."""
+def _reader(t: Tables) -> Callable[[int], Callable[[int], Coeffs]]:
+    """The KL column reader: w -> (v -> P_vw), P_vw read from ``t.KL`` if
+    v is in the column there, even empty, else from ``t.staged``.  Each
+    call resolves the two columns of w once, for all the v read from it."""
     kl, staged = t.KL, t.staged
 
-    def get(v: int, w: int) -> Coeffs:
-        return kl[v, w] if (v, w) in kl else staged[v, w]
+    def column(w: int) -> Callable[[int], Coeffs]:
+        k, s = kl.get(w, {}), staged.get(w, {})
+        if not k or not s:
+            return (k or s).__getitem__
+        return lambda v: k[v] if v in k else s[v]
 
-    return get
+    return column
 
 
 def _stage(ctx: GroupContext, wi: int) -> None:
     """Stage the KL column of w, and first every column it needs.
 
-    Fills ``tables.staged`` with P_xw for every x <= w, by the recursion in
-    the module docstring, and ``tables.mu`` with the mu-list of w: the
-    pairs (x, mu(x, w)) with mu(x, w) != 0.  Entries of columns already
-    moved into ``tables.KL`` are read from there (``_reader``).  Reads only
-    the masks of elements below w.
+    Fills the column w of ``tables.staged`` with P_xw for every x <= w, by
+    the recursion in the module docstring, and ``tables.mu`` with the
+    mu-list of w: the pairs (x, mu(x, w)) with mu(x, w) != 0.  Entries of
+    columns already moved into ``tables.KL`` are read from there
+    (``_reader``).  Reads only the masks of elements below w.
     """
     t = ctx.tables
-    staged, mu, get = t.staged, t.mu, _reader(t)
+    staged, mu, column = t.staged, t.mu, _reader(t)
     rmult, lengths, srd = ctx.rmult, ctx.lengths, ctx.srd
     stack = [wi]
     while stack:
@@ -202,7 +212,7 @@ def _stage(ctx: GroupContext, wi: int) -> None:
             continue
         s = srd[w]
         if s < 0:  # w = e
-            staged[w, w] = _intern(t, (1,))
+            staged[w] = {w: _intern(t, (1,))}
             mu[w] = []
             continue
         v = rmult[w][s]
@@ -216,7 +226,7 @@ def _stage(ctx: GroupContext, wi: int) -> None:
             continue
         stack.pop()
         lw = lengths[w]
-        lower_v = _lower(ctx, v)
+        lower_v, pv = _lower(ctx, v), column(v)
         below = list(iter_bits(_lower(ctx, w)))
         col: dict[int, list[int]] = {}  # x with xs < x
         for x in below:
@@ -224,26 +234,28 @@ def _stage(ctx: GroupContext, wi: int) -> None:
             if lengths[xs] > lengths[x]:
                 continue
             out = [0] * ((lw - lengths[x]) // 2 + 1)
-            for i, c in enumerate(get(xs, v)):
+            for i, c in enumerate(pv(xs)):
                 out[i] += c
             if lower_v >> x & 1:
-                for i, c in enumerate(get(x, v), 1):
+                for i, c in enumerate(pv(x), 1):
                     out[i] += c
             col[x] = out
         for z, m in terms:
             shift = (lw - lengths[z]) // 2
+            pz = column(z)
             for x in iter_bits(_lower(ctx, z)):
                 out = col.get(x)
                 if out is not None:
-                    for i, c in enumerate(get(x, z), shift):
+                    for i, c in enumerate(pz(x), shift):
                         out[i] -= m * c
         done = {x: _intern(t, _trim(out)) for x, out in col.items()}
         mus = []
+        ps = staged[w] = {}
         for x in below:
             p = done.get(x)
             if p is None:  # xs > x: P_xw = P_{xs,w}
                 p = done[rmult[x][s]]
-            staged[x, w] = p
+            ps[x] = p
             d = lw - lengths[x] - 1
             if d % 2 == 0 and len(p) > d // 2 and p[d // 2]:
                 mus.append((x, p[d // 2]))
@@ -328,17 +340,18 @@ def _reducible(
 
 def _sums_at_q(
     ctx: GroupContext,
-    f: Callable[[int, int], Coeffs],
+    f: Callable[[int], Callable[[int], Coeffs]],
     ui: int = 0,
     wi: int = -1,
-    ones: dict[Pair, Coeffs] | None = None,
+    ones: Columns | None = None,
 ) -> tuple[int, Iterator[tuple[int, dict[int, int]]]]:
     """B, and per top w one pair (w, {x: S_xw(Q)}), x by increasing id.
 
-    Q = 2^B and S_xw = sum over v in [x, w] of R_xv * F_vw, where f(v, w)
-    gives the coefficients of F_vw.  With wi < 0 the sweep covers the whole
-    group, every w a top and every x <= w; otherwise it covers the
-    interval [u, w], with w its one top and every x in [u, w].  B serves an
+    Q = 2^B and S_xw = sum over v in [x, w] of R_xv * F_vw, where f(w)
+    reads the column w of F: f(w)(v) gives the coefficients of F_vw.  With
+    wi < 0 the sweep covers the whole group, every w a top and every
+    x <= w; otherwise it covers the interval [u, w], with w its one top
+    and every x in [u, w].  B serves an
     identity whose sides are sums of at most n such products, n the number
     of members: every coefficient of either side is then at most
     M = n * max ||R_xy||_1 * max ||F_vw||_1 (each norm at least 1, over the
@@ -368,13 +381,13 @@ def _sums_at_q(
     is.  The columns of v cut down to the coset tops of one D_R(w) are
     built on first use and kept for the rest of the sweep.
 
-    If ``ones`` is a dict, the same sweep also writes into it, for every
-    pair (x, w) it yields, the coefficients of the interval R-sum S_1, the
-    sum with F = 1, read back by ``_digits`` once per distinct value.  B
-    serves S_1 too, since ||1||_1 = 1 <= max(1, max ||F_vw||_1).  Each
-    triple then adds R_xv(Q) to S_1, and R_xv(Q) (F_vw(Q) - 1) to S_F only
-    where that is nonzero, and S_F = S_1 + the latter.  F = 1 meets (a),
-    so S_1 obeys the lemma too.
+    If ``ones`` is a dict, the same sweep also writes into it, as
+    ones[w][x] for every pair (x, w) it yields, the coefficients of the
+    interval R-sum S_1, the sum with F = 1, read back by ``_digits`` once
+    per distinct value.  B serves S_1 too, since ||1||_1 = 1 <=
+    max(1, max ||F_vw||_1).  Each triple then adds R_xv(Q) to S_1, and
+    R_xv(Q) (F_vw(Q) - 1) to S_F only where that is nonzero, and
+    S_F = S_1 + the latter.  F = 1 meets (a), so S_1 obeys the lemma too.
     """
     if wi < 0:
         masks, span, tops = le_masks(ctx), (1 << ctx.order) - 1, range(ctx.order)
@@ -388,7 +401,7 @@ def _sums_at_q(
     for v in iter_bits(span):
         xs = list(iter_bits(masks[v] & span))
         rcols[v] = xs, [_r(ctx, x, v) for x in xs]
-    fcols = {w: [f(v, w) for v in rcols[w][0]] for w in tops}
+    fcols = {w: list(map(f(w), rcols[w][0])) for w in tops}
     # D_R(w) by top w, its coset tops swept alone; None: every x swept
     desc = _right_descents(ctx) if wi < 0 else None
     if desc is not None and not _reducible(ctx, rcols, fcols, desc):
@@ -447,11 +460,12 @@ def _sums_at_q(
                 if acc1 is not None:
                     acc1 = {x: acc1[t] << bits * k for x, (t, k) in zip(vs, shifts)}
             if acc1 is not None:
+                one = ones[w] = {}
                 for x, val in acc1.items():
                     cs = digits.get(val)
                     if cs is None:
                         cs = digits[val] = _digits(val, bits)
-                    ones[x, w] = cs
+                    one[x] = cs
             yield w, acc
 
     return bits, sums()
@@ -459,14 +473,14 @@ def _sums_at_q(
 
 def _kl_faults(
     ctx: GroupContext,
-    get: Callable[[int, int], Coeffs],
+    column: Callable[[int], Callable[[int], Coeffs]],
     ui: int = 0,
     wi: int = -1,
-    ones: dict[Pair, Coeffs] | None = None,
+    ones: Columns | None = None,
 ) -> Iterator[tuple[int, int, str]]:
     """(x, w, fault) for each pair of the sweep of ``_sums_at_q`` (the
     interval [u, w], or the whole group when wi < 0) that fails a test, by
-    w and then x, with P_xw = get(x, w).  Tested: P_ww = 1, P_xw(0) = 1,
+    w and then x, with P_xw = column(w)(x).  Tested: P_ww = 1, P_xw(0) = 1,
     the degree bound deg P_xw <= (l(x,w)-1)/2, and the functional
     equation, exactly at q = Q = 2^B:
 
@@ -484,12 +498,12 @@ def _kl_faults(
     same values either way.  When they fail, it sums for every pair.
     """
     lengths = ctx.lengths
-    bits, tops = _sums_at_q(ctx, get, ui, wi, ones)
+    bits, tops = _sums_at_q(ctx, column, ui, wi, ones)
     rev: dict[Coeffs, int] = {}  # P -> Q^(deg P) P(1/Q), once per value
     for w, acc in tops:
-        lw = lengths[w]
+        lw, pw = lengths[w], column(w)
         for x, val in acc.items():
-            p = get(x, w)
+            p = pw(x)
             d = lw - lengths[x]
             if x == w:
                 if p != (1,):
@@ -504,11 +518,22 @@ def _kl_faults(
                     yield x, w, "functional equation fails"
 
 
+def _move(kl: Columns, wi: int, col: dict[int, Coeffs]) -> None:
+    """Add the entries of col to the column w of kl, replacing none there;
+    col itself becomes that column if kl has none."""
+    have = kl.get(wi)
+    if have is None:
+        kl[wi] = col
+    else:
+        for x, p in col.items():
+            have.setdefault(x, p)
+
+
 def _certify(
     ctx: GroupContext,
     ui: int = 0,
     wi: int = -1,
-    ones: dict[Pair, Coeffs] | None = None,
+    ones: Columns | None = None,
 ) -> list:
     """Check the P_xw over [u, w] and move the staged ones into
     ``tables.KL``; with wi < 0, over every comparable pair.
@@ -521,8 +546,9 @@ def _certify(
     ``_sums_at_q``).  The sweep also fills ``ones``, if given, with the
     interval R-sums of the pairs it covers.  A pair in ``tables.KL`` is
     read from there, even when empty (``_reader``), and never replaced by
-    its staged entry.  Raises RuntimeError naming the first faulty pair
-    not in ``tables.KL``, by w and then x, before moving anything.
+    its staged entry.  Staged entries move a column at a time, and a staged
+    column emptied is dropped.  Raises RuntimeError naming the first faulty
+    pair not in ``tables.KL``, by w and then x, before moving anything.
     """
     t = ctx.tables
     kl, staged = t.KL, t.staged
@@ -530,17 +556,19 @@ def _certify(
         _stage(ctx, w)
     faults = list(_kl_faults(ctx, _reader(t), ui, wi, ones))
     for x, w, _ in faults:
-        if (x, w) not in kl:
+        if x not in kl.get(w, ()):
             raise _kl_error(ctx, x, w)
     if wi < 0:
-        for key, p in staged.items():
-            kl.setdefault(key, p)
+        for w, col in staged.items():
+            _move(kl, w, col)
         staged.clear()
         return faults
-    for x in _between(ctx, ui, wi):
-        p = staged.pop((x, wi), None)
-        if p is not None:
-            kl.setdefault((x, wi), p)
+    col = staged.get(wi, {})
+    moved = {x: col.pop(x) for x in _between(ctx, ui, wi) if x in col}
+    if not col:
+        staged.pop(wi, None)
+    if moved:
+        _move(kl, wi, moved)
     return faults
 
 
@@ -550,15 +578,17 @@ def _kl_error(ctx: GroupContext, xi: int, wi: int) -> RuntimeError:
 
 def _kl(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
     """P_uw; () when u is not below w."""
-    res = ctx.tables.KL.get((ui, wi))
-    if res is not None:
-        return res
+    col = ctx.tables.KL.get(wi)
+    if col is not None:
+        res = col.get(ui)
+        if res is not None:
+            return res
     if ui == wi:
         return (1,)
     if not _le(ctx, ui, wi):
         return ()
     _certify(ctx, ui, wi)
-    return ctx.tables.KL[ui, wi]
+    return ctx.tables.KL[wi][ui]
 
 
 def _kl1(ctx: GroupContext, ui: int, wi: int) -> int:

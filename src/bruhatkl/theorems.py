@@ -84,7 +84,7 @@ from bruhatkl.bruhat import (
     le_masks,
     up_adjacency,
 )
-from bruhatkl.coxeter import Coeffs, GroupContext, Pair, word_of
+from bruhatkl.coxeter import Coeffs, Columns, GroupContext, Pair, word_of
 from bruhatkl.klr import (
     _certify,
     _Column,
@@ -300,14 +300,17 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
     lengths = ctx.lengths
     negated: dict[Coeffs, Coeffs] = {}  # R value -> -R, once per value
 
-    def signed(vi: int, wi: int) -> Coeffs:  # (-1)^l(v) R_vw
-        r = _r(ctx, vi, wi)
-        if not lengths[vi] % 2:
-            return r
-        neg = negated.get(r)
-        if neg is None:
-            neg = negated[r] = tuple(-c for c in r)
-        return neg
+    def signed(wi: int) -> Callable[[int], Coeffs]:  # v -> (-1)^l(v) R_vw
+        def entry(vi: int) -> Coeffs:
+            r = _r(ctx, vi, wi)
+            if not lengths[vi] % 2:
+                return r
+            neg = negated.get(r)
+            if neg is None:
+                neg = negated[r] = tuple(-c for c in r)
+            return neg
+
+        return entry
 
     bits, tops = _sums_at_q(ctx, signed)
     for wi, acc in tops:
@@ -487,7 +490,7 @@ def _check_deodhar(ctx: GroupContext) -> Walker:
 
 
 def _biconditional_check(
-    ctx: GroupContext, sums: dict[Pair, Coeffs], name: str, order: int
+    ctx: GroupContext, sums: Columns, name: str, order: int
 ) -> Walker:
     """Shared body of dvc_linear and nth2_quadratic.
 
@@ -505,10 +508,11 @@ def _biconditional_check(
     while col := (yield):
         wi = col.w
         reach = 0  # the OR of lower(x) over the x < w with strict excess
+        sums_w = sums[wi]
         for xi in col.below:
             if xi == wi:
                 continue
-            cs = sums[xi, wi]
+            cs = sums_w[xi]
             val = coeff.get(cs)
             if val is None:
                 val = coeff[cs] = sum(comb(k, order) * c for k, c in enumerate(cs))
@@ -534,13 +538,13 @@ def _biconditional_check(
     return _report(ctx, name, n, wit, {"singular_intervals": singular})
 
 
-def _check_dvc(ctx: GroupContext, sums: dict[Pair, Coeffs]) -> Walker:
+def _check_dvc(ctx: GroupContext, sums: Columns) -> Walker:
     """Linear (q-1)-coefficient of interval R-sums dominates l(x,w), with
     strictness somewhere iff the interval is singular."""
     return _biconditional_check(ctx, sums, "dvc_linear", 1)
 
 
-def _check_nth2(ctx: GroupContext, sums: dict[Pair, Coeffs]) -> Walker:
+def _check_nth2(ctx: GroupContext, sums: Columns) -> Walker:
     """Quadratic (q-1)-coefficient of interval R-sums dominates
     binomial(l(x,w), 2), with strictness somewhere iff singular."""
     return _biconditional_check(ctx, sums, "nth2_quadratic", 2)
@@ -789,7 +793,7 @@ def _check_strict_path(ctx: GroupContext) -> Walker:
 
 
 def _check_smoothness_equivalence(
-    ctx: GroupContext, sums: dict[Pair, Coeffs]
+    ctx: GroupContext, sums: Columns
 ) -> Walker:
     """Three singularity criteria agree on every interval: interval R-sums
     equal to q^l at every lower vertex, zero defect at every lower vertex,
@@ -801,11 +805,12 @@ def _check_smoothness_equivalence(
     while col := (yield):
         wi = col.w
         bad_sum = bad_df = 0  # the OR of lower(x) over the x < w failing
+        sums_w = sums[wi]
         for xi in col.below:
             if xi == wi:
                 continue
             ell = lengths[wi] - lengths[xi]
-            if sums[xi, wi] != (0,) * ell + (1,):
+            if sums_w[xi] != (0,) * ell + (1,):
                 bad_sum |= lower[xi]
             if col.defect(xi) != 0:
                 bad_df |= lower[xi]
@@ -936,7 +941,7 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
             )
         names = tuple(n for n in CHECK_NAMES if n in set(selection))
     reads_sums = not _READS_SUMS.isdisjoint(names)
-    sums: dict[Pair, Coeffs] | None = {} if reads_sums else None
+    sums: Columns | None = {} if reads_sums else None
     faults = None if _READS_KL.isdisjoint(names) else _certify(ctx, ones=sums)
     classes = None
     reports = {}

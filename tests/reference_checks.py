@@ -104,14 +104,40 @@ def sum_r_over(x: GroupElement, w: GroupElement):
     return acc
 
 
+def entries(table):
+    """The pair-keyed view {(x, w): value} of a table held by column,
+    {w: {x: value}}: R, Rt, KL and staged of ``Tables``, or the interval
+    R-sums of ``_sums_at_q``.  A new dict; changing it changes no table."""
+    return {(x, w): v for w, col in table.items() for x, v in col.items()}
+
+
+def plant(table, x, w, value):
+    """Set the entry (x, w) of a table held by column, its column made if new."""
+    table.setdefault(w, {})[x] = value
+
+
+def delete(table, x, w):
+    """Remove the entry (x, w) of a table held by column, and its column
+    if that empties it."""
+    col = table[w]
+    del col[x]
+    if not col:
+        del table[w]
+
+
+def f_one(w):
+    """The column w of F = 1, as ``_sums_at_q`` reads F: v -> (1,)."""
+    return lambda v: (1,)
+
+
 def interval_r_sums(ctx: GroupContext):
     """{(x, w): sum of R_xv over v in [x, w]} for every comparable pair,
     from R as it is now: the library's route, one whole-group
-    ``_sums_at_q`` sweep with F = 1, read back into ``ones``."""
+    ``_sums_at_q`` sweep with F = 1, read back from ``ones``."""
     out = {}
-    for _ in _sums_at_q(ctx, lambda v, w: (1,), ones=out)[1]:
+    for _ in _sums_at_q(ctx, f_one, ones=out)[1]:
         pass
-    return out
+    return entries(out)
 
 
 def _divide_by_q_minus_one(cs):

@@ -1,13 +1,23 @@
 """CLI tests: output shapes, JSON round-trips, exit-status contract."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from bruhatkl.bruhat import comparable_pairs, defect, neighborhood
-from bruhatkl.cli import main
-from bruhatkl.coxeter import build_group, parse_element, parse_group_spec, word_of
-from bruhatkl.klr import (
+sys.path.insert(0, str(Path(__file__).parent))
+from reference_checks import plant  # noqa: E402
+
+from bruhatkl.bruhat import comparable_pairs, defect, neighborhood  # noqa: E402
+from bruhatkl.cli import main  # noqa: E402
+from bruhatkl.coxeter import (  # noqa: E402
+    build_group,
+    parse_element,
+    parse_group_spec,
+    word_of,
+)
+from bruhatkl.klr import (  # noqa: E402
     _singular_rows,
     fill_tables,
     kl_at_one,
@@ -15,7 +25,7 @@ from bruhatkl.klr import (
     strict_edges,
     strict_path_to_smooth,
 )
-from bruhatkl.polynomial import IntPoly
+from bruhatkl.polynomial import IntPoly  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -231,7 +241,7 @@ def test_classify_stuck_singular_vertex_exits_1(monkeypatch, capsys):
     def corrupt(ctx):
         w = parse_element(ctx, "1 2 3 2 1 4 2 1 3")
         for v in neighborhood(parse_element(ctx, "1 2 4"), w):
-            ctx.tables.KL[v.index, w.index] = (1, 1)
+            plant(ctx.tables.KL, v.index, w.index, (1, 1))
 
     ctx = build_group(parse_group_spec("D4"))
     fill_tables(ctx, ("KL",))
@@ -255,7 +265,7 @@ def test_classify_row_with_p1_at_most_1_exits_2(monkeypatch, capsys):
     # P != 1 with P(1) = 0: no greedy path starts there
     def corrupt(ctx):
         e, w = ctx.identity, parse_element(ctx, "2 1 3 2")
-        ctx.tables.KL[e.index, w.index] = (1, -1)
+        plant(ctx.tables.KL, e.index, w.index, (1, -1))
 
     ctx = build_group(parse_group_spec("A3"))
     fill_tables(ctx, ("KL",))
@@ -283,8 +293,8 @@ def _poison(monkeypatch, kind, u, w, coeffs):
 
     def poisoned_build_group(datum, max_order):
         ctx = build_group(datum, max_order)
-        key = (parse_element(ctx, u).index, parse_element(ctx, w).index)
-        getattr(ctx.tables, kind)[key] = coeffs
+        ui, wi = parse_element(ctx, u).index, parse_element(ctx, w).index
+        plant(getattr(ctx.tables, kind), ui, wi, coeffs)
         return ctx
 
     monkeypatch.setattr("bruhatkl.cli.build_group", poisoned_build_group)
@@ -314,7 +324,7 @@ def test_empty_r_entry_fails_every_r_check_it_breaks(monkeypatch, capsys):
     def poisoned_build_group(datum, max_order):
         ctx = build_group(datum, max_order)
         fill_tables(ctx)
-        ctx.tables.R[0, 9] = ()
+        plant(ctx.tables.R, 0, 9, ())
         return ctx
 
     monkeypatch.setattr("bruhatkl.cli.build_group", poisoned_build_group)

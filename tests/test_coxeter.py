@@ -2,12 +2,14 @@
 
 import ast
 import doctest
+import gc
 import importlib
 import io
 import pkgutil
 import re
 import sys
 import tokenize
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from reference_matrices import (  # noqa: E402
 )
 
 import bruhatkl.coxeter  # noqa: E402
-from bruhatkl.bruhat import bruhat_le  # noqa: E402
+from bruhatkl.bruhat import bruhat_le, neighborhood  # noqa: E402
 from bruhatkl.coxeter import (  # noqa: E402
     _mul,
     build_group,
@@ -32,6 +34,7 @@ from bruhatkl.coxeter import (  # noqa: E402
     parse_group_spec,
     word_of,
 )
+from bruhatkl.klr import fill_tables  # noqa: E402
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -226,6 +229,28 @@ def test_context_mismatch():
     a2, b2 = ctx_for("A2"), ctx_for("B2")
     with pytest.raises(ValueError, match="context mismatch"):
         bruhat_le(a2.identity, b2.identity)
+
+
+def test_context_is_freed_by_reference_counting():
+    # the context stores ids, not elements, so no reference cycle keeps a
+    # dropped context (and its tables) alive until the cyclic collector runs
+    def use(ctx):
+        fill_tables(ctx)
+        up = neighborhood(ctx.identity, ctx.elements[-1])  # e -> t, t <= w0
+        assert sorted(x.index for x in up) == sorted(ctx.reflection_ids)
+        assert [word_of(x) for x in ctx.elements[:3]] == ["e", "1", "2"]
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = ctx_for("D4")
+        use(ctx)
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_descents():

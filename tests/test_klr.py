@@ -1,19 +1,30 @@
 """Tests for R/Rtilde/KL tables, f/h-vectors, smoothness, strict edges."""
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from kl_oracle import oracle_kl_table  # noqa: E402
-from reference_checks import add, interval_r_sums, mul, sum_r_over  # noqa: E402
+from reference_checks import (  # noqa: E402
+    add,
+    delete,
+    entries,
+    f_one,
+    interval_r_sums,
+    mul,
+    plant,
+    sum_r_over,
+)
 
 from bruhatkl.bruhat import (  # noqa: E402
     absolute_length,
     comparable_pairs,
     defect,
     interval,
+    le_masks,
 )
 from bruhatkl.coxeter import (  # noqa: E402
     build_group,
@@ -113,7 +124,7 @@ def test_r_rtilde_link_short_rt_entry_raises_positivity_error():
     ctx = build_group(parse_group_spec("A3"))
     fill_tables(ctx, ("R", "Rt"))
     w = ctx.elements[9]
-    ctx.tables.Rt[0, 9] = (0, 1)
+    plant(ctx.tables.Rt, 0, 9, (0, 1))
     with pytest.raises(RuntimeError, match="should be positive"):
         check_r_rtilde_link(ctx.identity, w)
 
@@ -153,7 +164,7 @@ def test_kl_matches_oracle_a3_b2():
                     kl_poly(ctx.identity, ctx.elements[wi])
                 assert ctx.tables.KL and ctx.tables.staged
             fill_tables(ctx, ("KL",))
-            assert ctx.tables.KL == oracle_kl_table(ctx)
+            assert entries(ctx.tables.KL) == oracle_kl_table(ctx)
             assert not ctx.tables.staged
 
 
@@ -210,7 +221,7 @@ def test_sums_at_q_with_f_one_matches_sum_r_over():
             assert sums[xi, wi] == sum_r_over(one.elements[xi], one.elements[wi])
     ctx = ctx_for("A3")
     for ui, wi in comparable_pairs(ctx):
-        bits, tops = _sums_at_q(ctx, lambda v, w: (1,), ui, wi)
+        bits, tops = _sums_at_q(ctx, f_one, ui, wi)
         ((top, acc),) = tops
         members = interval(ctx.elements[ui], ctx.elements[wi]).members
         assert top == wi and list(acc) == sorted(x.index for x in members)
@@ -250,8 +261,8 @@ def test_interval_r_sums_count_members_with_every_r_one():
     # M = n * max ||R|| * max ||F|| makes B wide enough for sums up to n
     ctx = build_group(parse_group_spec("A3"))
     fill_tables(ctx, ("R",))
-    for key in ctx.tables.R:
-        ctx.tables.R[key] = (1,)
+    for xi, wi in entries(ctx.tables.R):
+        plant(ctx.tables.R, xi, wi, (1,))
     counts = {
         (xi, wi): (len(interval(ctx.elements[xi], ctx.elements[wi]).members),)
         for xi, wi in comparable_pairs(ctx)
@@ -322,7 +333,7 @@ def test_one_shot_kl_poly_builds_masks_below_w_only():
             assert (0 in ctx.tables.le) == (wi != ctx.order - 1)
             built = [vi for vi, m in enumerate(ctx.tables.le) if m]
             assert all(ctx.tables.le[wi] >> vi & 1 for vi in built)
-            assert p.coeffs == filled.tables.KL[ui, wi]
+            assert p.coeffs == entries(filled.tables.KL)[ui, wi]
 
 
 def test_corrupt_staged_entry_fails_certificate():
@@ -332,12 +343,12 @@ def test_corrupt_staged_entry_fails_certificate():
         e, w = ctx.identity, parse_element(ctx, "2 1 3 2")
         _stage(ctx, w.index)
         key = (e.index, w.index)
-        assert ctx.tables.staged[key] == (1, 1)
+        assert entries(ctx.tables.staged)[key] == (1, 1)
         # P(0) = 1 and within the degree bound, so only the equation sees it
-        ctx.tables.staged[key] = (1, 2)
+        plant(ctx.tables.staged, *key, (1, 2))
         with pytest.raises(RuntimeError, match=r"\('e', '2 1 3 2'\) in A3"):
             certify(e, w)
-        assert key not in ctx.tables.KL
+        assert key not in entries(ctx.tables.KL)
         # [2, w] does not contain e: served, and checked, as before
         assert kl_poly(parse_element(ctx, "2"), w) == IntPoly([1, 1])
 
@@ -354,7 +365,7 @@ def test_empty_kl_entry_planted_after_its_column_fails_certificate():
         w = parse_element(ctx, "2 1 3 2")
         v = ctx.rmult[w.index][ctx.srd[w.index]]
         kl_poly(ctx.identity, ctx.elements[v])
-        ctx.tables.KL[ctx.identity.index, v] = ()
+        plant(ctx.tables.KL, ctx.identity.index, v, ())
         with pytest.raises(
             RuntimeError,
             match=r"^KL functional equation failed for \('e', '2 1 3 2'\) in A3$",
@@ -381,11 +392,11 @@ def test_poly_table_invariants():
     assert not ctx.tables.staged  # every staged entry was certified and moved
     pairs = set(comparable_pairs(ctx))
     for table in (ctx.tables.R, ctx.tables.Rt, ctx.tables.KL):
-        assert set(table) == pairs
-        assert all(table.values())
+        assert set(entries(table)) == pairs
+        assert all(entries(table).values())
     for ui, wi in pairs:
         p = r_poly(ctx.elements[ui], ctx.elements[wi])
-        assert p.coeffs == ctx.tables.R[ui, wi]
+        assert p.coeffs == entries(ctx.tables.R)[ui, wi]
         if ui == wi:
             assert p == IntPoly([1])
         else:
@@ -394,7 +405,8 @@ def test_poly_table_invariants():
 
 
 def _one_object_per_value(table):
-    return len({id(v) for v in table.values()}) == len(set(table.values()))
+    values = entries(table).values()
+    return len({id(v) for v in values}) == len(set(values))
 
 
 @pytest.mark.parametrize("spec", ["B3", "D4"])
@@ -402,7 +414,7 @@ def test_fill_holds_one_object_per_distinct_value(spec):
     ctx = build_group(parse_group_spec(spec))
     fill_tables(ctx)
     for table in (ctx.tables.R, ctx.tables.Rt, ctx.tables.KL):
-        assert len(set(table.values())) < len(table)
+        assert len(set(entries(table).values())) < len(entries(table))
         assert _one_object_per_value(table)
 
 
@@ -412,8 +424,24 @@ def test_one_shot_queries_hold_one_object_per_distinct_value():
         u, w = elements(ctx, u, w)
         r_poly(u, w), rtilde_poly(u, w), kl_poly(u, w)
     for table in (ctx.tables.R, ctx.tables.Rt, ctx.tables.KL):
-        assert len(set(table.values())) < len(table)
+        assert len(set(entries(table).values())) < len(entries(table))
         assert _one_object_per_value(table)
+
+
+@pytest.mark.parametrize("spec", ["B3", "A4", "D4"])
+def test_r_fill_allocates_under_64_bytes_per_entry(spec):
+    # one dict slot per entry in its column's dict: no (x, w) key tuple
+    ctx = build_group(parse_group_spec(spec))
+    le_masks(ctx)  # the masks are not the table
+    tracemalloc.start()
+    try:
+        fill_tables(ctx, ("R",))
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = len(entries(ctx.tables.R))
+    assert n == len(comparable_pairs(ctx))
+    assert allocated < 64 * n
 
 
 def test_r_step_is_keyed_by_value():
@@ -425,13 +453,13 @@ def test_r_step_is_keyed_by_value():
         e, s, ws, w = elements(ctx, "e", "1", "1 2", "1 2 1")
         assert ctx.rmult[w.index][ctx.srd[w.index]] == ws.index
         b = (7, 11, 13)
-        ctx.tables.R[s.index, ws.index] = a
-        ctx.tables.R[e.index, ws.index] = b
+        plant(ctx.tables.R, s.index, ws.index, a)
+        plant(ctx.tables.R, e.index, ws.index, b)
         step = add(mul((0, 1), a), mul((-1, 1), b))
         assert r_poly(e, w).coeffs == step
         results.append(step)
         # the same context, a third value: the memo is not keyed by pair
-        del ctx.tables.R[e.index, w.index]
-        ctx.tables.R[s.index, ws.index] = (1,)
+        delete(ctx.tables.R, e.index, w.index)
+        plant(ctx.tables.R, s.index, ws.index, (1,))
         assert r_poly(e, w).coeffs == add((0, 1), mul((-1, 1), b))
     assert results[0] != results[1]

@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from reference_checks import REFERENCE, interval_r_sums  # noqa: E402
+from reference_checks import (  # noqa: E402
+    REFERENCE,
+    entries,
+    f_one,
+    interval_r_sums,
+    plant,
+)
 
 from bruhatkl import klr, theorems  # noqa: E402
 from bruhatkl.bruhat import (  # noqa: E402
@@ -146,7 +152,7 @@ def test_kl_table_filled_only_for_checks_that_read_it():
     run_check("binomial_bounds", ctx)
     assert ctx.tables.KL == {}
     run_suite(ctx, ["brenti_scan", "kl_basics"])
-    assert sorted(ctx.tables.KL) == sorted(comparable_pairs(ctx))
+    assert sorted(entries(ctx.tables.KL)) == sorted(comparable_pairs(ctx))
     assert ctx.tables.staged == {}
 
 
@@ -164,9 +170,9 @@ def test_interval_r_sums_follow_r_between_runs():
         if ran_before:
             run_suite(ctx, SUM_CHECKS)
         ell = ctx.lengths[ctx.order - 1]
-        ctx.tables.R[0, ctx.order - 1] = tuple(
+        plant(ctx.tables.R, 0, ctx.order - 1, tuple(
             (-1) ** (ell - k) * comb(ell, k) for k in range(ell + 1)
-        )
+        ))
         reports.append([report_to_json(r) for r in run_suite(ctx, SUM_CHECKS)])
     assert reports[0] == reports[1]
     verdicts = {
@@ -182,7 +188,7 @@ def test_binomial_bounds_reports_short_r_entry(entry):
     ctx = build_group(parse_group_spec("A3"))
     fill_tables(ctx)
     assert ctx.lengths[9] - ctx.lengths[0] == 3
-    ctx.tables.R[0, 9] = entry
+    plant(ctx.tables.R, 0, 9, entry)
     report = run_check("binomial_bounds", ctx)
     assert report.stats["violations_total"] == 1
     assert report.witnesses[0].endswith(": shifted coeff 3 is 0, bounds [1, 1]")
@@ -195,8 +201,8 @@ def test_r_functional_equation_reports_short_r_entry(w, entry):
     ctx = build_group(parse_group_spec("A3"))
     fill_tables(ctx, ("R",))
     wi = parse_element(ctx, w).index
-    assert len(ctx.tables.R[0, wi]) == ctx.lengths[wi] + 1 > len(entry)
-    ctx.tables.R[0, wi] = entry
+    assert len(entries(ctx.tables.R)[0, wi]) == ctx.lengths[wi] + 1 > len(entry)
+    plant(ctx.tables.R, 0, wi, entry)
     report = run_check("r_functional_equation", ctx)
     assert report.stats["violations_total"] == 1
     assert report.witnesses == [
@@ -212,7 +218,7 @@ def test_r_functional_equation_reads_long_r_entry_as_a_polynomial(entry, violati
     ctx = build_group(parse_group_spec("A3"))
     fill_tables(ctx, ("R",))
     wi = parse_element(ctx, "1").index
-    ctx.tables.R[0, wi] = entry
+    plant(ctx.tables.R, 0, wi, entry)
     report = run_check("r_functional_equation", ctx)
     assert report.stats["violations_total"] == violations
     assert report.witnesses == [
@@ -228,7 +234,8 @@ def test_r_level_verdicts_are_keyed_by_a_and_l_not_by_r_alone():
     fill_tables(ctx, ("R", "Rt"))
     right, wrong = parse_element(ctx, "1").index, parse_element(ctx, "1 2").index
     value = (-1, 1)
-    ctx.tables.R[0, right] = ctx.tables.R[0, wrong] = value
+    plant(ctx.tables.R, 0, right, value)
+    plant(ctx.tables.R, 0, wrong, value)
     expected = {
         "shifted_nonneg": "u='e' w='1 2': shifted (0, 1), a = 2",
         "divisibility_order": "u='e' w='1 2': multiplicity 1, a = 2",
@@ -265,8 +272,8 @@ def test_fresh_run_suite_makes_one_kl_sweep(monkeypatch):
 def test_sabotaged_kl_entry_fails_kl_basics():
     ctx = build_group(parse_group_spec("A3"))  # fresh, private to this test
     assert run_check("kl_basics", ctx).passed
-    key = next(k for k, v in ctx.tables.KL.items() if v == (1, 1))
-    ctx.tables.KL[key] = (1, 2)
+    key = next(k for k, v in entries(ctx.tables.KL).items() if v == (1, 1))
+    plant(ctx.tables.KL, *key, (1, 2))
     report = run_check("kl_basics", ctx)
     assert not report.passed
     assert report.witnesses and report.stats["violations_total"] >= 1
@@ -276,9 +283,9 @@ def test_sabotaged_r_entries_fail_with_witness_cap():
     ctx = build_group(parse_group_spec("A3"))
     assert run_check("r_basics", ctx).passed
     poisoned = 0
-    for (ui, wi), v in sorted(ctx.tables.R.items()):
+    for (ui, wi), v in sorted(entries(ctx.tables.R).items()):
         if ui != wi and len(v) >= 2:
-            ctx.tables.R[ui, wi] = v[:-1] + (2,)  # no longer monic
+            plant(ctx.tables.R, ui, wi, v[:-1] + (2,))  # no longer monic
             poisoned += 1
             if poisoned == 25:
                 break
@@ -301,7 +308,7 @@ def test_kl_basics_reports_out_of_bound_entry_inside_interval():
     # accumulator of every pair (u, w) below it
     ctx = build_group(parse_group_spec("A3"))
     fill_tables(ctx)
-    ctx.tables.KL[2, 2] = (1, 1)
+    plant(ctx.tables.KL, 2, 2, (1, 1))
     report = run_check("kl_basics", ctx)
     assert not report.passed
     assert report.witnesses == [
@@ -317,9 +324,9 @@ def test_le1_le2_le3_reports_wrong_length_r_entry(entry, second):
     ctx = build_group(parse_group_spec("A3"))
     fill_tables(ctx)
     assert ctx.lengths[9] - ctx.lengths[0] == 3
-    assert ctx.tables.R[0, 9] == (-1, 2, -2, 1)  # an edge pair
-    ctx.tables.R[0, 9] = entry
-    ctx.tables.Rt[0, 9] = (0, 2)  # the Rt check still runs on this pair
+    assert entries(ctx.tables.R)[0, 9] == (-1, 2, -2, 1)  # an edge pair
+    plant(ctx.tables.R, 0, 9, entry)
+    plant(ctx.tables.Rt, 0, 9, (0, 2))  # the Rt check still runs on this pair
     report = run_check("le1_le2_le3", ctx)
     assert not report.passed
     assert report.stats["violations_total"] == 3
@@ -367,11 +374,11 @@ def _plant_kl_coset(ctx):
                         if rmult[x][s] not in coset:
                             coset.add(rmult[x][s])
                             todo.append(rmult[x][s])
-                p = ctx.tables.KL[top, w]
+                p = entries(ctx.tables.KL)[top, w]
                 p += (0,) * (2 - len(p))
                 wrong = (p[0], p[1] + 1) + p[2:]  # + q
                 for x in coset:
-                    ctx.tables.KL[x, w] = wrong
+                    plant(ctx.tables.KL, x, w, wrong)
                 return w, sorted(coset)
     raise AssertionError(f"no coset to plant in {ctx.name}")
 
@@ -387,30 +394,33 @@ def _corrupt(ctx, kind):
     (see ``_plant_kl_coset``)."""
     t = ctx.tables
     if kind == "r_plus_one":
-        keys = sorted(k for k in t.R if k[0] != k[1])
+        r = entries(t.R)
+        keys = sorted(k for k in r if k[0] != k[1])
         for k in keys[:: max(1, len(keys) // 6)]:
-            v = t.R[k]
-            t.R[k] = (v[0] + 1,) + v[1:]
+            v = r[k]
+            plant(t.R, *k, (v[0] + 1,) + v[1:])
     elif kind == "r_times_1e6":
         k = (0, ctx.order - 1)
-        v = list(t.R[k])
+        v = list(entries(t.R)[k])
         j = max(range(len(v)), key=lambda i: abs(v[i]))
         v[j] *= 10**6
-        t.R[k] = tuple(v)
+        plant(t.R, *k, tuple(v))
     elif kind == "kl":
-        keys = sorted(k for k in t.KL if k[0] != k[1])
+        kl = entries(t.KL)
+        keys = sorted(k for k in kl if k[0] != k[1])
         for i, k in enumerate(keys[:: max(1, len(keys) // 6)]):
-            p = t.KL[k]
-            t.KL[k] = (p[0] + 1,) + p[1:] if i % 2 else p + (1,)
+            p = kl[k]
+            plant(t.KL, *k, (p[0] + 1,) + p[1:] if i % 2 else p + (1,))
         w = keys[len(keys) // 2][1]
-        t.KL[w, w] = (1, 1)
+        plant(t.KL, w, w, (1, 1))
         # larger at 1 than every P_vw = 1 above it, not larger coefficientwise
-        t.KL[0, ctx.order - 1] = (0, 2)
+        plant(t.KL, 0, ctx.order - 1, (0, 2))
     elif kind == "rt":
         # entries with a < l: the lowest support coefficient q^a is not the top
-        keys = sorted(k for k, v in t.Rt.items() if sum(map(bool, v)) > 1)
+        rt = entries(t.Rt)
+        keys = sorted(k for k, v in rt.items() if sum(map(bool, v)) > 1)
         for i, k in enumerate(keys[:: max(1, len(keys) // 8)]):
-            v = list(t.Rt[k])
+            v = list(rt[k])
             a = next(j for j, c in enumerate(v) if c)
             if i % 4 == 0:  # R rebuilt from Rt differs
                 v[a] += 2
@@ -420,16 +430,16 @@ def _corrupt(ctx, kind):
                 v[0] += 1
             else:  # a negative coefficient
                 v[0] -= 1
-            t.Rt[k] = tuple(v)
+            plant(t.Rt, *k, tuple(v))
     elif kind == "kl_coset":
         _plant_kl_coset(ctx)
     elif kind == "r_after_run":
         for name in R_LEVEL:
             run_check(name, ctx)
         ell = ctx.lengths[ctx.order - 1]
-        t.R[0, ctx.order - 1] = tuple(
+        plant(t.R, 0, ctx.order - 1, tuple(
             (-1) ** (ell - k) * comb(ell, k) for k in range(ell + 1)
-        )
+        ))
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
@@ -476,12 +486,12 @@ def _plant_stuck_vertex(ctx, s, w):
     # classify's stuck-vertex case: every out-neighbor of the singular s
     # below w (P_sw = 1 + q) gets P(1) = 2 too, so s has no strict edge
     for v in neighborhood(s, w):
-        ctx.tables.KL[v.index, w.index] = (1, 1)
+        plant(ctx.tables.KL, v.index, w.index, (1, 1))
 
 
 def _plant_p1_at_most_1(ctx, s, w):
     # P_sw != 1 with P_sw(1) = 0: greedy paths from below end at s
-    ctx.tables.KL[s.index, w.index] = (1, -1)
+    plant(ctx.tables.KL, s.index, w.index, (1, -1))
 
 
 @pytest.mark.parametrize(
@@ -568,17 +578,18 @@ def _plant_both_sides(ctx):
     fill_tables(ctx)
     top = ctx.order - 1
     ell = ctx.lengths[top]
-    ctx.tables.R[0, top] = tuple(
+    plant(ctx.tables.R, 0, top, tuple(
         (-1) ** (ell - k) * comb(ell, k) for k in range(ell + 1)
-    )
+    ))
+    kl = entries(ctx.tables.KL)
     smooth = [
         (u, w)
         for w in range(top)
         for u in range(w)
-        if ctx.tables.KL.get((u, w)) == (1,) and ctx.lengths[w] - ctx.lengths[u] >= 3
+        if kl.get((u, w)) == (1,) and ctx.lengths[w] - ctx.lengths[u] >= 3
     ]
     for key in smooth[:25]:
-        ctx.tables.KL[key] = (1, 1)
+        plant(ctx.tables.KL, *key, (1, 1))
 
 
 def test_biconditional_lists_inequality_side_before_equivalence_side():
@@ -612,11 +623,11 @@ def test_joint_walk_matches_single_checks_on_greedy_path_corruptions(plant):
     assert not all(r["passed"] for r in joint)
 
 
-@pytest.mark.parametrize("spec, plant", [
+@pytest.mark.parametrize("spec, planted", [
     ("A3", False), ("B3", False), ("D4", False), ("A3", True),
 ])
 def test_fresh_run_suite_shares_its_certificate_sweep_with_the_r_sums(
-    monkeypatch, spec, plant
+    monkeypatch, spec, planted
 ):
     # a fresh run_suite makes two sweeps, the certificate (F = P, which
     # also yields the interval R-sums, F = 1) and r_alternating_sum's
@@ -634,18 +645,18 @@ def test_fresh_run_suite_shares_its_certificate_sweep_with_the_r_sums(
     monkeypatch.setattr(theorems, "_sums_at_q", counted)
     ctx = build_group(parse_group_spec(spec))
     top = ctx.order - 1
-    if plant:
+    if planted:
         # P(e, w0) with a huge coefficient: its fault is reported, as the
         # entry is already in KL, and its norm raises the certificate's B
-        ctx.tables.KL[0, top] = (1, 10**6)
+        plant(ctx.tables.KL, 0, top, (1, 10**6))
     reports = {r.check_name: r for r in run_suite(ctx)}
     assert len(sweeps) == 2
     ((shared, bits),) = [(ones, b) for ones, b in sweeps if ones is not None]
     monkeypatch.undo()
-    assert shared == interval_r_sums(ctx)
-    assert len(shared) == theorems._pair_count(ctx)
-    if plant:
-        own_bits = klr._sums_at_q(ctx, lambda v, w: (1,))[0]
+    assert entries(shared) == interval_r_sums(ctx)
+    assert len(entries(shared)) == theorems._pair_count(ctx)
+    if planted:
+        own_bits = klr._sums_at_q(ctx, f_one)[0]
         assert bits > own_bits + 10  # B grows with ||P||_1 = 10^6 + 1
         assert reports["kl_basics"].witnesses == [
             f"u='e' w='{word_of(ctx.elements[top])}': functional equation fails"
