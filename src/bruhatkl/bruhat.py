@@ -243,7 +243,9 @@ def interval(u: GroupElement, w: GroupElement) -> IntervalData:
     Members, in id order, are found by a breadth-first walk from u over
     Bruhat-graph edges that stays inside the lower cone of w: v >= u means
     a directed path from u to v exists, and when v <= w every vertex on it
-    lies in [u, w], so the walk reaches exactly the interval.
+    lies in [u, w], so the walk reaches exactly the interval, and the
+    depth at which it reaches w is the absolute length a(u, w).  Builds
+    the Bruhat-graph rows of the members only.
     """
     if not bruhat_le(u, w):
         raise ValueError(
@@ -251,22 +253,22 @@ def interval(u: GroupElement, w: GroupElement) -> IntervalData:
         )
     ctx = u.ctx
     lower = _lower(ctx, w.index)
-    seen = {u.index}
+    dist = {u.index: 0}
     queue = [u.index]
     for xi in queue:  # grows while iterated: a breadth-first walk
         for vi in _out_below(ctx, xi, lower):
-            if vi not in seen:
-                seen.add(vi)
+            if vi not in dist:
+                dist[vi] = dist[xi] + 1
                 queue.append(vi)
     elements = ctx.elements
-    members = [elements[vi] for vi in sorted(seen)]
+    members = [elements[vi] for vi in sorted(dist)]
     nbhd = neighborhood(u, w)
     return IntervalData(
         bottom=u,
         top=w,
         members=members,
         edges=bruhat_edges(members),
-        abs_len=absolute_length(u, w),
+        abs_len=dist[w.index],
         nbhd=nbhd,
         defect=len(nbhd) - (w.length - u.length),
     )

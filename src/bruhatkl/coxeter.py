@@ -233,13 +233,15 @@ class Tables:
     lower-cone masks ``le`` and the Bruhat-graph rows ``up`` and ``down``
     are per element and may be partly built: a mask 0 (every cone
     contains e, so no built mask is 0) or a row None is not built yet.
-    The R, Rt, KL and staged tables are ``Columns``: one dict per top w,
+    The R, Rt and KL tables are ``Columns``: one dict per top w,
     {w: {x: value}}, so an entry costs one slot of its column's dict and
     no (x, w) key tuple (38-54 bytes per R entry on B3, A4 and D4, 83-93
     with pair keys).  They hold comparable pairs only (incomparable probes
-    are answered by the order test, not stored), a column is made with its
-    first entry, and KL holds only entries that passed ``klr._certify``,
-    which tests them with ``klr._kl_faults``.  These tables hold few
+    are answered by the order test, not stored), and a column is made with
+    its first entry.  KL holds every P_xw the recursion computed, and
+    ``pending`` marks, per column, the ones ``klr._certify`` has not yet
+    passed: those are read by the recursion and the check but served by no
+    reader (``klr._kl``).  These tables hold few
     distinct values (37 R polynomials over D4's 9,817 comparable pairs, 436
     over F4's 396,809), so every value they are filled with is the one
     tuple of ``pool`` equal to it, and the arithmetic on values is
@@ -261,16 +263,15 @@ class Tables:
     down: list[tuple[int, ...] | None] | None = None  # bruhat._row; in-neighbors
     R: Columns = field(default_factory=dict)  # klr._r, kind "R"; R[w][x] = R_xw
     Rt: Columns = field(default_factory=dict)  # klr._r, kind "Rt"
-    KL: Columns = field(default_factory=dict)  # klr._certify; KL[w][x] = P_xw
-    # P_xw computed by the KL recursion and not yet checked; klr._certify
-    # moves an entry from here into KL once klr._kl_faults finds no fault
-    # on the interval or group it sweeps, never replacing an entry in KL,
-    # and drops a column it empties
-    staged: Columns = field(default_factory=dict)  # klr._stage
+    KL: Columns = field(default_factory=dict)  # klr._stage; KL[w][x] = P_xw
+    # by top id w: the mask of the x whose P_xw klr._stage put into KL[w]
+    # and klr._certify has not yet passed; no key w when there are none.
+    # A column staged whole holds its lower-cone mask itself, le[w]
+    pending: dict[int, int] = field(default_factory=dict)  # klr._stage
     # mu-list by top id w: (x, mu(x, w)) for each x < w with mu(x, w) != 0;
     # a key w present means the column of w has been staged
     mu: dict[int, list[tuple[int, int]]] = field(default_factory=dict)  # klr._stage
-    # one canonical tuple per distinct value filled into R, Rt, KL or staged
+    # one canonical tuple per distinct value filled into R, Rt or KL
     pool: dict[Coeffs, Coeffs] = field(default_factory=dict)  # klr._intern
     # (kind, a, b) -> top * a + side * b, the kind's recursion step
     steps: dict[tuple[str, Coeffs, Coeffs], Coeffs] = field(

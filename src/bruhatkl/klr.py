@@ -21,13 +21,13 @@ P_{., w} at a time by the Kazhdan-Lusztig recursion (Invent. Math. 53,
            - sum over z with zs < z of mu(z,v) q^((l(w)-l(z))/2) P_{x,z}
 
 where mu(z,v) is the coefficient of q^((l(z,v)-1)/2) in P_zv.  A column
-goes first into ``tables.staged``; ``tables.KL`` receives an entry only
-after ``_kl_faults`` has found no fault on the whole interval [u, w]
-asked for, or on the whole group in ``fill_tables`` (see ``_certify``).
-It tests P_ww = 1, P(0) = 1, the degree bound and the functional
-equation, the last exactly at q = 2^B through the interval sums of
-``_sums_at_q``.  So every KL value served has passed the check, whatever
-the recursion computed.
+goes into ``tables.KL`` with its entries marked in ``tables.pending``;
+an entry is served only once its mark is cleared, after ``_kl_faults``
+has found no fault on the whole interval [u, w] asked for, or on the
+whole group in ``fill_tables`` (see ``_certify``).  It tests P_ww = 1,
+P(0) = 1, the degree bound and the functional equation, the last exactly
+at q = 2^B through the interval sums of ``_sums_at_q``.  So every KL
+value served has passed the check, whatever the recursion computed.
 
 Over the whole group, the sums are swept only for the right-extremal
 pairs, D_R(w) in D_R(x) (du Cloux, Experiment. Math. 11, 2002; Bjorner
@@ -43,13 +43,13 @@ The reduction is only on the right.  The two-sided one, D_L(w) in D_L(x)
 as well, would sweep 2.2% of D4's triples and 2.6% of B4's (8.2% and
 10.6% on the right alone), but needs premises on the left too.
 
-The tables are the ``R``, ``Rt``, ``KL``, ``staged`` and ``mu`` fields
-of the owning context's ``ctx.tables``.  The first four hold comparable
+The tables are the ``R``, ``Rt``, ``KL``, ``pending`` and ``mu`` fields
+of the owning context's ``ctx.tables``.  The first three hold comparable
 pairs only, one dict per top w keyed by x (``coxeter.Columns``), so a
-sweep resolves a column once and then reads its entries by x; ``mu`` is
-keyed by w.  They are filled lazily (one thread at a time), and nothing
-else mutates them.  Coefficients are Python integers throughout,
-so nothing can overflow.
+sweep resolves a column once and then reads its entries by x; ``pending``
+and ``mu`` are keyed by w.  They are filled lazily (one thread at a
+time), and nothing else mutates them.  Coefficients are Python integers
+throughout, so nothing can overflow.
 
 The tables hold few distinct values (81 R polynomials over A5's 98,407
 comparable pairs), so each value is held once: every entry filled in is
@@ -178,31 +178,27 @@ def _between(ctx: GroupContext, ui: int, wi: int) -> Iterator[int]:
 
 
 def _reader(t: Tables) -> Callable[[int], Callable[[int], Coeffs]]:
-    """The KL column reader: w -> (v -> P_vw), P_vw read from ``t.KL`` if
-    v is in the column there, even empty, else from ``t.staged``.  Each
-    call resolves the two columns of w once, for all the v read from it."""
-    kl, staged = t.KL, t.staged
-
-    def column(w: int) -> Callable[[int], Coeffs]:
-        k, s = kl.get(w, {}), staged.get(w, {})
-        if not k or not s:
-            return (k or s).__getitem__
-        return lambda v: k[v] if v in k else s[v]
-
-    return column
+    """The KL column reader: w -> (v -> P_vw), read from ``t.KL``, pending
+    or not.  Each call resolves the column of w once, for all the v read
+    from it."""
+    kl = t.KL
+    return lambda w: kl[w].__getitem__
 
 
 def _stage(ctx: GroupContext, wi: int) -> None:
     """Stage the KL column of w, and first every column it needs.
 
-    Fills the column w of ``tables.staged`` with P_xw for every x <= w, by
-    the recursion in the module docstring, and ``tables.mu`` with the
-    mu-list of w: the pairs (x, mu(x, w)) with mu(x, w) != 0.  Entries of
-    columns already moved into ``tables.KL`` are read from there
-    (``_reader``).  Reads only the masks of elements below w.
+    Computes P_xw for every x <= w by the recursion in the module
+    docstring, and fills ``tables.mu`` with the mu-list of w: the pairs
+    (x, mu(x, w)) with mu(x, w) != 0.  Puts into the column w of
+    ``tables.KL`` each P_xw whose x is not there yet and sets its bit in
+    ``tables.pending``; an entry already there, for a pair below w or
+    not, is kept, read in place of the computed one, and not marked.  A
+    column put in whole takes the mask le[w] as its pending mask.  Reads
+    only the masks of elements below w.
     """
     t = ctx.tables
-    staged, mu, column = t.staged, t.mu, _reader(t)
+    kl, pending, mu, column = t.KL, t.pending, t.mu, _reader(t)
     rmult, lengths, srd = ctx.rmult, ctx.lengths, ctx.srd
     stack = [wi]
     while stack:
@@ -212,54 +208,59 @@ def _stage(ctx: GroupContext, wi: int) -> None:
             continue
         s = srd[w]
         if s < 0:  # w = e
-            staged[w] = {w: _intern(t, (1,))}
-            mu[w] = []
-            continue
-        v = rmult[w][s]
-        if v not in mu:
-            stack.append(v)
-            continue
-        terms = [(z, m) for z, m in mu[v] if lengths[rmult[z][s]] < lengths[z]]
-        missing = [z for z, _ in terms if z not in mu]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        lw = lengths[w]
-        lower_v, pv = _lower(ctx, v), column(v)
-        below = list(iter_bits(_lower(ctx, w)))
-        col: dict[int, list[int]] = {}  # x with xs < x
-        for x in below:
-            xs = rmult[x][s]
-            if lengths[xs] > lengths[x]:
+            ps, mus = {w: _intern(t, (1,))}, []
+        else:
+            v = rmult[w][s]
+            if v not in mu:
+                stack.append(v)
                 continue
-            out = [0] * ((lw - lengths[x]) // 2 + 1)
-            for i, c in enumerate(pv(xs)):
-                out[i] += c
-            if lower_v >> x & 1:
-                for i, c in enumerate(pv(x), 1):
+            terms = [(z, m) for z, m in mu[v] if lengths[rmult[z][s]] < lengths[z]]
+            missing = [z for z, _ in terms if z not in mu]
+            if missing:
+                stack.extend(missing)
+                continue
+            lw = lengths[w]
+            lower_v, pv = _lower(ctx, v), column(v)
+            below = list(iter_bits(_lower(ctx, w)))
+            col: dict[int, list[int]] = {}  # x with xs < x
+            for x in below:
+                xs = rmult[x][s]
+                if lengths[xs] > lengths[x]:
+                    continue
+                out = [0] * ((lw - lengths[x]) // 2 + 1)
+                for i, c in enumerate(pv(xs)):
                     out[i] += c
-            col[x] = out
-        for z, m in terms:
-            shift = (lw - lengths[z]) // 2
-            pz = column(z)
-            for x in iter_bits(_lower(ctx, z)):
-                out = col.get(x)
-                if out is not None:
-                    for i, c in enumerate(pz(x), shift):
-                        out[i] -= m * c
-        done = {x: _intern(t, _trim(out)) for x, out in col.items()}
-        mus = []
-        ps = staged[w] = {}
-        for x in below:
-            p = done.get(x)
-            if p is None:  # xs > x: P_xw = P_{xs,w}
-                p = done[rmult[x][s]]
-            ps[x] = p
-            d = lw - lengths[x] - 1
-            if d % 2 == 0 and len(p) > d // 2 and p[d // 2]:
-                mus.append((x, p[d // 2]))
-        mu[w] = mus
+                if lower_v >> x & 1:
+                    for i, c in enumerate(pv(x), 1):
+                        out[i] += c
+                col[x] = out
+            for z, m in terms:
+                shift = (lw - lengths[z]) // 2
+                pz = column(z)
+                for x in iter_bits(_lower(ctx, z)):
+                    out = col.get(x)
+                    if out is not None:
+                        for i, c in enumerate(pz(x), shift):
+                            out[i] -= m * c
+            done = {x: _intern(t, _trim(out)) for x, out in col.items()}
+            mus, ps = [], {}
+            for x in below:
+                p = done.get(x)
+                if p is None:  # xs > x: P_xw = P_{xs,w}
+                    p = done[rmult[x][s]]
+                ps[x] = p
+                d = lw - lengths[x] - 1
+                if d % 2 == 0 and len(p) > d // 2 and p[d // 2]:
+                    mus.append((x, p[d // 2]))
+        mu[w] = mus  # w is popped at the next turn
+        have = kl.setdefault(w, ps)
+        if have is ps:
+            pending[w] = _lower(ctx, w)
+            continue
+        new = {x: p for x, p in ps.items() if x not in have}
+        if new:
+            have.update(new)
+            pending[w] = sum(1 << x for x in new)
 
 
 def _at(cs: Coeffs, bits: int) -> int:
@@ -379,7 +380,7 @@ def _sums_at_q(
     which then obeys its recursion at every descent.  If either fails
     anywhere, every top is swept over every x, as the interval sweep always
     is.  The columns of v cut down to the coset tops of one D_R(w) are
-    built on first use and kept for the rest of the sweep.
+    built on first use and kept until the last top w with that D_R(w).
 
     If ``ones`` is a dict, the same sweep also writes into it, as
     ones[w][x] for every pair (x, w) it yields, the coefficients of the
@@ -419,15 +420,16 @@ def _sums_at_q(
     def sums() -> Iterator[tuple[int, dict[int, int]]]:
         digits: dict[int, Coeffs] = {}  # S_1(Q) -> its coefficients
         # D_R(w) -> its coset tops, which x are their own, and the columns
-        # cut down to those x
+        # cut down to those x, dropped after the last top w of D_R(w)
         cosets: dict[int, tuple] = {0: (None, None, rcols)}
+        last = {} if desc is None else {d: w for w, d in enumerate(desc)}
         for w in tops:
             vs = rcols[w][0]
             d = desc[w] if desc is not None else 0
             if d not in cosets:
                 cos = _coset_tops(ctx, d)
                 cosets[d] = cos, [x == t for x, (t, _) in enumerate(cos)], {}
-            cos, is_top, cols = cosets[d]
+            cos, is_top, cols = cosets.pop(d) if last.get(d) == w else cosets[d]
             own = vs if cos is None else list(compress(vs, map(is_top.__getitem__, vs)))
             acc = dict.fromkeys(own, 0)
             acc1 = dict.fromkeys(own, 0) if ones is not None else None
@@ -518,25 +520,14 @@ def _kl_faults(
                     yield x, w, "functional equation fails"
 
 
-def _move(kl: Columns, wi: int, col: dict[int, Coeffs]) -> None:
-    """Add the entries of col to the column w of kl, replacing none there;
-    col itself becomes that column if kl has none."""
-    have = kl.get(wi)
-    if have is None:
-        kl[wi] = col
-    else:
-        for x, p in col.items():
-            have.setdefault(x, p)
-
-
 def _certify(
     ctx: GroupContext,
     ui: int = 0,
     wi: int = -1,
     ones: Columns | None = None,
 ) -> list:
-    """Check the P_xw over [u, w] and move the staged ones into
-    ``tables.KL``; with wi < 0, over every comparable pair.
+    """Check the P_xw over [u, w] and clear their ``tables.pending``
+    bits; with wi < 0, over every comparable pair.
 
     Stages the columns of the tops first if needed, then runs one
     ``_kl_faults`` sweep and returns its faults, also on a table already
@@ -544,31 +535,24 @@ def _certify(
     tops x*, D_R(w) in D_R(x*), when its two premises hold, and for every
     pair otherwise; the faults are the same either way (see
     ``_sums_at_q``).  The sweep also fills ``ones``, if given, with the
-    interval R-sums of the pairs it covers.  A pair in ``tables.KL`` is
-    read from there, even when empty (``_reader``), and never replaced by
-    its staged entry.  Staged entries move a column at a time, and a staged
-    column emptied is dropped.  Raises RuntimeError naming the first faulty
-    pair not in ``tables.KL``, by w and then x, before moving anything.
+    interval R-sums of the pairs it covers.  Raises RuntimeError naming
+    the first faulty pair whose pending bit is set, by w and then x,
+    before clearing any bit.
     """
     t = ctx.tables
-    kl, staged = t.KL, t.staged
+    pending = t.pending
     for w in range(ctx.order) if wi < 0 else (wi,):
         _stage(ctx, w)
     faults = list(_kl_faults(ctx, _reader(t), ui, wi, ones))
     for x, w, _ in faults:
-        if x not in kl.get(w, ()):
+        if pending.get(w, 0) >> x & 1:
             raise _kl_error(ctx, x, w)
     if wi < 0:
-        for w, col in staged.items():
-            _move(kl, w, col)
-        staged.clear()
-        return faults
-    col = staged.get(wi, {})
-    moved = {x: col.pop(x) for x in _between(ctx, ui, wi) if x in col}
-    if not col:
-        staged.pop(wi, None)
-    if moved:
-        _move(kl, wi, moved)
+        pending.clear()
+    elif wi in pending:
+        left = pending.pop(wi) & ~sum(1 << x for x in _between(ctx, ui, wi))
+        if left:
+            pending[wi] = left
     return faults
 
 
@@ -577,11 +561,13 @@ def _kl_error(ctx: GroupContext, xi: int, wi: int) -> RuntimeError:
 
 
 def _kl(ctx: GroupContext, ui: int, wi: int) -> Coeffs:
-    """P_uw; () when u is not below w."""
-    col = ctx.tables.KL.get(wi)
+    """P_uw; () when u is not below w.  An entry still pending is
+    certified first."""
+    t = ctx.tables
+    col = t.KL.get(wi)
     if col is not None:
         res = col.get(ui)
-        if res is not None:
+        if res is not None and not t.pending.get(wi, 0) >> ui & 1:
             return res
     if ui == wi:
         return (1,)
@@ -601,7 +587,7 @@ class _Column:
     by increasing id, ``ps`` = {x: P_xw} and ``p1`` = {x: P_xw(1)} (None
     without ``kl``), and the out-neighbors below w of each x, built on its
     first read and then kept (``out``).  Each P is read once, through
-    ``_kl``, so a column not yet in ``tables.KL`` is certified first."""
+    ``_kl``, so a column still pending is certified first."""
 
     __slots__ = ("ctx", "w", "lower", "below", "ps", "p1", "_out")
 

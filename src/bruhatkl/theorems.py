@@ -39,24 +39,24 @@ way.  kl_monotone and mono_equiv group each KL column by value and
 decide each pair of values once; every triple is still counted, and
 reported if it fails.
 
-Ten R-level checks (``_READS_CLASSES``: r_basics, r_functional_equation,
-r_derivative_edge, shifted_nonneg, divisibility_order, fh_structure,
-boolean_criterion, binomial_bounds, brenti_scan, le1_le2_le3) read a pair
-only through its key (R_uw, Rt_uw, a(u,w), l(u,w), u -> w), and the
-tables hold few keys (37 over D4's 9,817 comparable pairs).  So
-``run_suite`` groups the pairs by key once per call, in one pass over the
-lower-cone masks (``_r_classes``), from the tables as they are then,
-and passes the classes to each of the ten, which decides each class once.
-Counts and stats come from the class sizes; only a failing class's pairs
-are walked, merged in pair order, to write the witnesses a sweep of the
-pairs one at a time would write.  le1_le2_le3 still counts the length-2
-paths of each pair with a(u,w) = 2, the one part of a verdict that the
-key does not fix.  R's (q-1)-expansion is read through ``klr._shifted``,
-once per R value.
+Ten R-level checks (reading "classes" in ``_REGISTRY``: r_basics,
+r_functional_equation, r_derivative_edge, shifted_nonneg,
+divisibility_order, fh_structure, boolean_criterion, binomial_bounds,
+brenti_scan, le1_le2_le3) read a pair only through its key (R_uw, Rt_uw,
+a(u,w), l(u,w), u -> w), and the tables hold few keys (37 over D4's
+9,817 comparable pairs).  So ``run_suite`` groups the pairs by key once
+per call, in one pass over the lower-cone masks (``_r_classes``), from
+the tables as they are then, and passes the classes to each of the ten,
+which decides each class once.  Counts and stats come from the class
+sizes; only a failing class's pairs are walked, merged in pair order, to
+write the witnesses a sweep of the pairs one at a time would write.
+le1_le2_le3 still counts the length-2 paths of each pair with
+a(u,w) = 2, the one part of a verdict that the key does not fix.  R's
+(q-1)-expansion is read through ``klr._shifted``, once per R value.
 
-The ten column checks (``_WALKS``: deodhar and the KL-level checks but
-kl_basics) share one walk over the tops w per ``run_suite`` call
-(``_walk``).  For each w it builds one ``klr._Column``: lower(w), P_xw
+The ten column checks (reading "column", "kl" or "sums" in
+``_REGISTRY``: deodhar and the KL-level checks but kl_basics) share one
+walk over the tops w per ``run_suite`` call (``_walk``).  For each w it builds one ``klr._Column``: lower(w), P_xw
 and P_xw(1) for each x <= w, each read once, and each x's out-neighbors
 below w, built at most once per (x, w); deodhar's defects are
 len(out-neighbors) - l(x, w).  Only one column is held at a time, and a
@@ -830,14 +830,15 @@ def _check_smoothness_equivalence(
     )
 
 
-def _walk(ctx: GroupContext, checks: dict[str, Walker]) -> dict[str, CheckReport]:
+def _walk(
+    ctx: GroupContext, checks: dict[str, Walker], kl: bool
+) -> dict[str, CheckReport]:
     """Run the column checks in one walk over the tops w, by increasing id,
     and return their reports.  One ``klr._Column`` of w is built and sent
-    to each check; it reads the KL column only if one of them reads KL.
-    No column is kept past the next one."""
+    to each check; it reads the KL column only if ``kl``.  No column is
+    kept past the next one."""
     if not checks:
         return {}
-    kl = not _READS_KL.isdisjoint(checks)
     for check in checks.values():
         next(check)
     for wi in range(ctx.order):
@@ -856,52 +857,38 @@ def _walk(ctx: GroupContext, checks: dict[str, Walker]) -> dict[str, CheckReport
 # -- registry and drivers -------------------------------------------------
 
 
+# name -> (check, what it reads): "classes", the classes of
+# ``_r_classes``; "faults", the certificate's faults; "column", a column
+# check of ``_walk`` that reads no KL; "kl", one that reads KL; "sums", one
+# that also reads the interval R-sums; None, only the tables.  A check that
+# reads "classes", "faults" or "sums" is passed it after ctx
 _REGISTRY = {
-    "r_basics": _check_r_basics,
-    "r_inverse_symmetry": _check_r_inverse_symmetry,
-    "r_alternating_sum": _check_r_alternating_sum,
-    "r_functional_equation": _check_r_functional_equation,
-    "r_derivative_edge": _check_r_derivative_edge,
-    "shifted_nonneg": _check_shifted_nonneg,
-    "divisibility_order": _check_divisibility_order,
-    "fh_structure": _check_fh_structure,
-    "boolean_criterion": _check_boolean_criterion,
-    "binomial_bounds": _check_binomial_bounds,
-    "brenti_scan": _check_brenti_scan,
-    "deodhar": _check_deodhar,
-    "dvc_linear": _check_dvc,
-    "nth2_quadratic": _check_nth2,
-    "le1_le2_le3": _check_le1_le2_le3,
-    "kl_basics": _check_kl_basics,
-    "kl_nonneg": _check_kl_nonneg,
-    "kl_monotone": _check_kl_monotone,
-    "mono_equiv": _check_mono_equiv,
-    "lemma_lm": _check_lemma_lm,
-    "nth3_strict_edges": _check_nth3_strict_edges,
-    "strict_path": _check_strict_path,
-    "smoothness_equivalence": _check_smoothness_equivalence,
+    "r_basics": (_check_r_basics, "classes"),
+    "r_inverse_symmetry": (_check_r_inverse_symmetry, None),
+    "r_alternating_sum": (_check_r_alternating_sum, None),
+    "r_functional_equation": (_check_r_functional_equation, "classes"),
+    "r_derivative_edge": (_check_r_derivative_edge, "classes"),
+    "shifted_nonneg": (_check_shifted_nonneg, "classes"),
+    "divisibility_order": (_check_divisibility_order, "classes"),
+    "fh_structure": (_check_fh_structure, "classes"),
+    "boolean_criterion": (_check_boolean_criterion, "classes"),
+    "binomial_bounds": (_check_binomial_bounds, "classes"),
+    "brenti_scan": (_check_brenti_scan, "classes"),
+    "deodhar": (_check_deodhar, "column"),
+    "dvc_linear": (_check_dvc, "sums"),
+    "nth2_quadratic": (_check_nth2, "sums"),
+    "le1_le2_le3": (_check_le1_le2_le3, "classes"),
+    "kl_basics": (_check_kl_basics, "faults"),
+    "kl_nonneg": (_check_kl_nonneg, "kl"),
+    "kl_monotone": (_check_kl_monotone, "kl"),
+    "mono_equiv": (_check_mono_equiv, "kl"),
+    "lemma_lm": (_check_lemma_lm, "kl"),
+    "nth3_strict_edges": (_check_nth3_strict_edges, "kl"),
+    "strict_path": (_check_strict_path, "kl"),
+    "smoothness_equivalence": (_check_smoothness_equivalence, "sums"),
 }
 
 CHECK_NAMES = tuple(_REGISTRY)
-
-# the checks that read the KL table
-_READS_KL = frozenset(
-    "dvc_linear nth2_quadratic kl_basics kl_nonneg kl_monotone mono_equiv "
-    "lemma_lm nth3_strict_edges strict_path smoothness_equivalence".split()
-)
-# the checks that read the interval R-sums, passed to them as an argument
-_READS_SUMS = frozenset("dvc_linear nth2_quadratic smoothness_equivalence".split())
-# the checks that decide once per class of ``_r_classes``, passed to them
-_READS_CLASSES = frozenset(
-    "r_basics r_functional_equation r_derivative_edge shifted_nonneg "
-    "divisibility_order fh_structure boolean_criterion binomial_bounds "
-    "brenti_scan le1_le2_le3".split()
-)
-# the column checks, run together in one ``_walk``
-_WALKS = frozenset(
-    "deodhar dvc_linear nth2_quadratic kl_nonneg kl_monotone mono_equiv "
-    "lemma_lm nth3_strict_edges strict_path smoothness_equivalence".split()
-)
 
 
 def run_check(name: str, ctx: GroupContext) -> CheckReport:
@@ -923,8 +910,8 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     check changes R, so they are R's sums at this call, passed to each.
     The classes of ``_r_classes`` are built once for the checks that
     decide once per class, from R, Rt and the graph as they are at this
-    call.  The column checks (``_WALKS``) share one ``_walk`` over the
-    tops, after the others have run."""
+    call.  The column checks share one ``_walk`` over the tops, after the
+    others have run.  What each check reads is named in ``_REGISTRY``."""
     if selection == "all":
         names = CHECK_NAMES
     else:
@@ -940,26 +927,23 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
                 f"unknown checks {unknown!r}; registered: {', '.join(CHECK_NAMES)}"
             )
         names = tuple(n for n in CHECK_NAMES if n in set(selection))
-    reads_sums = not _READS_SUMS.isdisjoint(names)
-    sums: Columns | None = {} if reads_sums else None
-    faults = None if _READS_KL.isdisjoint(names) else _certify(ctx, ones=sums)
-    classes = None
+    reads = {_REGISTRY[n][1] for n in names}
+    kl = not reads.isdisjoint(("kl", "sums"))
+    sums: Columns | None = {} if "sums" in reads else None
+    faults = _certify(ctx, ones=sums) if kl or "faults" in reads else None
+    classes = _r_classes(ctx) if "classes" in reads else None
+    given = {"classes": classes, "faults": faults, "sums": sums}
     reports = {}
     walkers = {}
     for n in names:
-        check = _REGISTRY[n]
-        if n in _WALKS:
-            walkers[n] = check(ctx, sums) if n in _READS_SUMS else check(ctx)
-        elif n in _READS_CLASSES:
-            if classes is None:
-                classes = _r_classes(ctx)
-            reports[n] = check(ctx, classes)
-        elif n == "kl_basics":
-            reports[n] = _check_kl_basics(ctx, faults)
+        check, what = _REGISTRY[n]
+        args = (ctx, given[what]) if what in given else (ctx,)
+        if what in ("column", "kl", "sums"):
+            walkers[n] = check(*args)
         else:
-            reports[n] = check(ctx)
-    classes = None  # not held through the walk
-    reports.update(_walk(ctx, walkers))
+            reports[n] = check(*args)
+    classes = given = None  # the classes are not held through the walk
+    reports.update(_walk(ctx, walkers, kl))
     return [reports[n] for n in names]
 
 

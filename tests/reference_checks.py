@@ -106,7 +106,7 @@ def sum_r_over(x: GroupElement, w: GroupElement):
 
 def entries(table):
     """The pair-keyed view {(x, w): value} of a table held by column,
-    {w: {x: value}}: R, Rt, KL and staged of ``Tables``, or the interval
+    {w: {x: value}}: R, Rt and KL of ``Tables``, or the interval
     R-sums of ``_sums_at_q``.  A new dict; changing it changes no table."""
     return {(x, w): v for w, col in table.items() for x, v in col.items()}
 

@@ -116,6 +116,15 @@ def test_one_shot_queries_build_rows_below_w_only(query):
     assert all(bruhat_le(ctx.elements[xi], w) for xi in built)
 
 
+def test_interval_builds_rows_of_members_only():
+    ctx = build_group(parse_group_spec("A5"))  # fresh: no Bruhat-graph rows
+    u, w = elements(ctx, "2", "2 1 3 2 4 3 5 4")
+    data = interval(u, w)
+    built = {xi for xi, row in enumerate(ctx.tables.up) if row is not None}
+    assert built == {g.index for g in data.members}
+    assert data.abs_len == absolute_length(u, w)
+
+
 def test_interval_members_match_masks():
     for spec in ("A3", "B3"):
         ctx = ctx_for(spec)

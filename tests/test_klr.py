@@ -24,6 +24,7 @@ from bruhatkl.bruhat import (  # noqa: E402
     comparable_pairs,
     defect,
     interval,
+    iter_bits,
     le_masks,
 )
 from bruhatkl.coxeter import (  # noqa: E402
@@ -162,10 +163,10 @@ def test_kl_matches_oracle_a3_b2():
             if warm:
                 for wi in range(0, ctx.order, 3):
                     kl_poly(ctx.identity, ctx.elements[wi])
-                assert ctx.tables.KL and ctx.tables.staged
+                assert ctx.tables.KL and ctx.tables.pending
             fill_tables(ctx, ("KL",))
             assert entries(ctx.tables.KL) == oracle_kl_table(ctx)
-            assert not ctx.tables.staged
+            assert not ctx.tables.pending
 
 
 def test_fh_vectors():
@@ -343,14 +344,31 @@ def test_corrupt_staged_entry_fails_certificate():
         e, w = ctx.identity, parse_element(ctx, "2 1 3 2")
         _stage(ctx, w.index)
         key = (e.index, w.index)
-        assert entries(ctx.tables.staged)[key] == (1, 1)
+        assert entries(ctx.tables.KL)[key] == (1, 1)
         # P(0) = 1 and within the degree bound, so only the equation sees it
-        plant(ctx.tables.staged, *key, (1, 2))
+        plant(ctx.tables.KL, *key, (1, 2))
         with pytest.raises(RuntimeError, match=r"\('e', '2 1 3 2'\) in A3"):
             certify(e, w)
-        assert key not in entries(ctx.tables.KL)
+        assert ctx.tables.pending[w.index] >> e.index & 1
         # [2, w] does not contain e: served, and checked, as before
         assert kl_poly(parse_element(ctx, "2"), w) == IntPoly([1, 1])
+
+
+def test_stage_keeps_entries_already_in_kl():
+    # one entry below w, one for a pair not below w: both kept, neither
+    # pending; a column staged whole shares its lower-cone mask
+    ctx = build_group(parse_group_spec("A3"))
+    e, w = ctx.identity, parse_element(ctx, "2 1 3 2")
+    w0 = ctx.order - 1
+    plant(ctx.tables.KL, e.index, w.index, (1, 2))
+    plant(ctx.tables.KL, w0, w.index, (1,))
+    _stage(ctx, w.index)
+    t = ctx.tables
+    assert t.KL[w.index][e.index] == (1, 2) and t.KL[w.index][w0] == (1,)
+    assert t.pending[w.index] == t.le[w.index] & ~(1 << e.index)
+    v = ctx.rmult[w.index][ctx.srd[w.index]]
+    assert t.pending[v] is t.le[v]
+    assert set(t.KL[v]) == set(iter_bits(t.le[v]))
 
 
 def test_empty_kl_entry_planted_after_its_column_fails_certificate():
@@ -389,7 +407,7 @@ def test_poly_table_invariants():
     assert not r_poly(s1, s2) and not rtilde_poly(s1, s2)
     assert not kl_poly(s1, s2)  # incomparable probes leave no entry
     fill_tables(ctx)
-    assert not ctx.tables.staged  # every staged entry was certified and moved
+    assert not ctx.tables.pending  # every staged entry was certified
     pairs = set(comparable_pairs(ctx))
     for table in (ctx.tables.R, ctx.tables.Rt, ctx.tables.KL):
         assert set(entries(table)) == pairs

@@ -153,7 +153,7 @@ def test_kl_table_filled_only_for_checks_that_read_it():
     assert ctx.tables.KL == {}
     run_suite(ctx, ["brenti_scan", "kl_basics"])
     assert sorted(entries(ctx.tables.KL)) == sorted(comparable_pairs(ctx))
-    assert ctx.tables.staged == {}
+    assert ctx.tables.pending == {}
 
 
 SUM_CHECKS = ("dvc_linear", "nth2_quadratic", "smoothness_equivalence")
@@ -695,4 +695,4 @@ def test_deodhar_alone_reads_no_kl():
     ctx = build_group(parse_group_spec("A3"))
     (report,) = run_suite(ctx, "deodhar")
     assert report.passed and report.pairs_tested == 213
-    assert ctx.tables.KL == {} and ctx.tables.staged == {} and ctx.tables.mu == {}
+    assert ctx.tables.KL == {} and ctx.tables.pending == {} and ctx.tables.mu == {}
