@@ -177,7 +177,9 @@ def abs_len_table(w: GroupElement) -> dict[int, int]:
 
     Directed paths ending at w never leave [e, w], so no order filtering is
     needed; reachability doubles as an independent comparability witness.
-    Nothing is stored: each call runs its own BFS.
+    Nothing is stored: each call runs its own BFS.  For the whole column
+    a(., w); one pair's a(u, w) is ``absolute_length``, which walks [u, w]
+    only.
     """
     ctx = w.ctx
     table = {w.index: 0}
@@ -195,10 +197,31 @@ def abs_len_table(w: GroupElement) -> dict[int, int]:
     return table
 
 
+def _depths(ctx: GroupContext, ui: int, wi: int) -> dict[int, int]:
+    """{v: fewest Bruhat-graph edges from u to v} for every v in [u, w],
+    in the order reached by a breadth-first walk from u that stays inside
+    lower(w): v >= u means a directed path from u to v exists, and when
+    v <= w every vertex on it lies in [u, w].  So the walk reaches w
+    exactly when u <= w, and builds the Bruhat-graph rows of the interval's
+    members only; {} unless u <= w."""
+    lower = _lower(ctx, wi)
+    if not lower >> ui & 1:
+        return {}
+    dist = {ui: 0}
+    queue = [ui]
+    for xi in queue:  # grows while iterated: a breadth-first walk
+        for vi in _out_below(ctx, xi, lower):
+            if vi not in dist:
+                dist[vi] = dist[xi] + 1
+                queue.append(vi)
+    return dist
+
+
 def absolute_length(u: GroupElement, w: GroupElement) -> int:
-    """Fewest edges on a directed Bruhat path from u to w."""
+    """Fewest edges on a directed Bruhat path from u to w: the depth of w
+    in the walk of ``_depths``, which reaching w also shows comparable."""
     _check_same_context(u, w)
-    a = abs_len_table(w).get(u.index)
+    a = _depths(u.ctx, u.index, w.index).get(w.index)
     if a is None:
         raise ValueError(
             f"elements {word_of(u)!r} and {word_of(w)!r} are incomparable"
@@ -240,26 +263,15 @@ def bruhat_edges(
 def interval(u: GroupElement, w: GroupElement) -> IntervalData:
     """The full interval [u, w] with graph, absolute length, and defect.
 
-    Members, in id order, are found by a breadth-first walk from u over
-    Bruhat-graph edges that stays inside the lower cone of w: v >= u means
-    a directed path from u to v exists, and when v <= w every vertex on it
-    lies in [u, w], so the walk reaches exactly the interval, and the
-    depth at which it reaches w is the absolute length a(u, w).  Builds
-    the Bruhat-graph rows of the members only.
+    Members, in id order, and a(u, w) come from the breadth-first walk of
+    ``_depths``, which builds the Bruhat-graph rows of the members only.
     """
     if not bruhat_le(u, w):
         raise ValueError(
             f"empty interval: {word_of(u)!r} and {word_of(w)!r} are incomparable"
         )
     ctx = u.ctx
-    lower = _lower(ctx, w.index)
-    dist = {u.index: 0}
-    queue = [u.index]
-    for xi in queue:  # grows while iterated: a breadth-first walk
-        for vi in _out_below(ctx, xi, lower):
-            if vi not in dist:
-                dist[vi] = dist[xi] + 1
-                queue.append(vi)
+    dist = _depths(ctx, u.index, w.index)
     elements = ctx.elements
     members = [elements[vi] for vi in sorted(dist)]
     nbhd = neighborhood(u, w)

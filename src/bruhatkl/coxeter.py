@@ -306,6 +306,9 @@ class GroupContext:
         self.lengths: list[int] = []  # l(w) by id
         self.srd: list[int] = []  # smallest right descent by id, -1 for e
         self.inv: list[int] = []  # id of w^-1 by id
+        # range(order), one int object per id: the keys of the R, Rt and KL
+        # columns, so an id above 256 is not a new int in every column
+        self.ids: list[int] = []
         self._words: dict[int, str] = {}
         self.tables = Tables()
 
@@ -396,6 +399,7 @@ def build_group(
             f"at the last id"
         )
     ctx.lengths = lengths
+    ctx.ids = list(range(order))
 
     # w = s_1 ... s_k read off the parent chain from the end, so
     # w^-1 = s_k ... s_1 is the product of its letters in that order

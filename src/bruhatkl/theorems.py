@@ -29,15 +29,20 @@ polynomial with coefficients that small does not vanish at 2^B.  So a
 pair fails at Q exactly when it fails as polynomials, and the signed
 base-2^B digits of a value are its coefficients, which
 r_alternating_sum's witness prints.  A whole-group sweep sums over the
-triples only for the pairs with D_R(w) in D_R(x) and gets the others'
-sums by a power of Q, when F_vw = F_{vs,w} for s in D_R(w) and R follows
-its recursion, both checked on the entries read.  F = P and F = 1 meet
-that on correct tables; F = +-R does not, so r_alternating_sum, like a
-sweep of tables that break either premise, sums over every triple.  The
-values, and so every verdict, count and witness, are the same either
-way.  kl_monotone and mono_equiv group each KL column by value and
-decide each pair of values once; every triple is still counted, and
-reported if it fails.
+triples only for one representative pair of each class its reduction
+argument names, and gets the others' sums from theirs, when the
+reduction's premises hold on the entries read.  For F = P and F = 1 the
+classes are the cosets x W_{D_R(w)}, and a pair's sum is its coset
+top's times a power of Q, when F_vw = F_{vs,w} for s in D_R(w) and R
+follows its recursion (``klr._Cosets``).  For F = +-R they are the
+orbits of (x, w) -> (x^-1, w^-1) and (x, w) -> (w w0, x w0), and the sum
+is the representative's up to the sign (-1)^l(w0), when R has both
+symmetries (``klr._Orbits``); r_inverse_symmetry tests the first with
+the same helper.  A sweep of tables that break a premise sums over every
+triple.  The values, and so every verdict, count and witness, are the
+same either way.  kl_monotone and mono_equiv group each KL column by
+value and decide each pair of values once; every triple is still
+counted, and reported if it fails.
 
 Ten R-level checks (reading "classes" in ``_REGISTRY``: r_basics,
 r_functional_equation, r_derivative_edge, shifted_nonneg,
@@ -91,6 +96,8 @@ from bruhatkl.klr import (
     _digits,
     _greedy_ends,
     _fh_split,
+    _inverse_faults,
+    _Orbits,
     _pair_fault,
     _r,
     _rt_rebuilt,
@@ -274,18 +281,31 @@ def _check_r_basics(ctx: GroupContext, classes: Classes) -> CheckReport:
 
 
 def _check_r_inverse_symmetry(ctx: GroupContext) -> CheckReport:
-    """R is invariant under inverting both indices."""
+    """R is invariant under inverting both indices: R_uw = R_{u^-1, w^-1},
+    tested per column by ``klr._inverse_faults``, the test that is also
+    premise 1 of the orbit reduction of r_alternating_sum."""
     wit = _Witnesses()
-    inv = ctx.inv
-    lower = le_masks(ctx)
-    n = 0
     for wi in range(ctx.order):
-        iw = inv[wi]
-        for ui in iter_bits(lower[wi]):
-            n += 1
-            if _r(ctx, ui, wi) != _r(ctx, inv[ui], iw):
-                wit.add(f"{_pair_word(ctx, ui, wi)}: R differs on inverses")
-    return _report(ctx, "r_inverse_symmetry", n, wit, {})
+        for ui in _inverse_faults(ctx, wi):
+            wit.add(f"{_pair_word(ctx, ui, wi)}: R differs on inverses")
+    return _report(ctx, "r_inverse_symmetry", _pair_count(ctx), wit, {})
+
+
+def _signed_r(ctx: GroupContext) -> Callable[[int], Callable[[int], Coeffs]]:
+    """The column reader of F = +-R, w -> (v -> (-1)^l(v) R_vw), which
+    holds one tuple per distinct value.  Reads the R column of w as it is
+    filled, which the sweep of ``klr._sums_at_q`` completes before it
+    reads F."""
+    lengths = ctx.lengths
+    negated: dict[Coeffs, Coeffs] = {}  # R value -> -R, once per value
+
+    def signed(wi: int) -> Callable[[int], Coeffs]:
+        col = ctx.tables.R[wi]
+        for r in set(col.values()) - negated.keys():
+            negated[r] = tuple(-c for c in r)
+        return {v: negated[r] if lengths[v] % 2 else r for v, r in col.items()}.__getitem__
+
+    return signed
 
 
 def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
@@ -293,26 +313,15 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
 
     Tested at Q = 2^B, one integer per pair, exactly by the bound of
     ``klr._sums_at_q``, which also makes the signed base-2^B digits of the
-    value the coefficients a failing pair's witness prints.  F = +-R holds
-    one tuple per distinct value, so the sweep evaluates each at Q once.
+    value the coefficients a failing pair's witness prints.  F = +-R
+    (``_signed_r``), and the sweep sums one representative pair per orbit
+    of the symmetries x, w -> x^-1, w^-1 and x, w -> w w0, x w0 when R
+    has both, checked on the entries read (``klr._Orbits``), and every
+    pair otherwise; each pair gets the same integer either way.
     """
     wit = _Witnesses()
     lengths = ctx.lengths
-    negated: dict[Coeffs, Coeffs] = {}  # R value -> -R, once per value
-
-    def signed(wi: int) -> Callable[[int], Coeffs]:  # v -> (-1)^l(v) R_vw
-        def entry(vi: int) -> Coeffs:
-            r = _r(ctx, vi, wi)
-            if not lengths[vi] % 2:
-                return r
-            neg = negated.get(r)
-            if neg is None:
-                neg = negated[r] = tuple(-c for c in r)
-            return neg
-
-        return entry
-
-    bits, tops = _sums_at_q(ctx, signed)
+    bits, tops = _sums_at_q(ctx, _signed_r(ctx), reduction=_Orbits)
     for wi, acc in tops:
         for ui, val in acc.items():
             if lengths[ui] % 2:

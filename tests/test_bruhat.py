@@ -20,6 +20,7 @@ from bruhatkl.bruhat import (  # noqa: E402
     interval,
     interval_to_dot,
     interval_to_json,
+    iter_bits,
     le_masks,
     neighborhood,
     up_adjacency,
@@ -123,6 +124,19 @@ def test_interval_builds_rows_of_members_only():
     built = {xi for xi, row in enumerate(ctx.tables.up) if row is not None}
     assert built == {g.index for g in data.members}
     assert data.abs_len == absolute_length(u, w)
+
+
+def test_absolute_length_builds_rows_of_members_only():
+    # a forward walk from u inside lower(w) visits [u, w] alone: 14 members
+    # here, where a walk back from w visits all 146 elements below w
+    ctx = build_group(parse_group_spec("A5"))  # fresh: no Bruhat-graph rows
+    u, w = elements(ctx, "2 1 3 2", "2 1 3 2 4 3 5 4")
+    assert absolute_length(u, w) == 2
+    built = {xi for xi, row in enumerate(ctx.tables.up) if row is not None}
+    masks = le_masks(ctx)
+    members = {vi for vi in iter_bits(masks[w.index]) if masks[vi] >> u.index & 1}
+    assert len(members) == 14 and built == members
+    assert len(abs_len_table(w)) == 146
 
 
 def test_interval_members_match_masks():

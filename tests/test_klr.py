@@ -446,9 +446,9 @@ def test_one_shot_queries_hold_one_object_per_distinct_value():
         assert _one_object_per_value(table)
 
 
-@pytest.mark.parametrize("spec", ["B3", "A4", "D4"])
-def test_r_fill_allocates_under_64_bytes_per_entry(spec):
-    # one dict slot per entry in its column's dict: no (x, w) key tuple
+def _r_fill(spec):
+    """A context of the group with its R table filled, the bytes the fill
+    allocated (tracemalloc), and the number of entries."""
     ctx = build_group(parse_group_spec(spec))
     le_masks(ctx)  # the masks are not the table
     tracemalloc.start()
@@ -459,7 +459,25 @@ def test_r_fill_allocates_under_64_bytes_per_entry(spec):
         tracemalloc.stop()
     n = len(entries(ctx.tables.R))
     assert n == len(comparable_pairs(ctx))
+    return ctx, allocated, n
+
+
+@pytest.mark.parametrize("spec", ["B3", "A4", "D4"])
+def test_r_fill_allocates_under_64_bytes_per_entry(spec):
+    # one dict slot per entry in its column's dict: no (x, w) key tuple
+    _, allocated, n = _r_fill(spec)
     assert allocated < 64 * n
+
+
+def test_r_fill_keys_are_the_shared_id_objects():
+    # on A5, 463 of the 720 ids are above 256, outside Python's small-int
+    # cache; keyed by the context's one int object per id, no entry
+    # allocates an int of its own (48 bytes per entry when each had one)
+    ctx, allocated, n = _r_fill("A5")
+    assert allocated < 44 * n
+    ids = ctx.ids
+    for w, col in ctx.tables.R.items():
+        assert w is ids[w] and all(x is ids[x] for x in col)
 
 
 def test_r_step_is_keyed_by_value():

@@ -24,6 +24,7 @@ from bruhatkl.bruhat import (  # noqa: E402
     neighborhood,
 )
 from bruhatkl.coxeter import (  # noqa: E402
+    _mul,
     build_group,
     parse_element,
     parse_group_spec,
@@ -383,6 +384,54 @@ def _plant_kl_coset(ctx):
     raise AssertionError(f"no coset to plant in {ctx.name}")
 
 
+def _orbit(ctx, x, v):
+    """The orbit of the pair (x, v) under (x, v) -> (x^-1, v^-1) and
+    (x, v) -> (v w0, x w0), the symmetries of R that the orbit reduction
+    of r_alternating_sum rests on: up to eight pairs."""
+    inv, w0 = ctx.inv, ctx.order - 1
+    maps = (
+        lambda p: (inv[p[0]], inv[p[1]]),
+        lambda p: (_mul(ctx, p[1], w0), _mul(ctx, p[0], w0)),
+    )
+    orbit, todo = {(x, v)}, [(x, v)]
+    while todo:
+        p = todo.pop()
+        for m in maps:
+            if m(p) not in orbit:
+                orbit.add(m(p))
+                todo.append(m(p))
+    return orbit
+
+
+def _plant_r_orbit(ctx, kind):
+    """Plant one wrong R value, the first coefficient + 1, on part of an
+    orbit (``_orbit``) of a pair x < v: the whole orbit (kind r_orbit),
+    which keeps both premises of the orbit reduction, the largest orbit
+    first; the pair and its image under (x, v) -> (v w0, x w0) only
+    (r_inverse), which breaks premise 1 alone; or the pair and its
+    inverse pair only (r_w0), which breaks premise 2 alone.  Returns the
+    pairs planted."""
+    inv, w0 = ctx.inv, ctx.order - 1
+    r = entries(ctx.tables.R)
+    pairs = sorted(((x, v) for x, v in r if x != v), key=lambda p: (p[1], p[0]))
+    for x, v in sorted(pairs, key=lambda p: -len(_orbit(ctx, *p))):
+        by_inverse = {(x, v), (inv[x], inv[v])}
+        by_w0 = {(x, v), (_mul(ctx, v, w0), _mul(ctx, x, w0))}
+        if kind == "r_orbit":
+            planted = _orbit(ctx, x, v)
+        elif kind == "r_inverse" and not by_inverse <= by_w0:
+            planted = by_w0
+        elif kind == "r_w0" and not by_w0 <= by_inverse:
+            planted = by_inverse
+        else:
+            continue
+        value = r[x, v]
+        for pair in planted:
+            plant(ctx.tables.R, *pair, (value[0] + 1,) + value[1:])
+        return planted
+    raise AssertionError(f"no pair for {kind} in {ctx.name}")
+
+
 def _corrupt(ctx, kind):
     """Alter filled tables in place: several R entries +1 in one
     coefficient, one R coefficient times 10^6 (which raises B), several
@@ -391,7 +440,8 @@ def _corrupt(ctx, kind):
     check that kept what it read in the first run reports the old entry.
     Each of these that alters R or KL breaks a premise of the coset
     reduction of ``klr._sums_at_q``; kind kl_coset alters KL and keeps both
-    (see ``_plant_kl_coset``)."""
+    (see ``_plant_kl_coset``).  Kinds r_orbit, r_inverse and r_w0 alter R
+    on part of an orbit of the orbit reduction (``_plant_r_orbit``)."""
     t = ctx.tables
     if kind == "r_plus_one":
         r = entries(t.R)
@@ -433,6 +483,8 @@ def _corrupt(ctx, kind):
             plant(t.Rt, *k, tuple(v))
     elif kind == "kl_coset":
         _plant_kl_coset(ctx)
+    elif kind in ("r_orbit", "r_inverse", "r_w0"):
+        _plant_r_orbit(ctx, kind)
     elif kind == "r_after_run":
         for name in R_LEVEL:
             run_check(name, ctx)
@@ -445,7 +497,18 @@ def _corrupt(ctx, kind):
 @pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
 @pytest.mark.parametrize(
     "kind",
-    ["clean", "r_plus_one", "r_times_1e6", "kl", "rt", "r_after_run", "kl_coset"],
+    [
+        "clean",
+        "r_plus_one",
+        "r_times_1e6",
+        "kl",
+        "rt",
+        "r_after_run",
+        "kl_coset",
+        "r_orbit",
+        "r_inverse",
+        "r_w0",
+    ],
 )
 def test_evaluated_checks_match_coefficient_reference(spec, kind):
     reports = {}
@@ -480,6 +543,73 @@ def test_kl_basics_names_every_pair_of_a_planted_coset(spec, monkeypatch):
     for x in coset:
         pair = f"u='{word_of(ctx.elements[x])}' w='{word_of(ctx.elements[w])}':"
         assert any(wit.startswith(pair) for wit in report.witnesses)
+
+
+def _orbit_tops(monkeypatch):
+    """The tops w the orbit reduction is asked about from now on: none
+    unless its premises held."""
+    tops = []
+    top = klr._Orbits.top
+    monkeypatch.setattr(
+        klr._Orbits, "top", lambda self, w, vs: tops.append(w) or top(self, w, vs)
+    )
+    return tops
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+@pytest.mark.parametrize(
+    "kind, reduced",
+    [("clean", True), ("r_orbit", True), ("r_inverse", False), ("r_w0", False)],
+)
+def test_r_alternating_sum_takes_the_orbit_sweep_when_its_premises_hold(
+    spec, kind, reduced, monkeypatch
+):
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx)
+    _corrupt(ctx, kind)
+    tops = _orbit_tops(monkeypatch)
+    report = run_check("r_alternating_sum", ctx)
+    assert tops == (list(range(ctx.order)) if reduced else [])
+    assert report.passed == (kind == "clean")
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2", "D4"])
+@pytest.mark.parametrize("kind", ["clean", "r_orbit"])
+def test_orbit_sweep_matches_the_full_sweep(spec, kind, monkeypatch):
+    # every pair's integer S_xw(Q), and B, as a sum over its own triples
+    # gives them, also where a planted orbit breaks the identity; A3's w0
+    # is not central, so conjugating by it moves the pairs too
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx)
+    if kind == "r_orbit":
+        assert len(_plant_r_orbit(ctx, kind)) == (8 if spec == "A3" else 4)
+    asked = _orbit_tops(monkeypatch)
+    sweeps = []
+    for reduction in (None, klr._Orbits):
+        bits, tops = klr._sums_at_q(
+            ctx, theorems._signed_r(ctx), reduction=reduction
+        )
+        sweeps.append((bits, [(w, list(acc.items())) for w, acc in tops]))
+        assert asked == ([] if reduction is None else list(range(ctx.order)))
+    assert sweeps[0] == sweeps[1]
+    assert len([x for _, acc in sweeps[0][1] for x, _ in acc]) == len(
+        comparable_pairs(ctx)
+    )
+
+
+def test_orbit_reduction_serves_f_plus_minus_r_only(monkeypatch):
+    # F = 1 has neither symmetry, so asked for with F = 1, or for the
+    # R-sums S_1 beside F = +-R, the orbit reduction sums every pair
+    ctx = build_group(parse_group_spec("B3"))
+    fill_tables(ctx)
+    asked = _orbit_tops(monkeypatch)
+    for f, ones in ((f_one, None), (theorems._signed_r(ctx), {})):
+        sweeps = []
+        for reduction in (None, klr._Orbits):
+            bits, tops = klr._sums_at_q(ctx, f, ones=ones, reduction=reduction)
+            sweeps.append((bits, [(w, list(acc.items())) for w, acc in tops]))
+        assert sweeps[0] == sweeps[1]
+    assert asked == []
 
 
 def _plant_stuck_vertex(ctx, s, w):
