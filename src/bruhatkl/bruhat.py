@@ -22,6 +22,8 @@ Interval statistics:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from typing import Iterator
 
 from bruhatkl.coxeter import (
     GroupContext,
@@ -116,8 +118,33 @@ def le_masks(ctx: GroupContext) -> list[int]:
     return ctx.tables.le
 
 
-def iter_bits(mask: int):
-    """Yield set-bit indices of a mask in increasing order."""
+# bin(mask) digits as bytes 0 and 1, the selectors of ``compress``
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """The set-bit indices of a mask, in increasing order.
+
+    A dense mask is read from its binary digits, reversed, as the
+    selectors of ``compress``: C-level work linear in the width n, done
+    once, after a fixed cost of about three steps of the other way.  A
+    sparse one is walked by its lowest set bit, one Python step per set
+    bit, each step also linear in n (it clears a bit of an n-bit int).
+    So the walk wins below a density that falls as n grows, and below
+    about 6 set bits at any n: the digits win from 7 set bits at n = 8 or
+    16, 17 at 128, about one set bit in 8 to 13 from 192 to 2,500, one in
+    40 at 10,000 and one in 115 at 51,840 (random masks, CPython 3.11 on
+    a shared 2-vCPU VM).  The rule below, at least (n + 64) / (10 + n/512)
+    set bits, follows those crossovers; mask 0 is walked.
+    """
+    n = mask.bit_length()
+    if mask.bit_count() * (10 + (n >> 9)) >= n + 64:
+        return compress(range(n), bin(mask)[:1:-1].encode().translate(_DIGITS))
+    return _lowest_bits(mask)
+
+
+def _lowest_bits(mask: int) -> Iterator[int]:
+    """``iter_bits`` by the lowest set bit, one step per set bit."""
     while mask:
         lsb = mask & -mask
         yield lsb.bit_length() - 1

@@ -38,8 +38,8 @@ from bruhatkl.coxeter import (
     word_of,
 )
 from bruhatkl.klr import (
+    _fh_of,
     _singular_rows,
-    fh_vectors,
     fill_tables,
     kl_poly,
     r_poly,
@@ -88,7 +88,7 @@ def cmd_table(args) -> int:
     r = r_poly(u, w) if "r" in kinds else None
     rt = rtilde_poly(u, w) if "rt" in kinds else None
     p = kl_poly(u, w) if "kl" in kinds else None
-    fh = fh_vectors(u, w) if u != w else None
+    fh = _fh_of(ctx, u.index, w.index, a) if u != w else None
     if args.format == "json":
         obj = {
             "group": ctx.name,
@@ -175,24 +175,29 @@ def cmd_classify(args) -> int:
             f"for groups of order {CLASSIFY_GUARD} and above"
         )
     fill_tables(ctx, ("KL",))
+    words = [word_of(g) for g in ctx.elements]
+    as_json = args.format == "json"
+    forms: dict = {}  # P value -> its JSON dict or its text, made once
     rows = []
     for wi in range(ctx.order):
-        w = word_of(ctx.elements[wi])
         for xi, p, p1, df, strict, end in _singular_rows(ctx, wi):
+            form = forms.get(p)
+            if form is None:
+                poly = IntPoly(p)
+                form = forms[p] = poly.to_json() if as_json else str(poly)
             rows.append(
                 {
-                    "w": w,
-                    "u": word_of(ctx.elements[xi]),
-                    "P": IntPoly(p),
+                    "w": words[wi],
+                    "u": words[xi],
+                    "P": form,
                     "P1": p1,
                     "df": df,
                     "strict_edges": strict,
-                    "path_end": word_of(ctx.elements[end]),
+                    "path_end": words[end],
                 }
             )
-    if args.format == "json":
-        obj = {"group": ctx.name, "singular": rows}
-        print(json.dumps(obj, default=IntPoly.to_json))  # P is an IntPoly
+    if as_json:
+        print(json.dumps({"group": ctx.name, "singular": rows}))
     else:
         print(f"group {ctx.name} (order {ctx.order}): {len(rows)} singular pairs")
         current_w = None

@@ -8,6 +8,14 @@ reproducible order), and differ only in its step polynomials:
     R_uw  = R_{us,ws}           if us < u, else  q R_{us,ws} + (q-1) R_{u,ws}
     Rt_uw = Rt_{us,ws}          if us < u, else  Rt_{us,ws} + q Rt_{u,ws}
 
+(Bjorner and Brenti, Combinatorics of Coxeter Groups, Thm. 5.1.1.)  It
+runs a column at a time, ``_fill_columns``, wherever whole columns are
+needed: over the whole group and over an interval [e, w], whose columns
+are all of [e, w].  That one pass by increasing id fills each missing
+entry from the column of ws and checks each present one against it.  A
+single pair, or an interval [u, w] with u != e, is filled by ``_r``, the
+same recursion one pair at a time, which reads only the pairs it needs.
+
 KL polynomials are defined by the functional equation
 
     q^l(u,w) P_uw(1/q) = sum over u <= v <= w of R_uv(q) P_vw(q)
@@ -44,7 +52,8 @@ sums, faults and errors either way.
   pair's sum is its coset top's sum times a power of q
   (``_coset_tops``).  Premises: (a) F_vw = F_{vs,w} for s in D_R(w),
   and (b) the R table follows the recursion above, hence is the group's
-  R.  The reduction is only on the right.  The two-sided one, D_L(w) in
+  R, which the column pass that fills R for the sweep reports.  The
+  reduction is only on the right.  The two-sided one, D_L(w) in
   D_L(x) as well, would sweep 2.2% of D4's triples and 2.6% of B4's
   (8.2% and 10.6% on the right alone), but needs premises on the left
   too.
@@ -60,7 +69,8 @@ pairs only, one dict per top w keyed by x (``coxeter.Columns``), so a
 sweep resolves a column once and then reads its entries by x; ``pending``
 and ``mu`` are keyed by w.  The keys of R, Rt and KL are the context's
 one int object per id (``ctx.ids``), not a new int per entry.  They are
-filled lazily (one thread at a time), and nothing else mutates them.
+filled on demand (one thread at a time), R and Rt by the column pass or
+the pair recursion above, and nothing else mutates them.
 Coefficients are Python integers throughout, so nothing can overflow.
 
 The tables hold few distinct values (81 R polynomials over A5's 98,407
@@ -78,8 +88,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from math import comb
+from operator import itemgetter, lt
 from typing import Callable, Iterator
 
 from bruhatkl.bruhat import (
@@ -142,7 +153,13 @@ def _step(t: Tables, kind: str, a: Coeffs, b: Coeffs) -> Coeffs:
 
 
 def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
-    """R_uw (kind "R") or Rt_uw (kind "Rt"); () when u is not below w."""
+    """R_uw (kind "R") or Rt_uw (kind "Rt"); () when u is not below w.
+
+    The recursion of one pair, filling the entries it reads on the way: a
+    reader of single pairs, and of the interval [u, w] with u != e, where
+    whole columns would cost more than the pairs asked for.  Whole-group
+    and [e, w] fills go through ``_fill_columns``, which stores the same
+    values."""
     t = ctx.tables
     table = getattr(t, kind)
     col = table.get(wi)
@@ -168,23 +185,87 @@ def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
     return res
 
 
+def _fill_columns(ctx: GroupContext, kind: str = "R", wi: int = -1) -> bool:
+    """Fill the missing R (or Rt) entries of every column v, or of every
+    v <= w when wi >= 0, and check the present ones, in one pass over the
+    columns by increasing id.  Returns whether every present entry equals
+    the recursion's value.
+
+    For each x <= v, with T the kind's table, the pass takes the step of
+    ``_r`` at s = srd(v) from the column of vs, already complete: T_xv =
+    T_{xs,vs} if xs < x, else the kind's step of T_{xs,vs} and T_{x,vs}
+    (() where that pair is not comparable).  A diagonal entry is 1.  A
+    missing entry gets that value, keyed by the ``ctx.ids`` objects, which
+    is the value ``_r`` gives it.  A present entry, planted or (), is kept
+    and read as it is, and only compared with it.  So with kind "R" and a
+    True result, by induction on l(v), the table holds the R of the group
+    on the columns passed: premise (b) of ``_Cosets``.
+
+    Each column is worked on whole, with C-level maps: the value of an
+    entry is looked up in a memo of the pass by what it depends on,
+    (xs < x, T_{xs,vs}, T_{x,vs}), so each distinct triple is decided once
+    (``_step``) and every per-entry step is a dict lookup.
+    """
+    t = ctx.tables
+    table = getattr(t, kind)
+    ids, rmult, srd = ctx.ids, ctx.rmult, ctx.srd
+    one = _intern(t, (1,))
+    if wi < 0:
+        masks, columns = le_masks(ctx), range(ctx.order)
+    else:
+        columns = list(iter_bits(_lower(ctx, wi)))
+        for v in columns:
+            _lower(ctx, v)
+        masks = t.le
+    fits = True
+    memo: dict[tuple[bool, Coeffs, Coeffs], Coeffs] = {}  # -> T_xv
+    for v in columns:
+        xs = list(iter_bits(masks[v]))
+        s = srd[v]
+        if s < 0:  # v = e
+            wants = [one]
+        else:
+            get = table[rmult[v][s]].get  # the column of vs, passed already
+            ys = list(map(itemgetter(s), map(rmult.__getitem__, xs)))  # the xs
+            keys = list(
+                zip(
+                    map(lt, ys, xs),  # xs < x: ids grow with length
+                    map(get, ys, repeat(())),
+                    map(get, xs, repeat(())),
+                )
+            )
+            wants = list(map(memo.get, keys))
+            if None in wants:
+                for i, want in enumerate(wants):
+                    if want is None:
+                        down, a, b = key = keys[i]
+                        wants[i] = memo[key] = a if down else _step(t, kind, a, b)
+            wants[-1] = one  # x = v, the largest id below v
+        col = table.get(v)
+        if col is None:
+            table[ids[v]] = dict(zip(map(ids.__getitem__, xs), wants))
+        elif list(map(col.get, xs)) != wants:
+            for x, want in zip(xs, wants):
+                have = col.get(x)
+                if have is None:
+                    col[ids[x]] = want
+                elif have != want:
+                    fits = False
+    return fits
+
+
 def _inverse_faults(
     ctx: GroupContext, wi: int, below: list[int] | None = None
 ) -> list[int]:
     """The x <= w, by increasing id, with R_xw != R_{x^-1, w^-1}, read
-    from the R columns of w and w^-1 and filled by ``_r`` where missing
-    (or empty, which ``_r`` then returns).  ``below``: the x <= w by
-    increasing id, if the caller holds them."""
+    from the R columns of w and w^-1, which the caller has filled
+    (``_fill_columns``).  ``below``: the x <= w by increasing id, if the
+    caller holds them."""
     inv, table = ctx.inv, ctx.tables.R
-    iw = inv[wi]
     if below is None:
         below = list(iter_bits(_lower(ctx, wi)))
-    get, iget = table.get(wi, {}).get, table.get(iw, {}).get
-    return [
-        x
-        for x in below
-        if (get(x) or _r(ctx, x, wi)) != (iget(inv[x]) or _r(ctx, inv[x], iw))
-    ]
+    get, iget = table[wi].__getitem__, table[inv[wi]].__getitem__
+    return [x for x in below if get(x) != iget(inv[x])]
 
 
 def _shifted(ctx: GroupContext, r: Coeffs) -> Coeffs:
@@ -354,11 +435,13 @@ class _Cosets:
     of the top x* of its coset x W_d times Q^k, k = l(x*) - l(x)
     (``_coset_tops``).  Serves F = P and F = 1.
 
-    Premises, checked on the columns read (``holds``): (a) F_vw = F_{vs,w}
-    for every top w, s in D_R(w) and v <= w; (b) R_ee = 1 and every other
-    R_xv is the step of ``_r`` at s = srd(v) read from the table, so that,
-    by induction on l(v), the table is the R of the group (R_vv =
-    R_{vs,vs} = 1 included).  F = 1 meets (a), so the R-sums S_1 obey the
+    Premises (``holds``): (a) F_vw = F_{vs,w} for every top w, s in
+    D_R(w) and v <= w, checked on the F columns read; (b) every R_xv is
+    the step of the recursion at s = srd(v) from the column of vs, and
+    every diagonal entry is 1, so that, by induction on l(v), the table is
+    the R of the group.  (b) is not derived again here: it is the result
+    of the ``_fill_columns`` pass with which ``_sums_at_q`` fills and
+    checks R before the sweep.  F = 1 meets (a), so the R-sums S_1 obey the
     lemma too.  The columns of v cut down to the coset tops of one D_R(w)
     are built on first use and dropped after the last top w with that
     D_R(w).
@@ -374,34 +457,19 @@ class _Cosets:
         # cut down to those x
         self.cosets: dict[int, tuple] = {}
 
-    def holds(self) -> bool:
-        ctx, rcols, desc = self.ctx, self.rcols, self.desc
-        rmult = ctx.rmult
+    def holds(self, recursive: bool) -> bool:
+        """Premise (a), checked on the F columns read, and premise (b),
+        ``recursive``: what ``_fill_columns`` returned for R."""
+        rmult, desc = self.ctx.rmult, self.desc
+        if not recursive:
+            return False
         for w, fs in self.fcols.items():
             if desc[w]:
-                vs = rcols[w][0]
+                vs = self.rcols[w][0]
                 fw = dict(zip(vs, fs))
                 for s in iter_bits(desc[w]):
                     if [fw.get(rmult[v][s]) for v in vs] != fs:
                         return False
-        if rcols[0][1] != [(1,)]:
-            return False
-        t, lengths, srd = ctx.tables, ctx.lengths, ctx.srd
-        steps = t.steps
-        for v, (xs, rs) in rcols.items():
-            s = srd[v]
-            if s < 0:
-                continue
-            get = dict(zip(*rcols[rmult[v][s]])).get
-            for x, r in zip(xs, rs):
-                xs_ = rmult[x][s]
-                if lengths[xs_] < lengths[x]:
-                    want = get(xs_, ())
-                else:
-                    a, b = get(xs_, ()), get(x, ())
-                    want = steps.get(("R", a, b)) or _step(t, "R", a, b)
-                if r != want:
-                    return False
         return True
 
     def top(self, w: int, vs: list[int]) -> tuple:
@@ -473,7 +541,8 @@ class _Orbits:
         the ids below it, since ids grow with length."""
         return bisect_right(self.ctx.lengths, self.n - lw)
 
-    def holds(self) -> bool:
+    def holds(self, recursive: bool) -> bool:
+        """Premises (1) and (2); ``recursive`` is not one of them."""
         ctx, rcols = self.ctx, self.rcols
         lengths, inv, times_w0 = ctx.lengths, ctx.inv, self.times_w0
         negated: dict[Coeffs, Coeffs] = {}  # R value -> -R
@@ -554,7 +623,10 @@ def _sums_at_q(
     are read from the tables as they are now, so a corrupted entry raises B
     instead of breaking the identity.  The norms and the values at Q are
     taken once per distinct R or F value read, which the sweep then shares
-    between the pairs that hold it.
+    between the pairs that hold it.  Missing R entries are filled first:
+    over the whole group or an interval [e, w] by one ``_fill_columns``
+    pass, whose check of the present entries is premise (b) of
+    ``_Cosets``, and over [u, w] with u != e by ``_r``, pair by pair.
 
     A whole-group sweep can be given a ``reduction``: ``_Cosets`` (F = P
     and F = 1) or ``_Orbits`` (F = +-R).  Its ``top`` says which x to sum
@@ -591,17 +663,26 @@ def _sums_at_q(
         for v in _between(ctx, ui, wi):  # builds the masks below w
             span |= 1 << v
         masks, tops, reduction = ctx.tables.le, (wi,), None
-    # column v: the ids x of the members below v and the R_xv, read once
+    # column v: the ids x of the members below v and the R_xv, read once;
+    # over the group or [e, w] every column is needed whole, so one pass
+    # fills and checks them all, else ``_r`` fills the pairs read
+    whole = wi < 0 or ui == 0
+    recursive = whole and _fill_columns(ctx, "R", wi)
     ids = ctx.ids
     rcols = {}
     table = ctx.tables.R
     for v in iter_bits(span):
         xs = list(map(ids.__getitem__, iter_bits(masks[v] & span)))
-        get = table.get(v, {}).get  # entries there, else ``_r``
-        rcols[v] = xs, [get(x) or _r(ctx, x, v) for x in xs]
+        if whole:
+            rcols[v] = xs, list(map(table[v].__getitem__, xs))
+        else:
+            get = table.get(v, {}).get  # entries there, else ``_r``
+            rcols[v] = xs, [get(x) or _r(ctx, x, v) for x in xs]
     fcols = {w: list(map(f(w), rcols[w][0])) for w in tops}
     red = None if reduction is None else reduction(ctx, rcols, fcols)
-    if red is not None and (ones is not None and not red.ones or not red.holds()):
+    if red is not None and (
+        ones is not None and not red.ones or not red.holds(recursive)
+    ):
         red = None
     rvals = {r for _, rs in rcols.values() for r in rs}
     fvals = {p for fs in fcols.values() for p in fs}
@@ -942,13 +1023,17 @@ def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
     the pair's values by ``_fh_split``, which the ``verify`` check
     fh_structure calls once per distinct (R, a, l) instead of once per pair.
     """
-    ctx = u.ctx
     if u == w or not bruhat_le(u, w):
         raise ValueError("fh_vectors requires u < w")
-    r = _r(ctx, u.index, w.index)
-    fh = _fh_split(ctx, r, absolute_length(u, w), w.length - u.length)
+    return _fh_of(u.ctx, u.index, w.index, absolute_length(u, w))
+
+
+def _fh_of(ctx: GroupContext, ui: int, wi: int, a: int) -> FHDecomposition:
+    """``fh_vectors`` of u < w, given a = a(u, w): ``_fh_split`` of R_uw,
+    raising RuntimeError naming the pair if it fails."""
+    fh = _fh_split(ctx, _r(ctx, ui, wi), a, ctx.lengths[wi] - ctx.lengths[ui])
     if isinstance(fh, str):
-        raise RuntimeError(_pair_fault(ctx, u.index, w.index, fh))
+        raise RuntimeError(_pair_fault(ctx, ui, wi, fh))
     return fh
 
 
@@ -1065,18 +1150,17 @@ def _singular_rows(
 def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
     """Compute every comparable pair's entry for the requested kinds.
 
-    Top elements go by increasing id, hence length.  For KL, every column
-    is staged by the recursion and then certified in one ``_certify`` sweep
-    over the whole group; a second call certifies the table again.
+    R and Rt each take one pass of ``_fill_columns``, which fills what is
+    missing and checks what is there, and whose verdict is not used here.
+    For KL, every column is staged by the recursion and then certified in
+    one ``_certify`` sweep over the whole group; a second call certifies
+    the table again.
     """
-    masks = le_masks(ctx)
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown table kind {kind!r}")
-    for wi in range(ctx.order):
-        for kind in ("R", "Rt"):
-            if kind in kinds:
-                for ui in iter_bits(masks[wi]):
-                    _r(ctx, ui, wi, kind)
+    for kind in ("R", "Rt"):
+        if kind in kinds:
+            _fill_columns(ctx, kind)
     if "KL" in kinds:
         _certify(ctx)

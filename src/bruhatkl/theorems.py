@@ -96,10 +96,10 @@ from bruhatkl.klr import (
     _digits,
     _greedy_ends,
     _fh_split,
+    _fill_columns,
     _inverse_faults,
     _Orbits,
     _pair_fault,
-    _r,
     _rt_rebuilt,
     _rt_support_fault,
     _shifted,
@@ -181,23 +181,28 @@ def _r_classes(ctx: GroupContext) -> Classes:
     """The comparable pairs grouped by their ``Key``, each class's pairs
     in pair order.
 
-    One pass over the lower-cone masks, top w by top w: R and Rt are read
-    through ``klr._r`` (filled lazily where missing), and a(u,w) and the
+    R and Rt first take one pass each of ``klr._fill_columns``, which
+    fills what is missing; then one pass over the lower-cone masks, top w
+    by top w, reads both columns of w directly, and a(u,w) and the
     in-edges of w once per top w.  Nothing is kept: each ``run_suite``
     call groups the tables as they are then.  l(u,w) = 0 exactly on the
     diagonal.
     """
+    _fill_columns(ctx, "R")
+    _fill_columns(ctx, "Rt")
     lengths = ctx.lengths
     lower = le_masks(ctx)
+    r_table, rt_table = ctx.tables.R, ctx.tables.Rt
     classes: Classes = {}
     for wi in range(ctx.order):
         lw = lengths[wi]
         a_of = abs_len_table(ctx.elements[wi])
         into_w = set(_row(ctx, wi)[1])
+        r, rt = r_table[wi], rt_table[wi]
         for ui in iter_bits(lower[wi]):
             key = (
-                _r(ctx, ui, wi),
-                _r(ctx, ui, wi, "Rt"),
+                r[ui],
+                rt[ui],
                 a_of[ui],
                 lw - lengths[ui],
                 ui in into_w,
@@ -283,7 +288,9 @@ def _check_r_basics(ctx: GroupContext, classes: Classes) -> CheckReport:
 def _check_r_inverse_symmetry(ctx: GroupContext) -> CheckReport:
     """R is invariant under inverting both indices: R_uw = R_{u^-1, w^-1},
     tested per column by ``klr._inverse_faults``, the test that is also
-    premise 1 of the orbit reduction of r_alternating_sum."""
+    premise 1 of the orbit reduction of r_alternating_sum, after one pass
+    of ``klr._fill_columns`` fills what is missing of R."""
+    _fill_columns(ctx, "R")
     wit = _Witnesses()
     for wi in range(ctx.order):
         for ui in _inverse_faults(ctx, wi):
@@ -692,6 +699,8 @@ def _class_sweep(
                 bad_masks[pvw] = bad
             below = lower[vi] & ~(1 << vi) if strict else lower[vi]
             n += below.bit_count()
+            if not bad & below:  # the common case: no failing u
+                continue
             for ui in iter_bits(bad & below):
                 wit.add(
                     f"{_pair_word(ctx, ui, wi)} via "

@@ -1,6 +1,7 @@
 """Tests for Bruhat order, interval graphs, absolute length, and defect."""
 
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -329,3 +330,30 @@ def test_json_export():
     assert obj["members"][0] == "e" and obj["top"] == "1 2 1"
     assert len(obj["edges"]) == 9
     assert obj["defect"] == 0 and obj["abs_len"] == 1
+
+
+def _lowest_set_bits(mask):
+    """The set-bit indices by clearing the lowest set bit: the reference."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_iter_bits_matches_the_lowest_bit_loop():
+    # edge masks, and random masks on both sides of the dense/sparse
+    # crossover ((width + 64) / (10 + width/512) set bits) at each width
+    masks = [0, 1, 1 << 51839, (1 << 720) - 1]
+    rng = random.Random(24)
+    for width in (30, 384, 720, 51840):
+        for every in (2, 5, 9, 14, 40, 200, 1000):
+            k = max(1, width // every)
+            masks.append(sum(1 << b for b in rng.sample(range(width), k)))
+    kinds = set()
+    for mask in masks:
+        it = iter_bits(mask)
+        kinds.add(type(it).__name__)
+        assert list(it) == _lowest_set_bits(mask)
+    assert kinds == {"compress", "generator"}

@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from reference_checks import plant  # noqa: E402
 
+from bruhatkl import bruhat  # noqa: E402
 from bruhatkl.bruhat import comparable_pairs, defect, neighborhood  # noqa: E402
 from bruhatkl.cli import main  # noqa: E402
 from bruhatkl.coxeter import (  # noqa: E402
@@ -62,6 +63,18 @@ def test_table_json_round_trips_polynomials(capsys):
     assert IntPoly(obj["P"]["coeffs"]) == IntPoly([1, 1])
     assert obj["df"] == 1 and obj["a"] == 2 and obj["l"] == 4
     assert obj["f"] == [1, 1, 1] and obj["h"] == [1, -1, 1]
+
+
+def test_table_walks_the_interval_once(monkeypatch, capsys):
+    # a(u, w) is found once and handed to the f/h split
+    calls = []
+    depths = bruhat._depths
+    monkeypatch.setattr(bruhat, "_depths", lambda *a: calls.append(a) or depths(*a))
+    code, out, _ = run(
+        capsys, "table", "--group", "A5", "--u", "2 1 3 2", "--w", "2 1 3 2 4 3 5 4"
+    )
+    assert code == 0 and "f = (" in out
+    assert len(calls) == 1
 
 
 def test_table_kinds_filter(capsys):

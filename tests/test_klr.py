@@ -19,6 +19,7 @@ from reference_checks import (  # noqa: E402
     sum_r_over,
 )
 
+from bruhatkl import klr  # noqa: E402
 from bruhatkl.bruhat import (  # noqa: E402
     absolute_length,
     comparable_pairs,
@@ -36,6 +37,7 @@ from bruhatkl.coxeter import (  # noqa: E402
 from bruhatkl.klr import (  # noqa: E402
     _coset_tops,
     _digits,
+    _fill_columns,
     _right_descents,
     _stage,
     _sums_at_q,
@@ -499,3 +501,71 @@ def test_r_step_is_keyed_by_value():
         plant(ctx.tables.R, s.index, ws.index, (1,))
         assert r_poly(e, w).coeffs == add((0, 1), mul((-1, 1), b))
     assert results[0] != results[1]
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2"])
+def test_column_pass_stores_what_the_pair_recursion_gives(spec):
+    # on fresh contexts, over the whole group and over [e, w] for several
+    # w, the pass fills exactly the pairs of its columns, each with the
+    # value the pair recursion gives it, and finds nothing present to fail
+    ref = build_group(parse_group_spec(spec))
+    lower = le_masks(ref)
+    n = ref.order
+    for kind in ("R", "Rt"):
+        want = {(x, w): klr._r(ref, x, w, kind) for x, w in comparable_pairs(ref)}
+        ctx = build_group(parse_group_spec(spec))
+        assert _fill_columns(ctx, kind)
+        assert entries(getattr(ctx.tables, kind)) == want
+        for w in (1, n // 3, n // 2, n - 2, n - 1):
+            ctx = build_group(parse_group_spec(spec))
+            assert _fill_columns(ctx, kind, w)
+            assert entries(getattr(ctx.tables, kind)) == {
+                (x, v): want[x, v]
+                for v in iter_bits(lower[w])
+                for x in iter_bits(lower[v])
+            }
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_column_pass_reads_planted_entries_as_the_pair_recursion_does(spec):
+    # a diagonal entry that is not 1, a () entry and a wrong entry are kept
+    # and read as they are; every missing entry, the diagonal entries above
+    # the planted one included, gets what ``_r`` gives it, and the pass
+    # reports the planted entries
+    tables = []
+    for fill in ("pass", "pairs"):
+        ctx = build_group(parse_group_spec(spec))
+        n = ctx.order
+        plant(ctx.tables.R, 1, 1, (2,))
+        plant(ctx.tables.R, 0, n // 2, ())
+        plant(ctx.tables.R, 2, n // 3, (5, 1))
+        assert le_masks(ctx)[n // 3] >> 2 & 1
+        if fill == "pass":
+            assert not _fill_columns(ctx, "R")
+        else:
+            for x, w in comparable_pairs(ctx):
+                klr._r(ctx, x, w)
+        tables.append(entries(ctx.tables.R))
+    assert tables[0] == tables[1]
+    assert {tables[0][v, v] for v in range(2, n)} == {(1,)}
+
+
+@pytest.mark.parametrize(
+    "fill",
+    [
+        lambda ctx: fill_tables(ctx, ("R", "Rt")),
+        lambda ctx: fill_tables(ctx, ("KL",)),
+        lambda ctx: kl_poly(ctx.identity, ctx.elements[ctx.order - 1]),
+    ],
+    ids=["R,Rt", "KL", "kl_poly(e, w0)"],
+)
+def test_whole_group_and_e_w_fills_make_no_pair_recursion(fill, monkeypatch):
+    # the column pass fills R for the group and for [e, w0]; the pair
+    # recursion is never entered
+    calls = []
+    r = klr._r
+    monkeypatch.setattr(klr, "_r", lambda *a: calls.append(a) or r(*a))
+    ctx = build_group(parse_group_spec("A4"))
+    fill(ctx)
+    assert calls == []
+    assert len(entries(ctx.tables.R)) == len(comparable_pairs(ctx))

@@ -545,6 +545,48 @@ def test_kl_basics_names_every_pair_of_a_planted_coset(spec, monkeypatch):
         assert any(wit.startswith(pair) for wit in report.witnesses)
 
 
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "clean",
+        "r_plus_one",
+        "r_times_1e6",
+        "r_after_run",
+        "r_orbit",
+        "r_inverse",
+        "r_w0",
+        "r_empty",
+        "r_diagonal_e",
+        "r_diagonal_top",
+    ],
+)
+def test_coset_sweep_sums_every_pair_when_r_breaks_its_recursion(
+    spec, kind, monkeypatch
+):
+    # premise (b) of the coset reduction comes from the column pass over
+    # R: every altered R, a planted () and a diagonal entry that is not 1
+    # make the certificate sum every pair, so no coset tops are asked for
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx)
+    top = ctx.order - 1
+    if kind == "r_empty":
+        plant(ctx.tables.R, 0, top, ())
+    elif kind == "r_diagonal_e":
+        plant(ctx.tables.R, 0, 0, (2,))
+    elif kind == "r_diagonal_top":
+        plant(ctx.tables.R, top, top, (2,))
+    elif kind != "clean":
+        _corrupt(ctx, kind)
+    reduced = []
+    coset_tops = klr._coset_tops
+    monkeypatch.setattr(
+        klr, "_coset_tops", lambda c, d: reduced.append(d) or coset_tops(c, d)
+    )
+    run_check("kl_basics", ctx)
+    assert bool(reduced) == (kind == "clean")
+
+
 def _orbit_tops(monkeypatch):
     """The tops w the orbit reduction is asked about from now on: none
     unless its premises held."""
