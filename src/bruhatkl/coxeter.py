@@ -244,12 +244,12 @@ class Tables:
     reader (``klr._kl``).  These tables hold few
     distinct values (37 R polynomials over D4's 9,817 comparable pairs, 436
     over F4's 396,809), so every value they are filled with is the one
-    tuple of ``pool`` equal to it, and the arithmetic on values is
-    memoized by value, never by pair: the R/Rt recursion step in ``steps``
-    and R's (q-1)-expansion in ``shifted``.  A reader of a derived value
-    looks it up by the entry as it is now, so an entry changed after a
-    fill gets its own result and no reader sees a value derived from an
-    entry that has since changed.
+    tuple of ``pool`` equal to it, and the one memo of arithmetic on
+    values, the R/Rt recursion step in ``steps``, is keyed by value, never
+    by pair.  So a step is looked up by the entries as they are now, and
+    an entry changed after a fill gets its own result.  R's
+    (q-1)-expansion is not memoized: its readers take it once per value
+    class or once per one-pair call.
     Tables can hold hundreds of thousands of entries, so they compare by
     identity and have no field-by-field repr.  What a sweep can derive a
     top w at a time is not stored: the list of comparable pairs is read
@@ -277,8 +277,6 @@ class Tables:
     steps: dict[tuple[str, Coeffs, Coeffs], Coeffs] = field(
         default_factory=dict
     )  # klr._step
-    # R value -> its trimmed (q-1)-coefficients
-    shifted: dict[Coeffs, Coeffs] = field(default_factory=dict)  # klr._shifted
 
 
 class GroupContext:

@@ -10,11 +10,16 @@ reproducible order), and differ only in its step polynomials:
 
 (Bjorner and Brenti, Combinatorics of Coxeter Groups, Thm. 5.1.1.)  It
 runs a column at a time, ``_fill_columns``, wherever whole columns are
-needed: over the whole group and over an interval [e, w], whose columns
-are all of [e, w].  That one pass by increasing id fills each missing
-entry from the column of ws and checks each present one against it.  A
-single pair, or an interval [u, w] with u != e, is filled by ``_r``, the
-same recursion one pair at a time, which reads only the pairs it needs.
+needed: over an interval [e, w], whose columns are all of [e, w], and so
+over the whole group, [e, w0].  That one pass by increasing id fills each
+missing entry from the column of ws and checks each present one against
+it.  A whole-group pass runs once per command, before anything reads the
+table: in the KL certificate (``_certify``), whose coset reduction takes
+the pass's verdict as a premise, or, when nothing reads KL, in
+``theorems.run_suite`` or ``fill_tables``; every whole-group sweep after
+it only reads R.  A single pair, or an interval [u, w] with u != e, is
+filled by ``_r``, the same recursion one pair at a time, which reads only
+the pairs it needs.
 
 KL polynomials are defined by the functional equation
 
@@ -52,7 +57,7 @@ sums, faults and errors either way.
   pair's sum is its coset top's sum times a power of q
   (``_coset_tops``).  Premises: (a) F_vw = F_{vs,w} for s in D_R(w),
   and (b) the R table follows the recursion above, hence is the group's
-  R, which the column pass that fills R for the sweep reports.  The
+  R, which the certificate's column pass over R reports.  The
   reduction is only on the right.  The two-sided one, D_L(w) in
   D_L(x) as well, would sweep 2.2% of D4's triples and 2.6% of B4's
   (8.2% and 10.6% on the right alone), but needs premises on the left
@@ -78,10 +83,11 @@ comparable pairs), so each value is held once: every entry filled in is
 the tuple of ``tables.pool`` equal to it (``_intern``), and each piece of
 arithmetic on values runs once per value, never per pair.  The step
 top * a + side * b of the R/Rt recursion is memoized in ``tables.steps``
-by (kind, a, b), R's (q-1)-expansion in ``tables.shifted`` by R, and a
-sweep of ``_sums_at_q`` evaluates each distinct R and F value at Q once.
-Keyed by value, no memo can serve a result for an entry that has since
-changed: the changed entry is looked up by its new value.
+by (kind, a, b), and a sweep of ``_sums_at_q`` evaluates each distinct R
+and F value at Q once.  Keyed by value, no memo can serve a result for an
+entry that has since changed: the changed entry is looked up by its new
+value.  R's (q-1)-expansion is not memoized: a check expands it once per
+value class, and a one-pair function once per call.
 """
 
 from __future__ import annotations
@@ -186,10 +192,11 @@ def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
 
 
 def _fill_columns(ctx: GroupContext, kind: str = "R", wi: int = -1) -> bool:
-    """Fill the missing R (or Rt) entries of every column v, or of every
-    v <= w when wi >= 0, and check the present ones, in one pass over the
-    columns by increasing id.  Returns whether every present entry equals
-    the recursion's value.
+    """Fill the missing R (or Rt) entries of every column v <= w, and check
+    the present ones, in one pass over the columns by increasing id; with
+    wi < 0, w = w0, the last id, above every element, so the pass covers
+    the whole group.  Returns whether every present entry equals the
+    recursion's value.
 
     For each x <= v, with T the kind's table, the pass takes the step of
     ``_r`` at s = srd(v) from the column of vs, already complete: T_xv =
@@ -210,13 +217,10 @@ def _fill_columns(ctx: GroupContext, kind: str = "R", wi: int = -1) -> bool:
     table = getattr(t, kind)
     ids, rmult, srd = ctx.ids, ctx.rmult, ctx.srd
     one = _intern(t, (1,))
-    if wi < 0:
-        masks, columns = le_masks(ctx), range(ctx.order)
-    else:
-        columns = list(iter_bits(_lower(ctx, wi)))
-        for v in columns:
-            _lower(ctx, v)
-        masks = t.le
+    columns = list(iter_bits(_lower(ctx, ctx.order - 1 if wi < 0 else wi)))
+    for v in columns:
+        _lower(ctx, v)
+    masks = t.le
     fits = True
     memo: dict[tuple[bool, Coeffs, Coeffs], Coeffs] = {}  # -> T_xv
     for v in columns:
@@ -266,16 +270,6 @@ def _inverse_faults(
         below = list(iter_bits(_lower(ctx, wi)))
     get, iget = table[wi].__getitem__, table[inv[wi]].__getitem__
     return [x for x in below if get(x) != iget(inv[x])]
-
-
-def _shifted(ctx: GroupContext, r: Coeffs) -> Coeffs:
-    """Trimmed (q-1)-coefficients of the R value r, expanded once per
-    value and kept in ``tables.shifted``."""
-    memo = ctx.tables.shifted
-    sh = memo.get(r)
-    if sh is None:
-        sh = memo[r] = _to_shifted(r)
-    return sh
 
 
 def _between(ctx: GroupContext, ui: int, wi: int) -> Iterator[int]:
@@ -439,12 +433,12 @@ class _Cosets:
     D_R(w) and v <= w, checked on the F columns read; (b) every R_xv is
     the step of the recursion at s = srd(v) from the column of vs, and
     every diagonal entry is 1, so that, by induction on l(v), the table is
-    the R of the group.  (b) is not derived again here: it is the result
-    of the ``_fill_columns`` pass with which ``_sums_at_q`` fills and
-    checks R before the sweep.  F = 1 meets (a), so the R-sums S_1 obey the
-    lemma too.  The columns of v cut down to the coset tops of one D_R(w)
-    are built on first use and dropped after the last top w with that
-    D_R(w).
+    the R of the group.  (b) is not derived again here: it is the verdict
+    of the ``_fill_columns`` pass over R that the caller of the sweep
+    (``_certify``) made before it, passed in as ``recursive``.  F = 1
+    meets (a), so the R-sums S_1 obey the lemma too.  The columns of v
+    cut down to the coset tops of one D_R(w) are built on first use and
+    dropped after the last top w with that D_R(w).
     """
 
     ones = True  # serves the sums S_1 of ``_sums_at_q`` too
@@ -459,7 +453,8 @@ class _Cosets:
 
     def holds(self, recursive: bool) -> bool:
         """Premise (a), checked on the F columns read, and premise (b),
-        ``recursive``: what ``_fill_columns`` returned for R."""
+        ``recursive``: what the caller's ``_fill_columns`` pass over R
+        returned."""
         rmult, desc = self.ctx.rmult, self.desc
         if not recursive:
             return False
@@ -605,6 +600,7 @@ def _sums_at_q(
     wi: int = -1,
     ones: Columns | None = None,
     reduction: type[_Cosets] | type[_Orbits] | None = None,
+    recursive: bool = False,
 ) -> tuple[int, Iterator[tuple[int, dict[int, int]]]]:
     """B, and per top w one pair (w, {x: S_xw(Q)}), x by increasing id.
 
@@ -623,10 +619,12 @@ def _sums_at_q(
     are read from the tables as they are now, so a corrupted entry raises B
     instead of breaking the identity.  The norms and the values at Q are
     taken once per distinct R or F value read, which the sweep then shares
-    between the pairs that hold it.  Missing R entries are filled first:
-    over the whole group or an interval [e, w] by one ``_fill_columns``
-    pass, whose check of the present entries is premise (b) of
-    ``_Cosets``, and over [u, w] with u != e by ``_r``, pair by pair.
+    between the pairs that hold it.  A whole-group sweep only reads R: the
+    caller has filled all of it (``_fill_columns``), and passes the pass's
+    verdict as ``recursive``, premise (b) of ``_Cosets``.  An interval
+    sweep fills what it reads of R first: over [e, w] by one
+    ``_fill_columns`` pass, and over [u, w] with u != e by ``_r``, pair by
+    pair.
 
     A whole-group sweep can be given a ``reduction``: ``_Cosets`` (F = P
     and F = 1) or ``_Orbits`` (F = +-R).  Its ``top`` says which x to sum
@@ -664,10 +662,12 @@ def _sums_at_q(
             span |= 1 << v
         masks, tops, reduction = ctx.tables.le, (wi,), None
     # column v: the ids x of the members below v and the R_xv, read once;
-    # over the group or [e, w] every column is needed whole, so one pass
-    # fills and checks them all, else ``_r`` fills the pairs read
+    # over the group or [e, w] every column is needed whole: the caller's
+    # pass filled the group's, and one pass fills those of [e, w]; else
+    # ``_r`` fills the pairs read
     whole = wi < 0 or ui == 0
-    recursive = whole and _fill_columns(ctx, "R", wi)
+    if whole and wi >= 0:
+        _fill_columns(ctx, "R", wi)
     ids = ctx.ids
     rcols = {}
     table = ctx.tables.R
@@ -746,6 +746,7 @@ def _kl_faults(
     ui: int = 0,
     wi: int = -1,
     ones: Columns | None = None,
+    recursive: bool = False,
 ) -> Iterator[tuple[int, int, str]]:
     """(x, w, fault) for each pair of the sweep of ``_sums_at_q`` (the
     interval [u, w], or the whole group when wi < 0) that fails a test, by
@@ -758,7 +759,8 @@ def _kl_faults(
     The equation and the degree bound determine P_xw from the P_yw with
     y in (x, w], so when no pair of [x, w] fails, P_xw is the KL
     polynomial of the tables' R however it was computed.  ``ones`` is
-    passed to the sweep, which fills it with the interval R-sums.
+    passed to the sweep, which fills it with the interval R-sums, and so
+    is ``recursive``, the verdict of the caller's pass over R.
 
     Every pair is tested.  Over the whole group the sweep takes the
     reduction ``_Cosets``: it sums over the triples only for coset tops,
@@ -768,7 +770,7 @@ def _kl_faults(
     sums for every pair.
     """
     lengths = ctx.lengths
-    bits, tops = _sums_at_q(ctx, column, ui, wi, ones, _Cosets)
+    bits, tops = _sums_at_q(ctx, column, ui, wi, ones, _Cosets, recursive)
     rev: dict[Coeffs, int] = {}  # P -> Q^(deg P) P(1/Q), once per value
     for w, acc in tops:
         lw, pw = lengths[w], column(w)
@@ -799,19 +801,24 @@ def _certify(
 
     Stages the columns of the tops first if needed, then runs one
     ``_kl_faults`` sweep and returns its faults, also on a table already
-    certified.  Over the whole group the sweep sums only for the coset
-    tops x*, D_R(w) in D_R(x*), when its two premises hold, and for every
-    pair otherwise; the faults are the same either way (see
-    ``_sums_at_q``).  The sweep also fills ``ones``, if given, with the
-    interval R-sums of the pairs it covers.  Raises RuntimeError naming
-    the first faulty pair whose pending bit is set, by w and then x,
-    before clearing any bit.
+    certified.  Over the whole group it first makes the one
+    ``_fill_columns`` pass over R of the command, which fills what is
+    missing of R and whose verdict is premise (b) of the sweep's coset
+    reduction; every reader of R after it, in this call and in the checks
+    of ``theorems.run_suite``, reads the table it left.  The sweep sums
+    only for the coset tops x*, D_R(w) in D_R(x*), when its two premises
+    hold, and for every pair otherwise; the faults are the same either
+    way (see ``_sums_at_q``).  The sweep also fills ``ones``, if given,
+    with the interval R-sums of the pairs it covers.  Raises RuntimeError
+    naming the first faulty pair whose pending bit is set, by w and then
+    x, before clearing any bit.
     """
     t = ctx.tables
     pending = t.pending
     for w in range(ctx.order) if wi < 0 else (wi,):
         _stage(ctx, w)
-    faults = list(_kl_faults(ctx, _reader(t), ui, wi, ones))
+    recursive = wi < 0 and _fill_columns(ctx, "R")
+    faults = list(_kl_faults(ctx, _reader(t), ui, wi, ones, recursive))
     for x, w, _ in faults:
         if pending.get(w, 0) >> x & 1:
             raise _kl_error(ctx, x, w)
@@ -966,7 +973,7 @@ def check_r_rtilde_link(u: GroupElement, w: GroupElement) -> bool:
     fault = _rt_support_fault(rt, a, ell)
     if fault is not None:
         raise RuntimeError(_pair_fault(ctx, u.index, w.index, fault))
-    return _rt_rebuilt(rt, a, ell) == _shifted(ctx, _r(ctx, u.index, w.index))
+    return _rt_rebuilt(rt, a, ell) == _to_shifted(_r(ctx, u.index, w.index))
 
 
 @dataclass
@@ -988,14 +995,12 @@ class FHDecomposition:
     h: tuple[int, ...]
 
 
-def _fh_split(
-    ctx: GroupContext, r: Coeffs, a: int, ell: int
-) -> FHDecomposition | str:
+def _fh_split(r: Coeffs, a: int, ell: int) -> FHDecomposition | str:
     """The f/h-decomposition of an R value r, for a pair of absolute length
     a and length l > 0, or the fault that stops it: the (q-1)-multiplicity
     of r differs from a, or an invariant of ``FHDecomposition`` fails, or
     the decomposition does not rebuild r."""
-    sh = _shifted(ctx, r)
+    sh = _to_shifted(r)
     mult = next((i for i, c in enumerate(sh) if c), 0)
     if mult != a:
         return f"(q-1)-multiplicity {mult} of R differs from absolute length"
@@ -1031,7 +1036,7 @@ def fh_vectors(u: GroupElement, w: GroupElement) -> FHDecomposition:
 def _fh_of(ctx: GroupContext, ui: int, wi: int, a: int) -> FHDecomposition:
     """``fh_vectors`` of u < w, given a = a(u, w): ``_fh_split`` of R_uw,
     raising RuntimeError naming the pair if it fails."""
-    fh = _fh_split(ctx, _r(ctx, ui, wi), a, ctx.lengths[wi] - ctx.lengths[ui])
+    fh = _fh_split(_r(ctx, ui, wi), a, ctx.lengths[wi] - ctx.lengths[ui])
     if isinstance(fh, str):
         raise RuntimeError(_pair_fault(ctx, ui, wi, fh))
     return fh
@@ -1151,16 +1156,17 @@ def fill_tables(ctx: GroupContext, kinds: tuple[str, ...] = KINDS) -> None:
     """Compute every comparable pair's entry for the requested kinds.
 
     R and Rt each take one pass of ``_fill_columns``, which fills what is
-    missing and checks what is there, and whose verdict is not used here.
-    For KL, every column is staged by the recursion and then certified in
-    one ``_certify`` sweep over the whole group; a second call certifies
-    the table again.
+    missing and checks what is there.  For KL, every column is staged by
+    the recursion and then certified in one ``_certify`` sweep over the
+    whole group, which makes the pass over R itself, so R takes one pass
+    either way; a second call certifies the table again.
     """
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown table kind {kind!r}")
-    for kind in ("R", "Rt"):
-        if kind in kinds:
-            _fill_columns(ctx, kind)
+    if "Rt" in kinds:
+        _fill_columns(ctx, "Rt")
     if "KL" in kinds:
         _certify(ctx)
+    elif "R" in kinds:
+        _fill_columns(ctx, "R")

@@ -56,8 +56,15 @@ which decides each class once.  Counts and stats come from the class
 sizes; only a failing class's pairs are walked, merged in pair order, to
 write the witnesses a sweep of the pairs one at a time would write.
 le1_le2_le3 still counts the length-2 paths of each pair with
-a(u,w) = 2, the one part of a verdict that the key does not fix.  R's
-(q-1)-expansion is read through ``klr._shifted``, once per R value.
+a(u,w) = 2, the one part of a verdict that the key does not fix.  Each
+check that reads R's (q-1)-expansion takes it once per class, by
+``polynomial._to_shifted``.
+
+Every check reads R and Rt as one ``run_suite`` call finds them after
+its one ``klr._fill_columns`` pass over each kind it reads: R's pass is
+the KL certificate's when a selected check reads KL, and ``run_suite``'s
+own otherwise; Rt's is ``run_suite``'s, made with the classes.  No check
+fills a table of its own.
 
 The ten column checks (reading "column", "kl" or "sums" in
 ``_REGISTRY``: deodhar and the KL-level checks but kl_basics) share one
@@ -102,10 +109,10 @@ from bruhatkl.klr import (
     _pair_fault,
     _rt_rebuilt,
     _rt_support_fault,
-    _shifted,
     _stuck_error,
     _sums_at_q,
 )
+from bruhatkl.polynomial import _to_shifted
 
 __all__ = [
     "CheckReport",
@@ -181,15 +188,13 @@ def _r_classes(ctx: GroupContext) -> Classes:
     """The comparable pairs grouped by their ``Key``, each class's pairs
     in pair order.
 
-    R and Rt first take one pass each of ``klr._fill_columns``, which
-    fills what is missing; then one pass over the lower-cone masks, top w
-    by top w, reads both columns of w directly, and a(u,w) and the
+    R and Rt are read, not filled: ``run_suite`` has made one pass of
+    ``klr._fill_columns`` over each.  One pass over the lower-cone masks,
+    top w by top w, reads both columns of w directly, and a(u,w) and the
     in-edges of w once per top w.  Nothing is kept: each ``run_suite``
     call groups the tables as they are then.  l(u,w) = 0 exactly on the
     diagonal.
     """
-    _fill_columns(ctx, "R")
-    _fill_columns(ctx, "Rt")
     lengths = ctx.lengths
     lower = le_masks(ctx)
     r_table, rt_table = ctx.tables.R, ctx.tables.Rt
@@ -278,7 +283,7 @@ def _check_r_basics(ctx: GroupContext, classes: Classes) -> CheckReport:
         fault = _rt_support_fault(rt, a, ell)
         if fault is not None:
             faults.append((fault, True))
-        elif _rt_rebuilt(rt, a, ell) != _shifted(ctx, r):
+        elif _rt_rebuilt(rt, a, ell) != _to_shifted(r):
             faults.append(("Rt substitution rebuild != R", False))
         return faults
 
@@ -288,9 +293,8 @@ def _check_r_basics(ctx: GroupContext, classes: Classes) -> CheckReport:
 def _check_r_inverse_symmetry(ctx: GroupContext) -> CheckReport:
     """R is invariant under inverting both indices: R_uw = R_{u^-1, w^-1},
     tested per column by ``klr._inverse_faults``, the test that is also
-    premise 1 of the orbit reduction of r_alternating_sum, after one pass
-    of ``klr._fill_columns`` fills what is missing of R."""
-    _fill_columns(ctx, "R")
+    premise 1 of the orbit reduction of r_alternating_sum, on R as the
+    one pass over R of the ``run_suite`` call left it."""
     wit = _Witnesses()
     for wi in range(ctx.order):
         for ui in _inverse_faults(ctx, wi):
@@ -300,9 +304,8 @@ def _check_r_inverse_symmetry(ctx: GroupContext) -> CheckReport:
 
 def _signed_r(ctx: GroupContext) -> Callable[[int], Callable[[int], Coeffs]]:
     """The column reader of F = +-R, w -> (v -> (-1)^l(v) R_vw), which
-    holds one tuple per distinct value.  Reads the R column of w as it is
-    filled, which the sweep of ``klr._sums_at_q`` completes before it
-    reads F."""
+    holds one tuple per distinct value.  Reads the R column of w, which
+    the one pass over R of the ``run_suite`` call has filled."""
     lengths = ctx.lengths
     negated: dict[Coeffs, Coeffs] = {}  # R value -> -R, once per value
 
@@ -379,7 +382,7 @@ def _check_shifted_nonneg(ctx: GroupContext, classes: Classes) -> CheckReport:
     from a(u,w) through l(u,w)."""
 
     def decide(r, rt, a, ell, edge) -> list[Fault]:
-        sh = _shifted(ctx, r)
+        sh = _to_shifted(r)
         ok = len(sh) == ell + 1
         ok = ok and all(c == 0 for c in sh[:a])
         ok = ok and all(c > 0 for c in sh[a:])
@@ -393,7 +396,7 @@ def _check_divisibility_order(ctx: GroupContext, classes: Classes) -> CheckRepor
     (q-1)-expansion) equals the absolute length of the pair."""
 
     def decide(r, rt, a, ell, edge) -> list[Fault]:
-        mult = next((i for i, c in enumerate(_shifted(ctx, r)) if c), 0)
+        mult = next((i for i, c in enumerate(_to_shifted(r)) if c), 0)
         return [] if mult == a else [(f"multiplicity {mult}, a = {a}", False)]
 
     return _class_report(ctx, "divisibility_order", classes, decide)
@@ -404,7 +407,7 @@ def _check_fh_structure(ctx: GroupContext, classes: Classes) -> CheckReport:
     h palindromic with h_0 = 1, both rebuilding R exactly."""
 
     def decide(r, rt, a, ell, edge) -> list[Fault]:
-        fh = _fh_split(ctx, r, a, ell)
+        fh = _fh_split(r, a, ell)
         return [(fh, True)] if isinstance(fh, str) else []
 
     return _class_report(ctx, "fh_structure", classes, decide)
@@ -414,7 +417,7 @@ def _check_boolean_criterion(ctx: GroupContext, classes: Classes) -> CheckReport
     """R equals (q-1)^l(u,w) exactly when a(u,w) = l(u,w)."""
 
     def decide(r, rt, a, ell, edge) -> list[Fault]:
-        is_power = _shifted(ctx, r) == (0,) * ell + (1,)
+        is_power = _to_shifted(r) == (0,) * ell + (1,)
         a_is_ell = a == ell
         if is_power != a_is_ell:
             return [(f"R == (q-1)^l is {is_power} but a == l is {a_is_ell}", False)]
@@ -432,7 +435,7 @@ def _check_binomial_bounds(ctx: GroupContext, classes: Classes) -> CheckReport:
     """(q-1)^l <= R <= q^l coefficientwise in the shifted basis."""
 
     def decide(r, rt, a, ell, edge) -> list[Fault]:
-        sh = _shifted(ctx, r)
+        sh = _to_shifted(r)
         sh += (0,) * (ell + 1 - len(sh))  # a short entry reads as 0 to (q-1)^l
         for k, c in enumerate(sh):
             lo = 1 if k == ell else 0
@@ -878,12 +881,12 @@ def _walk(
 # name -> (check, what it reads): "classes", the classes of
 # ``_r_classes``; "faults", the certificate's faults; "column", a column
 # check of ``_walk`` that reads no KL; "kl", one that reads KL; "sums", one
-# that also reads the interval R-sums; None, only the tables.  A check that
+# that also reads the interval R-sums; "R", only the R table.  A check that
 # reads "classes", "faults" or "sums" is passed it after ctx
 _REGISTRY = {
     "r_basics": (_check_r_basics, "classes"),
-    "r_inverse_symmetry": (_check_r_inverse_symmetry, None),
-    "r_alternating_sum": (_check_r_alternating_sum, None),
+    "r_inverse_symmetry": (_check_r_inverse_symmetry, "R"),
+    "r_alternating_sum": (_check_r_alternating_sum, "R"),
     "r_functional_equation": (_check_r_functional_equation, "classes"),
     "r_derivative_edge": (_check_r_derivative_edge, "classes"),
     "shifted_nonneg": (_check_shifted_nonneg, "classes"),
@@ -921,15 +924,19 @@ def run_check(name: str, ctx: GroupContext) -> CheckReport:
 def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     """Run the selected checks and return their reports, in registry order.
 
-    If any of them reads the KL table, one certificate sweep
-    (``klr._certify``) fills what is missing of it and checks all of it,
-    also when it was full before this call; kl_basics reports its faults.
-    If any reads the interval R-sums, the same sweep also yields them.  No
-    check changes R, so they are R's sums at this call, passed to each.
-    The classes of ``_r_classes`` are built once for the checks that
-    decide once per class, from R, Rt and the graph as they are at this
-    call.  The column checks share one ``_walk`` over the tops, after the
-    others have run.  What each check reads is named in ``_REGISTRY``."""
+    R and Rt each take at most one ``klr._fill_columns`` pass per call,
+    which fills what is missing and checks what is there; every check
+    then only reads them.  If any check reads the KL table, one
+    certificate sweep (``klr._certify``) makes R's pass, then fills what
+    is missing of KL and checks all of it, also when it was full before
+    this call; kl_basics reports its faults.  If none does but one reads
+    R, R's pass is made here.  If any reads the interval R-sums, the
+    certificate sweep also yields them.  No check changes R, so they are
+    R's sums at this call, passed to each.  The classes of ``_r_classes``
+    are built once, after Rt's pass, for the checks that decide once per
+    class, from R, Rt and the graph as they are at this call.  The column
+    checks share one ``_walk`` over the tops, after the others have run.
+    What each check reads is named in ``_REGISTRY``."""
     if selection == "all":
         names = CHECK_NAMES
     else:
@@ -948,8 +955,14 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     reads = {_REGISTRY[n][1] for n in names}
     kl = not reads.isdisjoint(("kl", "sums"))
     sums: Columns | None = {} if "sums" in reads else None
-    faults = _certify(ctx, ones=sums) if kl or "faults" in reads else None
-    classes = _r_classes(ctx) if "classes" in reads else None
+    faults = classes = None
+    if kl or "faults" in reads:
+        faults = _certify(ctx, ones=sums)
+    elif not reads.isdisjoint(("classes", "R")):
+        _fill_columns(ctx, "R")
+    if "classes" in reads:
+        _fill_columns(ctx, "Rt")
+        classes = _r_classes(ctx)
     given = {"classes": classes, "faults": faults, "sums": sums}
     reports = {}
     walkers = {}

@@ -48,6 +48,7 @@ from bruhatkl.bruhat import (
 from bruhatkl.coxeter import GroupContext, GroupElement, _mul, word_of
 from bruhatkl.klr import (
     _between,
+    _fill_columns,
     _kl,
     _kl1,
     _r,
@@ -132,8 +133,10 @@ def f_one(w):
 
 def interval_r_sums(ctx: GroupContext):
     """{(x, w): sum of R_xv over v in [x, w]} for every comparable pair,
-    from R as it is now: the library's route, one whole-group
+    from R as it is now, its missing entries filled: the library's route,
+    one ``_fill_columns`` pass over R and then one whole-group
     ``_sums_at_q`` sweep with F = 1, read back from ``ones``."""
+    _fill_columns(ctx, "R")
     out = {}
     for _ in _sums_at_q(ctx, f_one, ones=out)[1]:
         pass

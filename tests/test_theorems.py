@@ -863,6 +863,76 @@ def test_run_suite_on_a_filled_table_makes_one_sweep(monkeypatch, spec):
     assert all(r["passed"] for r in reports[True])
 
 
+def _counted_passes(monkeypatch):
+    """The kinds of the ``klr._fill_columns`` passes made from now on,
+    called by either module's name for it, in call order."""
+    kinds = []
+    real = klr._fill_columns
+
+    def counted(ctx, kind="R", wi=-1):
+        kinds.append(kind)
+        return real(ctx, kind, wi)
+
+    monkeypatch.setattr(klr, "_fill_columns", counted)
+    monkeypatch.setattr(theorems, "_fill_columns", counted)
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "filled, run, passes",
+    [
+        (False, run_suite, ["R", "Rt"]),
+        (True, run_suite, ["R", "Rt"]),
+        (False, lambda ctx: run_suite(ctx, "deodhar"), []),
+        (False, lambda ctx: run_suite(ctx, "kl_nonneg"), ["R"]),
+        (False, lambda ctx: run_suite(ctx, "r_basics"), ["R", "Rt"]),
+        (False, lambda ctx: run_suite(ctx, "r_alternating_sum"), ["R"]),
+        (False, fill_tables, ["R", "Rt"]),
+        (False, lambda ctx: fill_tables(ctx, ("KL",)), ["R"]),
+    ],
+    ids=[
+        "suite",
+        "suite_after_fill",
+        "deodhar",
+        "kl_nonneg",
+        "r_basics",
+        "r_alternating_sum",
+        "fill_tables",
+        "fill_tables_kl",
+    ],
+)
+def test_one_column_pass_per_kind_per_call(filled, run, passes, monkeypatch):
+    # R is filled and checked once per call, by the certificate when KL is
+    # read and by run_suite otherwise, and Rt once, with the classes; every
+    # other sweep only reads the tables
+    ctx = build_group(parse_group_spec("D4"))
+    if filled:
+        fill_tables(ctx)
+    kinds = _counted_passes(monkeypatch)
+    run(ctx)
+    assert sorted(kinds) == passes
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+@pytest.mark.parametrize(
+    "kind", ["r_plus_one", "r_times_1e6", "r_after_run", "r_orbit", "r_inverse", "r_w0"]
+)
+def test_no_verdict_on_r_is_carried_between_calls(spec, kind):
+    # each run_suite call makes its own pass over R, so a call after R
+    # changes reports what a fresh context changed the same way reports
+    reports = []
+    for ran_before in (True, False):
+        ctx = build_group(parse_group_spec(spec))
+        if ran_before:
+            assert all(r.passed for r in run_suite(ctx))
+        else:
+            fill_tables(ctx)
+        _corrupt(ctx, kind)
+        reports.append([report_to_json(r) for r in run_suite(ctx)])
+    assert reports[0] == reports[1]
+    assert not all(r["passed"] for r in reports[0])
+
+
 def test_deodhar_alone_reads_no_kl():
     ctx = build_group(parse_group_spec("A3"))
     (report,) = run_suite(ctx, "deodhar")
