@@ -7,7 +7,11 @@ on demand with the lifting property along one descent chain, so a single
 comparison builds at most l(w) + 1 masks and every comparison is one bit
 test.  The Bruhat graph is built per element the same way: the first read
 of either row of x (its out- or in-neighbors) builds both.  Whole-group
-scans complete the masks and the rows in one pass over the group.
+scans complete the masks and the rows in one pass over the group, and
+read each out-row as one mask too (``_up_masks``), so that the
+out-neighbors of x below w are the mask up(x) & lower(w) and a count of
+them is a popcount.  One-shot queries read the id rows only: a mask row
+is as wide as the group's order.
 
 Interval statistics:
 
@@ -176,6 +180,16 @@ def _row(ctx: GroupContext, xi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             rows[lengths[vi] < lengths[xi]].append(vi)
         t.up[xi], t.down[xi] = tuple(sorted(rows[0])), tuple(sorted(rows[1]))
     return t.up[xi], t.down[xi]
+
+
+def _up_masks(ctx: GroupContext) -> list[int]:
+    """The out-neighbors of every element as one bitmask each, bit v of
+    the mask of x set iff x -> v: built on first use in one pass over the
+    rows of ``up_adjacency``, and then kept."""
+    t = ctx.tables
+    if t.up_mask is None:
+        t.up_mask = [sum(map((1).__lshift__, row)) for row in up_adjacency(ctx)]
+    return t.up_mask
 
 
 def _out_below(ctx: GroupContext, xi: int, lower: int) -> list[int]:

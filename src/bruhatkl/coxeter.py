@@ -233,6 +233,10 @@ class Tables:
     lower-cone masks ``le`` and the Bruhat-graph rows ``up`` and ``down``
     are per element and may be partly built: a mask 0 (every cone
     contains e, so no built mask is 0) or a row None is not built yet.
+    ``up_mask`` holds the out-neighbors of every element as one bitmask
+    each, read by whole-group sweeps only and built whole on first use: a
+    mask is as wide as the group's order, too wide to build per element
+    for one-shot queries on large groups (51,840 bits on E6).
     The R, Rt and KL tables are ``Columns``: one dict per top w,
     {w: {x: value}}, so an entry costs one slot of its column's dict and
     no (x, w) key tuple (38-54 bytes per R entry on B3, A4 and D4, 83-93
@@ -253,7 +257,7 @@ class Tables:
     Tables can hold hundreds of thousands of entries, so they compare by
     identity and have no field-by-field repr.  What a sweep can derive a
     top w at a time is not stored: the list of comparable pairs is read
-    off ``le``, the defects off the rows below w (``klr._Column``), and
+    off ``le``, the defects off ``up_mask`` and ``le`` (``klr._Column``), and
     the absolute lengths a(., w) by one BFS from w
     (``bruhat.abs_len_table``).
     """
@@ -261,6 +265,7 @@ class Tables:
     le: list[int] | None = None  # bruhat._lower; 0 = not built yet
     up: list[tuple[int, ...] | None] | None = None  # bruhat._row; out-neighbors
     down: list[tuple[int, ...] | None] | None = None  # bruhat._row; in-neighbors
+    up_mask: list[int] | None = None  # bruhat._up_masks; out-neighbors
     R: Columns = field(default_factory=dict)  # klr._r, kind "R"; R[w][x] = R_xw
     Rt: Columns = field(default_factory=dict)  # klr._r, kind "Rt"
     KL: Columns = field(default_factory=dict)  # klr._stage; KL[w][x] = P_xw

@@ -66,7 +66,8 @@ sums, faults and errors either way.
   the symmetries R_xv = R_{x^-1, v^-1} and R_xv = R_{v w0, x w0}
   (Bjorner and Brenti, ch. 5), which are its premises: 35.2% of D4's
   triples, 30.1% of F4's.  Premise 1 is the test of the r_inverse_symmetry
-  check, ``_inverse_faults``.
+  check, ``_inverse_faults``: one sweep per ``theorems.run_suite`` call,
+  whose verdict the caller passes in, as premise (b) of ``_Cosets`` is.
 
 The tables are the ``R``, ``Rt``, ``KL``, ``pending`` and ``mu`` fields
 of the owning context's ``ctx.tables``.  The first three hold comparable
@@ -106,7 +107,7 @@ from bruhatkl.bruhat import (
     le_masks,
     neighborhood,
 )
-from bruhatkl.bruhat import _le, _lower, _out_below, _require_le
+from bruhatkl.bruhat import _le, _lower, _require_le, _up_masks
 from bruhatkl.coxeter import Coeffs, Columns, GroupContext, GroupElement, Tables
 from bruhatkl.coxeter import _check_same_context, _mul, word_of
 from bruhatkl.polynomial import (
@@ -258,18 +259,16 @@ def _fill_columns(ctx: GroupContext, kind: str = "R", wi: int = -1) -> bool:
     return fits
 
 
-def _inverse_faults(
-    ctx: GroupContext, wi: int, below: list[int] | None = None
-) -> list[int]:
-    """The x <= w, by increasing id, with R_xw != R_{x^-1, w^-1}, read
-    from the R columns of w and w^-1, which the caller has filled
-    (``_fill_columns``).  ``below``: the x <= w by increasing id, if the
-    caller holds them."""
-    inv, table = ctx.inv, ctx.tables.R
-    if below is None:
-        below = list(iter_bits(_lower(ctx, wi)))
-    get, iget = table[wi].__getitem__, table[inv[wi]].__getitem__
-    return [x for x in below if get(x) != iget(inv[x])]
+def _inverse_faults(ctx: GroupContext) -> list[tuple[int, int]]:
+    """The pairs (x, w), by w and then x, with R_xw != R_{x^-1, w^-1},
+    read from R as the caller's pass left it (``_fill_columns``): the
+    test of the r_inverse_symmetry check and premise 1 of ``_Orbits``,
+    which holds when the list is empty."""
+    inv, table, masks = ctx.inv, ctx.tables.R, le_masks(ctx)
+    return [
+        (x, w) for w in range(ctx.order) for x in iter_bits(masks[w])
+        if table[w][x] != table[inv[w]][inv[x]]
+    ]
 
 
 def _between(ctx: GroupContext, ui: int, wi: int) -> Iterator[int]:
@@ -435,8 +434,8 @@ class _Cosets:
     every diagonal entry is 1, so that, by induction on l(v), the table is
     the R of the group.  (b) is not derived again here: it is the verdict
     of the ``_fill_columns`` pass over R that the caller of the sweep
-    (``_certify``) made before it, passed in as ``recursive``.  F = 1
-    meets (a), so the R-sums S_1 obey the lemma too.  The columns of v
+    (``_certify``) made before it, passed to the sweep as ``premise``.
+    F = 1 meets (a), so the R-sums S_1 obey the lemma too.  The columns of v
     cut down to the coset tops of one D_R(w) are built on first use and
     dropped after the last top w with that D_R(w).
     """
@@ -451,13 +450,10 @@ class _Cosets:
         # cut down to those x
         self.cosets: dict[int, tuple] = {}
 
-    def holds(self, recursive: bool) -> bool:
-        """Premise (a), checked on the F columns read, and premise (b),
-        ``recursive``: what the caller's ``_fill_columns`` pass over R
-        returned."""
+    def holds(self) -> bool:
+        """Premise (a), checked on the F columns read; (b) is the
+        sweep's ``premise``."""
         rmult, desc = self.ctx.rmult, self.desc
-        if not recursive:
-            return False
         for w, fs in self.fcols.items():
             if desc[w]:
                 vs = self.rcols[w][0]
@@ -514,11 +510,12 @@ class _Orbits:
     prefix of each column by id (35.2% of D4's triples, 30.1% of F4's),
     and every representative lies in its pair's column or an earlier one.
 
-    ``holds`` checks, on the columns read, (1) for the tops w with
-    id(w) <= id(w^-1), whose test is the others' read backwards, through
-    ``_inverse_faults``; (2) for the pairs with l(x) + l(v) <= N, whose
-    images are all the others; and that F is (-1)^l(v) R on every top.  A
-    missing entry fails.
+    ``holds`` checks, on the columns read, (2) for the pairs with
+    l(x) + l(v) <= N, whose images are all the others, and that F is
+    (-1)^l(v) R on every top; a missing entry fails.  (1) is not tested
+    again here: it is the verdict of the caller's ``_inverse_faults``
+    sweep, the test of the r_inverse_symmetry check, passed to the sweep
+    as ``premise``.
     """
 
     ones = False  # S_1 has no such symmetry
@@ -536,19 +533,17 @@ class _Orbits:
         the ids below it, since ids grow with length."""
         return bisect_right(self.ctx.lengths, self.n - lw)
 
-    def holds(self, recursive: bool) -> bool:
-        """Premises (1) and (2); ``recursive`` is not one of them."""
+    def holds(self) -> bool:
+        """Premise (2), checked on the columns read, and F = +-R; (1) is
+        the sweep's ``premise``."""
         ctx, rcols = self.ctx, self.rcols
-        lengths, inv, times_w0 = ctx.lengths, ctx.inv, self.times_w0
+        lengths, times_w0 = ctx.lengths, self.times_w0
         negated: dict[Coeffs, Coeffs] = {}  # R value -> -R
         for w, fs in self.fcols.items():
             vs, rs = rcols[w]
             for r in set(rs) - negated.keys():
                 negated[r] = tuple(-c for c in r)
             if fs != [negated[r] if lengths[v] % 2 else r for v, r in zip(vs, rs)]:
-                return False
-        for w in range(ctx.order):
-            if w <= inv[w] and _inverse_faults(ctx, w, rcols[w][0]):
                 return False
         column = ctx.tables.R.get
         for v, (xs, rs) in rcols.items():
@@ -600,7 +595,7 @@ def _sums_at_q(
     wi: int = -1,
     ones: Columns | None = None,
     reduction: type[_Cosets] | type[_Orbits] | None = None,
-    recursive: bool = False,
+    premise: bool = False,
 ) -> tuple[int, Iterator[tuple[int, dict[int, int]]]]:
     """B, and per top w one pair (w, {x: S_xw(Q)}), x by increasing id.
 
@@ -620,21 +615,24 @@ def _sums_at_q(
     instead of breaking the identity.  The norms and the values at Q are
     taken once per distinct R or F value read, which the sweep then shares
     between the pairs that hold it.  A whole-group sweep only reads R: the
-    caller has filled all of it (``_fill_columns``), and passes the pass's
-    verdict as ``recursive``, premise (b) of ``_Cosets``.  An interval
+    caller has filled all of it (``_fill_columns``).  An interval
     sweep fills what it reads of R first: over [e, w] by one
     ``_fill_columns`` pass, and over [u, w] with u != e by ``_r``, pair by
     pair.
 
     A whole-group sweep can be given a ``reduction``: ``_Cosets`` (F = P
-    and F = 1) or ``_Orbits`` (F = +-R).  Its ``top`` says which x to sum
-    for each top w, and its ``spread`` gives every other pair the sum of
-    its representative pair, swept no later, times the shift Q^k and the
-    sign that relate the two; ``_Orbits`` keeps the sums of earlier tops
-    that it needs, and no other.  Its premises (``holds``) are checked on
-    the columns read before anything is summed; if they fail, or if the
-    reduction does not serve the sums S_1 asked for, every top is swept
-    over every x, as the interval sweep always is.  Either way each pair
+    and F = 1) or ``_Orbits`` (F = +-R), and ``premise``, the caller's
+    verdict on the one premise of it that the reduction does not test
+    itself: (b) of ``_Cosets``, the result of the caller's pass over R,
+    or (1) of ``_Orbits``, that ``_inverse_faults`` found none.  Its
+    ``top`` says which x to sum for each top w, and its ``spread`` gives
+    every other pair the sum of its representative pair, swept no later,
+    times the shift Q^k and the sign that relate the two; ``_Orbits``
+    keeps the sums of earlier tops that it needs, and no other.  Its
+    other premises (``holds``) are checked on the columns read before
+    anything is summed.  If ``premise`` is false or one of them fails, or
+    if the reduction does not serve the sums S_1 asked for, every top is
+    swept over every x, as the interval sweep always is.  Either way each pair
     gets the integer a sum over its own triples gives.  Lemma of
     ``_Cosets``, the reduction of du Cloux
     (Experiment. Math. 11, 2002) that sums only the x with D_R(w) in
@@ -679,11 +677,10 @@ def _sums_at_q(
             get = table.get(v, {}).get  # entries there, else ``_r``
             rcols[v] = xs, [get(x) or _r(ctx, x, v) for x in xs]
     fcols = {w: list(map(f(w), rcols[w][0])) for w in tops}
-    red = None if reduction is None else reduction(ctx, rcols, fcols)
-    if red is not None and (
-        ones is not None and not red.ones or not red.holds(recursive)
-    ):
-        red = None
+    red = None
+    if reduction is not None and premise and (ones is None or reduction.ones):
+        red = reduction(ctx, rcols, fcols)
+        red = red if red.holds() else None
     rvals = {r for _, rs in rcols.values() for r in rs}
     fvals = {p for fs in fcols.values() for p in fs}
     norm_r = max(sum(map(abs, r)) for r in rvals)
@@ -859,35 +856,68 @@ def _kl1(ctx: GroupContext, ui: int, wi: int) -> int:
 
 class _Column:
     """The column view of w: ``lower`` = lower(w), ``below`` = the x <= w
-    by increasing id, ``ps`` = {x: P_xw} and ``p1`` = {x: P_xw(1)} (None
-    without ``kl``), and the out-neighbors below w of each x, built on its
-    first read and then kept (``out``).  Each P is read once, through
-    ``_kl``, so a column still pending is certified first."""
+    by increasing id, ``up`` = the out-neighbor masks (``_up_masks``), so
+    that the out-neighbors of x below w are up[x] & lower, ``df`` = {x:
+    df(x, w)}, their number minus l(x, w), and with ``kl`` (else None)
+    ``ps`` = {x: P_xw}, ``p1`` = {x: P_xw(1)} and ``eq``, the pairs (c,
+    mask of the x with P_xw(1) = c) by increasing c.  Each P is read once:
+    from the KL column of w when no entry of it is pending, else, or where
+    an x is missing, through ``_kl``, which certifies a pending entry
+    first."""
 
-    __slots__ = ("ctx", "w", "lower", "below", "ps", "p1", "_out")
+    __slots__ = ("w", "lower", "below", "up", "df", "ps", "p1", "eq", "_lt")
 
     def __init__(self, ctx: GroupContext, wi: int, kl: bool = True):
-        self.ctx, self.w = ctx, wi
-        self.lower = _lower(ctx, wi)
-        self.below = list(iter_bits(self.lower))
-        self.ps: dict[int, Coeffs] | None = None
-        self.p1: dict[int, int] | None = None
+        lengths, lower, up = ctx.lengths, _lower(ctx, wi), _up_masks(ctx)
+        self.w, self.lower, self.up = wi, lower, up
+        self.below = list(iter_bits(lower))
+        lw = lengths[wi]
+        self.df = {x: (up[x] & lower).bit_count() - lw + lengths[x] for x in self.below}
+        self.ps = self.p1 = self.eq = None
+        self._lt: dict[int, int] = {}
         if kl:
-            self.ps = {x: _kl(ctx, x, wi) for x in self.below}
+            t = ctx.tables
+            get = ({} if t.pending.get(wi) else t.KL.get(wi, {})).get
+            self.ps = {x: get(x) or _kl(ctx, x, wi) for x in self.below}
             self.p1 = {x: sum(p) for x, p in self.ps.items()}
-        self._out: dict[int, list[int]] = {}
+            eq: dict[int, int] = {}
+            for x, c in self.p1.items():
+                eq[c] = eq.get(c, 0) | 1 << x
+            self.eq = sorted(eq.items())
 
-    def out(self, x: int) -> list[int]:
-        """The out-neighbors of x below w, sorted by id, hence by length."""
-        nb = self._out.get(x)
-        if nb is None:
-            nb = self._out[x] = _out_below(self.ctx, x, self.lower)
-        return nb
+    def count_lt(self, x: int, c: int) -> int:
+        """The out-neighbors v of x below w with P_vw(1) < c, counted; the
+        mask of the v <= w with P_vw(1) < c is kept by c."""
+        m = self._lt.get(c)
+        if m is None:
+            m = self._lt[c] = sum(mask for d, mask in self.eq if d < c)
+        return (self.up[x] & m).bit_count()  # m holds no bit outside lower
 
-    def defect(self, x: int) -> int:
-        """df(x, w): out-neighbors of x below w minus l(x, w)."""
-        lengths = self.ctx.lengths
-        return len(self.out(x)) - (lengths[self.w] - lengths[x])
+    def p1_sum(self, x: int) -> int:
+        """The sum of P_vw(1) over the out-neighbors v of x below w: c
+        times their number in the mask of c, for each value c of P(1) by
+        increasing c, until every one is counted."""
+        out = self.up[x] & self.lower
+        total, left = 0, out.bit_count()  # left: the v not counted yet
+        for c, mask in self.eq:
+            if not left:
+                break
+            k = (out & mask).bit_count()
+            total += c * k
+            left -= k
+        return total
+
+    def step(self, x: int) -> int | None:
+        """The greedy step from x: the out-neighbor v of x below w with
+        P_vw(1) < P_xw(1) least by (P_vw(1), v), None if there is none."""
+        out, here = self.up[x], self.p1[x]  # each mask is inside lower
+        for c, mask in self.eq:
+            if c >= here:
+                break
+            hit = out & mask
+            if hit:
+                return (hit & -hit).bit_length() - 1
+        return None
 
 
 # -- public operations ---------------------------------------------------
@@ -1102,8 +1132,8 @@ def _stuck_error(ctx: GroupContext, xi: int, wi: int) -> RuntimeError:
 def _greedy_ends(col: _Column) -> Callable[[int], tuple[int, bool]]:
     """The greedy walk of one column: a function mapping x <= w to (the end
     of the greedy strict path from x, False) or (the vertex where it gets
-    stuck, True), as ``strict_path_to_smooth`` walks it, reading the
-    column's out-neighbor lists.  A walk stops at the first vertex whose
+    stuck, True), as ``strict_path_to_smooth`` walks it, by the column's
+    steps (``_Column.step``).  A walk stops at the first vertex whose
     result is known, so each vertex is walked once per column."""
     ends: dict[int, tuple[int, bool]] = {}
     p1 = col.p1
@@ -1112,11 +1142,11 @@ def _greedy_ends(col: _Column) -> Callable[[int], tuple[int, bool]]:
         walk = []
         while x not in ends and p1[x] > 1:
             walk.append(x)
-            strict = [(p1[v], v) for v in col.out(x) if p1[v] < p1[x]]
-            if not strict:
+            v = col.step(x)
+            if v is None:
                 ends[x] = x, True
                 break
-            x = min(strict)[1]
+            x = v
         res = ends.get(x, (x, False))
         for v in walk:
             ends[v] = res
@@ -1145,8 +1175,7 @@ def _singular_rows(
         end, stuck = end_of(x)
         if stuck:
             raise _stuck_error(ctx, end, wi)
-        strict = len([v for v in col.out(x) if p1[v] < p1[x]])
-        yield x, p, p1[x], col.defect(x), strict, end
+        yield x, p, p1[x], col.df[x], col.count_lt(x, p1[x]), end
 
 
 # -- whole-group tables --------------------------------------------------

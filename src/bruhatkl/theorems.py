@@ -37,10 +37,11 @@ top's times a power of Q, when F_vw = F_{vs,w} for s in D_R(w) and R
 follows its recursion (``klr._Cosets``).  For F = +-R they are the
 orbits of (x, w) -> (x^-1, w^-1) and (x, w) -> (w w0, x w0), and the sum
 is the representative's up to the sign (-1)^l(w0), when R has both
-symmetries (``klr._Orbits``); r_inverse_symmetry tests the first with
-the same helper.  A sweep of tables that break a premise sums over every
-triple.  The values, and so every verdict, count and witness, are the
-same either way.  kl_monotone and mono_equiv group each KL column by
+symmetries (``klr._Orbits``); the first is the test of
+r_inverse_symmetry, ``klr._inverse_faults``, made once per ``run_suite``
+call and handed to both.  A sweep of tables that break a premise sums
+over every triple.  The values, and so every verdict, count and
+witness, are the same either way.  kl_monotone and mono_equiv group each KL column by
 value and decide each pair of values once; every triple is still
 counted, and reported if it fails.
 
@@ -68,14 +69,16 @@ fills a table of its own.
 
 The ten column checks (reading "column", "kl" or "sums" in
 ``_REGISTRY``: deodhar and the KL-level checks but kl_basics) share one
-walk over the tops w per ``run_suite`` call (``_walk``).  For each w it builds one ``klr._Column``: lower(w), P_xw
-and P_xw(1) for each x <= w, each read once, and each x's out-neighbors
-below w, built at most once per (x, w); deodhar's defects are
-len(out-neighbors) - l(x, w).  Only one column is held at a time, and a
-walk of deodhar alone reads no KL.  strict_path reads the column's greedy
-walk, ``klr._greedy_ends``, as ``classify`` does.  Some x < w failing a
-criterion lies in [u, w) exactly when bit u of the OR of their lower(x)
-is set.
+walk over the tops w per ``run_suite`` call (``_walk``).  For each w it
+builds one ``klr._Column``: lower(w), P_xw and P_xw(1) for each x <= w,
+each read once, the masks of the x by P(1) value, and each x's defect.
+The out-neighbors of x below w are one mask, up(x) & lower(w)
+(``bruhat._up_masks``), so a defect or a count of strict edges is a
+popcount and a greedy step a lowest set bit.  Only one column is held at
+a time, and a walk of deodhar alone reads no KL.  strict_path reads the
+column's greedy walk, ``klr._greedy_ends``, as ``classify`` does.  Some
+x < w failing a criterion lies in [u, w) exactly when bit u of the OR of
+their lower(x) is set.
 
 Domains are always comparable pairs u <= w (zero values on incomparable
 pairs are the recursions' base case, covered by unit tests); checks with a
@@ -89,9 +92,8 @@ from math import comb
 from typing import Callable, Generator
 
 from bruhatkl.bruhat import (
-    _row,
+    _up_masks,
     abs_len_table,
-    down_adjacency,
     iter_bits,
     le_masks,
     up_adjacency,
@@ -190,19 +192,18 @@ def _r_classes(ctx: GroupContext) -> Classes:
 
     R and Rt are read, not filled: ``run_suite`` has made one pass of
     ``klr._fill_columns`` over each.  One pass over the lower-cone masks,
-    top w by top w, reads both columns of w directly, and a(u,w) and the
-    in-edges of w once per top w.  Nothing is kept: each ``run_suite``
-    call groups the tables as they are then.  l(u,w) = 0 exactly on the
-    diagonal.
+    top w by top w, reads both columns of w directly, and a(u,w) once per
+    top w; u -> w is bit w of the out-neighbor mask of u.  Nothing is
+    kept: each ``run_suite`` call groups the tables as they are then.
+    l(u,w) = 0 exactly on the diagonal.
     """
     lengths = ctx.lengths
-    lower = le_masks(ctx)
+    lower, up = le_masks(ctx), _up_masks(ctx)
     r_table, rt_table = ctx.tables.R, ctx.tables.Rt
     classes: Classes = {}
     for wi in range(ctx.order):
         lw = lengths[wi]
         a_of = abs_len_table(ctx.elements[wi])
-        into_w = set(_row(ctx, wi)[1])
         r, rt = r_table[wi], rt_table[wi]
         for ui in iter_bits(lower[wi]):
             key = (
@@ -210,7 +211,7 @@ def _r_classes(ctx: GroupContext) -> Classes:
                 rt[ui],
                 a_of[ui],
                 lw - lengths[ui],
-                ui in into_w,
+                bool(up[ui] >> wi & 1),
             )
             members = classes.get(key)
             if members is None:
@@ -290,15 +291,17 @@ def _check_r_basics(ctx: GroupContext, classes: Classes) -> CheckReport:
     return _class_report(ctx, "r_basics", classes, decide, diagonal=True)
 
 
-def _check_r_inverse_symmetry(ctx: GroupContext) -> CheckReport:
-    """R is invariant under inverting both indices: R_uw = R_{u^-1, w^-1},
-    tested per column by ``klr._inverse_faults``, the test that is also
-    premise 1 of the orbit reduction of r_alternating_sum, on R as the
-    one pass over R of the ``run_suite`` call left it."""
+def _check_r_inverse_symmetry(
+    ctx: GroupContext, inverse: list[Pair]
+) -> CheckReport:
+    """R is invariant under inverting both indices: R_uw = R_{u^-1, w^-1}.
+    ``inverse``: the pairs that fail it, by ``klr._inverse_faults``, the
+    test that is also premise 1 of the orbit reduction of
+    r_alternating_sum, on R as the one pass over R of the ``run_suite``
+    call left it."""
     wit = _Witnesses()
-    for wi in range(ctx.order):
-        for ui in _inverse_faults(ctx, wi):
-            wit.add(f"{_pair_word(ctx, ui, wi)}: R differs on inverses")
+    for ui, wi in inverse:
+        wit.add(f"{_pair_word(ctx, ui, wi)}: R differs on inverses")
     return _report(ctx, "r_inverse_symmetry", _pair_count(ctx), wit, {})
 
 
@@ -318,7 +321,9 @@ def _signed_r(ctx: GroupContext) -> Callable[[int], Callable[[int], Coeffs]]:
     return signed
 
 
-def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
+def _check_r_alternating_sum(
+    ctx: GroupContext, inverse: list[Pair]
+) -> CheckReport:
     """Sign-alternating convolution over each interval is a Kronecker delta.
 
     Tested at Q = 2^B, one integer per pair, exactly by the bound of
@@ -326,12 +331,15 @@ def _check_r_alternating_sum(ctx: GroupContext) -> CheckReport:
     value the coefficients a failing pair's witness prints.  F = +-R
     (``_signed_r``), and the sweep sums one representative pair per orbit
     of the symmetries x, w -> x^-1, w^-1 and x, w -> w w0, x w0 when R
-    has both, checked on the entries read (``klr._Orbits``), and every
-    pair otherwise; each pair gets the same integer either way.
+    has both, and every pair otherwise; each pair gets the same integer
+    either way.  The first symmetry holds when ``inverse``, the faults of
+    r_inverse_symmetry, is empty; the second is checked on the entries
+    read (``klr._Orbits``).
     """
     wit = _Witnesses()
     lengths = ctx.lengths
-    bits, tops = _sums_at_q(ctx, _signed_r(ctx), reduction=_Orbits)
+    f = _signed_r(ctx)
+    bits, tops = _sums_at_q(ctx, f, reduction=_Orbits, premise=not inverse)
     for wi, acc in tops:
         for ui, val in acc.items():
             if lengths[ui] % 2:
@@ -481,7 +489,7 @@ def _check_brenti_scan(ctx: GroupContext, classes: Classes) -> CheckReport:
 # A column check is a generator sent one ``klr._Column`` per top w, by
 # increasing id, and then None, on which it returns its report
 # (``_walk``).  So every selected column check reads one view of each
-# column, and the view's out-neighbor lists are built once per (x, w).
+# column, and the view's defects and P(1) masks are built once per w.
 Walker = Generator[None, "_Column | None", CheckReport]
 
 
@@ -500,8 +508,7 @@ def _check_deodhar(ctx: GroupContext) -> Walker:
     n = max_defect = 0
     while col := (yield):
         n += len(col.below)
-        for ui in col.below:
-            df = col.defect(ui)
+        for ui, df in col.df.items():
             max_defect = max(max_defect, df)
             if df < 0:
                 wit.add(f"{_pair_word(ctx, ui, col.w)}: defect {df}")
@@ -577,8 +584,7 @@ def _check_le1_le2_le3(ctx: GroupContext, classes: Classes) -> CheckReport:
 
     Decided once per class, except the path count of a(u,w) = 2, which
     is taken per pair."""
-    up = up_adjacency(ctx)
-    down_sets = [set(xs) for xs in down_adjacency(ctx)]
+    up, up_mask = up_adjacency(ctx), _up_masks(ctx)
     failing: list[tuple[list[Pair], list[Fault]]] = []
     edges = a2_pairs = skipped = 0
     for (r, rt, a, ell, edge), pairs in classes.items():
@@ -589,7 +595,7 @@ def _check_le1_le2_le3(ctx: GroupContext, classes: Classes) -> CheckReport:
         if a != 1:
             a2_pairs += len(pairs)
             for ui, wi in pairs:
-                m_paths = sum(1 for vi in up[ui] if vi in down_sets[wi])
+                m_paths = sum(up_mask[vi] >> wi & 1 for vi in up[ui])
                 if second != m_paths:
                     text = f"R''(1) = {second}, m = {m_paths}"
                     failing.append(([(ui, wi)], [(text, False)]))
@@ -734,18 +740,20 @@ def _check_mono_equiv(ctx: GroupContext) -> Walker:
 
 def _check_lemma_lm(ctx: GroupContext) -> Walker:
     """l(u,w) P_uw(1) - 2 P'_uw(1) equals the sum of P_vw(1) over the
-    bottom neighborhood of [u, w]."""
+    bottom neighborhood of [u, w] (``klr._Column.p1_sum``)."""
     wit = _Witnesses()
     lengths = ctx.lengths
+    derivative: dict[Coeffs, int] = {}  # P -> P'(1), once per value
     n = 0
     while col := (yield):
         wi, p1 = col.w, col.p1
         n += len(p1)
         for ui, pc in col.ps.items():
-            lhs = (lengths[wi] - lengths[ui]) * p1[ui] - 2 * sum(
-                k * c for k, c in enumerate(pc)
-            )
-            rhs = sum(p1[vi] for vi in col.out(ui))
+            d = derivative.get(pc)
+            if d is None:
+                d = derivative[pc] = sum(k * c for k, c in enumerate(pc))
+            lhs = (lengths[wi] - lengths[ui]) * p1[ui] - 2 * d
+            rhs = col.p1_sum(ui)
             if lhs != rhs:
                 wit.add(f"{_pair_word(ctx, ui, wi)}: {lhs} != {rhs}")
     return _report(ctx, "lemma_lm", n, wit, {})
@@ -764,12 +772,10 @@ def _check_nth3_strict_edges(ctx: GroupContext) -> Walker:
                 skipped += 1
                 continue
             singular += 1
-            nb = col.out(ui)
-            for vi in nb:
-                if p1[vi] <= 0:
-                    wit.add(f"{_pair_word(ctx, ui, wi)}: P(1) <= 0 at a neighbor")
-            strict = sum(1 for vi in nb if base > p1[vi])
-            df = col.defect(ui)
+            for _ in range(col.count_lt(ui, 1)):
+                wit.add(f"{_pair_word(ctx, ui, wi)}: P(1) <= 0 at a neighbor")
+            strict = col.count_lt(ui, base)
+            df = col.df[ui]
             if strict < df + 1:
                 wit.add(
                     f"{_pair_word(ctx, ui, wi)}: {strict} strict edges, "
@@ -833,7 +839,7 @@ def _check_smoothness_equivalence(
             ell = lengths[wi] - lengths[xi]
             if sums_w[xi] != (0,) * ell + (1,):
                 bad_sum |= lower[xi]
-            if col.defect(xi) != 0:
+            if col.df[xi] != 0:
                 bad_df |= lower[xi]
         for ui, p in col.ps.items():
             n += 1
@@ -881,12 +887,13 @@ def _walk(
 # name -> (check, what it reads): "classes", the classes of
 # ``_r_classes``; "faults", the certificate's faults; "column", a column
 # check of ``_walk`` that reads no KL; "kl", one that reads KL; "sums", one
-# that also reads the interval R-sums; "R", only the R table.  A check that
-# reads "classes", "faults" or "sums" is passed it after ctx
+# that also reads the interval R-sums; "inverse", the faults of
+# ``klr._inverse_faults`` (and the R table).  A check that reads
+# "classes", "faults", "sums" or "inverse" is passed it after ctx
 _REGISTRY = {
     "r_basics": (_check_r_basics, "classes"),
-    "r_inverse_symmetry": (_check_r_inverse_symmetry, "R"),
-    "r_alternating_sum": (_check_r_alternating_sum, "R"),
+    "r_inverse_symmetry": (_check_r_inverse_symmetry, "inverse"),
+    "r_alternating_sum": (_check_r_alternating_sum, "inverse"),
     "r_functional_equation": (_check_r_functional_equation, "classes"),
     "r_derivative_edge": (_check_r_derivative_edge, "classes"),
     "shifted_nonneg": (_check_shifted_nonneg, "classes"),
@@ -932,9 +939,12 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     this call; kl_basics reports its faults.  If none does but one reads
     R, R's pass is made here.  If any reads the interval R-sums, the
     certificate sweep also yields them.  No check changes R, so they are
-    R's sums at this call, passed to each.  The classes of ``_r_classes``
-    are built once, after Rt's pass, for the checks that decide once per
-    class, from R, Rt and the graph as they are at this call.  The column
+    R's sums at this call, passed to each, and so are the faults of one
+    ``klr._inverse_faults`` sweep, if a check reads them: r_inverse_symmetry
+    reports them, and r_alternating_sum's orbit reduction takes their
+    absence as a premise.  The classes of ``_r_classes`` are built once,
+    after Rt's pass, for the checks that decide once per class, from R,
+    Rt and the graph as they are at this call.  The column
     checks share one ``_walk`` over the tops, after the others have run.
     What each check reads is named in ``_REGISTRY``."""
     if selection == "all":
@@ -958,12 +968,14 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     faults = classes = None
     if kl or "faults" in reads:
         faults = _certify(ctx, ones=sums)
-    elif not reads.isdisjoint(("classes", "R")):
+    elif not reads.isdisjoint(("classes", "inverse")):
         _fill_columns(ctx, "R")
     if "classes" in reads:
         _fill_columns(ctx, "Rt")
         classes = _r_classes(ctx)
     given = {"classes": classes, "faults": faults, "sums": sums}
+    if "inverse" in reads:
+        given["inverse"] = _inverse_faults(ctx)
     reports = {}
     walkers = {}
     for n in names:

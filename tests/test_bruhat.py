@@ -10,7 +10,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from reference_matrices import mat_mul, matrix_of  # noqa: E402
 
+from bruhatkl import cli  # noqa: E402
 from bruhatkl.bruhat import (  # noqa: E402
+    _up_masks,
     abs_len_table,
     absolute_length,
     bruhat_edges,
@@ -106,9 +108,26 @@ def test_one_shot_queries_build_one_descent_chain():
         assert all(le_masks(ctx))
 
 
-@pytest.mark.parametrize("query", [absolute_length, defect, interval])
-def test_one_shot_queries_build_rows_below_w_only(query):
+def _command(name):
+    """The CLI command ``name`` on the pair (u, w), as a one-shot query."""
+
+    def query(u, w):
+        argv = [name, "--group", u.ctx.name, "--u", word_of(u), "--w", word_of(w)]
+        assert cli.main(argv) == 0
+
+    query.__name__ = name  # the test id
+    return query
+
+
+@pytest.mark.parametrize(
+    "query",
+    [absolute_length, defect, interval, _command("table"), _command("graph")],
+)
+def test_one_shot_queries_build_rows_below_w_only(query, monkeypatch):
+    # the id rows of the members of [u, w] only, and no mask rows, which
+    # are as wide as the group's order
     ctx = build_group(parse_group_spec("A4"))  # fresh: no Bruhat-graph rows
+    monkeypatch.setattr(cli, "_load_group", lambda args: ctx)
     u, w = elements(ctx, "2", "2 1 3 2 4 3")
     query(u, w)
     up, down = ctx.tables.up, ctx.tables.down
@@ -116,6 +135,7 @@ def test_one_shot_queries_build_rows_below_w_only(query):
     assert built and None in up
     assert [xi for xi, row in enumerate(down) if row is not None] == built
     assert all(bruhat_le(ctx.elements[xi], w) for xi in built)
+    assert ctx.tables.up_mask is None
 
 
 def test_interval_builds_rows_of_members_only():
@@ -310,6 +330,20 @@ def test_adjacency_matches_matrix_products(spec):
         assert up_adjacency(c) == [tuple(sorted(xs)) for xs in up]
         assert down_adjacency(c) == [tuple(sorted(xs)) for xs in down]
         assert up_adjacency(c) is c.tables.up and down_adjacency(c) is c.tables.down
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "G2"])
+def test_mask_rows_match_id_rows(spec):
+    # bit v of the mask row of x is set exactly when v is in the id row of
+    # x; the masks are built whole, once, and then kept
+    ctx = build_group(parse_group_spec(spec))
+    masks = _up_masks(ctx)
+    assert masks is _up_masks(ctx) is ctx.tables.up_mask
+    up = up_adjacency(ctx)
+    assert len(masks) == len(up) == ctx.order
+    for mask, row in zip(masks, up):
+        assert list(iter_bits(mask)) == list(row)
+        assert mask == sum(1 << v for v in row)
 
 
 def test_dot_export():

@@ -620,16 +620,19 @@ def test_r_alternating_sum_takes_the_orbit_sweep_when_its_premises_hold(
 def test_orbit_sweep_matches_the_full_sweep(spec, kind, monkeypatch):
     # every pair's integer S_xw(Q), and B, as a sum over its own triples
     # gives them, also where a planted orbit breaks the identity; A3's w0
-    # is not central, so conjugating by it moves the pairs too
+    # is not central, so conjugating by it moves the pairs too.  Premise 1,
+    # R's inverse symmetry, is the caller's verdict, as in run_suite
     ctx = build_group(parse_group_spec(spec))
     fill_tables(ctx)
     if kind == "r_orbit":
         assert len(_plant_r_orbit(ctx, kind)) == (8 if spec == "A3" else 4)
+    premise = not klr._inverse_faults(ctx)
+    assert premise
     asked = _orbit_tops(monkeypatch)
     sweeps = []
     for reduction in (None, klr._Orbits):
         bits, tops = klr._sums_at_q(
-            ctx, theorems._signed_r(ctx), reduction=reduction
+            ctx, theorems._signed_r(ctx), reduction=reduction, premise=premise
         )
         sweeps.append((bits, [(w, list(acc.items())) for w, acc in tops]))
         assert asked == ([] if reduction is None else list(range(ctx.order)))
@@ -637,6 +640,26 @@ def test_orbit_sweep_matches_the_full_sweep(spec, kind, monkeypatch):
     assert len([x for _, acc in sweeps[0][1] for x, _ in acc]) == len(
         comparable_pairs(ctx)
     )
+
+
+def test_one_inverse_sweep_per_call(monkeypatch):
+    # r_inverse_symmetry and the orbit reduction of r_alternating_sum read
+    # the faults of one sweep of R's inverse symmetry per run_suite call
+    calls = []
+    real = klr._inverse_faults
+
+    def counted(ctx):
+        calls.append(ctx.name)
+        return real(ctx)
+
+    monkeypatch.setattr(klr, "_inverse_faults", counted)
+    monkeypatch.setattr(theorems, "_inverse_faults", counted)
+    ctx = build_group(parse_group_spec("D4"))
+    tops = _orbit_tops(monkeypatch)
+    reports = run_suite(ctx)
+    assert calls == ["D4"]
+    assert tops == list(range(ctx.order))  # the premise held: reduced
+    assert all(r.passed for r in reports)
 
 
 def test_orbit_reduction_serves_f_plus_minus_r_only(monkeypatch):
@@ -648,7 +671,9 @@ def test_orbit_reduction_serves_f_plus_minus_r_only(monkeypatch):
     for f, ones in ((f_one, None), (theorems._signed_r(ctx), {})):
         sweeps = []
         for reduction in (None, klr._Orbits):
-            bits, tops = klr._sums_at_q(ctx, f, ones=ones, reduction=reduction)
+            bits, tops = klr._sums_at_q(
+                ctx, f, ones=ones, reduction=reduction, premise=True
+            )
             sweeps.append((bits, [(w, list(acc.items())) for w, acc in tops]))
         assert sweeps[0] == sweeps[1]
     assert asked == []
@@ -666,15 +691,29 @@ def _plant_p1_at_most_1(ctx, s, w):
     plant(ctx.tables.KL, s.index, w.index, (1, -1))
 
 
+def _plant_p1_nonpositive_neighbor(ctx, s, w):
+    # an out-neighbor v < w of the singular s gets P_vw = 1 - q, so
+    # P_vw(1) = 0: s has a neighbor in the mask of the x with P(1) < 1
+    v = next(v for v in neighborhood(s, w) if v != w)
+    plant(ctx.tables.KL, v.index, w.index, (1, -1))
+
+
 @pytest.mark.parametrize(
-    "plant, witness",
+    "plant, check, witness",
     [
-        (_plant_stuck_vertex, "has no strict edge"),
-        (_plant_p1_at_most_1, "bad strict path"),
+        (_plant_stuck_vertex, "strict_path", "has no strict edge"),
+        (_plant_p1_at_most_1, "strict_path", "bad strict path"),
+        (
+            _plant_p1_nonpositive_neighbor,
+            "nth3_strict_edges",
+            "P(1) <= 0 at a neighbor",
+        ),
     ],
-    ids=["stuck_vertex", "p1_at_most_1"],
+    ids=["stuck_vertex", "p1_at_most_1", "p1_nonpositive_neighbor"],
 )
-def test_column_checks_match_reference_on_greedy_path_corruptions(plant, witness):
+def test_column_checks_match_reference_on_greedy_path_corruptions(
+    plant, check, witness
+):
     names = (
         "dvc_linear",
         "nth2_quadratic",
@@ -697,7 +736,7 @@ def test_column_checks_match_reference_on_greedy_path_corruptions(plant, witness
     by_name = dict(zip(names, reports["library"]))
     assert not by_name["lemma_lm"]["passed"]
     assert not by_name["nth3_strict_edges"]["passed"]
-    assert any(witness in text for text in by_name["strict_path"]["witnesses"])
+    assert any(witness in text for text in by_name[check]["witnesses"])
 
 
 def _joint_and_single(spec, prepare, fill=True):
@@ -782,8 +821,9 @@ def test_biconditional_lists_inequality_side_before_equivalence_side():
 
 
 @pytest.mark.parametrize(
-    "plant", [_plant_stuck_vertex, _plant_p1_at_most_1],
-    ids=["stuck_vertex", "p1_at_most_1"],
+    "plant",
+    [_plant_stuck_vertex, _plant_p1_at_most_1, _plant_p1_nonpositive_neighbor],
+    ids=["stuck_vertex", "p1_at_most_1", "p1_nonpositive_neighbor"],
 )
 def test_joint_walk_matches_single_checks_on_greedy_path_corruptions(plant):
     def prepare(ctx):
