@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import permutations
 from math import factorial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "CoxeterDatum",
@@ -224,6 +225,36 @@ Columns = dict[int, dict[int, Coeffs]]
 
 
 @dataclass(repr=False, eq=False)
+class Symmetries:
+    """The orbits of the ids under a group H of permutations of W that
+    preserve the Bruhat order and length, given by generators that are
+    involutions (``klr._orbits``).
+
+    ``maps`` are the generators as id permutations; ``rep`` by id w is the
+    least id of the H-orbit of w, and ``word`` by id w the indices of the
+    generators that, applied in turn, take w to rep[w].  A word is a few
+    letters long, and one tuple serves every w with that word, so the
+    orbits cost two lists of the group's order, not a permutation per w.
+    """
+
+    maps: list[list[int]]
+    rep: list[int]
+    word: list[tuple[int, ...]]
+
+    def image(self, word: tuple[int, ...], xs: Iterable[int]) -> Iterable[int]:
+        """The ids xs moved by the generators of word in turn, lazily."""
+        for g in word:
+            xs = map(self.maps[g].__getitem__, xs)
+        return xs
+
+    def column(self, table: Columns, w: int, xs: list[int]) -> dict:
+        """{x: T_{h x, r}} for the xs <= w: the column w of an H-invariant
+        table T read from the column of r = rep[w], h the word of w."""
+        images = self.image(self.word[w], xs)
+        return dict(zip(xs, map(table[self.rep[w]].__getitem__, images)))
+
+
+@dataclass(repr=False, eq=False)
 class Tables:
     """Lazily filled tables of one group, keyed by element ids.
 
@@ -251,7 +282,11 @@ class Tables:
     tuple of ``pool`` equal to it, and the one memo of arithmetic on
     values, the R/Rt recursion step in ``steps``, is keyed by value, never
     by pair.  So a step is looked up by the entries as they are now, and
-    an entry changed after a fill gets its own result.  R's
+    an entry changed after a fill gets its own result.  ``symmetries``
+    holds the orbits of the ids under inversion and the diagram
+    automorphisms, which the whole-group sweeps of ``klr`` reduce by:
+    two lists of the group's order, made on the first whole-group use,
+    never by ``build_group``.  R's
     (q-1)-expansion is not memoized: its readers take it once per value
     class or once per one-pair call.
     Tables can hold hundreds of thousands of entries, so they compare by
@@ -282,6 +317,8 @@ class Tables:
     steps: dict[tuple[str, Coeffs, Coeffs], Coeffs] = field(
         default_factory=dict
     )  # klr._step
+    # the orbits of the ids under inversion and the diagram automorphisms
+    symmetries: Symmetries | None = None  # klr._symmetries
 
 
 class GroupContext:
@@ -470,6 +507,35 @@ def _mul(ctx: GroupContext, xi: int, wi: int) -> int:
         return xi
     s = ctx.srd[wi]
     return ctx.rmult[_mul(ctx, xi, ctx.rmult[wi][s])][s]
+
+
+def _diagram_automorphisms(
+    ctx: GroupContext,
+) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(sigma, phi) for every permutation sigma of S that preserves the
+    Coxeter matrix, the identity first: phi is the automorphism of W with
+    phi(s) = sigma(s), as an id permutation, read off ``rmult`` in one pass
+    by increasing id, phi(x) = phi(xs) sigma(s) with s = srd(x).  It
+    preserves length and Bruhat order, and R and P are invariant under it
+    (Bjorner and Brenti, Combinatorics of Coxeter Groups, ch. 5).  Six on
+    D4, two on A_n (n >= 2), B2, D_n (n >= 5), E6, F4 and G2, one on
+    B_n (n >= 3)."""
+    n, cartan = ctx.rank, ctx.datum.cartan
+    # m(s, t) from the bond a_st a_ts of the Cartan matrix
+    m = [
+        [1 if i == j else (2, 3, 4, 6)[cartan[i][j] * cartan[j][i]] for j in range(n)]
+        for i in range(n)
+    ]
+    rmult, srd = ctx.rmult, ctx.srd
+    out = []
+    for sigma in permutations(range(n)):
+        if all(m[i][j] == m[sigma[i]][sigma[j]] for i in range(n) for j in range(n)):
+            phi = [0] * ctx.order
+            for x in range(1, ctx.order):  # xs has the smaller id
+                s = srd[x]
+                phi[x] = rmult[phi[rmult[x][s]]][sigma[s]]
+            out.append((sigma, phi))
+    return out
 
 
 def word_of(w: GroupElement) -> str:

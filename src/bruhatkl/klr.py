@@ -45,29 +45,51 @@ value served has passed the check, whatever the recursion computed.
 A whole-group sweep of ``_sums_at_q`` can skip most pairs: its
 ``reduction`` argument says which x it sums for each top w, and gives
 every other pair a representative pair, swept no later, whose sum is the
-pair's up to a shift and a sign.  It has two values, each with premises
-checked on the entries read before anything is summed; if they fail
-anywhere, the sweep sums every pair, so a corrupted table gets the same
-sums, faults and errors either way.
+pair's up to a shift and a sign.  Both values reduce over the tops by H,
+the group generated by inversion and the diagram automorphisms phi_sigma
+(``_symmetries``): R and P are invariant under every automorphism of the
+Coxeter system and under inversion (Bjorner and Brenti, Combinatorics of
+Coxeter Groups, ch. 5; Kazhdan and Lusztig, Invent. Math. 53, 1979), and
+each h in H preserves length and Bruhat order, so S_xw = S_{hx, hw}.  H
+has 12 elements on D4, 4 on A_n (n >= 2), D5, E6, F4 and G2, and 2 on
+B_n (n >= 3).  The orbit data, per id the least id of its orbit and a word
+in the generators that reaches it, is made on the first whole-group use
+and kept in ``tables.symmetries``.  Each reduction has premises checked
+on the entries read before anything is summed, in layers: if a premise
+on H fails, it reduces as it would without the diagram automorphisms
+(``_Orbits``) or without H (``_Cosets``); if one of the others fails,
+the sweep sums every pair.  So a corrupted table gets the same sums,
+faults and errors either way.
 - ``_Cosets`` (F = P and F = 1: the certificate and the interval
-  R-sums) sums only the right-extremal pairs, D_R(w) in D_R(x) (du
-  Cloux, Experiment. Math. 11, 2002; Bjorner and Brenti, Combinatorics
-  of Coxeter Groups, Thm. 5.1.1 and Prop. 5.1.8).  For s in D_R(w) and
-  xs > x, pairing each v with vs gives S_xw = q S_{xs,w}, so every other
-  pair's sum is its coset top's sum times a power of q
-  (``_coset_tops``).  Premises: (a) F_vw = F_{vs,w} for s in D_R(w),
-  and (b) the R table follows the recursion above, hence is the group's
-  R, which the certificate's column pass over R reports.  The
-  reduction is only on the right.  The two-sided one, D_L(w) in
-  D_L(x) as well, would sweep 2.2% of D4's triples and 2.6% of B4's
-  (8.2% and 10.6% on the right alone), but needs premises on the left
-  too.
-- ``_Orbits`` (F = +-R: r_alternating_sum) sums one pair per orbit of
-  the symmetries R_xv = R_{x^-1, v^-1} and R_xv = R_{v w0, x w0}
-  (Bjorner and Brenti, ch. 5), which are its premises: 35.2% of D4's
-  triples, 30.1% of F4's.  Premise 1 is the test of the r_inverse_symmetry
-  check, ``_inverse_faults``: one sweep per ``theorems.run_suite`` call,
-  whose verdict the caller passes in, as premise (b) of ``_Cosets`` is.
+  R-sums) sums only the tops w least in their H-orbit, and within a top
+  only the right-extremal pairs, D_R(w) in D_R(x) (du Cloux, Experiment.
+  Math. 11, 2002; Bjorner and Brenti, Thm. 5.1.1 and Prop. 5.1.8).  For
+  s in D_R(w) and xs > x, pairing each v with vs gives S_xw = q S_{xs,w},
+  so every other pair's sum is its coset top's sum times a power of q
+  (``_coset_tops``), and every other top's are its representative's, read
+  through its word.  Premises: (a) F_vw = F_{vs,w} for s in D_R(w), (b)
+  the R table follows the recursion above, hence is the group's R, which
+  the certificate's column pass over R reports, and so is invariant under
+  H, and (c) F is invariant under H, checked by one map per column and
+  generator.  The coset reduction is only on the right.  The two-sided
+  one, D_L(w) in D_L(x) as well, would sweep 2.2% of D4's triples and
+  2.6% of B4's (8.2% and 10.6% on the right alone), but needs premises on
+  the left too.
+- ``_Orbits`` (F = +-R: r_alternating_sum) sums, over the x with
+  l(x) + l(w) <= N = l(w0), only the tops w least in their H-orbit, and
+  gives the other pairs of such a top the sum of (w w0, x w0) up to sign:
+  13.0% of D4's triples, 16.0% of F4's, 19.1% of D5's, and 33.1% of
+  B4's, where H is inversion alone.  Its premises are R_xv = R_{x^-1,
+  v^-1}, the test of the r_inverse_symmetry check, ``_inverse_faults``:
+  one sweep per ``theorems.run_suite`` call, whose verdict the caller
+  passes in, as premise (b) of ``_Cosets`` is; R_xv = R_{v w0, x w0}; and
+  R_xv = R_{phi x, phi v} for each phi, checked by maps.
+
+A whole-group certificate that starts on an empty KL table also stages
+by H: the KL column and mu-list of a top that is not the least of its
+orbit are its representative's, moved by its word (``_stage_image``),
+with no recursion.  The certificate then checks every column as it
+checks a recursed one.
 
 The tables are the ``R``, ``Rt``, ``KL``, ``pending`` and ``mu`` fields
 of the owning context's ``ctx.tables``.  The first three hold comparable
@@ -97,7 +119,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, repeat
 from math import comb
-from operator import itemgetter, lt
+from operator import itemgetter, lt, neg
 from typing import Callable, Iterator
 
 from bruhatkl.bruhat import (
@@ -108,8 +130,15 @@ from bruhatkl.bruhat import (
     neighborhood,
 )
 from bruhatkl.bruhat import _le, _lower, _require_le, _up_masks
-from bruhatkl.coxeter import Coeffs, Columns, GroupContext, GroupElement, Tables
-from bruhatkl.coxeter import _check_same_context, _mul, word_of
+from bruhatkl.coxeter import (
+    Coeffs,
+    Columns,
+    GroupContext,
+    GroupElement,
+    Symmetries,
+    Tables,
+)
+from bruhatkl.coxeter import _check_same_context, _diagram_automorphisms, _mul, word_of
 from bruhatkl.polynomial import (
     Basis,
     IntPoly,
@@ -301,7 +330,10 @@ def _stage(ctx: GroupContext, wi: int) -> None:
     ``tables.pending``; an entry already there, for a pair below w or
     not, is kept, read in place of the computed one, and not marked.  A
     column put in whole takes the mask le[w] as its pending mask.  Reads
-    only the masks of elements below w.
+    only the masks of elements below w.  A whole-group certificate that
+    starts on an empty table stages only the least top of each orbit
+    under H here; the others' columns are moved from theirs
+    (``_stage_image``).
     """
     t = ctx.tables
     kl, pending, mu, column = t.KL, t.pending, t.mu, _reader(t)
@@ -371,6 +403,64 @@ def _stage(ctx: GroupContext, wi: int) -> None:
             pending[w] = sum(1 << x for x in new)
 
 
+def _orbits(ctx: GroupContext, maps: list[list[int]]) -> Symmetries:
+    """The orbits of the ids under the group the involutions ``maps``
+    generate: each orbit is reached from its least id by a search over the
+    maps, which gives every w a word taking it back to that id."""
+    rep: list[int] = [-1] * ctx.order
+    word: list[tuple[int, ...]] = [()] * ctx.order
+    words: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per word
+    for r in range(ctx.order):
+        if rep[r] >= 0:
+            continue
+        rep[r] = r
+        orbit = [r]
+        for y in orbit:  # orbit grows while it is read
+            for g, perm in enumerate(maps):
+                z = perm[y]
+                if rep[z] < 0:  # g takes z to y, which word[y] takes to r
+                    rep[z] = r
+                    key = (g,) + word[y]
+                    word[z] = words.setdefault(key, key)
+                    orbit.append(z)
+    return Symmetries(maps, rep, word)
+
+
+def _symmetries(ctx: GroupContext) -> Symmetries:
+    """The orbits of the ids under H, generated by inversion and the
+    diagram automorphisms phi_sigma of the involutions sigma != 1 (these
+    generate every sigma of a finite irreducible Coxeter graph: the
+    symmetry group is 1, Z/2 or, on D4, S_3): maps[0] is inversion.  Made
+    on the first whole-group use and kept in ``tables.symmetries``."""
+    t = ctx.tables
+    if t.symmetries is None:
+        phis = [
+            phi for sigma, phi in _diagram_automorphisms(ctx)[1:]
+            if all(sigma[t] == s for s, t in enumerate(sigma))
+        ]
+        t.symmetries = _orbits(ctx, [ctx.inv] + phis)
+    return t.symmetries
+
+
+def _stage_image(ctx: GroupContext, wi: int, sym: Symmetries) -> None:
+    """Stage the KL column of w, a top that is not the least of its
+    H-orbit, as the image of the column of r = rep[w], staged already:
+    P_xw = P_{hx, r} and mu(x, w) = mu(hx, r), h the word of w, since P
+    is invariant under H.  One map per column and generator, no recursion;
+    the column is marked pending whole, as ``_stage`` marks a new one, and
+    the certificate checks it as it checks a recursed one."""
+    t, ids = ctx.tables, ctx.ids
+    r, word = sym.rep[wi], sym.word[wi]
+    lower = _lower(ctx, wi)
+    below = list(map(ids.__getitem__, iter_bits(lower)))
+    w = ids[wi]
+    t.KL[w] = sym.column(t.KL, wi, below)
+    mus = t.mu[r]
+    xs = sym.image(word[::-1], [x for x, _ in mus])  # h^-1: the maps are involutions
+    t.mu[w] = sorted(zip(map(ids.__getitem__, xs), [m for _, m in mus]))
+    t.pending[w] = lower
+
+
 def _at(cs: Coeffs, bits: int) -> int:
     """The polynomial cs evaluated at q = 2^bits."""
     val = 0
@@ -421,52 +511,91 @@ class _LazyColumns(dict):
         return col
 
 
+def _invariant(
+    maps: list[list[int]],
+    column: Callable[[int], Callable[[int], Coeffs]],
+    cols: list[tuple[int, list[int], list[Coeffs]]],
+) -> bool:
+    """Whether T_xw = T_{gx, gw} for every involution g of maps and every
+    pair read: cols holds (w, the x read, their T_xw), and column(w) reads
+    T's column w.  One map per column w with gw >= w, as g is its own
+    inverse."""
+    for g in maps:
+        for w, xs, vals in cols:
+            gw = g[w]
+            if gw >= w and list(map(column(gw), map(g.__getitem__, xs))) != vals:
+                return False
+    return True
+
+
 class _Cosets:
     """The coset reduction of a whole-group ``_sums_at_q`` sweep (the
-    lemma in its docstring): for each top w, with d = D_R(w), sum only
-    the coset tops, the x with d in D_R(x), and give every x <= w the sum
-    of the top x* of its coset x W_d times Q^k, k = l(x*) - l(x)
-    (``_coset_tops``).  Serves F = P and F = 1.
+    lemma in its docstring), over the tops that are least in their orbit
+    under H (``_symmetries``) when F is invariant under H.  Serves F = P
+    and F = 1.
 
-    Premises (``holds``): (a) F_vw = F_{vs,w} for every top w, s in
-    D_R(w) and v <= w, checked on the F columns read; (b) every R_xv is
-    the step of the recursion at s = srd(v) from the column of vs, and
-    every diagonal entry is 1, so that, by induction on l(v), the table is
-    the R of the group.  (b) is not derived again here: it is the verdict
-    of the ``_fill_columns`` pass over R that the caller of the sweep
+    Within a top w, with d = D_R(w), it sums only the coset tops, the x
+    with d in D_R(x), and gives every x <= w the sum of the top x* of its
+    coset x W_d times Q^k, k = l(x*) - l(x) (``_coset_tops``).  Premises
+    (``holds``): (a) F_vw = F_{vs,w} for every top summed, s in D_R(w)
+    and v <= w, checked on the F columns read; (b) every R_xv is the step
+    of the recursion at s = srd(v) from the column of vs, and every
+    diagonal entry is 1, so that, by induction on l(v), the table is the R
+    of the group.  (b) is not derived again here: it is the verdict of the
+    ``_fill_columns`` pass over R that the caller of the sweep
     (``_certify``) made before it, passed to the sweep as ``premise``.
-    F = 1 meets (a), so the R-sums S_1 obey the lemma too.  The columns of v
-    cut down to the coset tops of one D_R(w) are built on first use and
-    dropped after the last top w with that D_R(w).
+    F = 1 meets (a), so the R-sums S_1 obey the lemma too.  The columns of
+    v cut down to the coset tops of one D_R(w) are built on first use and
+    dropped after the last top summed with that D_R(w).
+
+    Across the tops: R is invariant under H, being the group's R by (b),
+    and v -> hv maps [x, w] onto [hx, hw] for h in H.  So when F is
+    invariant under H too, F_vw = F_{hv, hw}, checked on the columns read
+    by one map per column and generator, S_xw = S_{hx, hw}: the top w
+    that is not rep[w] is not summed, and ``top`` says so with None; its
+    sums are those of rep[w] read through the word of w.  If F is not
+    invariant, every top is summed and (a) is checked on every top.
     """
 
     ones = True  # serves the sums S_1 of ``_sums_at_q`` too
 
-    def __init__(self, ctx: GroupContext, rcols: dict, fcols: dict):
-        self.ctx, self.rcols, self.fcols = ctx, rcols, fcols
+    def __init__(self, ctx: GroupContext, rcols: dict, fcols: dict, f) -> None:
+        self.ctx, self.rcols, self.fcols, self.f = ctx, rcols, fcols, f
         self.desc = _right_descents(ctx)
-        self.last = {d: w for w, d in enumerate(self.desc)}
+        self.sym: Symmetries | None = None  # the orbits, if F is invariant
+        self.last: dict[int, int] = {}  # D_R(w) -> the last top summed with it
         # D_R(w) -> its coset tops, which x are their own, and the columns
         # cut down to those x
         self.cosets: dict[int, tuple] = {}
 
     def holds(self) -> bool:
-        """Premise (a), checked on the F columns read; (b) is the
-        sweep's ``premise``."""
-        rmult, desc = self.ctx.rmult, self.desc
-        for w, fs in self.fcols.items():
+        """Premise (a), checked on the F columns of the tops to sum, after
+        the invariance of F that picks them; (b) is the sweep's
+        ``premise``."""
+        sym = _symmetries(self.ctx)
+        cols = [(w, self.rcols[w][0], fs) for w, fs in self.fcols.items()]
+        self.sym = sym if _invariant(sym.maps, self.f, cols) else None
+        tops = [w for w in self.fcols if sym.rep[w] == w] if self.sym else self.fcols
+        by_s = list(zip(*self.ctx.rmult))  # by_s[s][v] = vs
+        desc = self.desc
+        for w in tops:
             if desc[w]:
+                fs = self.fcols[w]
                 vs = self.rcols[w][0]
-                fw = dict(zip(vs, fs))
+                get = dict(zip(vs, fs)).get
                 for s in iter_bits(desc[w]):
-                    if [fw.get(rmult[v][s]) for v in vs] != fs:
+                    if list(map(get, map(by_s[s].__getitem__, vs))) != fs:
                         return False
+            self.last[desc[w]] = w
         return True
 
-    def top(self, w: int, vs: list[int]) -> tuple:
+    def top(self, w: int, vs: list[int]) -> tuple | None:
         """(own, cut, spread) for the top w, as ``_sums_at_q`` reads
         them: the x summed, {v: the column v cut down to them}, and the
-        map from their sums to every x's (None: every x is summed)."""
+        map from their sums to every x's (None: every x is summed); None
+        for a top whose sums are those of rep[w]."""
+        if self.sym is not None and self.sym.rep[w] != w:
+            return None
         d = self.desc[w]
         if not d:  # w = e
             return vs, self.rcols, None
@@ -497,36 +626,50 @@ class _Orbits:
     """The symmetry-orbit reduction of a whole-group ``_sums_at_q`` sweep
     with F_vw = (-1)^l(v) R_vw, which serves r_alternating_sum.
 
-    With N = l(w0) and w0 the last id, two symmetries of R (Bjorner and
+    With N = l(w0) and w0 the last id, these symmetries of R (Bjorner and
     Brenti, Combinatorics of Coxeter Groups, ch. 5) are its premises:
-    (1) R_xv = R_{x^-1, v^-1}, and (2) R_xv = R_{v w0, x w0}, for every
-    pair x <= v.  v -> v^-1 maps [x, w] onto [x^-1, w^-1], and v -> v w0
-    maps it onto [w w0, x w0], reversing the order, with l(v w0) = N -
-    l(v).  So term by term, S_xw = S_{x^-1, w^-1} = (-1)^N S_{w w0, x w0}:
-    the same integers at Q.  Each pair's representative is reached by at
-    most one of each map: (w w0, x w0) if l(x) + l(w) > N, then the
-    inverse pair if its top has the larger id.  So the sweep sums only the
-    tops w with id(w) <= id(w^-1), over the x with l(x) + l(w) <= N, a
-    prefix of each column by id (35.2% of D4's triples, 30.1% of F4's),
-    and every representative lies in its pair's column or an earlier one.
+    (1) R_xv = R_{x^-1, v^-1}; (2) R_xv = R_{v w0, x w0}; and (3)
+    R_xv = R_{phi x, phi v} for each diagram automorphism phi
+    (``_symmetries``), for every pair x <= v.  v -> v w0 maps [x, w]
+    onto [w w0, x w0], reversing the order, with l(v w0) = N - l(v), and
+    each h in the group H that inversion and the phi generate maps [x, w]
+    onto [hx, hw].  So term by term, S_xw = (-1)^N S_{w w0, x w0} and
+    S_xw = S_{hx, hw}: the same integers at Q.  The sweep sums only the
+    tops w that are least in their H-orbit, over the x with
+    l(x) + l(w) <= N, a prefix of each column by id (13.0% of D4's
+    triples, 16.0% of F4's, 19.1% of D5's; 33.1% of B4's, which has no
+    phi).  Every other pair of such a top gets S_{w w0, x w0}, whose top
+    x w0 is shorter than w, and every other top w the sums of rep[w] read
+    through its word; so each pair's representative lies in an earlier
+    column or its own.
 
     ``holds`` checks, on the columns read, (2) for the pairs with
-    l(x) + l(v) <= N, whose images are all the others, and that F is
-    (-1)^l(v) R on every top; a missing entry fails.  (1) is not tested
-    again here: it is the verdict of the caller's ``_inverse_faults``
-    sweep, the test of the r_inverse_symmetry check, passed to the sweep
-    as ``premise``.
+    l(x) + l(v) <= N, whose images are all the others, that F is
+    (-1)^l(v) R on every top, and (3) by one map per column and phi; a
+    missing entry fails.  (1) is not tested again here: it is the verdict
+    of the caller's ``_inverse_faults`` sweep, the test of the
+    r_inverse_symmetry check, passed to the sweep as ``premise``.  If (3)
+    fails, H is inversion alone, and the tops summed are those with
+    id(w) <= id(w^-1).
     """
 
     ones = False  # S_1 has no such symmetry
 
-    def __init__(self, ctx: GroupContext, rcols: dict, fcols: dict):
+    def __init__(self, ctx: GroupContext, rcols: dict, fcols: dict, f) -> None:
         self.ctx, self.rcols, self.fcols = ctx, rcols, fcols
-        w0 = ctx.order - 1
+        w0, rmult = ctx.order - 1, ctx.rmult
         self.n = ctx.lengths[w0]
-        self.times_w0 = [_mul(ctx, x, w0) for x in range(ctx.order)]
-        # top w -> the nonzero sums it summed: on a sound table, S_ww alone
+        # x w0 = (xs) w0 t, s = srd(x) and t = w0 s w0, a simple reflection
+        conj = [rmult[w0].index(_mul(ctx, rmult[0][s], w0)) for s in range(ctx.rank)]
+        times_w0 = self.times_w0 = [w0] * ctx.order
+        for x in range(1, ctx.order):  # xs has the smaller id
+            s = ctx.srd[x]
+            times_w0[x] = rmult[times_w0[rmult[x][s]]][conj[s]]
+        self.sym: Symmetries | None = None  # the orbits, set by ``holds``
+        # top w -> its nonzero sums S_xw: on a sound table, S_ww alone
         self.kept: dict[int, dict[int, int]] = {}
+        # (end, the columns cut to the ids below end) of the last top summed
+        self.cut: tuple[int, _LazyColumns | None] = (-1, None)
 
     def _end(self, lw: int) -> int:
         """The first id longer than N - l(w): the x summed for a top w are
@@ -534,8 +677,9 @@ class _Orbits:
         return bisect_right(self.ctx.lengths, self.n - lw)
 
     def holds(self) -> bool:
-        """Premise (2), checked on the columns read, and F = +-R; (1) is
-        the sweep's ``premise``."""
+        """Premises (2) and (3), checked on the columns read, and F = +-R;
+        (1) is the sweep's ``premise``.  Only (2) and F = +-R decide: a
+        failing (3) leaves H to inversion alone."""
         ctx, rcols = self.ctx, self.rcols
         lengths, times_w0 = ctx.lengths, self.times_w0
         negated: dict[Coeffs, Coeffs] = {}  # R value -> -R
@@ -545,47 +689,58 @@ class _Orbits:
                 negated[r] = tuple(-c for c in r)
             if fs != [negated[r] if lengths[v] % 2 else r for v, r in zip(vs, rs)]:
                 return False
-        column = ctx.tables.R.get
+        table = ctx.tables.R
         for v, (xs, rs) in rcols.items():
             i = bisect_left(xs, self._end(lengths[v]))
-            vw0 = times_w0[v]
-            for x, r in zip(xs[:i], rs[:i]):
-                col = column(times_w0[x])
-                if col is None or col.get(vw0) != r:
-                    return False
+            images = map(table.__getitem__, map(times_w0.__getitem__, xs[:i]))
+            if list(map(dict.get, images, repeat(times_w0[v]))) != rs[:i]:
+                return False
+        sym = _symmetries(ctx)
+        cols = [(v, xs, rs) for v, (xs, rs) in rcols.items()]
+        if not _invariant(sym.maps[1:], lambda v: table[v].get, cols):
+            sym = _orbits(ctx, [ctx.inv])
+        self.sym = sym
         return True
 
     def top(self, w: int, vs: list[int]) -> tuple:
         """(own, cut, spread) for the top w, as for ``_Cosets``."""
-        lengths, inv, times_w0 = self.ctx.lengths, self.ctx.inv, self.times_w0
-        lw, n, kept = lengths[w], self.n, self.kept
+        sym, kept, times_w0 = self.sym, self.kept, self.times_w0
+        r = sym.rep[w]
+        if r != w:
+
+            def spread(acc: dict[int, int], bits: int) -> dict[int, int]:
+                # S_xw = S_{hx, r}, h the word of w: x = h^-1 z for each
+                # nonzero S_zr, the maps being involutions
+                sums = kept[r]
+                xs = sym.image(sym.word[w][::-1], list(sums))
+                found = kept[w] = dict(zip(xs, sums.values()))
+                out = dict.fromkeys(vs, 0)
+                out.update(found)
+                return out
+
+            return [], None, spread
+        end = self._end(self.ctx.lengths[w])
+        i = bisect_left(vs, end)
+        own, rest, ww0 = vs[:i], vs[i:], times_w0[w]
 
         def spread(acc: dict[int, int], bits: int) -> dict[int, int]:
-            if acc:  # w summed: keep its nonzero sums for later tops
-                kept[w] = {x: v for x, v in acc.items() if v}
-            out = {}
-            for x in vs:
-                if lengths[x] + lw <= n:
-                    x1, w1, neg = x, w, False
-                else:  # (w w0, x w0): S_xw = (-1)^N S_{w w0, x w0}
-                    x1, w1, neg = times_w0[w], times_w0[x], n % 2 == 1
-                if w1 > inv[w1]:  # S_xw = S_{x^-1, w^-1}
-                    x1, w1 = inv[x1], inv[w1]
-                val = kept[w1].get(x1, 0)
-                out[x] = -val if neg else val
-            return out
+            # S_xw = (-1)^N S_{w w0, x w0} past the prefix, x w0 an earlier top
+            tops = map(kept.__getitem__, map(times_w0.__getitem__, rest))
+            vals = map(dict.get, tops, repeat(ww0), repeat(0))
+            acc.update(zip(rest, map(neg, vals) if self.n % 2 else vals))
+            kept[w] = {x: val for x, val in acc.items() if val}
+            return acc
 
-        if w > inv[w]:
-            return [], None, spread
-        end = self._end(lw)
-        rcols = self.rcols
+        if self.cut[0] != end:  # the tops come by length: one cut per length
+            rcols = self.rcols
 
-        def make(v: int) -> tuple[list[int], list[int]]:
-            xs, rs = col = rcols[v]
-            i = bisect_left(xs, end)
-            return col if i == len(xs) else (xs[:i], rs[:i])
+            def make(v: int) -> tuple[list[int], list[int]]:
+                xs, rs = col = rcols[v]
+                j = bisect_left(xs, end)
+                return col if j == len(xs) else (xs[:j], rs[:j])
 
-        return vs[: bisect_left(vs, end)], _LazyColumns(make), spread
+            self.cut = end, _LazyColumns(make)
+        return own, self.cut[1], spread
 
 
 def _sums_at_q(
@@ -596,8 +751,9 @@ def _sums_at_q(
     ones: Columns | None = None,
     reduction: type[_Cosets] | type[_Orbits] | None = None,
     premise: bool = False,
-) -> tuple[int, Iterator[tuple[int, dict[int, int]]]]:
-    """B, and per top w one pair (w, {x: S_xw(Q)}), x by increasing id.
+) -> tuple[int, Iterator[tuple[int, dict[int, int] | None]]]:
+    """B, and per top w one pair (w, {x: S_xw(Q)}), x by increasing id, or
+    (w, None) for a top the reduction does not sum (see ``_Cosets``).
 
     Q = 2^B and S_xw = sum over v in [x, w] of R_xv * F_vw, where f(w)
     reads the column w of F: f(w)(v) gives the coefficients of F_vw.  With
@@ -628,12 +784,15 @@ def _sums_at_q(
     ``top`` says which x to sum for each top w, and its ``spread`` gives
     every other pair the sum of its representative pair, swept no later,
     times the shift Q^k and the sign that relate the two; ``_Orbits``
-    keeps the sums of earlier tops that it needs, and no other.  Its
-    other premises (``holds``) are checked on the columns read before
-    anything is summed.  If ``premise`` is false or one of them fails, or
-    if the reduction does not serve the sums S_1 asked for, every top is
-    swept over every x, as the interval sweep always is.  Either way each pair
-    gets the integer a sum over its own triples gives.  Lemma of
+    keeps the nonzero sums of every top, which later tops read.  A top
+    that ``_Cosets`` does not sum at all, one not least in its H-orbit,
+    is yielded as (w, None), and its S_1, if asked for, are those of
+    rep[w] read through its word.  Its other premises (``holds``) are
+    checked on the columns read before anything is summed.  If
+    ``premise`` is false or one of them fails, or if the reduction does
+    not serve the sums S_1 asked for, every top is swept over every x, as
+    the interval sweep always is.  Either way each pair gets the integer
+    a sum over its own triples gives.  Lemma of
     ``_Cosets``, the reduction of du Cloux
     (Experiment. Math. 11, 2002) that sums only the x with D_R(w) in
     D_R(x), about a tenth of the triples: for s in D_R(w) and xs > x,
@@ -679,7 +838,7 @@ def _sums_at_q(
     fcols = {w: list(map(f(w), rcols[w][0])) for w in tops}
     red = None
     if reduction is not None and premise and (ones is None or reduction.ones):
-        red = reduction(ctx, rcols, fcols)
+        red = reduction(ctx, rcols, fcols, f)
         red = red if red.holds() else None
     rvals = {r for _, rs in rcols.values() for r in rs}
     fvals = {p for fs in fcols.values() for p in fs}
@@ -691,15 +850,18 @@ def _sums_at_q(
     for _, rs in rcols.values():
         rs[:] = [at[r] for r in rs]
 
-    def sums() -> Iterator[tuple[int, dict[int, int]]]:
+    def sums() -> Iterator[tuple[int, dict[int, int] | None]]:
         digits: dict[int, Coeffs] = {}  # S_1(Q) -> its coefficients
         for w in tops:
             vs = rcols[w][0]
             fs = fcols.pop(w)
-            if red is None:
-                own, cut, spread = vs, rcols, None
-            else:
-                own, cut, spread = red.top(w, vs)
+            plan = (vs, rcols, None) if red is None else red.top(w, vs)
+            if plan is None:  # an H-mate of an earlier top: its sums, moved
+                if ones is not None:
+                    ones[ids[w]] = red.sym.column(ones, w, vs)
+                yield w, None
+                continue
+            own, cut, spread = plan
             acc = dict.fromkeys(own, 0)
             acc1 = dict.fromkeys(own, 0) if ones is not None else None
             # transposed: for each v, add R_xv(Q) F_vw(Q) to every x below it
@@ -759,32 +921,49 @@ def _kl_faults(
     passed to the sweep, which fills it with the interval R-sums, and so
     is ``recursive``, the verdict of the caller's pass over R.
 
-    Every pair is tested.  Over the whole group the sweep takes the
-    reduction ``_Cosets``: it sums over the triples only for coset tops,
-    and gives each other pair Q^k times its coset top's sum.  When the
-    premises hold, that is the integer a sum over its own triples gives,
-    so every test sees the same values either way.  When they fail, it
-    sums for every pair.
+    Every pair is tested or given its faults.  Over the whole group the
+    sweep takes the reduction ``_Cosets``: it sums over the triples only
+    for coset tops, and gives each other pair Q^k times its coset top's
+    sum.  When the premises hold, that is the integer a sum over its own
+    triples gives, so every test sees the same values either way.  When
+    they fail, it sums for every pair.  When P is invariant under H too,
+    it sums only the tops least in their H-orbit, and a top w it does not
+    sum gets the faults of r = rep[w], (x, r) moved to (h^-1 x, w), h the
+    word of w, by increasing x: P_xw = P_{hx, r} and S_xw = S_{hx, r}, so
+    the test of (x, w) is the test of (hx, r).
     """
     lengths = ctx.lengths
     bits, tops = _sums_at_q(ctx, column, ui, wi, ones, _Cosets, recursive)
     rev: dict[Coeffs, int] = {}  # P -> Q^(deg P) P(1/Q), once per value
+    kept: dict[int, list[tuple[int, str]]] = {}  # top -> its faults, if any
     for w, acc in tops:
+        if acc is None:  # the faults of rep[w], moved by the word of w
+            sym = ctx.tables.symmetries
+            found = kept.get(sym.rep[w], ())
+            xs = sym.image(sym.word[w][::-1], [x for x, _ in found])
+            for x, fault in sorted(zip(xs, [fault for _, fault in found])):
+                yield x, w, fault
+            continue
         lw, pw = lengths[w], column(w)
+        found = []
         for x, val in acc.items():
             p = pw(x)
             d = lw - lengths[x]
             if x == w:
                 if p != (1,):
-                    yield x, w, "diagonal KL entry not 1"
+                    found.append((x, "diagonal KL entry not 1"))
             elif not p or p[0] != 1 or 2 * len(p) > d + 1:
-                yield x, w, f"malformed KL entry {p}"
+                found.append((x, f"malformed KL entry {p}"))
             else:
                 lhs = rev.get(p)
                 if lhs is None:
                     lhs = rev[p] = _at(p[::-1], bits)
                 if lhs << bits * (d + 1 - len(p)) != val:
-                    yield x, w, "functional equation fails"
+                    found.append((x, "functional equation fails"))
+        if found:
+            kept[w] = found
+            for x, fault in found:
+                yield x, w, fault
 
 
 def _certify(
@@ -798,22 +977,35 @@ def _certify(
 
     Stages the columns of the tops first if needed, then runs one
     ``_kl_faults`` sweep and returns its faults, also on a table already
-    certified.  Over the whole group it first makes the one
-    ``_fill_columns`` pass over R of the command, which fills what is
+    certified.  Over the whole group it stages on an empty table only
+    the least top of each orbit under H (``_symmetries``) by the
+    recursion, and moves every other top's column from its
+    representative's (``_stage_image``); a table that already holds
+    entries, planted or partial, is staged by the recursion throughout,
+    so that an entry already there is kept and read.  It then makes the
+    one ``_fill_columns`` pass over R of the command, which fills what is
     missing of R and whose verdict is premise (b) of the sweep's coset
     reduction; every reader of R after it, in this call and in the checks
     of ``theorems.run_suite``, reads the table it left.  The sweep sums
-    only for the coset tops x*, D_R(w) in D_R(x*), when its two premises
-    hold, and for every pair otherwise; the faults are the same either
-    way (see ``_sums_at_q``).  The sweep also fills ``ones``, if given,
-    with the interval R-sums of the pairs it covers.  Raises RuntimeError
-    naming the first faulty pair whose pending bit is set, by w and then
-    x, before clearing any bit.
+    only for the tops least in their H-orbit when P is invariant under H,
+    and within a top only for the coset tops x*, D_R(w) in D_R(x*), when
+    its premises hold; it sums every pair otherwise.  The faults are the
+    same either way (see ``_sums_at_q`` and ``_kl_faults``).  The sweep
+    also fills ``ones``, if given, with the interval R-sums of the pairs
+    it covers.  Raises RuntimeError naming the first faulty pair whose
+    pending bit is set, by w and then x, before clearing any bit.
     """
     t = ctx.tables
     pending = t.pending
-    for w in range(ctx.order) if wi < 0 else (wi,):
-        _stage(ctx, w)
+    if wi >= 0:
+        _stage(ctx, wi)
+    else:
+        sym, fresh = _symmetries(ctx), not t.KL
+        for w in range(ctx.order):
+            if fresh and sym.rep[w] != w:
+                _stage_image(ctx, w, sym)
+            else:
+                _stage(ctx, w)
     recursive = wi < 0 and _fill_columns(ctx, "R")
     faults = list(_kl_faults(ctx, _reader(t), ui, wi, ones, recursive))
     for x, w, _ in faults:
@@ -859,13 +1051,14 @@ class _Column:
     by increasing id, ``up`` = the out-neighbor masks (``_up_masks``), so
     that the out-neighbors of x below w are up[x] & lower, ``df`` = {x:
     df(x, w)}, their number minus l(x, w), and with ``kl`` (else None)
-    ``ps`` = {x: P_xw}, ``p1`` = {x: P_xw(1)} and ``eq``, the pairs (c,
-    mask of the x with P_xw(1) = c) by increasing c.  Each P is read once:
-    from the KL column of w when no entry of it is pending, else, or where
-    an x is missing, through ``_kl``, which certifies a pending entry
-    first."""
+    ``ps`` = {x: P_xw}, ``p1`` = {x: P_xw(1)}, ``classes`` = {P: mask of
+    the x with P_xw = P} and ``eq``, the pairs (c, mask of the x with
+    P_xw(1) = c) by increasing c, each the OR of the classes of the P with
+    P(1) = c.  Each P is read once: from the KL column of w when no entry
+    of it is pending, else, or where an x is missing, through ``_kl``,
+    which certifies a pending entry first."""
 
-    __slots__ = ("w", "lower", "below", "up", "df", "ps", "p1", "eq", "_lt")
+    __slots__ = ("w", "lower", "below", "up", "df", "ps", "p1", "classes", "eq", "_lt")
 
     def __init__(self, ctx: GroupContext, wi: int, kl: bool = True):
         lengths, lower, up = ctx.lengths, _lower(ctx, wi), _up_masks(ctx)
@@ -873,17 +1066,21 @@ class _Column:
         self.below = list(iter_bits(lower))
         lw = lengths[wi]
         self.df = {x: (up[x] & lower).bit_count() - lw + lengths[x] for x in self.below}
-        self.ps = self.p1 = self.eq = None
+        self.ps = self.p1 = self.classes = self.eq = None
         self._lt: dict[int, int] = {}
         if kl:
             t = ctx.tables
             get = ({} if t.pending.get(wi) else t.KL.get(wi, {})).get
-            self.ps = {x: get(x) or _kl(ctx, x, wi) for x in self.below}
-            self.p1 = {x: sum(p) for x, p in self.ps.items()}
+            ps = self.ps = {x: get(x) or _kl(ctx, x, wi) for x in self.below}
+            self.p1 = dict(zip(ps, map(sum, ps.values())))
+            classes: dict[Coeffs, int] = {}
+            for x, p in ps.items():
+                classes[p] = classes.get(p, 0) | 1 << x
             eq: dict[int, int] = {}
-            for x, c in self.p1.items():
-                eq[c] = eq.get(c, 0) | 1 << x
-            self.eq = sorted(eq.items())
+            for p, mask in classes.items():
+                c = sum(p)
+                eq[c] = eq.get(c, 0) | mask
+            self.classes, self.eq = classes, sorted(eq.items())
 
     def count_lt(self, x: int, c: int) -> int:
         """The out-neighbors v of x below w with P_vw(1) < c, counted; the

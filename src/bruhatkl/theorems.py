@@ -31,19 +31,26 @@ base-2^B digits of a value are its coefficients, which
 r_alternating_sum's witness prints.  A whole-group sweep sums over the
 triples only for one representative pair of each class its reduction
 argument names, and gets the others' sums from theirs, when the
-reduction's premises hold on the entries read.  For F = P and F = 1 the
-classes are the cosets x W_{D_R(w)}, and a pair's sum is its coset
-top's times a power of Q, when F_vw = F_{vs,w} for s in D_R(w) and R
-follows its recursion (``klr._Cosets``).  For F = +-R they are the
-orbits of (x, w) -> (x^-1, w^-1) and (x, w) -> (w w0, x w0), and the sum
-is the representative's up to the sign (-1)^l(w0), when R has both
-symmetries (``klr._Orbits``); the first is the test of
+reduction's premises hold on the entries read.  Both reductions sum only
+the tops least in their orbit under H, the group generated by inversion
+and the diagram automorphisms, when R and F are invariant under it: a
+pair's sum is that of its image under H (``klr._symmetries``).  Within a
+top, for F = P and F = 1 the classes are the cosets x W_{D_R(w)}, and a
+pair's sum is its coset top's times a power of Q, when F_vw = F_{vs,w}
+for s in D_R(w) and R follows its recursion (``klr._Cosets``); the
+certificate gives a top it does not sum the faults of its
+representative, moved by H.  For F = +-R a pair with l(x) + l(w) > l(w0)
+gets the sum of (w w0, x w0) up to the sign (-1)^l(w0), when R has that
+symmetry and inversion's (``klr._Orbits``); the second is the test of
 r_inverse_symmetry, ``klr._inverse_faults``, made once per ``run_suite``
-call and handed to both.  A sweep of tables that break a premise sums
-over every triple.  The values, and so every verdict, count and
-witness, are the same either way.  kl_monotone and mono_equiv group each KL column by
-value and decide each pair of values once; every triple is still
-counted, and reported if it fails.
+call and handed to both.  A premise on H that fails leaves the
+reduction without it, and a sweep of tables that break another premise
+sums over every triple.  The values, and so every verdict, count and
+witness, are the same either way.  kl_monotone and mono_equiv read each
+KL column grouped by value (``klr._Column.classes``, built once for
+both) and decide each pair of values once; every triple is still
+counted, and reported if it fails.  dvc_linear and nth2_quadratic read
+each column's interval R-sums through one walk of them (``_Excess``).
 
 Ten R-level checks (reading "classes" in ``_REGISTRY``: r_basics,
 r_functional_equation, r_derivative_edge, shifted_nonneg,
@@ -67,11 +74,12 @@ the KL certificate's when a selected check reads KL, and ``run_suite``'s
 own otherwise; Rt's is ``run_suite``'s, made with the classes.  No check
 fills a table of its own.
 
-The ten column checks (reading "column", "kl" or "sums" in
+The ten column checks (reading "column", "kl", "sums" or "excess" in
 ``_REGISTRY``: deodhar and the KL-level checks but kl_basics) share one
 walk over the tops w per ``run_suite`` call (``_walk``).  For each w it
 builds one ``klr._Column``: lower(w), P_xw and P_xw(1) for each x <= w,
-each read once, the masks of the x by P(1) value, and each x's defect.
+each read once, the masks of the x by P value and by P(1) value, and
+each x's defect.
 The out-neighbors of x below w are one mask, up(x) & lower(w)
 (``bruhat._up_masks``), so a defect or a count of strict edges is a
 popcount and a greedy step a lowest set bit.  Only one column is held at
@@ -515,65 +523,101 @@ def _check_deodhar(ctx: GroupContext) -> Walker:
     return _report(ctx, "deodhar", n, wit, {"max_defect": max_defect})
 
 
+class _Excess:
+    """The interval R-sums S_1 as dvc_linear and nth2_quadratic read them,
+    one walk of each column's sums serving both: for the top w of the
+    column view last asked about, and for each order k in (1, 2), the OR
+    of lower(x) over the x < w where the (q-1)^k coefficient of S_1(x, w)
+    exceeds binomial(l(x,w), k), and the (x, coefficient, bound) where it
+    falls short, by increasing x.  Each distinct S_1 value's coefficients
+    are taken once per ``run_suite`` call."""
+
+    def __init__(self, ctx: GroupContext, sums: Columns):
+        self.ctx, self.sums = ctx, sums
+        self.coeffs: dict[Coeffs, tuple[int, int]] = {}  # S_1 -> (c_1, c_2)
+        self.w = -1
+        self.found: tuple = ()
+
+    def at(self, col: _Column) -> tuple:
+        """((reach, short) for k = 1, (reach, short) for k = 2) at col.w."""
+        if col.w != self.w:
+            wi, lengths = col.w, self.ctx.lengths
+            lower, coeffs, sums_w = le_masks(self.ctx), self.coeffs, self.sums[wi]
+            lw = lengths[wi]
+            reach1 = reach2 = 0
+            short1, short2 = [], []
+            for xi in col.below[:-1]:  # x < w: w has the largest id
+                cs = sums_w[xi]
+                vals = coeffs.get(cs)
+                if vals is None:
+                    vals = coeffs[cs] = (
+                        sum(k * c for k, c in enumerate(cs)),
+                        sum(comb(k, 2) * c for k, c in enumerate(cs)),
+                    )
+                c1, c2 = vals
+                ell = lw - lengths[xi]
+                if c1 > ell:
+                    reach1 |= lower[xi]
+                elif c1 < ell:
+                    short1.append((xi, c1, ell))
+                bound = ell * (ell - 1) // 2
+                if c2 > bound:
+                    reach2 |= lower[xi]
+                elif c2 < bound:
+                    short2.append((xi, c2, bound))
+            self.w, self.found = wi, ((reach1, short1), (reach2, short2))
+        return self.found
+
+
 def _biconditional_check(
-    ctx: GroupContext, sums: Columns, name: str, order: int
+    ctx: GroupContext, excess: _Excess, name: str, order: int
 ) -> Walker:
     """Shared body of dvc_linear and nth2_quadratic.
 
     Inequality side: for every x < w the (q-1)^order coefficient of the
-    interval R-sum is at least binomial(l(x,w), order).  Equivalence side:
-    an interval [u, w] has strict excess at some x in [u, w) exactly when
-    P_uw differs from 1, with singularity read off the column view of w.
-    Every inequality-side witness is listed before the equivalence side's.
+    interval R-sum is at least binomial(l(x,w), order) (read off
+    ``excess``).  Equivalence side: an interval [u, w] has strict excess
+    at some x in [u, w) exactly when P_uw differs from 1, with singularity
+    read off the column view of w.  Every inequality-side witness is
+    listed before the equivalence side's.
     """
     ineq, equiv = _Witnesses(), _Witnesses()
-    lengths = ctx.lengths
-    lower = le_masks(ctx)
-    coeff: dict[Coeffs, int] = {}  # R-sum -> its (q-1)^order coefficient
     n = singular = 0
     while col := (yield):
         wi = col.w
-        reach = 0  # the OR of lower(x) over the x < w with strict excess
-        sums_w = sums[wi]
-        for xi in col.below:
-            if xi == wi:
-                continue
-            cs = sums_w[xi]
-            val = coeff.get(cs)
-            if val is None:
-                val = coeff[cs] = sum(comb(k, order) * c for k, c in enumerate(cs))
-            bound = comb(lengths[wi] - lengths[xi], order)
-            if val > bound:
-                reach |= lower[xi]
-            elif val < bound:
-                ineq.add(
-                    f"{_pair_word(ctx, xi, wi)}: (q-1)^{order} coefficient "
-                    f"of the R-sum is {val} < {bound}"
-                )
-        for ui, p in col.ps.items():
-            n += 1
+        # the OR of lower(x) over the x < w with strict excess, and the
+        # x < w below the bound
+        reach, short = excess.at(col)[order - 1]
+        for xi, val, bound in short:
+            ineq.add(
+                f"{_pair_word(ctx, xi, wi)}: (q-1)^{order} coefficient "
+                f"of the R-sum is {val} < {bound}"
+            )
+        # the u <= w with P_uw != 1, and those where it disagrees with
+        # strict excess in [u, w) (reach holds no bit outside lower(w))
+        n += len(col.below)
+        kl_singular = col.lower & ~col.classes.get((1,), 0)
+        singular += kl_singular.bit_count()
+        for ui in iter_bits(reach ^ kl_singular):
             strict_somewhere = bool(reach >> ui & 1)
-            singular_kl = p != (1,)
-            singular += singular_kl
-            if strict_somewhere != singular_kl:
-                equiv.add(
-                    f"{_pair_word(ctx, ui, wi)}: strict excess is "
-                    f"{strict_somewhere} but KL-singularity is {singular_kl}"
-                )
+            equiv.add(
+                f"{_pair_word(ctx, ui, wi)}: strict excess is "
+                f"{strict_somewhere} but KL-singularity is {not strict_somewhere}"
+            )
     wit = _joined(ineq, equiv)
     return _report(ctx, name, n, wit, {"singular_intervals": singular})
 
 
-def _check_dvc(ctx: GroupContext, sums: Columns) -> Walker:
+def _check_dvc(ctx: GroupContext, excess: _Excess) -> Walker:
     """Linear (q-1)-coefficient of interval R-sums dominates l(x,w), with
     strictness somewhere iff the interval is singular."""
-    return _biconditional_check(ctx, sums, "dvc_linear", 1)
+    return _biconditional_check(ctx, excess, "dvc_linear", 1)
 
 
-def _check_nth2(ctx: GroupContext, sums: Columns) -> Walker:
+def _check_nth2(ctx: GroupContext, excess: _Excess) -> Walker:
     """Quadratic (q-1)-coefficient of interval R-sums dominates
     binomial(l(x,w), 2), with strictness somewhere iff singular."""
-    return _biconditional_check(ctx, sums, "nth2_quadratic", 2)
+    return _biconditional_check(ctx, excess, "nth2_quadratic", 2)
 
 
 def _check_le1_le2_le3(ctx: GroupContext, classes: Classes) -> CheckReport:
@@ -680,37 +724,39 @@ def _class_sweep(
     time, as a column check whose result is (triples tested, witnesses).
 
     ``fails(P_uw, P_vw)`` is decided once per distinct pair of values and
-    memoized; the u failing for (v, w) are then one mask, ``bad & lower[v]``.
+    memoized; the u failing for (v, w) are then one mask, ``bad & lower[v]``,
+    with ``bad`` the OR of the column's classes (``klr._Column.classes``)
+    of the P_uw that fail against P_vw, and only the v with some such P_uw
+    are visited.  The triples tested are counted from the sizes of the
+    lower cones.
     The witnesses are in the order of a sweep over (v, w) in pair order and
     u by increasing id.
     """
     wit = _Witnesses()
     lower = le_masks(ctx)
+    sizes = [m.bit_count() - strict for m in lower]  # the u tested per v
     verdicts: dict[tuple[Coeffs, Coeffs], bool] = {}
     n = 0
     while col := (yield):
-        wi, ps = col.w, col.ps
-        classes: dict[Coeffs, int] = {}  # P -> mask of the u with P_uw = P
-        for ui, p in ps.items():
-            classes[p] = classes.get(p, 0) | 1 << ui
+        wi, ps, classes = col.w, col.ps, col.classes
+        n += sum(map(sizes.__getitem__, col.below))
         bad_masks: dict[Coeffs, int] = {}
-        for vi, pvw in ps.items():
-            bad = bad_masks.get(pvw)
-            if bad is None:
-                bad = 0
-                for puw, mask in classes.items():
-                    key = (puw, pvw)
-                    verdict = verdicts.get(key)
-                    if verdict is None:
-                        verdict = verdicts[key] = fails(puw, pvw)
-                    if verdict:
-                        bad |= mask
+        some = 0  # the v whose P_vw some P_uw of the column fails against
+        for pvw, vs in classes.items():
+            bad = 0
+            for puw, mask in classes.items():
+                key = (puw, pvw)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = fails(puw, pvw)
+                if verdict:
+                    bad |= mask
+            if bad:
                 bad_masks[pvw] = bad
+                some |= vs
+        for vi in iter_bits(some):
             below = lower[vi] & ~(1 << vi) if strict else lower[vi]
-            n += below.bit_count()
-            if not bad & below:  # the common case: no failing u
-                continue
-            for ui in iter_bits(bad & below):
+            for ui in iter_bits(bad_masks[ps[vi]] & below):
                 wit.add(
                     f"{_pair_word(ctx, ui, wi)} via "
                     f"v='{word_of(ctx.elements[vi])}': {message}"
@@ -887,9 +933,10 @@ def _walk(
 # name -> (check, what it reads): "classes", the classes of
 # ``_r_classes``; "faults", the certificate's faults; "column", a column
 # check of ``_walk`` that reads no KL; "kl", one that reads KL; "sums", one
-# that also reads the interval R-sums; "inverse", the faults of
+# that also reads the interval R-sums; "excess", one that reads them
+# through the one ``_Excess`` of the call; "inverse", the faults of
 # ``klr._inverse_faults`` (and the R table).  A check that reads
-# "classes", "faults", "sums" or "inverse" is passed it after ctx
+# "classes", "faults", "sums", "excess" or "inverse" is passed it after ctx
 _REGISTRY = {
     "r_basics": (_check_r_basics, "classes"),
     "r_inverse_symmetry": (_check_r_inverse_symmetry, "inverse"),
@@ -903,8 +950,8 @@ _REGISTRY = {
     "binomial_bounds": (_check_binomial_bounds, "classes"),
     "brenti_scan": (_check_brenti_scan, "classes"),
     "deodhar": (_check_deodhar, "column"),
-    "dvc_linear": (_check_dvc, "sums"),
-    "nth2_quadratic": (_check_nth2, "sums"),
+    "dvc_linear": (_check_dvc, "excess"),
+    "nth2_quadratic": (_check_nth2, "excess"),
     "le1_le2_le3": (_check_le1_le2_le3, "classes"),
     "kl_basics": (_check_kl_basics, "faults"),
     "kl_nonneg": (_check_kl_nonneg, "kl"),
@@ -939,7 +986,8 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     this call; kl_basics reports its faults.  If none does but one reads
     R, R's pass is made here.  If any reads the interval R-sums, the
     certificate sweep also yields them.  No check changes R, so they are
-    R's sums at this call, passed to each, and so are the faults of one
+    R's sums at this call, passed to each (to dvc_linear and nth2_quadratic
+    through one ``_Excess``), and so are the faults of one
     ``klr._inverse_faults`` sweep, if a check reads them: r_inverse_symmetry
     reports them, and r_alternating_sum's orbit reduction takes their
     absence as a premise.  The classes of ``_r_classes`` are built once,
@@ -963,8 +1011,8 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
             )
         names = tuple(n for n in CHECK_NAMES if n in set(selection))
     reads = {_REGISTRY[n][1] for n in names}
-    kl = not reads.isdisjoint(("kl", "sums"))
-    sums: Columns | None = {} if "sums" in reads else None
+    kl = not reads.isdisjoint(("kl", "sums", "excess"))
+    sums: Columns | None = {} if not reads.isdisjoint(("sums", "excess")) else None
     faults = classes = None
     if kl or "faults" in reads:
         faults = _certify(ctx, ones=sums)
@@ -974,6 +1022,8 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
         _fill_columns(ctx, "Rt")
         classes = _r_classes(ctx)
     given = {"classes": classes, "faults": faults, "sums": sums}
+    if sums is not None:
+        given["excess"] = _Excess(ctx, sums)
     if "inverse" in reads:
         given["inverse"] = _inverse_faults(ctx)
     reports = {}
@@ -981,7 +1031,7 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     for n in names:
         check, what = _REGISTRY[n]
         args = (ctx, given[what]) if what in given else (ctx,)
-        if what in ("column", "kl", "sums"):
+        if what in ("column", "kl", "sums", "excess"):
             walkers[n] = check(*args)
         else:
             reports[n] = check(*args)

@@ -29,6 +29,7 @@ from bruhatkl.bruhat import (  # noqa: E402
     le_masks,
 )
 from bruhatkl.coxeter import (  # noqa: E402
+    _diagram_automorphisms,
     build_group,
     parse_element,
     parse_group_spec,
@@ -569,3 +570,92 @@ def test_whole_group_and_e_w_fills_make_no_pair_recursion(fill, monkeypatch):
     fill(ctx)
     assert calls == []
     assert len(entries(ctx.tables.R)) == len(comparable_pairs(ctx))
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [("D4", 6), ("A3", 2), ("A5", 2), ("B2", 2), ("D5", 2), ("F4", 2),
+     ("G2", 2), ("B3", 1), ("B4", 1)],
+)
+def test_diagram_automorphisms(spec, count):
+    # every sigma preserving the Coxeter matrix, the identity first; each
+    # phi is a length-preserving bijection with phi(xs) = phi(x) sigma(s)
+    ctx = build_group(parse_group_spec(spec))
+    autos = _diagram_automorphisms(ctx)
+    assert len(autos) == count
+    assert autos[0][0] == tuple(range(ctx.rank))
+    assert autos[0][1] == list(range(ctx.order))
+    rmult, lengths = ctx.rmult, ctx.lengths
+    for sigma, phi in autos:
+        assert sorted(phi) == list(range(ctx.order))
+        assert [lengths[y] for y in phi] == lengths
+        for x in range(ctx.order):
+            for s in range(ctx.rank):
+                assert phi[rmult[x][s]] == rmult[phi[x]][sigma[s]]
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "G2", "F4"])
+def test_orbits_under_inversion_and_the_diagram_automorphisms(spec):
+    # maps[0] is inversion, then one phi per involution sigma != 1; rep[w]
+    # is the least id of the orbit of w, which its word takes w to
+    ctx = build_group(parse_group_spec(spec))
+    sym = klr._symmetries(ctx)
+    assert sym is ctx.tables.symmetries is klr._symmetries(ctx)
+    assert sym.maps[0] is ctx.inv
+    assert len(sym.maps) == {"A3": 2, "B3": 1, "D4": 4, "G2": 2, "F4": 2}[spec]
+    for w in range(ctx.order):
+        orbit, todo = {w}, [w]
+        while todo:
+            y = todo.pop()
+            for g in sym.maps:
+                if g[y] not in orbit:
+                    orbit.add(g[y])
+                    todo.append(g[y])
+        assert sym.rep[w] == min(orbit)
+        assert list(sym.image(sym.word[w], [w])) == [sym.rep[w]]
+        assert len(sym.word[w]) <= 3
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "G2"])
+def test_fresh_fill_is_invariant_under_the_symmetries(spec):
+    # R, Rt and P take the same value on (x, w) and (g x, g w) for each
+    # generator g of H
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx)
+    for g in klr._symmetries(ctx).maps:
+        for table in (ctx.tables.R, ctx.tables.Rt, ctx.tables.KL):
+            moved = {(g[x], g[w]): v for (x, w), v in entries(table).items()}
+            assert moved == entries(table)
+
+
+@pytest.mark.parametrize("spec", ["A3", "A4", "B3", "D4", "G2"])
+def test_map_staged_kl_equals_recursion_staged_kl(spec, monkeypatch):
+    # a whole-group certificate on an empty table stages each top that is
+    # not the least of its orbit from its representative's column; what
+    # it stages, read as the sweep starts, is what the recursion stages
+    staged = {}
+    real = klr._kl_faults
+
+    def snapshot(ctx, *args):
+        t = ctx.tables
+        staged.update(KL=entries(t.KL), mu=dict(t.mu), pending=dict(t.pending))
+        return real(ctx, *args)
+
+    images = []
+    image = klr._stage_image
+    monkeypatch.setattr(klr, "_kl_faults", snapshot)
+    monkeypatch.setattr(
+        klr, "_stage_image", lambda c, w, s: images.append(w) or image(c, w, s)
+    )
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx, ("KL",))
+    sym = ctx.tables.symmetries
+    assert images == [w for w in range(ctx.order) if sym.rep[w] != w]
+    assert images
+    fresh = build_group(parse_group_spec(spec))
+    for w in range(fresh.order):
+        _stage(fresh, w)
+    t = fresh.tables
+    assert staged["KL"] == entries(t.KL)
+    assert staged["mu"] == t.mu
+    assert staged["pending"] == t.pending

@@ -24,6 +24,7 @@ from bruhatkl.bruhat import (  # noqa: E402
     neighborhood,
 )
 from bruhatkl.coxeter import (  # noqa: E402
+    _diagram_automorphisms,
     _mul,
     build_group,
     parse_element,
@@ -384,6 +385,22 @@ def _plant_kl_coset(ctx):
     raise AssertionError(f"no coset to plant in {ctx.name}")
 
 
+def _plant_kl_off_inverse(ctx):
+    """Give the first pair (x, w) by w and then x with l(x, w) >= 3 and
+    (x^-1, w^-1) != (x, w) the wrong P_xw + q, and leave its inverse pair
+    as it is: P(0) = 1 and the degree bound still hold, and P is no
+    longer invariant under inversion.  Returns the pair."""
+    inv, lengths = ctx.inv, ctx.lengths
+    kl = entries(ctx.tables.KL)
+    for x, w in sorted(kl, key=lambda p: (p[1], p[0])):
+        if lengths[w] - lengths[x] >= 3 and (inv[x], inv[w]) != (x, w):
+            p = kl[x, w]
+            p += (0,) * (2 - len(p))
+            plant(ctx.tables.KL, x, w, (p[0], p[1] + 1) + p[2:])  # + q
+            return x, w
+    raise AssertionError(f"no pair off its inverse in {ctx.name}")
+
+
 def _orbit(ctx, x, v):
     """The orbit of the pair (x, v) under (x, v) -> (x^-1, v^-1) and
     (x, v) -> (v w0, x w0), the symmetries of R that the orbit reduction
@@ -406,18 +423,25 @@ def _orbit(ctx, x, v):
 def _plant_r_orbit(ctx, kind):
     """Plant one wrong R value, the first coefficient + 1, on part of an
     orbit (``_orbit``) of a pair x < v: the whole orbit (kind r_orbit),
-    which keeps both premises of the orbit reduction, the largest orbit
-    first; the pair and its image under (x, v) -> (v w0, x w0) only
+    which keeps premises 1 and 2 of the orbit reduction, the largest orbit
+    first; the whole orbit of a pair whose image under some diagram
+    automorphism phi lies outside it (r_phi), which breaks premise 3
+    alone; the pair and its image under (x, v) -> (v w0, x w0) only
     (r_inverse), which breaks premise 1 alone; or the pair and its
     inverse pair only (r_w0), which breaks premise 2 alone.  Returns the
     pairs planted."""
     inv, w0 = ctx.inv, ctx.order - 1
+    phis = [phi for _, phi in _diagram_automorphisms(ctx)[1:]]
     r = entries(ctx.tables.R)
     pairs = sorted(((x, v) for x, v in r if x != v), key=lambda p: (p[1], p[0]))
     for x, v in sorted(pairs, key=lambda p: -len(_orbit(ctx, *p))):
         by_inverse = {(x, v), (inv[x], inv[v])}
         by_w0 = {(x, v), (_mul(ctx, v, w0), _mul(ctx, x, w0))}
         if kind == "r_orbit":
+            planted = _orbit(ctx, x, v)
+        elif kind == "r_phi" and any(
+            (phi[x], phi[v]) not in _orbit(ctx, x, v) for phi in phis
+        ):
             planted = _orbit(ctx, x, v)
         elif kind == "r_inverse" and not by_inverse <= by_w0:
             planted = by_w0
@@ -439,9 +463,12 @@ def _corrupt(ctx, kind):
     or run the R-level checks and then set R(e, w0) to (q-1)^l(w0), so a
     check that kept what it read in the first run reports the old entry.
     Each of these that alters R or KL breaks a premise of the coset
-    reduction of ``klr._sums_at_q``; kind kl_coset alters KL and keeps both
-    (see ``_plant_kl_coset``).  Kinds r_orbit, r_inverse and r_w0 alter R
-    on part of an orbit of the orbit reduction (``_plant_r_orbit``)."""
+    reduction of ``klr._sums_at_q``; kinds kl_coset and kl_inverse alter
+    KL and keep both (see ``_plant_kl_coset``), kl_inverse on pairs whose
+    inverse pairs keep their P, so P is no longer invariant under
+    inversion.  Kinds r_orbit, r_phi, r_inverse and r_w0 alter R on part
+    of an orbit of the orbit reduction (``_plant_r_orbit``); r_phi needs
+    a diagram automorphism that inversion and w0 do not give (D4, G2)."""
     t = ctx.tables
     if kind == "r_plus_one":
         r = entries(t.R)
@@ -483,7 +510,9 @@ def _corrupt(ctx, kind):
             plant(t.Rt, *k, tuple(v))
     elif kind == "kl_coset":
         _plant_kl_coset(ctx)
-    elif kind in ("r_orbit", "r_inverse", "r_w0"):
+    elif kind == "kl_inverse":
+        _plant_kl_off_inverse(ctx)
+    elif kind in ("r_orbit", "r_phi", "r_inverse", "r_w0"):
         _plant_r_orbit(ctx, kind)
     elif kind == "r_after_run":
         for name in R_LEVEL:
@@ -494,22 +523,35 @@ def _corrupt(ctx, kind):
         ))
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
-@pytest.mark.parametrize(
-    "kind",
-    [
-        "clean",
-        "r_plus_one",
-        "r_times_1e6",
-        "kl",
-        "rt",
-        "r_after_run",
-        "kl_coset",
-        "r_orbit",
-        "r_inverse",
-        "r_w0",
-    ],
+KINDS = (
+    "clean",
+    "r_plus_one",
+    "r_times_1e6",
+    "kl",
+    "rt",
+    "r_after_run",
+    "kl_coset",
+    "kl_inverse",
+    "r_orbit",
+    "r_phi",
+    "r_inverse",
+    "r_w0",
 )
+
+
+def _kinds_on(specs):
+    """(kind, spec) for each ``_corrupt`` kind that applies to each group:
+    r_phi only where a diagram automorphism is not given by inversion and
+    w0 (D4, G2)."""
+    return [
+        (kind, spec)
+        for spec in specs
+        for kind in KINDS
+        if kind != "r_phi" or spec in ("D4", "G2")
+    ]
+
+
+@pytest.mark.parametrize("kind, spec", _kinds_on(["A3", "B3", "G2", "D4"]))
 def test_evaluated_checks_match_coefficient_reference(spec, kind):
     reports = {}
     for path in ("library", "reference"):
@@ -677,6 +719,106 @@ def test_orbit_reduction_serves_f_plus_minus_r_only(monkeypatch):
             sweeps.append((bits, [(w, list(acc.items())) for w, acc in tops]))
         assert sweeps[0] == sweeps[1]
     assert asked == []
+
+
+def _orbit_generators(monkeypatch):
+    """The number of generators of H the orbit reduction sums over, per
+    top asked about from now on: 1 when H is inversion alone."""
+    counts = []
+    top = klr._Orbits.top
+    monkeypatch.setattr(
+        klr._Orbits,
+        "top",
+        lambda self, w, vs: counts.append(len(self.sym.maps)) or top(self, w, vs),
+    )
+    return counts
+
+
+@pytest.mark.parametrize("spec, generators", [("D4", 4), ("G2", 2)])
+@pytest.mark.parametrize("kind", ["clean", "r_orbit", "r_phi"])
+def test_r_alternating_sum_drops_a_broken_diagram_symmetry(
+    spec, generators, kind, monkeypatch
+):
+    # a value planted on an orbit of inversion and w0 but not on its image
+    # under a diagram automorphism leaves premises 1 and 2: the sweep
+    # sums the tops of today's orbits, under inversion alone, and fails
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx)
+    planted = set() if kind == "clean" else _plant_r_orbit(ctx, kind)
+    phis = [phi for _, phi in _diagram_automorphisms(ctx)]
+    closed = all((phi[x], phi[v]) in planted for phi in phis for x, v in planted)
+    assert not closed or kind != "r_phi"
+    counts = _orbit_generators(monkeypatch)
+    report = run_check("r_alternating_sum", ctx)
+    assert counts == [generators if closed else 1] * ctx.order
+    assert report.passed == (kind == "clean")
+
+
+def _summed_tops(monkeypatch):
+    """The tops the whole-group sweeps of ``klr._sums_at_q`` sum from now
+    on: every top, unless the orbits under H give some of them their
+    representative's sums."""
+    summed = []
+    real = klr._sums_at_q
+
+    def counted(*args, **kwargs):
+        bits, tops = real(*args, **kwargs)
+        return bits, ((w, acc) for w, acc in tops if acc is None or not summed.append(w))
+
+    monkeypatch.setattr(klr, "_sums_at_q", counted)
+    return summed
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "G2"])
+@pytest.mark.parametrize("kind", ["clean", "kl_inverse"])
+def test_certificate_sums_every_top_when_p_is_not_invariant(
+    spec, kind, monkeypatch
+):
+    # on a sound table the certificate sums the least top of each orbit
+    # under H; a P planted off its inverse pair makes it sum every top,
+    # and kl_basics names the pair
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx)
+    pair = _plant_kl_off_inverse(ctx) if kind == "kl_inverse" else None
+    summed = _summed_tops(monkeypatch)
+    report = run_check("kl_basics", ctx)
+    if pair is None:
+        sym = ctx.tables.symmetries
+        assert summed == [w for w in range(ctx.order) if sym.rep[w] == w]
+        assert len(summed) < ctx.order
+        assert report.passed
+    else:
+        assert summed == list(range(ctx.order))
+        x, w = pair
+        assert report.witnesses[0].startswith(
+            f"u='{word_of(ctx.elements[x])}' w='{word_of(ctx.elements[w])}':"
+        )
+
+
+@pytest.mark.parametrize("kind, spec", _kinds_on(["A3", "B3", "D4", "G2"]))
+def test_reduced_sweeps_match_the_full_sweeps(spec, kind):
+    # the certificate's faults and R-sums, and r_alternating_sum's
+    # integers, from the sweeps reduced over the orbits under H and the
+    # cosets, equal those of the full sweeps, clean and corrupted
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx)
+    _corrupt(ctx, kind)
+    recursive = klr._fill_columns(ctx, "R")
+    certified = []
+    for premise in (recursive, False):
+        ones = {}
+        faults = list(klr._kl_faults(ctx, klr._reader(ctx.tables), ones=ones,
+                                     recursive=premise))
+        certified.append((faults, entries(ones)))
+    assert certified[0] == certified[1]
+    premise = not klr._inverse_faults(ctx)
+    sweeps = []
+    for reduction in (klr._Orbits, None):
+        bits, tops = klr._sums_at_q(
+            ctx, theorems._signed_r(ctx), reduction=reduction, premise=premise
+        )
+        sweeps.append((bits, [(w, list(acc.items())) for w, acc in tops]))
+    assert sweeps[0] == sweeps[1]
 
 
 def _plant_stuck_vertex(ctx, s, w):
