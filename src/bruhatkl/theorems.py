@@ -56,17 +56,16 @@ Ten R-level checks (reading "classes" in ``_REGISTRY``: r_basics,
 r_functional_equation, r_derivative_edge, shifted_nonneg,
 divisibility_order, fh_structure, boolean_criterion, binomial_bounds,
 brenti_scan, le1_le2_le3) read a pair only through its key (R_uw, Rt_uw,
-a(u,w), l(u,w), u -> w), and the tables hold few keys (37 over D4's
-9,817 comparable pairs).  So ``run_suite`` groups the pairs by key once
-per call, in one pass over the lower-cone masks (``_r_classes``), from
-the tables as they are then, and passes the classes to each of the ten,
-which decides each class once.  Counts and stats come from the class
-sizes; only a failing class's pairs are walked, merged in pair order, to
-write the witnesses a sweep of the pairs one at a time would write.
-le1_le2_le3 still counts the length-2 paths of each pair with
-a(u,w) = 2, the one part of a verdict that the key does not fix.  Each
-check that reads R's (q-1)-expansion takes it once per class, by
-``polynomial._to_shifted``.
+a(u,w), l(u,w), u -> w, and m, the number of length-2 paths u -> v -> w
+when a(u,w) = 2), and the tables hold few keys (37 over D4's 9,817
+comparable pairs).  So ``run_suite`` counts the pairs of each key once
+per call, in one pass of ``_keyed_pairs`` over the lower-cone masks
+(``_r_classes``), from the tables as they are then, and passes the
+counts to each of the ten, which decides each key once; counts and stats
+come from them.  No pair is kept: only a check with a failing key walks
+the pairs once more, in pair order, to write the witnesses a sweep of
+the pairs one at a time would write.  Each check that reads R's
+(q-1)-expansion takes it once per key, by ``polynomial._to_shifted``.
 
 Every check reads R and Rt as one ``run_suite`` call finds them after
 its one ``klr._fill_columns`` pass over each kind it reads: R's pass is
@@ -95,17 +94,12 @@ narrower domain count the pairs they skip.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Generator
+from typing import Callable, Generator, Iterator
 
-from bruhatkl.bruhat import (
-    _up_masks,
-    abs_len_table,
-    iter_bits,
-    le_masks,
-    up_adjacency,
-)
+from bruhatkl.bruhat import _up_masks, abs_len_table, iter_bits, le_masks
 from bruhatkl.coxeter import Coeffs, Columns, GroupContext, Pair, word_of
 from bruhatkl.klr import (
     _certify,
@@ -185,91 +179,75 @@ def _report(ctx, name, pairs, wit, stats) -> CheckReport:
 
 # -- R-level checks ------------------------------------------------------
 
-# (R_uw, Rt_uw, a(u,w), l(u,w), u -> w): everything an R-level verdict reads
-Key = tuple[Coeffs, Coeffs, int, int, bool]
+# (R_uw, Rt_uw, a(u,w), l(u,w), u -> w, m): everything an R-level verdict
+# reads; m is the number of length-2 paths u -> v -> w if a(u,w) = 2, else 0
+Key = tuple[Coeffs, Coeffs, int, int, bool, int]
 # a fault of a pair: its text, and whether it is worded as klr's
 # RuntimeErrors ("... for (u, w) in G") rather than as "u=... w=...: ..."
 Fault = tuple[str, bool]
-# the comparable pairs by key, each class's pairs in pair order
-Classes = dict[Key, list[Pair]]
+# the number of comparable pairs of each key
+Classes = dict[Key, int]
 
 
-def _r_classes(ctx: GroupContext) -> Classes:
-    """The comparable pairs grouped by their ``Key``, each class's pairs
-    in pair order.
+def _keyed_pairs(ctx: GroupContext) -> Iterator[tuple[int, int, Key]]:
+    """(u, w, key) for every comparable pair, in pair order: w by id, then
+    u by id.
 
     R and Rt are read, not filled: ``run_suite`` has made one pass of
-    ``klr._fill_columns`` over each.  One pass over the lower-cone masks,
-    top w by top w, reads both columns of w directly, and a(u,w) once per
-    top w; u -> w is bit w of the out-neighbor mask of u.  Nothing is
-    kept: each ``run_suite`` call groups the tables as they are then.
-    l(u,w) = 0 exactly on the diagonal.
+    ``klr._fill_columns`` over each.  Both columns of w are read directly,
+    and a(u,w) once per top w; u -> w is bit w of the out-neighbor mask of
+    u, and m is a popcount of up(u) & the mask of the v -> w, built once
+    per top w.  l(u,w) = 0 exactly on the diagonal.
     """
     lengths = ctx.lengths
     lower, up = le_masks(ctx), _up_masks(ctx)
     r_table, rt_table = ctx.tables.R, ctx.tables.Rt
-    classes: Classes = {}
     for wi in range(ctx.order):
-        lw = lengths[wi]
+        lw, below = lengths[wi], lower[wi]
         a_of = abs_len_table(ctx.elements[wi])
+        into = sum(1 << vi for vi in iter_bits(below) if up[vi] >> wi & 1)
         r, rt = r_table[wi], rt_table[wi]
-        for ui in iter_bits(lower[wi]):
-            key = (
-                r[ui],
-                rt[ui],
-                a_of[ui],
-                lw - lengths[ui],
-                bool(up[ui] >> wi & 1),
-            )
-            members = classes.get(key)
-            if members is None:
-                classes[key] = [(ui, wi)]
-            else:
-                members.append((ui, wi))
-    return classes
+        for ui in iter_bits(below):
+            a = a_of[ui]
+            m = (up[ui] & into).bit_count() if a == 2 else 0
+            edge = bool(up[ui] >> wi & 1)
+            yield ui, wi, (r[ui], rt[ui], a, lw - lengths[ui], edge, m)
+
+
+def _r_classes(ctx: GroupContext) -> Classes:
+    """The number of comparable pairs of each ``Key``, from one pass of
+    ``_keyed_pairs`` over the tables as they are then; nothing is kept."""
+    return Counter(key for _, _, key in _keyed_pairs(ctx))
 
 
 def _count(classes: Classes, diagonal: bool = False) -> int:
     """Number of pairs in the classes, the diagonal's only if asked."""
-    return sum(len(ps) for key, ps in classes.items() if diagonal or key[3])
-
-
-def _pair_order_witnesses(
-    ctx: GroupContext, failing: list[tuple[list[Pair], list[Fault]]]
-) -> _Witnesses:
-    """The witnesses of (pairs, their faults) entries, in pair order and,
-    per pair, in the order of its faults: what a sweep of the pairs one at
-    a time writes."""
-    wit = _Witnesses()
-    rows = [(pair, faults) for pairs, faults in failing for pair in pairs]
-    rows.sort(key=lambda row: (row[0][1], row[0][0]))
-    for (ui, wi), faults in rows:
-        for text, named in faults:
-            if named:
-                wit.add(_pair_fault(ctx, ui, wi, text))
-            else:
-                wit.add(f"{_pair_word(ctx, ui, wi)}: {text}")
-    return wit
+    return sum(n for key, n in classes.items() if diagonal or key[3])
 
 
 def _class_report(
     ctx: GroupContext,
     name: str,
     classes: Classes,
-    decide: Callable[[Coeffs, Coeffs, int, int, bool], list[Fault]],
+    decide: Callable[[Coeffs, Coeffs, int, int, bool, int], list[Fault]],
     diagonal: bool = False,
     stats: dict[str, int] | None = None,
 ) -> CheckReport:
     """The report of a check that decides each class once: ``decide``
     takes a class's key and returns the faults of each of its pairs.  The
-    diagonal's classes are tested and counted only if asked."""
-    failing = []
-    for key, pairs in classes.items():
-        if diagonal or key[3]:
-            faults = decide(*key)
-            if faults:
-                failing.append((pairs, faults))
-    wit = _pair_order_witnesses(ctx, failing)
+    diagonal's classes are tested and counted only if asked.  Only if
+    some class fails, one more pass of ``_keyed_pairs`` writes the
+    witnesses, in pair order and per pair in the order of its faults:
+    what a sweep of the pairs one at a time writes."""
+    faults = {key: decide(*key) for key in classes if diagonal or key[3]}
+    wit = _Witnesses()
+    if any(faults.values()):
+        for ui, wi, key in _keyed_pairs(ctx):
+            for text, named in faults.get(key, ()):
+                if named:
+                    wit.add(_pair_fault(ctx, ui, wi, text))
+                else:
+                    wit.add(f"{_pair_word(ctx, ui, wi)}: {text}")
     return _report(ctx, name, _count(classes, diagonal), wit, stats or {})
 
 
@@ -278,7 +256,7 @@ def _check_r_basics(ctx: GroupContext, classes: Classes) -> CheckReport:
     R(1) = 0 off the diagonal, Rt nonnegative, and R rebuilt from Rt
     through the absolute-length closed form."""
 
-    def decide(r, rt, a, ell, edge) -> list[Fault]:
+    def decide(r, rt, a, ell, edge, m) -> list[Fault]:
         if not ell:
             return [] if r == rt == (1,) else [("diagonal entry not 1", False)]
         if len(r) != ell + 1 or r[-1] != 1:
@@ -365,7 +343,7 @@ def _check_r_functional_equation(ctx: GroupContext, classes: Classes) -> CheckRe
     coefficients (a short entry padded with zeros) gives R up to sign,
     and R has no nonzero coefficient past q^l."""
 
-    def decide(r, rt, a, ell, edge) -> list[Fault]:
+    def decide(r, rt, a, ell, edge, m) -> list[Fault]:
         sign = -1 if ell % 2 else 1
         # a short entry reads as 0 to q^l
         padded = r[: ell + 1] + (0,) * (ell + 1 - len(r))
@@ -381,13 +359,13 @@ def _check_r_functional_equation(ctx: GroupContext, classes: Classes) -> CheckRe
 def _check_r_derivative_edge(ctx: GroupContext, classes: Classes) -> CheckReport:
     """R'(1) is 1 on Bruhat-graph edges and 0 on all other pairs."""
 
-    def decide(r, rt, a, ell, edge) -> list[Fault]:
+    def decide(r, rt, a, ell, edge, m) -> list[Fault]:
         d1 = sum(k * c for k, c in enumerate(r))
         if d1 != (1 if edge else 0):
             return [(f"R'(1) = {d1}, edge = {edge}", False)]
         return []
 
-    edges = sum(len(ps) for (*_, edge), ps in classes.items() if edge)
+    edges = sum(n for key, n in classes.items() if key[4])
     return _class_report(
         ctx, "r_derivative_edge", classes, decide, True, {"edges": edges}
     )
@@ -397,7 +375,7 @@ def _check_shifted_nonneg(ctx: GroupContext, classes: Classes) -> CheckReport:
     """(q-1)-coefficients of R vanish below a(u,w) and are positive
     from a(u,w) through l(u,w)."""
 
-    def decide(r, rt, a, ell, edge) -> list[Fault]:
+    def decide(r, rt, a, ell, edge, m) -> list[Fault]:
         sh = _to_shifted(r)
         ok = len(sh) == ell + 1
         ok = ok and all(c == 0 for c in sh[:a])
@@ -411,7 +389,7 @@ def _check_divisibility_order(ctx: GroupContext, classes: Classes) -> CheckRepor
     """The (q-1)-multiplicity of R (the leading zeros of its
     (q-1)-expansion) equals the absolute length of the pair."""
 
-    def decide(r, rt, a, ell, edge) -> list[Fault]:
+    def decide(r, rt, a, ell, edge, m) -> list[Fault]:
         mult = next((i for i, c in enumerate(_to_shifted(r)) if c), 0)
         return [] if mult == a else [(f"multiplicity {mult}, a = {a}", False)]
 
@@ -422,7 +400,7 @@ def _check_fh_structure(ctx: GroupContext, classes: Classes) -> CheckReport:
     """f/h-decomposition exists per pair: f positive with f_(-1) = 1,
     h palindromic with h_0 = 1, both rebuilding R exactly."""
 
-    def decide(r, rt, a, ell, edge) -> list[Fault]:
+    def decide(r, rt, a, ell, edge, m) -> list[Fault]:
         fh = _fh_split(r, a, ell)
         return [(fh, True)] if isinstance(fh, str) else []
 
@@ -432,7 +410,7 @@ def _check_fh_structure(ctx: GroupContext, classes: Classes) -> CheckReport:
 def _check_boolean_criterion(ctx: GroupContext, classes: Classes) -> CheckReport:
     """R equals (q-1)^l(u,w) exactly when a(u,w) = l(u,w)."""
 
-    def decide(r, rt, a, ell, edge) -> list[Fault]:
+    def decide(r, rt, a, ell, edge, m) -> list[Fault]:
         is_power = _to_shifted(r) == (0,) * ell + (1,)
         a_is_ell = a == ell
         if is_power != a_is_ell:
@@ -440,7 +418,7 @@ def _check_boolean_criterion(ctx: GroupContext, classes: Classes) -> CheckReport
         return []
 
     a_lt_ell = sum(
-        len(ps) for (_, _, a, ell, _), ps in classes.items() if ell and a != ell
+        n for (_, _, a, ell, *_), n in classes.items() if ell and a != ell
     )
     return _class_report(
         ctx, "boolean_criterion", classes, decide, stats={"a_lt_ell": a_lt_ell}
@@ -450,7 +428,7 @@ def _check_boolean_criterion(ctx: GroupContext, classes: Classes) -> CheckReport
 def _check_binomial_bounds(ctx: GroupContext, classes: Classes) -> CheckReport:
     """(q-1)^l <= R <= q^l coefficientwise in the shifted basis."""
 
-    def decide(r, rt, a, ell, edge) -> list[Fault]:
+    def decide(r, rt, a, ell, edge, m) -> list[Fault]:
         sh = _to_shifted(r)
         sh += (0,) * (ell + 1 - len(sh))  # a short entry reads as 0 to (q-1)^l
         for k, c in enumerate(sh):
@@ -473,13 +451,13 @@ def _check_brenti_scan(ctx: GroupContext, classes: Classes) -> CheckReport:
     """
     max_excess = None
     excess_pairs = 0
-    for (r, rt, a, ell, edge), pairs in classes.items():
+    for (r, _, _, ell, *_), n in classes.items():
         if not ell:
             continue
         r += (0,) * (ell + 1 - len(r))  # a short entry reads as 0 to q^l
         worst = max(abs(c) - comb(ell, k) for k, c in enumerate(r))
         if worst > 0:
-            excess_pairs += len(pairs)
+            excess_pairs += n
         if max_excess is None or worst > max_excess:
             max_excess = worst
     return _report(
@@ -624,29 +602,16 @@ def _check_le1_le2_le3(ctx: GroupContext, classes: Classes) -> CheckReport:
     """Edge and double-step consequences: for u -> w, (q-1)^2 divides
     R - q^((l-1)/2) (q-1), the linear Rt coefficient is 1, and
     R''(1) = l(u,w) - 1; for a(u,w) = 2, R''(1) counts the length-2
-    directed paths from u to w.
+    directed paths from u to w (m of the key)."""
 
-    Decided once per class, except the path count of a(u,w) = 2, which
-    is taken per pair."""
-    up, up_mask = up_adjacency(ctx), _up_masks(ctx)
-    failing: list[tuple[list[Pair], list[Fault]]] = []
-    edges = a2_pairs = skipped = 0
-    for (r, rt, a, ell, edge), pairs in classes.items():
+    def decide(r, rt, a, ell, edge, m) -> list[Fault]:
         if not ell or a > 2:
-            skipped += len(pairs)
-            continue
+            return []
         second = sum(k * (k - 1) * c for k, c in enumerate(r))
-        if a != 1:
-            a2_pairs += len(pairs)
-            for ui, wi in pairs:
-                m_paths = sum(up_mask[vi] >> wi & 1 for vi in up[ui])
-                if second != m_paths:
-                    text = f"R''(1) = {second}, m = {m_paths}"
-                    failing.append(([(ui, wi)], [(text, False)]))
-            continue
-        edges += len(pairs)
+        if a == 2:
+            return [] if second == m else [(f"R''(1) = {second}, m = {m}", False)]
         faults = []
-        m = (ell - 1) // 2
+        half = (ell - 1) // 2
         if len(r) != ell + 1:
             faults.append((
                 f"R entry {r} has {len(r)} coefficients, "
@@ -655,23 +620,21 @@ def _check_le1_le2_le3(ctx: GroupContext, classes: Classes) -> CheckReport:
             ))
         else:
             diff = list(r)
-            diff[m] += 1
-            diff[m + 1] -= 1  # subtract q^m (q-1)
+            diff[half] += 1
+            diff[half + 1] -= 1  # subtract q^half (q-1)
             if sum(diff) != 0 or sum(k * c for k, c in enumerate(diff)) != 0:
-                faults.append((f"(q-1)^2 does not divide R - q^{m}(q-1)", False))
+                faults.append((f"(q-1)^2 does not divide R - q^{half}(q-1)", False))
         if rt[1:2] != (1,):
             faults.append(("linear Rt coeff != 1", False))
         if second != ell - 1:
             faults.append((f"R''(1) = {second} != {ell - 1}", False))
-        if faults:
-            failing.append((pairs, faults))
-    return _report(
-        ctx,
-        "le1_le2_le3",
-        _count(classes, True),
-        _pair_order_witnesses(ctx, failing),
-        {"edges": edges, "a2_pairs": a2_pairs, "skipped": skipped},
-    )
+        return faults
+
+    by_a = Counter()
+    for (_, _, a, ell, *_), n in classes.items():
+        by_a[a if ell and a <= 2 else 0] += n
+    stats = {"edges": by_a[1], "a2_pairs": by_a[2], "skipped": by_a[0]}
+    return _class_report(ctx, "le1_le2_le3", classes, decide, True, stats)
 
 
 # -- KL-level checks -----------------------------------------------------
@@ -870,34 +833,31 @@ def _check_smoothness_equivalence(
 ) -> Walker:
     """Three singularity criteria agree on every interval: interval R-sums
     equal to q^l at every lower vertex, zero defect at every lower vertex,
-    and KL triviality."""
+    and KL triviality.  Each criterion is one mask per column, and only
+    the u where two of them disagree are visited, by increasing id."""
     wit = _Witnesses()
     lengths = ctx.lengths
     lower = le_masks(ctx)
     n = smooth = 0
     while col := (yield):
-        wi = col.w
+        wi, df = col.w, col.df
         bad_sum = bad_df = 0  # the OR of lower(x) over the x < w failing
-        sums_w = sums[wi]
-        for xi in col.below:
-            if xi == wi:
-                continue
-            ell = lengths[wi] - lengths[xi]
-            if sums_w[xi] != (0,) * ell + (1,):
+        sums_w, lw = sums[wi], lengths[wi]
+        for xi in col.below[:-1]:  # x < w: w has the largest id
+            if sums_w[xi] != (0,) * (lw - lengths[xi]) + (1,):
                 bad_sum |= lower[xi]
-            if col.df[xi] != 0:
+            if df[xi]:
                 bad_df |= lower[xi]
-        for ui, p in col.ps.items():
-            n += 1
-            by_sum = not (bad_sum >> ui & 1)
-            by_df = not (bad_df >> ui & 1)
-            by_kl = p == (1,)
-            smooth += by_kl
-            if not by_sum == by_df == by_kl:
-                wit.add(
-                    f"{_pair_word(ctx, ui, wi)}: sum-criterion {by_sum}, "
-                    f"defect-criterion {by_df}, KL-criterion {by_kl}"
-                )
+        n += len(col.below)
+        kl_smooth = col.classes.get((1,), 0)
+        smooth += kl_smooth.bit_count()
+        singular = col.lower & ~kl_smooth
+        for ui in iter_bits((bad_sum ^ bad_df) | (bad_sum ^ singular)):
+            wit.add(
+                f"{_pair_word(ctx, ui, wi)}: sum-criterion {not bad_sum >> ui & 1}, "
+                f"defect-criterion {not bad_df >> ui & 1}, "
+                f"KL-criterion {not singular >> ui & 1}"
+            )
     return _report(
         ctx, "smoothness_equivalence", n, wit, {"smooth_intervals": smooth}
     )
@@ -930,7 +890,7 @@ def _walk(
 # -- registry and drivers -------------------------------------------------
 
 
-# name -> (check, what it reads): "classes", the classes of
+# name -> (check, what it reads): "classes", the key counts of
 # ``_r_classes``; "faults", the certificate's faults; "column", a column
 # check of ``_walk`` that reads no KL; "kl", one that reads KL; "sums", one
 # that also reads the interval R-sums; "excess", one that reads them
@@ -990,9 +950,9 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
     through one ``_Excess``), and so are the faults of one
     ``klr._inverse_faults`` sweep, if a check reads them: r_inverse_symmetry
     reports them, and r_alternating_sum's orbit reduction takes their
-    absence as a premise.  The classes of ``_r_classes`` are built once,
-    after Rt's pass, for the checks that decide once per class, from R,
-    Rt and the graph as they are at this call.  The column
+    absence as a premise.  The key counts of ``_r_classes`` are taken
+    once, after Rt's pass, for the checks that decide once per key, from
+    R, Rt and the graph as they are at this call.  The column
     checks share one ``_walk`` over the tops, after the others have run.
     What each check reads is named in ``_REGISTRY``."""
     if selection == "all":
@@ -1035,7 +995,6 @@ def run_suite(ctx: GroupContext, selection="all") -> list[CheckReport]:
             walkers[n] = check(*args)
         else:
             reports[n] = check(*args)
-    classes = given = None  # the classes are not held through the walk
     reports.update(_walk(ctx, walkers, kl))
     return [reports[n] for n in names]
 

@@ -13,15 +13,17 @@ check of the same name.
 
 The ten R-level checks (r_basics, r_functional_equation,
 r_derivative_edge, shifted_nonneg, divisibility_order, fh_structure,
-boolean_criterion, binomial_bounds, brenti_scan, le1_le2_le3) decide each
-class of pairs with equal (R, Rt, a(u,w), l(u,w)) once, on tuples.  Here
-every pair is decided on its own, by polynomial arithmetic: the
-(q-1)-expansion and the (q-1)-multiplicity by repeated synthetic
-division, computed anew for every pair, R'(1) and R''(1) read from that
-expansion, q^l R(1/q) and R rebuilt from R-tilde and the f/h round trips
-by ``mul`` and ``add`` on coefficient tuples, (q-1)^n from its binomial
-coefficients, and Bruhat-graph edges found from the reflections
-(u -> w when u^-1 w is a reflection), not from the graph's rows.
+boolean_criterion, binomial_bounds, brenti_scan, le1_le2_le3) count the
+pairs of each key (R, Rt, a(u,w), l(u,w), u -> w, and the number of
+length-2 paths u -> v -> w where a(u,w) = 2), keep no pair, and decide
+each key once, on tuples.  Here every pair is decided on its own, by
+polynomial arithmetic: the (q-1)-expansion and the (q-1)-multiplicity by
+repeated synthetic division, computed anew for every pair, R'(1) and
+R''(1) read from that expansion, q^l R(1/q) and R rebuilt from R-tilde
+and the f/h round trips by ``mul`` and ``add`` on coefficient tuples,
+(q-1)^n from its binomial coefficients, and Bruhat-graph edges, those of
+each pair's length-2 paths too, found from the reflections (u -> w when
+u^-1 w is a reflection), not from the graph's rows.
 fh_structure drops its re-tests after the f/h decomposition, which raises
 on each of them.
 

@@ -253,6 +253,57 @@ def test_r_level_verdicts_are_keyed_by_a_and_l_not_by_r_alone():
         ), name
 
 
+def test_le1_le2_le3_verdict_is_keyed_by_path_count():
+    # (e, 1 2 1 3) and (e, 2 3 2 3) both have a = 2 and l = 4, with 2 and
+    # 4 length-2 paths; given the R and Rt of the first, the second has
+    # R''(1) = 2 != 4: a verdict keyed without m would report both pairs
+    # or neither
+    ctx = build_group(parse_group_spec("B3"))
+    fill_tables(ctx, ("R", "Rt"))
+    right = parse_element(ctx, "1 2 1 3").index
+    wrong = parse_element(ctx, "2 3 2 3").index
+    keys = {w: key for u, w, key in theorems._keyed_pairs(ctx) if u == 0}
+    assert keys[right][2:] == (2, 4, False, 2)
+    assert keys[wrong][2:] == (2, 4, False, 4)
+    plant(ctx.tables.R, 0, wrong, entries(ctx.tables.R)[0, right])
+    plant(ctx.tables.Rt, 0, wrong, entries(ctx.tables.Rt)[0, right])
+    report = run_check("le1_le2_le3", ctx)
+    assert report.witnesses == ["u='e' w='2 3 2 3': R''(1) = 2, m = 4"]
+    assert report.stats["violations_total"] == 1
+    assert report_to_json(report) == report_to_json(REFERENCE["le1_le2_le3"](ctx))
+
+
+def _counted_keyed_passes(monkeypatch):
+    """A list that gets one entry per ``theorems._keyed_pairs`` pass
+    started from now on."""
+    passes = []
+    real = theorems._keyed_pairs
+
+    def counted(ctx):
+        passes.append(ctx.name)
+        return real(ctx)
+
+    monkeypatch.setattr(theorems, "_keyed_pairs", counted)
+    return passes
+
+
+def test_one_keyed_pass_per_call_and_one_more_per_failing_check(monkeypatch):
+    # the classes take one pass; only a failing class-decided check walks
+    # the pairs again, once, to write its witnesses
+    ctx = build_group(parse_group_spec("B3"))
+    passes = _counted_keyed_passes(monkeypatch)
+    assert all(r.passed for r in run_suite(ctx))
+    assert len(passes) == 1
+    key = (0, ctx.order - 1)
+    r = entries(ctx.tables.R)[key]
+    plant(ctx.tables.R, *key, r[:-1] + (2,))  # no longer monic
+    passes.clear()
+    reports = run_suite(ctx)
+    failing = [r for r in reports if r.check_name in R_LEVEL and not r.passed]
+    assert failing
+    assert len(passes) == 1 + len(failing)
+
+
 def test_fresh_run_suite_makes_one_kl_sweep(monkeypatch):
     # kl_basics reports the faults of the sweep that certified the fill; a
     # table full before the call is swept again, so a later change shows
