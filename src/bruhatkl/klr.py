@@ -9,17 +9,17 @@ reproducible order), and differ only in its step polynomials:
     Rt_uw = Rt_{us,ws}          if us < u, else  Rt_{us,ws} + q Rt_{u,ws}
 
 (Bjorner and Brenti, Combinatorics of Coxeter Groups, Thm. 5.1.1.)  It
-runs a column at a time, ``_fill_columns``, wherever whole columns are
-needed: over an interval [e, w], whose columns are all of [e, w], and so
-over the whole group, [e, w0].  That one pass by increasing id fills each
-missing entry from the column of ws and checks each present one against
-it.  A whole-group pass runs once per command, before anything reads the
-table: in the KL certificate (``_certify``), whose coset reduction takes
-the pass's verdict as a premise, or, when nothing reads KL, in
-``theorems.run_suite`` or ``fill_tables``; every whole-group sweep after
-it only reads R.  A single pair, or an interval [u, w] with u != e, is
-filled by ``_r``, the same recursion one pair at a time, which reads only
-the pairs it needs.
+runs in two forms.  Over the whole group, ``_fill_columns`` makes one
+pass a column at a time, by increasing id, that fills each missing entry
+from the column of ws and checks each present one against it.  That pass
+runs once per command, before anything reads the table: in the KL
+certificate (``_certify``), whose coset reduction takes the pass's
+verdict as a premise, or, when nothing reads KL, in ``theorems.run_suite``
+or ``fill_tables``; every whole-group sweep after it only reads R.  A
+single pair, and every pair an interval certificate reads, goes through
+``_r``, the same recursion one pair at a time, which reads only the pairs
+it needs; given a per-sweep ``seen`` set it also checks each present entry
+it reads, as the column pass does.
 
 KL polynomials are defined by the functional equation
 
@@ -42,10 +42,12 @@ P(0) = 1, the degree bound and the functional equation, the last exactly
 at q = 2^B through the interval sums of ``_sums_at_q``.  So every KL
 value served has passed the check, whatever the recursion computed.
 
-A whole-group sweep of ``_sums_at_q`` can skip most pairs: its
-``reduction`` argument says which x it sums for each top w, and gives
-every other pair a representative pair, swept no later, whose sum is the
-pair's up to a shift and a sign.  Both values reduce over the tops by H,
+A sweep of ``_sums_at_q`` can skip most pairs: its reduction says which x
+it sums for each top w, and gives every other pair a representative
+pair, swept no later, whose sum is the pair's up to a shift and a sign.
+An interval sweep over [u, w] always takes the coset reduction of its
+one top (``_IntervalCosets``, below); a whole-group sweep takes the one
+its ``reduction`` argument names.  Both values reduce over the tops by H,
 the group generated by inversion and the diagram automorphisms phi_sigma
 (``_symmetries``): R and P are invariant under every automorphism of the
 Coxeter system and under inversion (Bjorner and Brenti, Combinatorics of
@@ -58,8 +60,12 @@ and kept in ``tables.symmetries``.  Each reduction has premises checked
 on the entries read before anything is summed, in layers: if a premise
 on H fails, it reduces as it would without the diagram automorphisms
 (``_Orbits``) or without H (``_Cosets``); if one of the others fails,
-the sweep sums every pair.  So a corrupted table gets the same sums,
-faults and errors either way.
+the sweep sums every pair.  So over the whole group a corrupted table
+gets the same sums, faults and errors either way.  An interval sweep
+reads R only on the recursion closure of the rows it sums, so there a
+wrong R entry outside that closure is never read: the P served is then
+the P of the group's R, where a sweep of every pair would raise.  A wrong
+entry it does read makes it sum every pair, with the same errors.
 - ``_Cosets`` (F = P and F = 1: the certificate and the interval
   R-sums) sums only the tops w least in their H-orbit, and within a top
   only the right-extremal pairs, D_R(w) in D_R(x) (du Cloux, Experiment.
@@ -75,6 +81,11 @@ faults and errors either way.
   one, D_L(w) in D_L(x) as well, would sweep 2.2% of D4's triples and
   2.6% of B4's (8.2% and 10.6% on the right alone), but needs premises on
   the left too.
+- ``_IntervalCosets`` (any F: the one-shot certificate of [u, w]) is the
+  coset reduction of ``_Cosets`` for the one top w, with no orbits.  It
+  reads R on the coset-top rows alone, through ``_r`` with a ``seen``
+  set, whose verdict is premise (b); (a) is checked on the F column of w.
+  On [e, w0] every x has the coset top w0, so one R entry is read.
 - ``_Orbits`` (F = +-R: r_alternating_sum) sums, over the x with
   l(x) + l(w) <= N = l(w0), only the tops w least in their H-orbit, and
   gives the other pairs of such a top the sum of (w w0, x w0) up to sign:
@@ -120,7 +131,7 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from math import comb
 from operator import itemgetter, lt, neg
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from bruhatkl.bruhat import (
     absolute_length,
@@ -188,45 +199,68 @@ def _step(t: Tables, kind: str, a: Coeffs, b: Coeffs) -> Coeffs:
     return res
 
 
-def _r(ctx: GroupContext, ui: int, wi: int, kind: str = "R") -> Coeffs:
+def _r(
+    ctx: GroupContext, ui: int, wi: int, kind: str = "R", seen: set | None = None
+) -> Coeffs:
     """R_uw (kind "R") or Rt_uw (kind "Rt"); () when u is not below w.
 
-    The recursion of one pair, filling the entries it reads on the way: a
-    reader of single pairs, and of the interval [u, w] with u != e, where
-    whole columns would cost more than the pairs asked for.  Whole-group
-    and [e, w] fills go through ``_fill_columns``, which stores the same
-    values."""
+    The recursion of one pair, filling each missing entry it reads on the
+    way with the recursion's value: the reader of single pairs and of the
+    intervals of ``_sums_at_q``.  A present entry, planted or (), is read
+    as it is.  The whole-group fill goes through ``_fill_columns``, which
+    stores the same values.
+
+    With a set ``seen`` (one per sweep), it also checks what it reads, as
+    ``_fill_columns`` does: each present entry not in seen is derived once
+    from the recursion, over entries read the same way, and compared with
+    that value.  Every pair derived or filled goes into seen, by the key
+    w * |W| + u, and None goes in too once a present entry differs; an
+    entry planted off the comparable pairs derives as ().  So if None is
+    not in seen, by induction on l(w), every entry read is the R of the
+    group."""
     t = ctx.tables
     table = getattr(t, kind)
     col = table.get(wi)
-    if col is not None:
-        res = col.get(ui)
-        if res is not None:
-            return res
+    have = None if col is None else col.get(ui)
+    if seen is None:
+        if have is not None:
+            return have
+    else:
+        key = wi * len(ctx.lengths) + ui  # the order, without the property
+        if key in seen:  # derived or filled in this sweep: present
+            return have
     if ui == wi:
         res = _intern(t, (1,))
     elif not _lower(ctx, wi) >> ui & 1:
-        return ()
+        if have is None:
+            return ()
+        res = ()
     else:
         lengths = ctx.lengths
         s = ctx.srd[wi]
         usi, wsi = ctx.rmult[ui][s], ctx.rmult[wi][s]
         if lengths[usi] < lengths[ui]:
-            res = _r(ctx, usi, wsi, kind)
+            res = _r(ctx, usi, wsi, kind, seen)
         else:
-            res = _step(t, kind, _r(ctx, usi, wsi, kind), _r(ctx, ui, wsi, kind))
+            res = _step(
+                t, kind, _r(ctx, usi, wsi, kind, seen), _r(ctx, ui, wsi, kind, seen)
+            )
+    if seen is not None:
+        seen.add(key)
+    if have is not None:  # so seen is a set
+        if have != res:
+            seen.add(None)
+        return have
     if col is None:  # the recursion reads only columns below w
         col = table[ctx.ids[wi]] = {}
     col[ctx.ids[ui]] = res  # the shared key object
     return res
 
 
-def _fill_columns(ctx: GroupContext, kind: str = "R", wi: int = -1) -> bool:
-    """Fill the missing R (or Rt) entries of every column v <= w, and check
-    the present ones, in one pass over the columns by increasing id; with
-    wi < 0, w = w0, the last id, above every element, so the pass covers
-    the whole group.  Returns whether every present entry equals the
-    recursion's value.
+def _fill_columns(ctx: GroupContext, kind: str = "R") -> bool:
+    """Fill the missing R (or Rt) entries of every column, and check the
+    present ones, in one pass over the whole group by increasing id.
+    Returns whether every present entry equals the recursion's value.
 
     For each x <= v, with T the kind's table, the pass takes the step of
     ``_r`` at s = srd(v) from the column of vs, already complete: T_xv =
@@ -235,8 +269,8 @@ def _fill_columns(ctx: GroupContext, kind: str = "R", wi: int = -1) -> bool:
     missing entry gets that value, keyed by the ``ctx.ids`` objects, which
     is the value ``_r`` gives it.  A present entry, planted or (), is kept
     and read as it is, and only compared with it.  So with kind "R" and a
-    True result, by induction on l(v), the table holds the R of the group
-    on the columns passed: premise (b) of ``_Cosets``.
+    True result, by induction on l(v), the table holds the R of the group:
+    premise (b) of ``_Cosets``.
 
     Each column is worked on whole, with C-level maps: the value of an
     entry is looked up in a memo of the pass by what it depends on,
@@ -247,13 +281,10 @@ def _fill_columns(ctx: GroupContext, kind: str = "R", wi: int = -1) -> bool:
     table = getattr(t, kind)
     ids, rmult, srd = ctx.ids, ctx.rmult, ctx.srd
     one = _intern(t, (1,))
-    columns = list(iter_bits(_lower(ctx, ctx.order - 1 if wi < 0 else wi)))
-    for v in columns:
-        _lower(ctx, v)
-    masks = t.le
+    masks = le_masks(ctx)
     fits = True
     memo: dict[tuple[bool, Coeffs, Coeffs], Coeffs] = {}  # -> T_xv
-    for v in columns:
+    for v in range(ctx.order):
         xs = list(iter_bits(masks[v]))
         s = srd[v]
         if s < 0:  # v = e
@@ -469,32 +500,52 @@ def _at(cs: Coeffs, bits: int) -> int:
     return val
 
 
-def _right_descents(ctx: GroupContext) -> list[int]:
-    """D_R(x) by id x, as a bitmask over the simple reflections."""
-    lengths = ctx.lengths
+def _right_descents(ctx: GroupContext, xs: Iterable[int] | None = None) -> list[int]:
+    """D_R(x) for each id x of xs, every id by default (so the list is by
+    id), as a bitmask over the simple reflections."""
+    lengths, rmult = ctx.lengths, ctx.rmult
     return [
-        sum(1 << s for s, xs in enumerate(row) if lengths[xs] < lengths[x])
-        for x, row in enumerate(ctx.rmult)
+        sum(1 << s for s, y in enumerate(rmult[x]) if lengths[y] < lengths[x])
+        for x in (range(ctx.order) if xs is None else xs)
     ]
 
 
-def _coset_tops(ctx: GroupContext, d: int) -> list[tuple[int, int]]:
-    """(x*, l(x*) - l(x)) by id x: x* is the longest element of the coset
-    x W_d, d a set of simple reflections as a bitmask.  Any chain of
-    ascents xs > x with s in d ends at x*, so x* = x exactly when d is in
-    D_R(x)."""
+def _coset_tops(
+    ctx: GroupContext, d: int, xs: Sequence[int] | None = None
+) -> dict[int, tuple[int, int]]:
+    """{x: (x*, l(x*) - l(x))} for every id x, or for the ids xs (by
+    increasing id): x* is the longest element of the coset x W_d, d a set
+    of simple reflections as a bitmask.  Any chain of ascents xs > x with
+    s in d ends at x*, so x* = x exactly when d is in D_R(x).  xs must be
+    closed under those ascents, as [u, w] is when d is in D_R(w): for s in
+    D_R(w) and x <= w with xs > x, xs <= w (the lifting property, Bjorner
+    and Brenti, Prop. 2.2.7)."""
     rmult, lengths = ctx.rmult, ctx.lengths
     gens = list(iter_bits(d))
-    tops: list[tuple[int, int]] = [(0, 0)] * ctx.order
-    for x in reversed(range(ctx.order)):  # xs > x has the larger id
+    tops: dict[int, tuple[int, int]] = {}
+    for x in reversed(range(ctx.order) if xs is None else xs):  # xs > x: larger id
         tops[x] = x, 0
         for s in gens:
-            xs = rmult[x][s]
-            if lengths[xs] > lengths[x]:
-                top, k = tops[xs]
+            y = rmult[x][s]
+            if lengths[y] > lengths[x]:
+                top, k = tops[y]
                 tops[x] = top, k + 1
                 break
     return tops
+
+
+def _coset_spread(
+    cos: dict[int, tuple[int, int]], vs: list[int]
+) -> Callable[[dict[int, int], int], dict[int, int]]:
+    """The spread of the coset reduction of one top w over the x of vs:
+    S_xw(Q) = Q^k S_{x*,w}(Q), read from the sums of the coset tops x*
+    (``_coset_tops``)."""
+
+    def spread(acc: dict[int, int], bits: int) -> dict[int, int]:
+        shifts = map(cos.__getitem__, vs)
+        return {x: acc[t] << bits * k for x, (t, k) in zip(vs, shifts)}
+
+    return spread
 
 
 class _LazyColumns(dict):
@@ -602,7 +653,7 @@ class _Cosets:
         entry = self.cosets.get(d)
         if entry is None:
             cos = _coset_tops(self.ctx, d)
-            is_top = [x == t for x, (t, _) in enumerate(cos)]
+            is_top = {x: x == t for x, (t, _) in cos.items()}
             rcols = self.rcols
 
             def make(v: int) -> tuple[list[int], list[int]]:
@@ -613,13 +664,8 @@ class _Cosets:
         if self.last[d] == w:
             del self.cosets[d]
         cos, is_top, cut = entry
-
-        def spread(acc: dict[int, int], bits: int) -> dict[int, int]:
-            shifts = map(cos.__getitem__, vs)  # S_xw(Q) = Q^k S_{x*,w}(Q)
-            return {x: acc[t] << bits * k for x, (t, k) in zip(vs, shifts)}
-
         own = list(compress(vs, map(is_top.__getitem__, vs)))
-        return own, cut, spread
+        return own, cut, _coset_spread(cos, vs)
 
 
 class _Orbits:
@@ -743,6 +789,70 @@ class _Orbits:
         return own, self.cut[1], spread
 
 
+def _interval_rows(
+    ctx: GroupContext, members: list[int], rows: int, seen: set | None = None
+) -> dict[int, tuple[list[int], list[Coeffs]]]:
+    """The R columns an interval sweep reads: for each member v, the ids
+    x of the mask rows below v, by increasing id, and their R_xv, read
+    through ``_r`` with ``seen``.  The masks of the members are built
+    (``_between``)."""
+    masks, ids = ctx.tables.le, ctx.ids
+    rcols = {}
+    for v in members:
+        xs = list(map(ids.__getitem__, iter_bits(masks[v] & rows)))
+        rcols[v] = xs, [_r(ctx, x, v, "R", seen) for x in xs]
+    return rcols
+
+
+class _IntervalCosets:
+    """The coset reduction of an interval sweep of ``_sums_at_q`` over
+    [u, w], w its one top: the lemma of ``_sums_at_q`` for that top alone,
+    with no orbits under H.
+
+    With d = D_R(w), it sums only the coset tops x*, the members with d in
+    D_R(x*), and gives every other member x the sum of the top x* of its
+    coset x W_d, which lies in [u, w], times Q^k, k = l(x*) - l(x)
+    (``_coset_tops``).  Premises (``holds``): (a) F_vw = F_{vs,w} for s in
+    d and v, vs in [u, w], checked on the F column read; (b) every R entry
+    the sweep reads is the R of the group.  It reads R on the rows x*
+    alone, through ``_r`` with one ``seen`` set, so (b) is the verdict of
+    that read: each present entry in the recursion closure of those rows
+    is derived once and compared.  An R entry outside that closure is not
+    read at all, so a planted one there fails nothing, and the P served
+    is the P of the group's R.  Each cost is in |[u, w]|: the descents of
+    w, the coset tops of the members; the orbit data (``_symmetries``)
+    is never made.  F = 1 meets (a), so the R-sums S_1 obey the lemma too.
+    """
+
+    def __init__(self, ctx: GroupContext, members: list[int], fs: list[Coeffs]):
+        self.ctx, self.members, self.fs = ctx, members, fs
+        # set by ``holds``: the coset tops, the x summed, and their R rows
+        self.cos: dict[int, tuple[int, int]] = {}
+        self.own: list[int] = []
+        self.rcols: dict = {}
+
+    def holds(self) -> bool:
+        """(a) on the F column, then (b) while reading the rows x*."""
+        ctx, members = self.ctx, self.members
+        (d,) = _right_descents(ctx, members[-1:])
+        col = dict(zip(members, self.fs))
+        rmult = ctx.rmult
+        for s in iter_bits(d):
+            for v, p in col.items():
+                other = col.get(rmult[v][s])  # None: vs is not in [u, w]
+                if other is not None and other != p:
+                    return False
+        cos = self.cos = _coset_tops(ctx, d, members)
+        own = self.own = [x for x in members if cos[x][0] == x]
+        seen: set = set()
+        self.rcols = _interval_rows(ctx, members, sum(1 << x for x in own), seen)
+        return None not in seen
+
+    def top(self, w: int, vs: list[int]) -> tuple:
+        """(own, cut, spread) for w, as for ``_Cosets``."""
+        return self.own, self.rcols, _coset_spread(self.cos, vs)
+
+
 def _sums_at_q(
     ctx: GroupContext,
     f: Callable[[int], Callable[[int], Coeffs]],
@@ -759,28 +869,30 @@ def _sums_at_q(
     reads the column w of F: f(w)(v) gives the coefficients of F_vw.  With
     wi < 0 the sweep covers the whole group, every w a top and every
     x <= w; otherwise it covers the interval [u, w], with w its one top
-    and every x in [u, w].  B serves an
-    identity whose sides are sums of at most n such products, n the number
-    of members: every coefficient of either side is then at most
-    M = n * max ||R_xy||_1 * max ||F_vw||_1 (each norm at least 1, over the
-    entries read), and coefficients <= M with 2^(B-1) > 2M make the
-    identity exact at Q: a nonzero difference, its coefficients below
-    2^(B-1) in absolute value, cannot vanish at 2^B.  The signed base-2^B
-    digits of S_xw(Q) are then its coefficients (``_digits``).  The norms
-    are read from the tables as they are now, so a corrupted entry raises B
-    instead of breaking the identity.  The norms and the values at Q are
-    taken once per distinct R or F value read, which the sweep then shares
-    between the pairs that hold it.  A whole-group sweep only reads R: the
-    caller has filled all of it (``_fill_columns``).  An interval
-    sweep fills what it reads of R first: over [e, w] by one
-    ``_fill_columns`` pass, and over [u, w] with u != e by ``_r``, pair by
-    pair.
+    and every x in [u, w].
 
-    A whole-group sweep can be given a ``reduction``: ``_Cosets`` (F = P
-    and F = 1) or ``_Orbits`` (F = +-R), and ``premise``, the caller's
-    verdict on the one premise of it that the reduction does not test
-    itself: (b) of ``_Cosets``, the result of the caller's pass over R,
-    or (1) of ``_Orbits``, that ``_inverse_faults`` found none.  Its
+    The bound B.  Let n be the number of members (|W|, or |[u, w]|), and
+    M = n * max ||R_xy||_1 * max ||F_vw||_1, each norm at least 1 and
+    taken over the entries the sweep reads.  The sweep serves identities
+    whose sides have every coefficient at most M: an F entry, and a sum
+    over the at most n members v of [x, w] of R_xv F_vw.  A pair the
+    sweep does not sum gets Q^k times, and maybe minus, the sum of a pair
+    it sums; under the reduction's premises that is the pair's own S_xw
+    as a polynomial, so the norms of the rows read bound every pair's sum.
+    With 2^(B-1) > 2M each identity is exact at Q: a nonzero difference,
+    its coefficients below 2^(B-1) in absolute value, cannot vanish at
+    2^B.  The signed base-2^B digits of S_xw(Q) are then its coefficients
+    (``_digits``).  The norms are read from the tables as they are now,
+    so a corrupted entry raises B instead of breaking the identity.  The
+    norms and the values at Q are taken once per distinct R or F value
+    read, which the sweep then shares between the pairs that hold it.
+
+    A whole-group sweep only reads R: the caller has filled all of it
+    (``_fill_columns``).  It can be given a ``reduction``: ``_Cosets``
+    (F = P and F = 1) or ``_Orbits`` (F = +-R), and ``premise``, the
+    caller's verdict on the one premise of it that the reduction does not
+    test itself: (b) of ``_Cosets``, the result of the caller's pass over
+    R, or (1) of ``_Orbits``, that ``_inverse_faults`` found none.  Its
     ``top`` says which x to sum for each top w, and its ``spread`` gives
     every other pair the sum of its representative pair, swept no later,
     times the shift Q^k and the sign that relate the two; ``_Orbits``
@@ -790,18 +902,26 @@ def _sums_at_q(
     rep[w] read through its word.  Its other premises (``holds``) are
     checked on the columns read before anything is summed.  If
     ``premise`` is false or one of them fails, or if the reduction does
-    not serve the sums S_1 asked for, every top is swept over every x, as
-    the interval sweep always is.  Either way each pair gets the integer
-    a sum over its own triples gives.  Lemma of
-    ``_Cosets``, the reduction of du Cloux
-    (Experiment. Math. 11, 2002) that sums only the x with D_R(w) in
-    D_R(x), about a tenth of the triples: for s in D_R(w) and xs > x,
-    S_xw = q S_{xs,w}.  Pair each v <= w with vs, also <= w, and take
+    not serve the sums S_1 asked for, every top is swept over every x.
+
+    An interval sweep ignores ``reduction`` and ``premise``: it always
+    takes ``_IntervalCosets``, which checks premise (a) on the F column of
+    w and reads R, through ``_r``, on the coset-top rows alone, deriving
+    (b) as it reads them.  If either fails, it reads every row of [u, w]
+    through ``_r``, which fills a missing entry and reads a present one
+    as it is, and sums every x.  Either way each pair gets the integer a
+    sum over its own triples of the group's R gives, and when it sums
+    every x, of the table's R.
+
+    Lemma of the coset reductions, that of du Cloux (Experiment. Math. 11,
+    2002), which sums only the x with D_R(w) in D_R(x), about a tenth of
+    the triples: for s in D_R(w) and xs > x, S_xw = q S_{xs,w}.  Pair each
+    v in [x, w] with vs, also in [x, w] by the lifting property, and take
     vs < v.  With F_vw = F_{vs,w}, R_xv = q R_{xs,vs} + (q-1) R_{x,vs} and
     R_{xs,v} = R_{x,vs}, the pair adds q (R_{xs,vs} + R_{x,vs}) F_vw to
     S_xw and (R_{xs,vs} + R_{x,vs}) F_vw to S_{xs,w}.  So every x <= w
     gets S_xw(Q) = Q^k S_{x*,w}(Q), x* the top of the coset x W_{D_R(w)}
-    and k = l(x*) - l(x).
+    and k = l(x*) - l(x); x* lies in [u, w] with x.
 
     If ``ones`` is a dict, the same sweep also writes into it, as
     ones[w][x] for every pair (x, w) it yields, the coefficients of the
@@ -811,35 +931,27 @@ def _sums_at_q(
     R_xv(Q) (F_vw(Q) - 1) to S_F only where that is nonzero, and
     S_F = S_1 + the latter.
     """
-    if wi < 0:
-        masks, span, tops = le_masks(ctx), (1 << ctx.order) - 1, range(ctx.order)
-    else:
-        span = 0
-        for v in _between(ctx, ui, wi):  # builds the masks below w
-            span |= 1 << v
-        masks, tops, reduction = ctx.tables.le, (wi,), None
-    # column v: the ids x of the members below v and the R_xv, read once;
-    # over the group or [e, w] every column is needed whole: the caller's
-    # pass filled the group's, and one pass fills those of [e, w]; else
-    # ``_r`` fills the pairs read
-    whole = wi < 0 or ui == 0
-    if whole and wi >= 0:
-        _fill_columns(ctx, "R", wi)
     ids = ctx.ids
-    rcols = {}
-    table = ctx.tables.R
-    for v in iter_bits(span):
-        xs = list(map(ids.__getitem__, iter_bits(masks[v] & span)))
-        if whole:
+    if wi < 0:
+        masks, tops, table = le_masks(ctx), range(ctx.order), ctx.tables.R
+        rcols = {}  # column v: the x <= v and the R_xv, read once
+        for v in tops:
+            xs = list(map(ids.__getitem__, iter_bits(masks[v])))
             rcols[v] = xs, list(map(table[v].__getitem__, xs))
-        else:
-            get = table.get(v, {}).get  # entries there, else ``_r``
-            rcols[v] = xs, [get(x) or _r(ctx, x, v) for x in xs]
-    fcols = {w: list(map(f(w), rcols[w][0])) for w in tops}
-    red = None
-    if reduction is not None and premise and (ones is None or reduction.ones):
-        red = reduction(ctx, rcols, fcols, f)
-        red = red if red.holds() else None
+        fcols = {w: list(map(f(w), rcols[w][0])) for w in tops}
+        red = None
+        if reduction is not None and premise and (ones is None or reduction.ones):
+            red = reduction(ctx, rcols, fcols, f)
+            red = red if red.holds() else None
+    else:
+        members, tops = list(_between(ctx, ui, wi)), (wi,)
+        fcols = {wi: list(map(f(wi), members))}
+        red = _IntervalCosets(ctx, members, fcols[wi])
+        if red.holds():
+            rcols = red.rcols
+        else:  # every row of [u, w]
+            red = None
+            rcols = _interval_rows(ctx, members, sum(1 << v for v in members))
     rvals = {r for _, rs in rcols.values() for r in rs}
     fvals = {p for fs in fcols.values() for p in fs}
     norm_r = max(sum(map(abs, r)) for r in rvals)
@@ -853,7 +965,7 @@ def _sums_at_q(
     def sums() -> Iterator[tuple[int, dict[int, int] | None]]:
         digits: dict[int, Coeffs] = {}  # S_1(Q) -> its coefficients
         for w in tops:
-            vs = rcols[w][0]
+            vs = rcols[w][0] if wi < 0 else members  # the x <= w swept
             fs = fcols.pop(w)
             plan = (vs, rcols, None) if red is None else red.top(w, vs)
             if plan is None:  # an H-mate of an earlier top: its sums, moved
@@ -917,16 +1029,19 @@ def _kl_faults(
 
     The equation and the degree bound determine P_xw from the P_yw with
     y in (x, w], so when no pair of [x, w] fails, P_xw is the KL
-    polynomial of the tables' R however it was computed.  ``ones`` is
-    passed to the sweep, which fills it with the interval R-sums, and so
-    is ``recursive``, the verdict of the caller's pass over R.
+    polynomial of the R the sweep read, however it was computed: the
+    table's, which a reduced interval sweep has checked to be the group's
+    on every entry it read.  ``ones`` is passed to the sweep, which fills
+    it with the interval R-sums, and so is ``recursive``, the verdict of
+    the caller's pass over R, which only a whole-group sweep reads.
 
-    Every pair is tested or given its faults.  Over the whole group the
-    sweep takes the reduction ``_Cosets``: it sums over the triples only
-    for coset tops, and gives each other pair Q^k times its coset top's
-    sum.  When the premises hold, that is the integer a sum over its own
-    triples gives, so every test sees the same values either way.  When
-    they fail, it sums for every pair.  When P is invariant under H too,
+    Every pair is tested or given its faults.  The sweep takes the coset
+    reduction (``_Cosets`` over the whole group, ``_IntervalCosets`` over
+    [u, w]): it sums over the triples only for coset tops, and gives each
+    other pair Q^k times its coset top's sum.  When the premises hold,
+    that is the integer a sum over its own triples gives, so every test
+    sees the same values either way.  When they fail, it sums for every
+    pair.  Over the whole group, when P is invariant under H too,
     it sums only the tops least in their H-orbit, and a top w it does not
     sum gets the faults of r = rep[w], (x, r) moved to (h^-1 x, w), h the
     word of w, by increasing x: P_xw = P_{hx, r} and S_xw = S_{hx, r}, so
@@ -990,10 +1105,13 @@ def _certify(
     only for the tops least in their H-orbit when P is invariant under H,
     and within a top only for the coset tops x*, D_R(w) in D_R(x*), when
     its premises hold; it sums every pair otherwise.  The faults are the
-    same either way (see ``_sums_at_q`` and ``_kl_faults``).  The sweep
-    also fills ``ones``, if given, with the interval R-sums of the pairs
-    it covers.  Raises RuntimeError naming the first faulty pair whose
-    pending bit is set, by w and then x, before clearing any bit.
+    same either way (see ``_sums_at_q`` and ``_kl_faults``).  Over [u, w]
+    it makes no pass over R: the sweep reads R through ``_r`` on the
+    coset-top rows of w alone and checks what it reads, so a wrong R
+    entry it never reads fails nothing (see ``_IntervalCosets``).  The
+    sweep also fills ``ones``, if given, with the interval R-sums of the
+    pairs it covers.  Raises RuntimeError naming the first faulty pair
+    whose pending bit is set, by w and then x, before clearing any bit.
     """
     t = ctx.tables
     pending = t.pending
@@ -1133,7 +1251,12 @@ def rtilde_poly(u: GroupElement, w: GroupElement) -> IntPoly:
 
 
 def kl_poly(u: GroupElement, w: GroupElement) -> IntPoly:
-    """Kazhdan-Lusztig polynomial of the pair."""
+    """Kazhdan-Lusztig polynomial of the pair, certified over [u, w] first
+    unless certified already.  The certificate reads R only on the
+    coset-top rows of [u, w] and the entries their recursion reaches: a
+    wrong R entry outside them is never read, and the P of the group's R
+    is served; a wrong one it reads makes it test every pair against the
+    table's R, raising RuntimeError for the first that fails."""
     _check_same_context(u, w)
     return IntPoly(_kl(u.ctx, u.index, w.index), Basis.Q)
 

@@ -356,7 +356,9 @@ def test_empty_r_entry_fails_every_r_check_it_breaks(monkeypatch, capsys):
     [("table", "--group", "A2", "--u", "e", "--w", "1 2 1"), ("classify", "--group", "A2")],
 )
 def test_poisoned_r_fails_kl_certificate(monkeypatch, capsys, argv):
-    # the KL values these commands print are certified against R first
+    # the KL values these commands print are certified against R first;
+    # table's certificate over [e, w0] reads R on the row w0 alone, so there
+    # the wrong R_{e,s1} fails the f/h check of the R_uw it prints instead
     _poison(monkeypatch, "R", "e", "1", (5, 1))
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "internal invariant error" in err

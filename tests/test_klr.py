@@ -506,25 +506,15 @@ def test_r_step_is_keyed_by_value():
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2"])
 def test_column_pass_stores_what_the_pair_recursion_gives(spec):
-    # on fresh contexts, over the whole group and over [e, w] for several
-    # w, the pass fills exactly the pairs of its columns, each with the
-    # value the pair recursion gives it, and finds nothing present to fail
+    # on a fresh context the pass fills exactly the comparable pairs, each
+    # with the value the pair recursion gives it, and finds nothing present
+    # to fail
     ref = build_group(parse_group_spec(spec))
-    lower = le_masks(ref)
-    n = ref.order
     for kind in ("R", "Rt"):
         want = {(x, w): klr._r(ref, x, w, kind) for x, w in comparable_pairs(ref)}
         ctx = build_group(parse_group_spec(spec))
         assert _fill_columns(ctx, kind)
         assert entries(getattr(ctx.tables, kind)) == want
-        for w in (1, n // 3, n // 2, n - 2, n - 1):
-            ctx = build_group(parse_group_spec(spec))
-            assert _fill_columns(ctx, kind, w)
-            assert entries(getattr(ctx.tables, kind)) == {
-                (x, v): want[x, v]
-                for v in iter_bits(lower[w])
-                for x in iter_bits(lower[v])
-            }
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3"])
@@ -551,25 +541,83 @@ def test_column_pass_reads_planted_entries_as_the_pair_recursion_does(spec):
     assert {tables[0][v, v] for v in range(2, n)} == {(1,)}
 
 
+def _r_closure(ctx, pairs):
+    """The comparable pairs the recursion of ``klr._r`` reaches from pairs,
+    those included: (x, v) reads (xs, vs), and (x, vs) too when xs > x,
+    with s = srd(v)."""
+    lower, lengths, rmult, srd = le_masks(ctx), ctx.lengths, ctx.rmult, ctx.srd
+    out, todo = set(), list(pairs)
+    while todo:
+        x, v = todo.pop()
+        if (x, v) in out or not lower[v] >> x & 1:
+            continue
+        out.add((x, v))
+        if x != v:
+            xs, vs = rmult[x][srd[v]], rmult[v][srd[v]]
+            todo.append((xs, vs))
+            if lengths[xs] > lengths[x]:
+                todo.append((x, vs))
+    return out
+
+
+def _coset_top_rows(ctx, u, w):
+    """The pairs (x*, v) of [u, w] with D_R(w) in D_R(x*): the rows the
+    interval certificate of [u, w] reads R on, when its premises hold."""
+    lower, lengths, rmult = le_masks(ctx), ctx.lengths, ctx.rmult
+    members = [v for v in iter_bits(lower[w]) if lower[v] >> u & 1]
+
+    def descents(x):
+        return {s for s in range(ctx.rank) if lengths[rmult[x][s]] < lengths[x]}
+
+    tops = [x for x in members if descents(w) <= descents(x)]
+    return [(x, v) for v in members for x in tops if lower[v] >> x & 1]
+
+
 @pytest.mark.parametrize(
-    "fill",
+    "fill, whole",
     [
-        lambda ctx: fill_tables(ctx, ("R", "Rt")),
-        lambda ctx: fill_tables(ctx, ("KL",)),
-        lambda ctx: kl_poly(ctx.identity, ctx.elements[ctx.order - 1]),
+        (lambda ctx: fill_tables(ctx, ("R", "Rt")), True),
+        (lambda ctx: fill_tables(ctx, ("KL",)), True),
+        (lambda ctx: kl_poly(ctx.identity, ctx.elements[ctx.order - 1]), False),
     ],
     ids=["R,Rt", "KL", "kl_poly(e, w0)"],
 )
-def test_whole_group_and_e_w_fills_make_no_pair_recursion(fill, monkeypatch):
-    # the column pass fills R for the group and for [e, w0]; the pair
-    # recursion is never entered
+def test_whole_group_and_e_w_fills_make_no_pair_recursion(fill, whole, monkeypatch):
+    # the column pass fills R for the group, and the pair recursion is
+    # never entered; kl_poly(e, w0) reads R through the pair recursion on
+    # the coset-top rows of [e, w0] alone, w0 itself, so R then holds the
+    # recursion closure of those rows and nothing else, and the orbit data
+    # of the whole-group sweeps is never made
     calls = []
     r = klr._r
     monkeypatch.setattr(klr, "_r", lambda *a: calls.append(a) or r(*a))
     ctx = build_group(parse_group_spec("A4"))
     fill(ctx)
-    assert calls == []
-    assert len(entries(ctx.tables.R)) == len(comparable_pairs(ctx))
+    if whole:
+        assert calls == []
+        assert len(entries(ctx.tables.R)) == len(comparable_pairs(ctx))
+    else:
+        w0 = ctx.order - 1
+        rows = _coset_top_rows(ctx, 0, w0)
+        assert rows == [(w0, w0)] and calls
+        assert set(entries(ctx.tables.R)) == _r_closure(ctx, rows)
+        assert ctx.tables.symmetries is None
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3"])
+def test_interval_certificate_reads_r_on_the_coset_top_rows_alone(spec):
+    # on a fresh context, kl_poly(u, w) leaves in R the recursion closure
+    # of the coset-top rows of [u, w] and nothing else, makes no orbit
+    # data, and serves the P of the whole-group fill
+    ref = build_group(parse_group_spec(spec))
+    fill_tables(ref, ("KL",))
+    pairs = [(u, w) for u, w in comparable_pairs(ref) if u != w]
+    for u, w in pairs[:: 1 if spec == "A3" else 7]:
+        ctx = build_group(parse_group_spec(spec))
+        p = kl_poly(ctx.elements[u], ctx.elements[w])
+        assert p.coeffs == entries(ref.tables.KL)[u, w]
+        assert set(entries(ctx.tables.R)) == _r_closure(ctx, _coset_top_rows(ctx, u, w))
+        assert ctx.tables.symmetries is None
 
 
 @pytest.mark.parametrize(

@@ -872,6 +872,108 @@ def test_reduced_sweeps_match_the_full_sweeps(spec, kind):
     assert sweeps[0] == sweeps[1]
 
 
+def _interval_plant(ctx, u, w, kind):
+    """Plant, for the interval certificate of [u, w] on a filled context,
+    the kind's wrong entry, and return a function that puts the old one
+    back (None if the kind plants nothing on this interval):
+    - kl_breaks_a: P_vw + q for the first member v, by id, whose vs is a
+      member for some s in D_R(w), so premise (a) fails;
+    - r_read: R_{x*,w} + 1 for the first coset top x* of [u, w], a row the
+      reduced sweep reads, so premise (b) fails."""
+    t, lower, rmult = ctx.tables, le_masks(ctx), ctx.rmult
+    members = [v for v in iter_bits(lower[w]) if lower[v] >> u & 1]
+    d = klr._right_descents(ctx, [w])[0]
+    if kind == "kl_breaks_a":
+        table, inside = t.KL, set(members)
+        x = next(
+            (v for v in members if any(rmult[v][s] in inside for s in iter_bits(d))),
+            None,
+        )
+        if x is None:
+            return None
+        p = table[w][x]
+        p += (0,) * (2 - len(p))
+        wrong = (p[0], p[1] + 1) + p[2:]  # + q
+    else:
+        table = t.R
+        x = next(x for x in members if klr._right_descents(ctx, [x])[0] & d == d)
+        r = table[w][x]
+        wrong = (r[0] + 1,) + r[1:]
+    old = table[w][x]
+    table[w][x] = wrong
+    return lambda: table[w].__setitem__(x, old)
+
+
+def _interval_outcome(ctx, u, w):
+    """kl_poly(u, w) with every entry of the column of w pending again:
+    the P served, or the error raised."""
+    ctx.tables.pending[w] = le_masks(ctx)[w]
+    try:
+        return klr.kl_poly(ctx.elements[u], ctx.elements[w]).coeffs
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ["clean", "kl_breaks_a", "kl_coset", "r_read"])
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2", "D4", "A4"])
+def test_interval_certificate_matches_the_full_sweep(spec, kind, monkeypatch):
+    # on every interval [u, w], u < w (a sample on A4), the certificate
+    # reduced to the coset tops of w serves the same P and raises the same
+    # errors as the sweep over every x of [u, w]: on a sound table, under
+    # a KL plant that breaks premise (a) or keeps it (the coset of
+    # ``_plant_kl_coset``, whose faults the reduced sweep reports), and
+    # under an R plant on a row it reads, which makes it fall back
+    ctx = build_group(parse_group_spec(spec))
+    fill_tables(ctx)
+    if kind == "kl_coset":
+        _plant_kl_coset(ctx)
+    pairs = [(u, w) for u, w in comparable_pairs(ctx) if u != w]
+    if spec == "A4":
+        pairs = pairs[::11]
+    held = []
+    holds = klr._IntervalCosets.holds
+    monkeypatch.setattr(
+        klr._IntervalCosets, "holds", lambda self: held.append(holds(self)) or held[-1]
+    )
+    outcomes, planted = {}, []
+    for reduced in (True, False):
+        if not reduced:
+            monkeypatch.setattr(klr._IntervalCosets, "holds", lambda self: False)
+        outcomes[reduced] = out = []
+        for u, w in pairs:
+            undo = None
+            if kind not in ("clean", "kl_coset"):
+                undo = _interval_plant(ctx, u, w, kind)
+            out.append(_interval_outcome(ctx, u, w))
+            if reduced:
+                planted.append(undo is not None)
+            if undo is not None:
+                undo()
+    assert outcomes[True] == outcomes[False]
+    if kind in ("clean", "kl_coset"):
+        assert all(held)
+    else:
+        assert any(planted)
+        assert held == [not p for p in planted]
+    errors = [o for o in outcomes[True] if isinstance(o, str)]
+    assert bool(errors) == (kind != "clean")
+
+
+def test_interval_certificate_skips_an_r_plant_it_never_reads(monkeypatch):
+    # the documented difference: on [e, w0] of A3 the reduced certificate
+    # reads R on the row w0 alone, so a wrong R_{e,s1} is never read and
+    # the P of the group's R is served; the full sweep reads it and fails
+    outcomes = []
+    for reduced in (True, False):
+        if not reduced:
+            monkeypatch.setattr(klr._IntervalCosets, "holds", lambda self: False)
+        ctx = build_group(parse_group_spec("A3"))
+        plant(ctx.tables.R, 0, parse_element(ctx, "1").index, (5, 1))
+        outcomes.append(_interval_outcome(ctx, 0, ctx.order - 1))
+    assert outcomes[0] == (1,)
+    assert outcomes[1] == "KL functional equation failed for ('e', '1 2 1 3 2 1') in A3"
+
+
 def _plant_stuck_vertex(ctx, s, w):
     # classify's stuck-vertex case: every out-neighbor of the singular s
     # below w (P_sw = 1 + q) gets P(1) = 2 too, so s has no strict edge
@@ -1102,9 +1204,9 @@ def _counted_passes(monkeypatch):
     kinds = []
     real = klr._fill_columns
 
-    def counted(ctx, kind="R", wi=-1):
+    def counted(ctx, kind="R"):
         kinds.append(kind)
-        return real(ctx, kind, wi)
+        return real(ctx, kind)
 
     monkeypatch.setattr(klr, "_fill_columns", counted)
     monkeypatch.setattr(theorems, "_fill_columns", counted)
