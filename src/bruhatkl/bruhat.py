@@ -5,8 +5,10 @@ l(u) < l(w); Bruhat order is the reachability order of this graph.  The
 order has one representation: per-element bitmasks of lower cones, built
 on demand with the lifting property along one descent chain, so a single
 comparison builds at most l(w) + 1 masks and every comparison is one bit
-test.  The Bruhat graph is built per element the same way: the first read
-of either row of x (its out- or in-neighbors) builds both.  Whole-group
+test.  The Bruhat graph is built per element the same way, one row per
+element: the row of x holds all its neighbors xt, out-neighbors above
+x and in-neighbors below it, and is the row of xs moved by s, so one
+row builds at most the l(x) + 1 rows of its descent chain.  Whole-group
 scans complete the masks and the rows in one pass over the group, and
 read each out-row as one mask too (``_up_masks``), so that the
 out-neighbors of x below w are the mask up(x) & lower(w) and a count of
@@ -25,6 +27,7 @@ Interval statistics:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
@@ -33,7 +36,6 @@ from bruhatkl.coxeter import (
     GroupContext,
     GroupElement,
     _check_same_context,
-    _mul,
     word_of,
 )
 
@@ -47,7 +49,6 @@ __all__ = [
     "defect",
     "le_masks",
     "up_adjacency",
-    "down_adjacency",
     "abs_len_table",
     "comparable_pairs",
     "iter_bits",
@@ -166,26 +167,33 @@ def comparable_pairs(ctx: GroupContext) -> list[tuple[int, int]]:
     return [(ui, wi) for wi in range(ctx.order) for ui in iter_bits(lower[wi])]
 
 
-def _row(ctx: GroupContext, xi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bruhat-graph out- and in-neighbors of x as sorted ids, both built on
-    first use: v = xt for a reflection t is an out-neighbor iff l(v) > l(x)."""
-    t = ctx.tables
-    if t.up is None:
-        t.up, t.down = [None] * ctx.order, [None] * ctx.order
-    if t.up[xi] is None:
-        lengths = ctx.lengths
-        rows = [], []  # out, in
-        for ti in ctx.reflection_ids:
-            vi = _mul(ctx, xi, ti)
-            rows[lengths[vi] < lengths[xi]].append(vi)
-        t.up[xi], t.down[xi] = tuple(sorted(rows[0])), tuple(sorted(rows[1]))
-    return t.up[xi], t.down[xi]
+def _row(ctx: GroupContext, xi: int) -> tuple[int, ...]:
+    """All |T| Bruhat-graph neighbors xt of x, t a reflection, as sorted
+    ids.  Since ids grow with length and l(xt) != l(x), the ids above x
+    are its out-neighbors and the ids below x its in-neighbors.
+
+    Built on first use like ``_lower``: the row of e is the reflections,
+    and for s = srd(x) the row of x is that of xs moved by s, since
+    xt = (xs)(sts)s and sts runs over the reflections as t does (Bjorner
+    and Brenti, Combinatorics of Coxeter Groups, chapter 1), building the
+    row of xs the same way if it is missing.
+    """
+    rows = ctx.tables.rows
+    if rows is None:
+        rows = ctx.tables.rows = [None] * ctx.order
+        rows[0] = tuple(sorted(ctx.reflection_ids))
+    row = rows[xi]
+    if row is None:
+        rmult = ctx.rmult
+        s = ctx.srd[xi]
+        row = rows[xi] = tuple(sorted([rmult[yi][s] for yi in _row(ctx, rmult[xi][s])]))
+    return row
 
 
 def _up_masks(ctx: GroupContext) -> list[int]:
     """The out-neighbors of every element as one bitmask each, bit v of
     the mask of x set iff x -> v: built on first use in one pass over the
-    rows of ``up_adjacency``, and then kept."""
+    out-rows of ``up_adjacency``, and then kept."""
     t = ctx.tables
     if t.up_mask is None:
         t.up_mask = [sum(map((1).__lshift__, row)) for row in up_adjacency(ctx)]
@@ -195,22 +203,16 @@ def _up_masks(ctx: GroupContext) -> list[int]:
 def _out_below(ctx: GroupContext, xi: int, lower: int) -> list[int]:
     """Out-neighbors of x whose bit is set in lower (the lower cone of some
     w), sorted by id, hence by length."""
-    return [vi for vi in _row(ctx, xi)[0] if lower >> vi & 1]
+    return [vi for vi in _row(ctx, xi) if vi > xi and lower >> vi & 1]
 
 
 def up_adjacency(ctx: GroupContext) -> list[tuple[int, ...]]:
-    """Bruhat-graph out-neighbors (as ids) of every element: the stored
-    rows, any not built yet built first by increasing id."""
-    if ctx.tables.up is None or None in ctx.tables.up:
+    """Bruhat-graph out-neighbors (as ids) of every element: the ids above
+    x in its row, rows not built yet built first by increasing id."""
+    if ctx.tables.rows is None or None in ctx.tables.rows:
         for xi in range(ctx.order):
             _row(ctx, xi)
-    return ctx.tables.up
-
-
-def down_adjacency(ctx: GroupContext) -> list[tuple[int, ...]]:
-    """Bruhat-graph in-neighbors (as ids) of every element."""
-    up_adjacency(ctx)  # builds both rows of every element
-    return ctx.tables.down
+    return [row[bisect_right(row, xi):] for xi, row in enumerate(ctx.tables.rows)]
 
 
 def abs_len_table(w: GroupElement) -> dict[int, int]:
@@ -230,7 +232,9 @@ def abs_len_table(w: GroupElement) -> dict[int, int]:
         d += 1
         nxt = []
         for xi in frontier:
-            for vi in _row(ctx, xi)[1]:
+            for vi in _row(ctx, xi):
+                if vi > xi:  # the in-neighbors, the ids below x, are read
+                    break
                 if vi not in table:
                     table[vi] = d
                     nxt.append(vi)
@@ -244,7 +248,8 @@ def _depths(ctx: GroupContext, ui: int, wi: int) -> dict[int, int]:
     lower(w): v >= u means a directed path from u to v exists, and when
     v <= w every vertex on it lies in [u, w].  So the walk reaches w
     exactly when u <= w, and builds the Bruhat-graph rows of the interval's
-    members only; {} unless u <= w."""
+    members and of their descent chains only, all below w; {} unless
+    u <= w."""
     lower = _lower(ctx, wi)
     if not lower >> ui & 1:
         return {}
@@ -295,8 +300,8 @@ def bruhat_edges(
     by_id = {g.index: g for g in members}
     edges = []
     for x in sorted(members, key=lambda g: (g.length, g.index)):
-        for vi in _row(ctx, x.index)[0]:
-            if vi in by_id:
+        for vi in _row(ctx, x.index):
+            if vi > x.index and vi in by_id:
                 edges.append((x, by_id[vi]))
     return edges
 
@@ -305,7 +310,8 @@ def interval(u: GroupElement, w: GroupElement) -> IntervalData:
     """The full interval [u, w] with graph, absolute length, and defect.
 
     Members, in id order, and a(u, w) come from the breadth-first walk of
-    ``_depths``, which builds the Bruhat-graph rows of the members only.
+    ``_depths``, which builds the Bruhat-graph rows of the members and of
+    their descent chains only.
     """
     if not bruhat_le(u, w):
         raise ValueError(

@@ -261,9 +261,11 @@ class Tables:
     Each field is filled by one function, named in its comment.  ``None``
     marks a whole-group table not built yet.  Lengths and
     descents are group data (``GroupContext.lengths``, ``.srd``).  The
-    lower-cone masks ``le`` and the Bruhat-graph rows ``up`` and ``down``
-    are per element and may be partly built: a mask 0 (every cone
-    contains e, so no built mask is 0) or a row None is not built yet.
+    lower-cone masks ``le`` and the Bruhat-graph rows ``rows`` are per
+    element and may be partly built: a mask 0 (every cone contains e, so
+    no built mask is 0) or a row None is not built yet.  The row of x
+    holds all its neighbors xt, t a reflection: the ids above x are its
+    out-neighbors, those below it its in-neighbors.
     ``up_mask`` holds the out-neighbors of every element as one bitmask
     each, read by whole-group sweeps only and built whole on first use: a
     mask is as wide as the group's order, too wide to build per element
@@ -298,8 +300,7 @@ class Tables:
     """
 
     le: list[int] | None = None  # bruhat._lower; 0 = not built yet
-    up: list[tuple[int, ...] | None] | None = None  # bruhat._row; out-neighbors
-    down: list[tuple[int, ...] | None] | None = None  # bruhat._row; in-neighbors
+    rows: list[tuple[int, ...] | None] | None = None  # bruhat._row; all xt
     up_mask: list[int] | None = None  # bruhat._up_masks; out-neighbors
     R: Columns = field(default_factory=dict)  # klr._r, kind "R"; R[w][x] = R_xw
     Rt: Columns = field(default_factory=dict)  # klr._r, kind "Rt"

@@ -149,7 +149,7 @@ from bruhatkl.coxeter import (
     Symmetries,
     Tables,
 )
-from bruhatkl.coxeter import _check_same_context, _diagram_automorphisms, _mul, word_of
+from bruhatkl.coxeter import _check_same_context, _diagram_automorphisms, word_of
 from bruhatkl.polynomial import (
     Basis,
     IntPoly,
@@ -705,8 +705,10 @@ class _Orbits:
         self.ctx, self.rcols, self.fcols = ctx, rcols, fcols
         w0, rmult = ctx.order - 1, ctx.rmult
         self.n = ctx.lengths[w0]
-        # x w0 = (xs) w0 t, s = srd(x) and t = w0 s w0, a simple reflection
-        conj = [rmult[w0].index(_mul(ctx, rmult[0][s], w0)) for s in range(ctx.rank)]
+        # x w0 = (xs) w0 t, s = srd(x) and t = w0 s w0, a simple reflection;
+        # w0 is an involution, so s w0 = (w0 s)^-1
+        inv = ctx.inv
+        conj = [rmult[w0].index(inv[rmult[w0][s]]) for s in range(ctx.rank)]
         times_w0 = self.times_w0 = [w0] * ctx.order
         for x in range(1, ctx.order):  # xs has the smaller id
             s = ctx.srd[x]

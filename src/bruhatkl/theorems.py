@@ -99,7 +99,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Generator, Iterator
 
-from bruhatkl.bruhat import _up_masks, abs_len_table, iter_bits, le_masks
+from bruhatkl.bruhat import _row, _up_masks, abs_len_table, iter_bits, le_masks
 from bruhatkl.coxeter import Coeffs, Columns, GroupContext, Pair, word_of
 from bruhatkl.klr import (
     _certify,
@@ -196,8 +196,8 @@ def _keyed_pairs(ctx: GroupContext) -> Iterator[tuple[int, int, Key]]:
     R and Rt are read, not filled: ``run_suite`` has made one pass of
     ``klr._fill_columns`` over each.  Both columns of w are read directly,
     and a(u,w) once per top w; u -> w is bit w of the out-neighbor mask of
-    u, and m is a popcount of up(u) & the mask of the v -> w, built once
-    per top w.  l(u,w) = 0 exactly on the diagonal.
+    u, and m is a popcount of up(u) & the mask of the v -> w, the ids below
+    w in its Bruhat-graph row.  l(u,w) = 0 exactly on the diagonal.
     """
     lengths = ctx.lengths
     lower, up = le_masks(ctx), _up_masks(ctx)
@@ -205,7 +205,7 @@ def _keyed_pairs(ctx: GroupContext) -> Iterator[tuple[int, int, Key]]:
     for wi in range(ctx.order):
         lw, below = lengths[wi], lower[wi]
         a_of = abs_len_table(ctx.elements[wi])
-        into = sum(1 << vi for vi in iter_bits(below) if up[vi] >> wi & 1)
+        into = sum(1 << vi for vi in _row(ctx, wi) if vi < wi)
         r, rt = r_table[wi], rt_table[wi]
         for ui in iter_bits(below):
             a = a_of[ui]

@@ -19,7 +19,6 @@ from bruhatkl.bruhat import (  # noqa: E402
     bruhat_le,
     comparable_pairs,
     defect,
-    down_adjacency,
     interval,
     interval_to_dot,
     interval_to_json,
@@ -29,6 +28,7 @@ from bruhatkl.bruhat import (  # noqa: E402
     up_adjacency,
 )
 from bruhatkl.coxeter import (  # noqa: E402
+    _mul,
     build_group,
     parse_element,
     parse_group_spec,
@@ -119,44 +119,72 @@ def _command(name):
     return query
 
 
+def _members(ctx, u, w):
+    """The ids of the members of [u, w]."""
+    masks = le_masks(ctx)
+    return {vi for vi in iter_bits(masks[w.index]) if masks[vi] >> u.index & 1}
+
+
+def _with_chains(ctx, ids):
+    """The given ids and every element on the descent chain x, xs, ... (s
+    the smallest right descent each time) of each x among them: the rows
+    that building the rows of the ids builds."""
+    out = {0}
+    for xi in ids:
+        while xi not in out:
+            out.add(xi)
+            xi = ctx.rmult[xi][ctx.srd[xi]]
+    return out
+
+
+def _rows_built(ctx):
+    return {xi for xi, row in enumerate(ctx.tables.rows) if row is not None}
+
+
 @pytest.mark.parametrize(
     "query",
     [absolute_length, defect, interval, _command("table"), _command("graph")],
 )
 def test_one_shot_queries_build_rows_below_w_only(query, monkeypatch):
-    # the id rows of the members of [u, w] only, and no mask rows, which
-    # are as wide as the group's order
+    # the rows of the members of [u, w] and of the descent chains below
+    # them, and no mask rows, which are as wide as the group's order
     ctx = build_group(parse_group_spec("A4"))  # fresh: no Bruhat-graph rows
     monkeypatch.setattr(cli, "_load_group", lambda args: ctx)
     u, w = elements(ctx, "2", "2 1 3 2 4 3")
     query(u, w)
-    up, down = ctx.tables.up, ctx.tables.down
-    built = [xi for xi, row in enumerate(up) if row is not None]
-    assert built and None in up
-    assert [xi for xi, row in enumerate(down) if row is not None] == built
+    built = _rows_built(ctx)
+    assert built and None in ctx.tables.rows
+    # defect reads the row of u alone; the others walk [u, w]
+    read = {u.index} if query is defect else _members(ctx, u, w)
+    assert built == _with_chains(ctx, read)
     assert all(bruhat_le(ctx.elements[xi], w) for xi in built)
     assert ctx.tables.up_mask is None
 
 
-def test_interval_builds_rows_of_members_only():
+def test_interval_builds_rows_of_members_and_their_chains_only():
     ctx = build_group(parse_group_spec("A5"))  # fresh: no Bruhat-graph rows
     u, w = elements(ctx, "2", "2 1 3 2 4 3 5 4")
     data = interval(u, w)
-    built = {xi for xi, row in enumerate(ctx.tables.up) if row is not None}
-    assert built == {g.index for g in data.members}
+    built = _rows_built(ctx)
+    assert built == _with_chains(ctx, [g.index for g in data.members])
+    assert all(bruhat_le(ctx.elements[xi], w) for xi in built)
     assert data.abs_len == absolute_length(u, w)
+    assert ctx.tables.up_mask is None
 
 
-def test_absolute_length_builds_rows_of_members_only():
+def test_absolute_length_builds_rows_of_members_and_their_chains_only():
     # a forward walk from u inside lower(w) visits [u, w] alone: 14 members
-    # here, where a walk back from w visits all 146 elements below w
+    # here, plus their descent chains, 42 rows in all, where a walk back
+    # from w visits all 146 elements below w
     ctx = build_group(parse_group_spec("A5"))  # fresh: no Bruhat-graph rows
     u, w = elements(ctx, "2 1 3 2", "2 1 3 2 4 3 5 4")
     assert absolute_length(u, w) == 2
-    built = {xi for xi, row in enumerate(ctx.tables.up) if row is not None}
-    masks = le_masks(ctx)
-    members = {vi for vi in iter_bits(masks[w.index]) if masks[vi] >> u.index & 1}
-    assert len(members) == 14 and built == members
+    built = _rows_built(ctx)
+    members = _members(ctx, u, w)
+    assert len(members) == 14 and len(built) == 42
+    assert built == _with_chains(ctx, members)
+    assert all(bruhat_le(ctx.elements[xi], w) for xi in built)
+    assert ctx.tables.up_mask is None
     assert len(abs_len_table(w)) == 146
 
 
@@ -287,10 +315,12 @@ def test_m_count():
     # m(u, w), the number of directed paths u -> v -> w, as le1_le2_le3
     # reads it off the adjacency: 2 on every pair at absolute length 2
     ctx = ctx_for("A2")
-    up, down = up_adjacency(ctx), down_adjacency(ctx)
+    up_adjacency(ctx)
+    rows = ctx.tables.rows
 
     def m(u, w):
-        return sum(1 for vi in up[u.index] if vi in down[w.index])
+        ins = {vi for vi in rows[w.index] if vi < w.index}
+        return sum(1 for vi in rows[u.index] if vi > u.index and vi in ins)
 
     e, s1, s1s2, s2s1, w0 = elements(ctx, "e", "1", "1 2", "2 1", "1 2 1")
     for u, w in ((e, s1s2), (e, s2s1), (s1, w0)):
@@ -310,26 +340,43 @@ def test_up_adjacency_edge_lengths_odd():
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "G2"])
 def test_adjacency_matches_matrix_products(spec):
-    # reference: u -> ut for every reflection t with l(ut) > l(u), with ut
-    # found by multiplying the geometric-representation matrices; checked on
-    # a context with no rows and on one whose rows a query partly built
+    # reference: the row of u is every ut, t a reflection, with ut found by
+    # multiplying the geometric-representation matrices; its ids below u
+    # are the in-neighbors, shorter than u, and those above the
+    # out-neighbors, longer; checked on a context with no rows and on one
+    # whose rows a query partly built
     ctx = ctx_for(spec)
     partial = build_group(parse_group_spec(spec))
     interval(partial.identity, partial.elements[partial.order // 2])
-    assert None in partial.tables.up
+    assert None in partial.tables.rows
     by_matrix = {matrix_of(g): g for g in ctx.elements}
-    up = [[] for _ in ctx.elements]
-    down = [[] for _ in ctx.elements]
-    for u in ctx.elements:
-        for t in ctx.reflections:
-            v = by_matrix[mat_mul(matrix_of(u), matrix_of(t))]
-            if v.length > u.length:
-                up[u.index].append(v.index)
-                down[v.index].append(u.index)
+    rows = [
+        sorted(by_matrix[mat_mul(matrix_of(u), matrix_of(t))].index for t in ctx.reflections)
+        for u in ctx.elements
+    ]
     for c in (ctx, partial):
-        assert up_adjacency(c) == [tuple(sorted(xs)) for xs in up]
-        assert down_adjacency(c) == [tuple(sorted(xs)) for xs in down]
-        assert up_adjacency(c) is c.tables.up and down_adjacency(c) is c.tables.down
+        up = up_adjacency(c)
+        assert [list(row) for row in c.tables.rows] == rows
+        for u, row, out in zip(c.elements, rows, up):
+            assert list(out) == [vi for vi in row if vi > u.index]
+            assert all(c.lengths[vi] > u.length for vi in out)
+            assert all(c.lengths[vi] < u.length for vi in row if vi < u.index)
+
+
+def test_rows_match_products_along_deep_chains_on_e6():
+    # an interval query on E6 builds rows along descent chains of length
+    # up to 16, each the row below it moved by one generator; each must be
+    # the products xt over the 36 reflections
+    ctx = build_group(parse_group_spec("E6"), 51840)
+    u, w = elements(ctx, "1", "1 2 3 1 4 2 3 1 4 3 5 4 2 3 1 4")
+    interval(u, w)
+    built = _rows_built(ctx)
+    assert len(ctx.reflection_ids) == 36
+    assert max(ctx.lengths[xi] for xi in built) == 16
+    for xi in built:
+        assert list(ctx.tables.rows[xi]) == sorted(
+            _mul(ctx, xi, ti) for ti in ctx.reflection_ids
+        )
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "G2"])
