@@ -9,10 +9,33 @@ the simple root a_s in weight coordinates being column s of the
 Cartan matrix, and s is a right descent of w iff lam[s] < 0, as
 l(ws) < l(w) iff w(a_s) < 0 (Humphreys, Reflection Groups and Coxeter
 Groups, 5.4).  Roots are in simple-root coordinates, where s_i sets only
-y[i] = x[i] - sum_j cartan[i][j] * x[j].  Elements get stable integer
-ids breadth-first by length; after that, group operations are lookups in
-id tables (``rmult``, ``inv``, ``lengths``, ``srd``), and the lazily
-filled tables in ``GroupContext.tables`` key on ids.  The reference
+y[i] = x[i] - sum_j cartan[i][j] * x[j].
+
+The build holds lam as one int of n digits of k bits, coordinate j as the
+digit lam[j] + off at bit j * k, with off = 2^(k-1) and k =
+bit_length(2N + 1) + 1 for N positive roots.  The digits cannot overflow:
+lam[s] = <w^-1 rho, a_s^v> = <rho, w(a_s^v)>, and w(a_s^v) is a coroot, so
+lam[s] is plus or minus the height of a positive coroot (<rho, a_i^v> =
+1).  A positive coroot of height h > 1 less some simple coroot is a
+positive coroot of height h - 1 (Humphreys, Introduction to Lie Algebras
+and Representation Theory, 10.2), so the coroots, a root system with N
+positive roots, hold a positive coroot of each height 1, ..., h, and h <=
+N.  So |lam[j]| <= N < 2N + 1 < 2^(k-1) = off, and every digit lies in
+[off - N, off + N], inside [1, 2^k - 1].  Hence packed ints are equal iff
+their vectors are; the step x -> xs is lam - c * col_s, where c =
+digit_s(lam) - off = lam[s] and col_s is column s of the Cartan matrix
+packed, sum_j cartan[j][s] * 2^(jk), since the result is sum_j (lam[j] - c
+* cartan[j][s] + off) * 2^(jk), whose coefficients are the digits of
+(ws)^-1(rho), each in range; and lam[j] < 0 iff the top bit of digit j is
+clear, so the smallest right descent is the lowest clear top bit.
+
+Elements get stable integer ids breadth-first by length.  Writing w = s_1
+... s_l along its chain of parents, w = first * tail with first = s_1 and
+tail = s_2 ... s_l, whose id is that of its parent's tail times the last
+letter; then w^-1 = tail^-1 s_1 is one ``rmult`` lookup from the inverse
+of tail, which has the smaller id.  After that, group operations are
+lookups in id tables (``rmult``, ``inv``, ``lengths``, ``srd``), and the
+lazily filled tables in ``GroupContext.tables`` key on ids.  The reference
 matrices of the geometric representation live in the tests
 (``tests/reference_matrices.py``), which check the tables against them.
 
@@ -347,8 +370,9 @@ class GroupContext:
         self.lengths: list[int] = []  # l(w) by id
         self.srd: list[int] = []  # smallest right descent by id, -1 for e
         self.inv: list[int] = []  # id of w^-1 by id
-        # range(order), one int object per id: the keys of the R, Rt and KL
-        # columns, so an id above 256 is not a new int in every column
+        # range(order), the int objects rmult holds, one per id: the keys of
+        # the R, Rt and KL columns, so an id above 256 is not a new int in
+        # every column
         self.ids: list[int] = []
         self._words: dict[int, str] = {}
         self.tables = Tables()
@@ -381,11 +405,14 @@ def build_group(
 ) -> GroupContext:
     """Enumerate the whole group breadth-first and identify reflections.
 
-    One pass over the weight vectors w^-1(rho), ascents in increasing s,
-    fills ``rmult``, ``lengths`` and ``srd`` (s is a right descent of w iff
-    coordinate s is negative); ``inv`` follows each element's parent chain
-    through ``rmult``, and reflection ids come from conjugating ids.  The
-    tests check these tables against the reference matrices.
+    One pass over the packed weight vectors w^-1(rho), ascents in
+    increasing s, fills ``rmult``, ``lengths`` and ``srd`` at a constant
+    number of int operations per step (the digits and their width are in
+    the module docstring), and records the first letter and the tail id of
+    each new element.  A second pass, after the vectors are dropped, fills
+    ``inv`` from them, w^-1 = tail^-1 s_1, one lookup per element.
+    Reflection ids come from conjugating ids.  The tests check these
+    tables against the reference matrices.
 
     Raises ValueError if the expected group order exceeds the guard, and
     RuntimeError if any structural count disagrees with the closed forms.
@@ -399,58 +426,58 @@ def build_group(
     ctx = GroupContext(datum)
     n = datum.rank
     cartan = datum.cartan
-    # nonzero entries of column s: the simple root a_s in weight coordinates
-    roots_in_weights = [
-        [(j, cartan[j][s]) for j in range(n) if cartan[j][s]] for s in range(n)
+    npos = datum.num_positive_roots()
+    # lam packed k bits per coordinate, each offset by off (module docstring)
+    k = (2 * npos + 1).bit_length() + 1
+    off, digit = 1 << (k - 1), (1 << k) - 1
+    highs = sum(off << (j * k) for j in range(n))  # the top bit of each digit
+    # (s, shift of digit s, a_s in weight coordinates: column s, packed)
+    cols = [
+        (s, s * k, sum(cartan[j][s] << (j * k) for j in range(n))) for s in range(n)
     ]
 
-    # breadth-first by length; x = parent[x] * s for s = letter[x]
-    rho = (1,) * n
-    index: dict[Vector, int] = {rho: 0}
+    # breadth-first by length; x = s_1 ... s_l by its parent chain,
+    # first[x] = s_1 and tail[x] the id of s_2 ... s_l
+    rho = highs + sum(1 << (j * k) for j in range(n))
+    index: dict[int, int] = {rho: 0}
     weights = [rho]
-    parent, letter, lengths = [0], [-1], [0]
+    first, tail, lengths = [-1], [0], [0]
     rmult, srd = ctx.rmult, ctx.srd
     for wi, lam in enumerate(weights):  # weights grows while it is read
         row = []
-        for s in range(n):
-            img = list(lam)
-            for j, a in roots_in_weights[s]:
-                img[j] -= lam[s] * a
-            key = tuple(img)
+        for s, shift, col in cols:
+            key = lam - (((lam >> shift) & digit) - off) * col
             xi = index.get(key)
             if xi is None:  # an ascent reaching a new element
                 xi = index[key] = len(weights)
                 weights.append(key)
-                parent.append(wi)
-                letter.append(s)
+                first.append(first[wi] if wi else s)
+                tail.append(rmult[tail[wi]][s] if wi else 0)
                 lengths.append(lengths[wi] + 1)
             row.append(xi)
         rmult.append(tuple(row))
-        srd.append(next((s for s, c in enumerate(lam) if c < 0), -1))
+        low = ~lam & highs  # the top bits of the negative coordinates
+        srd.append(((low & -low).bit_length() - 1) // k if low else -1)
     order = len(weights)
     if order != expected_order:
         raise RuntimeError(
             f"enumerated {order} elements of {datum.name}, "
             f"expected {expected_order}"
         )
-    npos = datum.num_positive_roots()
     if lengths[-1] != npos or lengths.count(npos) != 1:
         raise RuntimeError(
             f"{datum.name} has no unique longest element of length {npos} "
             f"at the last id"
         )
     ctx.lengths = lengths
-    ctx.ids = list(range(order))
+    ctx.ids = list(index.values())  # the id objects rmult holds
+    del index, weights
 
-    # w = s_1 ... s_k read off the parent chain from the end, so
-    # w^-1 = s_k ... s_1 is the product of its letters in that order
+    # w^-1 = (s_1 tail)^-1 = tail^-1 s_1, and tail has the smaller id
     inv = ctx.inv = [0] * order
     for wi in range(1, order):
-        xi, yi = wi, 0
-        while xi:
-            yi = rmult[yi][letter[xi]]
-            xi = parent[xi]
-        inv[wi] = yi
+        inv[wi] = rmult[inv[tail[wi]]][first[wi]]
+    del first, tail
 
     def reflect(s: int, beta: Vector) -> Vector:
         img = list(beta)
@@ -544,22 +571,24 @@ def word_of(w: GroupElement) -> str:
 
     Obtained by repeatedly stripping the smallest left descent s of x,
     which is the smallest right descent of x^-1, as sx = (x^-1 s)^-1; the
-    identity prints as "e".
+    word of x is s then the word of sx.  The strip stops at the first
+    element whose word is memoized, and the words of all the elements it
+    passed are memoized on the way back, so each element is stripped once
+    per context.  The identity prints as "e".
     """
     ctx = w.ctx
-    cached = ctx._words.get(w.index)
-    if cached is not None:
-        return cached
-    inv, rmult = ctx.inv, ctx.rmult
-    letters = []
-    xi = w.index
-    while xi:
-        s = ctx.srd[inv[xi]]
-        letters.append(str(s + 1))
+    words, inv, rmult, srd = ctx._words, ctx.inv, ctx.rmult, ctx.srd
+    xi, passed = w.index, []
+    word = words.get(xi)
+    while word is None and xi:
+        s = srd[inv[xi]]
+        passed.append((xi, s))
         xi = inv[rmult[inv[xi]][s]]
-    word = " ".join(letters) if letters else "e"
-    ctx._words[w.index] = word
-    return word
+        word = words.get(xi)
+    for xi, s in reversed(passed):
+        word = f"{s + 1} {word}" if word else str(s + 1)
+        words[xi] = word
+    return word or "e"
 
 
 def parse_element(ctx: GroupContext, text: str) -> GroupElement:

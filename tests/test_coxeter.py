@@ -161,7 +161,9 @@ def test_parse_group_spec_errors():
     assert parse_group_spec("b2") == parse_group_spec("B2")
 
 
-@pytest.mark.parametrize("spec", UP_TO_F4)
+# the packed weight vectors of D5, B5 and A6 are wider than 30 bits, one
+# CPython int digit, which those of every smaller group fit in
+@pytest.mark.parametrize("spec", UP_TO_F4 + ["D5", "B5", "A6"])
 def test_build_matches_matrix_reference(spec):
     # the weight-vector build gives the same ids, tables, root order and
     # reflections as a breadth-first enumeration of matrices
@@ -184,6 +186,20 @@ def test_e6_builds_above_the_default_guard():
     assert w0.length == 36
     for w in (w0, *ctx.reflections, *ctx.elements[::997]):
         assert parse_element(ctx, word_of(w)) == w
+
+
+def test_e6_tables_are_consistent():
+    # the largest group the tests build: a wrong tail recurrence breaks inv,
+    # an overflowing digit breaks rmult or srd
+    ctx = build_group(parse_group_spec("E6"), 51840)
+    rmult, inv, lengths, srd = ctx.rmult, ctx.inv, ctx.lengths, ctx.srd
+    assert ctx.ids == list(range(ctx.order))
+    assert all(inv[inv[x]] == x and lengths[inv[x]] == lengths[x] for x in ctx.ids)
+    assert all(_mul(ctx, x, inv[x]) == 0 for x in ctx.ids)
+    for x, row in enumerate(rmult):
+        assert all(rmult[xs][s] == x for s, xs in enumerate(row))
+        descents = [s for s, xs in enumerate(row) if lengths[xs] < lengths[x]]
+        assert srd[x] == min(descents, default=-1)
 
 
 def test_order_guard():
